@@ -1,6 +1,8 @@
 """Brute-force classification over prime fields: enumerate candidate twist
-triples, keep the valid ones, partition them by equivalence, and cross-check
-every step against the extension picture.
+triples, keep the valid ones, split them into the orbits of the gauge group
+Hom(B, A), and cross-check every step against the extension picture.  The
+orbits are read straight off the group action, so every member carries a
+one-step witness from its representative.
 
 Candidates are indexed by writing all twist coefficients as base-p digits,
 so runs are deterministic and trivially splittable across workers.
@@ -9,17 +11,14 @@ so runs are deterministic and trivially splittable across workers.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, direct_sum_space
 from .cochains import MultilinearMap
-from .exact_sequences import (
-    ExtensionPresentation,
-    canonical_section,
-    cocycle_from_section,
-)
+from .exact_sequences import block_presentation, canonical_section, cocycle_from_section
 from .fields import PrimeField
 from .nonabelian import (
     CrossCheckError,
@@ -57,6 +56,8 @@ class CandidateSpace:
             raise ValueError("kernel algebra is not associative")
         if not self.B.is_associative():
             raise ValueError("quotient algebra is not associative")
+        if self.budget < 1:
+            raise ValueError("budget must be at least 1")
 
     @property
     def p(self) -> int:
@@ -118,8 +119,11 @@ class CandidateSpace:
         """Deterministic uniform sample without replacement (sorted)."""
         import random
 
-        if count > self.total_candidates:
-            raise ValueError("sample larger than the candidate space")
+        if not 0 <= count <= self.total_candidates:
+            raise ValueError(
+                f"sample size {count} is not between 0 and the"
+                f" {self.total_candidates} candidates of the space"
+            )
         rng = random.Random(seed)
         seen = set()
         while len(seen) < count:
@@ -153,18 +157,25 @@ def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[int]
     return [i for i in chunk if build_extension(space.candidate(i))[0].is_associative()]
 
 
-def _chunks(indices: Sequence[int], jobs: int) -> List[List[int]]:
-    n = max(1, len(indices) // max(jobs, 1) + (len(indices) % max(jobs, 1) > 0))
+def _chunks(indices: Sequence[int], parts: int) -> List[List[int]]:
+    n = max(1, -(-len(indices) // parts))
     return [list(indices[i : i + n]) for i in range(0, len(indices), n)]
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Processes worth starting: no more than requested, than CPUs, or than
+    tasks to hand out, and at least one."""
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
 def _scan(space, indices, worker, jobs) -> List[int]:
     indices = list(indices)
-    if jobs <= 1 or len(indices) < 64:
+    chunks = _chunks(indices, worker_count(jobs, len(indices)))
+    if len(chunks) <= 1 or len(indices) < 64:
         return worker(space, indices)
     out: List[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(worker, itertools.repeat(space), _chunks(indices, jobs)):
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        for part in pool.map(worker, itertools.repeat(space), chunks):
             out.extend(part)
     return out
 
@@ -201,36 +212,15 @@ def enumerate_extensions(
 # orbits
 # ---------------------------------------------------------------------------
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # anchor to the smaller root for determinism
-            lo, hi = min(rx, ry), max(rx, ry)
-            self.parent[hi] = lo
-
-    def groups(self) -> Dict[int, List[int]]:
-        out: Dict[int, List[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 @dataclass(frozen=True)
 class Orbit:
+    """A gauge orbit: its least cocycle index, its members in index order,
+    and per member a one-step witness ``(beta,)`` with
+    ``apply_equivalence(representative, beta) == member`` (``()`` for the
+    representative itself)."""
+
     representative: int
     members: Tuple[int, ...]
-    # member index -> chain of gauge parameters carrying the representative
-    # cocycle to that member, one equivalence step each
     witnesses: Tuple[Tuple[int, Tuple[GaugeParam, ...]], ...]
 
 
@@ -247,133 +237,106 @@ class ClassificationReport:
     checks: Dict[str, bool] = dc_field(default_factory=dict)
 
 
+def _key(c: NabCocycle):
+    return (c.phi.coeffs, c.psi.coeffs, c.chi.coeffs)
+
+
 def orbit_partition(
     space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocycle]]
-) -> Tuple[List[Orbit], bool]:
-    """Partition an equivalence-closed cocycle list two independent ways.
+) -> List[Orbit]:
+    """Partition an equivalence-closed cocycle list into gauge orbits.
 
-    The triple route applies every gauge parameter through the component
-    transform; the assembled route transports the Maurer-Cartan images with
-    the closed-form gauge action and matches tensors.  A mismatch between
-    the two partitions raises :class:`CrossCheckError`.  Returns the orbits
-    (by min-index representatives, with witness chains) and the agreement
-    flag (always True when it returns).
+    Equivalence is the action of the additive group Hom(B, A) of gauge
+    parameters (applying beta1 then beta2 is applying beta1 + beta2), so a
+    class is exactly an orbit ``{apply_equivalence(c, beta) : beta}``.  The
+    cocycles are walked in index order; each one not yet placed is the
+    representative of a new orbit, and each member's witness is ``(beta,)``
+    for the first ``beta`` in :meth:`CandidateSpace.gauge_params` order that
+    reaches it.
+
+    Raises :class:`CrossCheckError` when an image leaves the list or lands in
+    an earlier orbit, when |orbit| * |stabilizer| is not p^(a*b), or when,
+    for any cocycle, the closed-form gauge images of its Maurer-Cartan
+    element under all ``beta`` are not exactly its orbit.
     """
     betas = space.gauge_params()
-    idx_of_pos = [i for i, _ in cocycles]
-    pos_by_key = {
-        (c.phi.coeffs, c.psi.coeffs, c.chi.coeffs): pos
-        for pos, (_, c) in enumerate(cocycles)
-    }
-    base, split = direct_sum_space(space.A, space.B)
-    mc_by_key = {
-        cocycle_to_mc(c).coeffs: pos for pos, (_, c) in enumerate(cocycles)
-    }
-
-    uf_triples = UnionFind(len(cocycles))
-    edges: List[Tuple[int, int, GaugeParam]] = []
-    for pos, (_, c) in enumerate(cocycles):
-        for beta in betas:
-            image = apply_equivalence(c, beta)
-            key = (image.phi.coeffs, image.psi.coeffs, image.chi.coeffs)
-            to = pos_by_key.get(key)
-            if to is None:
-                raise CrossCheckError(
-                    "equivalence left the enumerated cocycle set; the input "
-                    "list was not exhaustive or validity is not preserved"
-                )
-            edges.append((pos, to, beta))
-            uf_triples.union(pos, to)
-
-    uf_mc = UnionFind(len(cocycles))
+    group_order = space.p ** (space.A.dim * space.B.dim)
+    cocycles = sorted(cocycles, key=lambda item: item[0])
+    pos_by_key = {_key(c): pos for pos, (_, c) in enumerate(cocycles)}
     mc_elements = [cocycle_to_mc(c) for _, c in cocycles]
-    for pos, x in enumerate(mc_elements):
-        for beta in betas:
-            y = gauge_closed_form(x, beta, base, split)
-            to = mc_by_key.get(y.coeffs)
-            if to is None:
+    pos_by_mc = {x.coeffs: pos for pos, x in enumerate(mc_elements)}
+    base, split = direct_sum_space(space.A, space.B)
+
+    # position -> the witnesses of its orbit, keyed by member position
+    orbit_of: Dict[int, Dict[int, Tuple[GaugeParam, ...]]] = {}
+    found: List[Dict[int, Tuple[GaugeParam, ...]]] = []
+    for pos, (i, c) in enumerate(cocycles):
+        if pos not in orbit_of:
+            witnesses: Dict[int, Tuple[GaugeParam, ...]] = {pos: ()}
+            stabilizer = 0
+            for beta in betas:
+                to = pos_by_key.get(_key(apply_equivalence(c, beta)))
+                if to is None:
+                    raise CrossCheckError(
+                        f"equivalence carried cocycle {i} out of the enumerated set; "
+                        "the list was not exhaustive or validity is not preserved"
+                    )
+                if to in orbit_of:
+                    raise CrossCheckError(f"an image of cocycle {i} lies in an earlier orbit")
+                if to == pos:
+                    stabilizer += 1
+                witnesses.setdefault(to, (beta,))
+            if len(witnesses) * stabilizer != group_order:
                 raise CrossCheckError(
-                    "gauge action left the enumerated Maurer-Cartan set"
+                    f"orbit of cocycle {i} has {len(witnesses)} members and "
+                    f"{stabilizer} stabilizing parameters, not {group_order} in all"
                 )
-            uf_mc.union(pos, to)
+            for to in witnesses:
+                orbit_of[to] = witnesses
+            found.append(witnesses)
+        images = {
+            pos_by_mc.get(gauge_closed_form(mc_elements[pos], beta, base, split).coeffs)
+            for beta in betas
+        }
+        if images != orbit_of[pos].keys():
+            raise CrossCheckError(
+                f"closed-form gauge orbit of cocycle {i} differs from its cocycle orbit"
+            )
 
-    groups_triples = {frozenset(v) for v in uf_triples.groups().values()}
-    groups_mc = {frozenset(v) for v in uf_mc.groups().values()}
-    if groups_triples != groups_mc:
-        raise CrossCheckError(
-            "cocycle-equivalence partition differs from the gauge partition"
-        )
-
-    # witness chains by breadth-first search from each representative
-    adjacency: Dict[int, List[Tuple[int, GaugeParam]]] = {}
-    field = space.A.field
-    for src, dst, beta in edges:
-        adjacency.setdefault(src, []).append((dst, beta))
-        adjacency.setdefault(dst, []).append((src, beta.negate(field)))
-
-    orbits: List[Orbit] = []
-    for members in sorted(uf_triples.groups().values(), key=lambda g: idx_of_pos[g[0]]):
-        members = sorted(members, key=lambda pos: idx_of_pos[pos])
-        rep = members[0]
-        chains: Dict[int, Tuple[GaugeParam, ...]] = {}
-        frontier = [rep]
-        chains[rep] = ()
-        while frontier:
-            cur = frontier.pop(0)
-            for nxt, beta in adjacency.get(cur, ()):  # deterministic edge order
-                if nxt not in chains:
-                    chains[nxt] = chains[cur] + (beta,)
-                    frontier.append(nxt)
-        for pos in members:
-            if pos not in chains:
-                raise CrossCheckError("witness graph does not connect an orbit")
-            # replay the chain as a safety net
-            current = cocycles[rep][1]
-            for beta in chains[pos]:
-                current = apply_equivalence(current, beta)
-            if current != cocycles[pos][1]:
-                raise CrossCheckError("witness chain replay failed")
+    orbits = []
+    for witnesses in found:
+        members = sorted(witnesses)
         orbits.append(
             Orbit(
-                representative=idx_of_pos[rep],
-                members=tuple(idx_of_pos[pos] for pos in members),
-                witnesses=tuple(
-                    (idx_of_pos[pos], chains[pos]) for pos in members
-                ),
+                representative=cocycles[members[0]][0],
+                members=tuple(cocycles[pos][0] for pos in members),
+                witnesses=tuple((cocycles[pos][0], witnesses[pos]) for pos in members),
             )
         )
-    return orbits, True
+    return orbits
 
 
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
 
-def _presentation_for(space: CandidateSpace, ext_alg: Algebra) -> ExtensionPresentation:
-    field = space.A.field
-    a, dim = space.A.dim, space.A.dim + space.B.dim
-    iota = tuple(
-        tuple(field.one if (i == j and i < a) else field.zero for j in range(a))
-        for i in range(dim)
-    )
-    proj = tuple(
-        tuple(field.one if j == a + i else field.zero for j in range(dim))
-        for i in range(space.B.dim)
-    )
-    return ExtensionPresentation(ext_alg, iota, proj, space.A, space.B)
-
-
-def census(space: CandidateSpace, jobs: int = 1) -> ClassificationReport:
+def census(
+    space: CandidateSpace, jobs: int = 1, indices: Optional[Sequence[int]] = None
+) -> ClassificationReport:
     """Run the whole pipeline with every cross-check armed.
+
+    ``indices`` restricts the run to a sample of candidates; a sample is not
+    closed under equivalence, so its report lists no orbits.
 
     Raises :class:`CrossCheckError` (with the offending candidate index in
     the message) if any of the following fail: the cocycle and associative-
     extension index sets coincide; every cocycle's assembled element
-    satisfies the Maurer-Cartan equation; the canonical section recovers
-    every generating triple; the two equivalence partitions agree.
+    satisfies the Maurer-Cartan equation; and, on an exhaustive run, the
+    extension tables agree, the canonical section recovers every generating
+    triple, and the checks of :func:`orbit_partition` pass.
     """
-    cocycles = enumerate_cocycles(space, jobs=jobs)
-    extensions = enumerate_extensions(space, jobs=jobs)
+    cocycles = enumerate_cocycles(space, indices, jobs)
+    extensions = enumerate_extensions(space, indices, jobs)
 
     cocycle_idx = [i for i, _ in cocycles]
     extension_idx = [i for i, _ in extensions]
@@ -384,10 +347,6 @@ def census(space: CandidateSpace, jobs: int = 1) -> ClassificationReport:
             f"cocycle/extension mismatch: valid-only {sorted(only_c)[:5]}, "
             f"associative-only {sorted(only_e)[:5]}"
         )
-    built_tables = {build_extension(c)[0].table for _, c in cocycles}
-    listed_tables = {e.table for _, e in extensions}
-    if built_tables != listed_tables:
-        raise CrossCheckError("extension structure-constant tables disagree")
 
     base, split = direct_sum_space(space.A, space.B)
     for i, c in cocycles:
@@ -396,19 +355,7 @@ def census(space: CandidateSpace, jobs: int = 1) -> ClassificationReport:
         if not associator_residual(cocycle_to_mc(c), base, split).is_zero():
             raise CrossCheckError(f"cocycle {i} fails the Maurer-Cartan equation")
 
-    for (i, c), (_, ext_alg) in zip(cocycles, extensions):
-        pres = _presentation_for(space, ext_alg)
-        back = cocycle_from_section(pres, canonical_section(pres))
-        if not (
-            back.phi.coeffs == c.phi.coeffs
-            and back.psi.coeffs == c.psi.coeffs
-            and back.chi.coeffs == c.chi.coeffs
-        ):
-            raise CrossCheckError(f"canonical section does not recover candidate {i}")
-
-    orbits, partitions_agree = orbit_partition(space, cocycles)
-
-    return ClassificationReport(
+    report = ClassificationReport(
         p=space.p,
         a_dim=space.A.dim,
         b_dim=space.B.dim,
@@ -416,12 +363,23 @@ def census(space: CandidateSpace, jobs: int = 1) -> ClassificationReport:
         num_cocycles=len(cocycles),
         cocycle_indices=tuple(cocycle_idx),
         num_extensions=len(extensions),
-        orbits=orbits,
-        checks={
-            "counts_match": True,
-            "tables_match": True,
-            "cocycles_satisfy_mc": True,
-            "section_roundtrip": True,
-            "partitions_agree": partitions_agree,
-        },
+        orbits=[],
+        checks={"counts_match": True, "cocycles_satisfy_mc": True},
     )
+    if indices is not None:
+        report.checks["sampled"] = True
+        return report
+
+    built_tables = {build_extension(c)[0].table for _, c in cocycles}
+    listed_tables = {e.table for _, e in extensions}
+    if built_tables != listed_tables:
+        raise CrossCheckError("extension structure-constant tables disagree")
+
+    for (i, c), (_, ext_alg) in zip(cocycles, extensions):
+        pres = block_presentation(ext_alg, space.A, space.B)
+        if _key(cocycle_from_section(pres, canonical_section(pres))) != _key(c):
+            raise CrossCheckError(f"canonical section does not recover candidate {i}")
+
+    report.orbits = orbit_partition(space, cocycles)
+    report.checks.update(tables_match=True, section_roundtrip=True, partitions_agree=True)
+    return report

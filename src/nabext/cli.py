@@ -13,15 +13,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .algebra import Algebra, direct_sum_space
-from .classify import (
-    BudgetExceededError,
-    CandidateSpace,
-    ClassificationReport,
-    census,
-    enumerate_cocycles,
-    enumerate_extensions,
-)
+from .algebra import Algebra
+from .classify import BudgetExceededError, CandidateSpace, census
 from .cochains import gerstenhaber_bracket, hochschild_delta
 from .exact_sequences import (
     BrokenExtensionError,
@@ -269,41 +262,17 @@ def _census_space(args) -> CandidateSpace:
         raise FormatError(str(exc)) from exc
 
 
-def _sampled_report(space: CandidateSpace, args) -> ClassificationReport:
-    indices = space.sample_indices(args.sample, args.seed)
-    cocycles = enumerate_cocycles(space, indices=indices, jobs=args.jobs)
-    extensions = enumerate_extensions(space, indices=indices, jobs=args.jobs)
-    if [i for i, _ in cocycles] != [i for i, _ in extensions]:
-        raise CrossCheckError("sampled cocycle/extension verdicts disagree")
-    base, split = direct_sum_space(space.A, space.B)
-    from .nonabelian import cocycle_to_mc
-
-    for i, c in cocycles:
-        if not associator_residual(cocycle_to_mc(c), base, split).is_zero():
-            raise CrossCheckError(f"sampled cocycle {i} fails the Maurer-Cartan equation")
-    return ClassificationReport(
-        p=space.p,
-        a_dim=space.A.dim,
-        b_dim=space.B.dim,
-        num_candidates=space.total_candidates,
-        num_cocycles=len(cocycles),
-        cocycle_indices=tuple(i for i, _ in cocycles),
-        num_extensions=len(extensions),
-        orbits=[],
-        checks={
-            "sampled": True,
-            "counts_match": True,
-            "cocycles_satisfy_mc": True,
-        },
-    )
-
-
 def _cmd_census(args) -> int:
+    if args.jobs < 1:
+        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     space = _census_space(args)
+    indices = None
     if args.sample:
-        report = _sampled_report(space, args)
-    else:
-        report = census(space, jobs=args.jobs)
+        try:
+            indices = space.sample_indices(args.sample, args.seed)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+    report = census(space, jobs=args.jobs, indices=indices)
     if args.format == "text":
         _emit(report_to_text(report), args.output)
     else:

@@ -204,19 +204,23 @@ def verify_extension(ext: ExtensionPresentation) -> ExtensionDiagnostics:
 # canonical presentations and sections
 # ---------------------------------------------------------------------------
 
-def canonical_presentation(c: NabCocycle) -> ExtensionPresentation:
-    """The twisted product of ``c`` with block inclusion and projection."""
-    E, split = build_extension(c)
+def block_presentation(E: Algebra, A: Algebra, B: Algebra) -> ExtensionPresentation:
+    """``E`` on the split space ``A (+) B`` with block inclusion and projection."""
     field = E.field
+    a, dim = A.dim, A.dim + B.dim
     iota = tuple(
-        tuple(field.one if (i == j and i < split.a_dim) else field.zero for j in range(split.a_dim))
-        for i in range(split.dim)
+        tuple(field.one if i == j else field.zero for j in range(a)) for i in range(dim)
     )
     proj = tuple(
-        tuple(field.one if j == split.a_dim + i else field.zero for j in range(split.dim))
-        for i in range(split.b_dim)
+        tuple(field.one if j == a + i else field.zero for j in range(dim))
+        for i in range(B.dim)
     )
-    return ExtensionPresentation(E, iota, proj, c.A, c.B)
+    return ExtensionPresentation(E, iota, proj, A, B)
+
+
+def canonical_presentation(c: NabCocycle) -> ExtensionPresentation:
+    """The twisted product of ``c`` with block inclusion and projection."""
+    return block_presentation(build_extension(c)[0], c.A, c.B)
 
 
 def canonical_section(ext: ExtensionPresentation) -> Section:
@@ -256,7 +260,6 @@ def enumerate_sections(ext: ExtensionPresentation) -> Iterable[Section]:
         for row_e in range(ext.E.dim):
             row = []
             for j in range(b_dim):
-                shift = field.zero
                 avec = tuple(offset[i][j] for i in range(a_dim))
                 shift = ext.include(avec)[row_e]
                 row.append(field.add(base.matrix[row_e][j], shift))

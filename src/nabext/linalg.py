@@ -38,17 +38,8 @@ def is_zero_vector(x: Sequence[Scalar]) -> bool:
     return all(a == 0 for a in x)
 
 
-def zero_matrix(field: Field, rows: int, cols: int) -> Matrix:
-    return tuple(zero_vector(field, cols) for _ in range(rows))
-
 def identity_matrix(field: Field, n: int) -> Matrix:
     return tuple(basis_vector(field, n, i) for i in range(n))
-
-def mat_add(field: Field, m: Matrix, n: Matrix) -> Matrix:
-    return tuple(vec_add(field, r, s) for r, s in zip(m, n, strict=True))
-
-def mat_neg(field: Field, m: Matrix) -> Matrix:
-    return tuple(vec_neg(field, r) for r in m)
 
 def mat_vec(field: Field, m: Matrix, x: Vector) -> Vector:
     out = []

@@ -324,11 +324,6 @@ def build_extension(c: NabCocycle) -> Tuple[Algebra, SplitSpace]:
     return Algebra(f, dim, _disambiguate(A.basis, B.basis), tuple(table)), split
 
 
-def base_context(c: NabCocycle) -> Tuple[Algebra, SplitSpace]:
-    """The untwisted blockwise product on the same split space."""
-    return direct_sum_space(c.A, c.B)
-
-
 def associator_component_table(m: Algebra, split: SplitSpace):
     """All 16 embedded components of the associator of ``m``.
 
@@ -381,7 +376,7 @@ def cocycle_from_mc(x: MultilinearMap, a: Algebra, b: Algebra) -> NabCocycle:
 
 def mc_context(c: NabCocycle) -> Tuple[MultilinearMap, Algebra, SplitSpace]:
     """(assembled element, base algebra, split) for one cocycle."""
-    base, split = base_context(c)
+    base, split = direct_sum_space(c.A, c.B)
     return cocycle_to_mc(c), base, split
 
 

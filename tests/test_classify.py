@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from nabext import (
     CandidateSpace,
     apply_equivalence,
     build_extension,
+    CrossCheckError,
     census,
     check_cocycle,
     cocycle_to_mc,
@@ -17,9 +19,11 @@ from nabext import (
     enumerate_extensions,
     gauge_closed_form,
     is_mc,
+    is_valid_cocycle,
     orbit_partition,
 )
-from nabext.classify import UnionFind
+from nabext.classify import worker_count
+from nabext.io_json import dumps_canonical, report_to_json
 from nabext.fields import GF2, GF3
 
 
@@ -119,8 +123,7 @@ def test_orbit_partition_matches_hand_derivation():
     # {110, 111} merge and the two mixed-twist cocycles sit alone
     space = _space()
     cocycles = enumerate_cocycles(space)
-    orbits, agree = orbit_partition(space, cocycles)
-    assert agree
+    orbits = orbit_partition(space, cocycles)
     as_triples = []
     for orbit in orbits:
         members = {
@@ -141,10 +144,11 @@ def test_orbit_witness_chains_replay():
     space = _space()
     cocycles = enumerate_cocycles(space)
     by_index = dict(cocycles)
-    orbits, _ = orbit_partition(space, cocycles)
+    orbits = orbit_partition(space, cocycles)
     for orbit in orbits:
         rep = by_index[orbit.representative]
         for member, chain in orbit.witnesses:
+            assert len(chain) == (0 if member == orbit.representative else 1)
             current = rep
             for beta in chain:
                 current = apply_equivalence(current, beta)
@@ -213,10 +217,10 @@ def test_census_two_one_dimensional_kernel():
 def test_partition_stability_under_candidate_shuffling():
     space = _space()
     cocycles = enumerate_cocycles(space)
-    orbits_sorted, _ = orbit_partition(space, cocycles)
+    orbits_sorted = orbit_partition(space, cocycles)
     shuffled = list(cocycles)
     random.Random(99).shuffle(shuffled)
-    orbits_shuffled, _ = orbit_partition(space, shuffled)
+    orbits_shuffled = orbit_partition(space, shuffled)
     canon = lambda orbits: sorted(tuple(sorted(o.members)) for o in orbits)
     assert canon(orbits_sorted) == canon(orbits_shuffled)
     assert [o.representative for o in orbits_sorted] == sorted(
@@ -235,13 +239,108 @@ def test_gf3_line_census():
     assert all(report.checks.values())
 
 
-def test_union_find_basics():
-    uf = UnionFind(5)
-    uf.union(0, 3)
-    uf.union(3, 4)
-    groups = uf.groups()
-    assert sorted(groups[uf.find(0)]) == [0, 3, 4]
-    assert len(groups) == 3
+@pytest.mark.parametrize(
+    "A,B",
+    [
+        (line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b")),
+        (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
+        (zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")),
+    ],
+)
+def test_orbit_stabilizer(A, B):
+    # |orbit| * |Stab(rep)| = |Hom(B, A)| = p^(a*b), counted by brute force
+    space = CandidateSpace(A, B)
+    by_index = dict(enumerate_cocycles(space))
+    betas = space.gauge_params()
+    orbits = orbit_partition(space, list(by_index.items()))
+    assert sorted(i for o in orbits for i in o.members) == sorted(by_index)
+    for orbit in orbits:
+        rep = by_index[orbit.representative]
+        stabilizer = sum(apply_equivalence(rep, beta) == rep for beta in betas)
+        assert len(orbit.members) * stabilizer == space.p ** (A.dim * B.dim)
+
+
+def _broken_action(monkeypatch, broken):
+    import nabext.classify as classify
+
+    monkeypatch.setattr(classify, "apply_equivalence", broken)
+
+
+def test_orbit_partition_rejects_a_miscounted_orbit(monkeypatch):
+    # beta = 2 sent where beta = 1 goes: orbits of size 3 shrink to 2 while
+    # the stabilizer stays trivial, so 2 * 1 != 3
+    space = CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b"))
+    cocycles = enumerate_cocycles(space)
+    betas = space.gauge_params()
+    _broken_action(
+        monkeypatch,
+        lambda c, beta: apply_equivalence(c, betas[1] if beta == betas[2] else beta),
+    )
+    with pytest.raises(CrossCheckError, match="stabilizing"):
+        orbit_partition(space, cocycles)
+
+
+def test_orbit_partition_rejects_overlapping_orbits(monkeypatch):
+    # the second representative's nonzero images are sent into the first orbit
+    space = _space()
+    cocycles = enumerate_cocycles(space)
+    by_index = dict(cocycles)
+    second = by_index[orbit_partition(space, cocycles)[1].representative]
+    zero = space.gauge_params()[0]
+    _broken_action(
+        monkeypatch,
+        lambda c, beta: cocycles[0][1]
+        if c == second and beta != zero
+        else apply_equivalence(c, beta),
+    )
+    with pytest.raises(CrossCheckError, match="earlier orbit"):
+        orbit_partition(space, cocycles)
+
+
+def test_orbit_partition_rejects_a_gauge_orbit_mismatch(monkeypatch):
+    # a triple action that fixes everything disagrees with the closed form
+    space = _space()
+    _broken_action(monkeypatch, lambda c, beta: c)
+    with pytest.raises(CrossCheckError, match="closed-form"):
+        orbit_partition(space, enumerate_cocycles(space))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,A,B",
+    [
+        ("census_F2_zero2_idem.json", zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")),
+        ("census_F3_zero_idem.json", line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
+    ],
+)
+def test_census_report_matches_golden(name, A, B):
+    # the full canonical report, witnesses included, pinned byte for byte
+    space = CandidateSpace(A, B)
+    text = dumps_canonical(report_to_json(census(space), space.A.field))
+    assert text == (GOLDEN / name).read_text()
+
+
+def test_sampled_census_has_no_orbit_stage():
+    space = CandidateSpace(zero_algebra(GF2, 2), trunc_poly2(GF2))
+    indices = space.sample_indices(50, seed=1)
+    report = census(space, indices=indices)
+    assert report.orbits == []
+    assert report.checks == {"sampled": True, "counts_match": True, "cocycles_satisfy_mc": True}
+    assert set(report.cocycle_indices) <= set(indices)
+    assert list(report.cocycle_indices) == [i for i in indices if is_valid_cocycle(space.candidate(i))]
+
+
+def test_worker_count_clamp(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(1, 100) == 1
+    assert worker_count(3, 100) == 3
+    assert worker_count(1000, 100) == 4
+    assert worker_count(8, 2) == 2
+    assert worker_count(8, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
 
 
 def test_candidate_space_requires_associative_ends():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     line_algebra,
@@ -95,6 +96,38 @@ def test_gauge_transform_is_inverted_by_negated_parameter():
             beta = rand_gauge(rng, a, b)
             image = apply_equivalence(c, beta)
             assert apply_equivalence(image, beta.negate(field)) == c
+
+
+def _small_algebras(field):
+    return [
+        line_algebra(field, "zero"),
+        line_algebra(field, "idem"),
+        trunc_poly2(field),
+        zero_algebra(field, 2),
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([GF2, GF3, QQ]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2 ** 32),
+)
+def test_gauge_action_law(field, a_pick, b_pick, seed):
+    # equivalence is an action of the additive group Hom(B, A), on every
+    # triple, valid or not: applying beta1 then beta2 is applying beta1 + beta2
+    rng = random.Random(seed)
+    a, b = _small_algebras(field)[a_pick], _small_algebras(field)[b_pick]
+    c = rand_cocycle(rng, a, b)
+    beta1, beta2 = rand_gauge(rng, a, b), rand_gauge(rng, a, b)
+    total = GaugeParam(
+        tuple(
+            tuple(field.add(x, y) for x, y in zip(r1, r2))
+            for r1, r2 in zip(beta1.matrix, beta2.matrix)
+        )
+    )
+    assert apply_equivalence(apply_equivalence(c, beta1), beta2) == apply_equivalence(c, total)
 
 
 def test_series_equals_closed_form():

@@ -323,7 +323,8 @@ def test_cli_census_sampled(tmp_path, capsys):
     ]
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["checks"]["sampled"] is True
+    assert doc["checks"] == {"sampled": True, "counts_match": True, "cocycles_satisfy_mc": True}
+    assert doc["orbits"] == [] and doc["num_classes"] == 0
     assert doc["num_candidates"] == 2 ** 24
     assert doc["num_cocycles"] == doc["num_extensions"]
 
@@ -332,6 +333,25 @@ def test_cli_census_budget_error(capsys):
     args = ["census", "--field", "F2", "--budget", "4"]
     assert main(args) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra,needle",
+    [
+        (["--sample", "100"], "sample size 100"),
+        (["--sample", "-5"], "sample size -5"),
+        (["--jobs", "0"], "--jobs"),
+        (["--jobs", "-2"], "--jobs"),
+        (["--budget", "0"], "budget"),
+        (["--budget", "-1", "--sample", "2"], "budget"),
+    ],
+)
+def test_cli_census_rejects_bad_numbers(extra, needle, capsys):
+    # the default space has 8 candidates
+    assert main(["census", "--field", "F2", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_abelianize(hand_files, capsys):
