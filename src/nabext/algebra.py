@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .fields import Field, FieldError, Scalar
 from .linalg import Vector, is_zero_vector, vec_sub, zero_vector
@@ -141,10 +141,27 @@ class Algebra:
         )
 
     def associativity_witness(self) -> Optional[Tuple[int, int, int]]:
-        """First basis triple with nonzero associator, or None."""
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            a = self.associator(self.basis_vector(i), self.basis_vector(j), self.basis_vector(k))
-            if not is_zero_vector(a):
+        """First basis triple, in ``itertools.product`` order, with nonzero
+        associator, or None.
+
+        Reads ``(e_i e_j) e_k - e_i (e_j e_k)`` straight off the sparse
+        structure constants: ``sum_m c_ij^m row(m, k) - sum_m c_jk^m row(i, m)``.
+        :meth:`associator` on basis vectors is the independent vector route.
+        """
+        f, dim = self.field, self.dim
+        rows = [
+            [(m, c) for m, c in enumerate(self.table[base : base + dim]) if c != 0]
+            for base in range(0, dim ** 3, dim)
+        ]
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            out = [f.zero] * dim
+            for m, c in rows[i * dim + j]:
+                for t, v in rows[m * dim + k]:
+                    out[t] = f.add(out[t], f.mul(c, v))
+            for m, c in rows[j * dim + k]:
+                for t, v in rows[i * dim + m]:
+                    out[t] = f.sub(out[t], f.mul(c, v))
+            if not is_zero_vector(out):
                 return (i, j, k)
         return None
 

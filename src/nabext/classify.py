@@ -14,7 +14,8 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Algebra, direct_sum_space
 from .cochains import MultilinearMap
@@ -63,21 +64,22 @@ class CandidateSpace:
     def p(self) -> int:
         return self.A.field.p
 
-    @property
+    # cached: the shape of the space is fixed and every decode reads it
+    @cached_property
     def shapes(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
         a, b = self.A.dim, self.B.dim
         # (source_dims, target) per component, in phi, psi, chi order
         return (((b, a), a), ((a, b), a), ((b, b), a))
 
-    @property
+    @cached_property
     def entry_counts(self) -> Tuple[int, ...]:
         return tuple(t * dims[0] * dims[1] for dims, t in self.shapes)
 
-    @property
+    @cached_property
     def total_entries(self) -> int:
         return sum(self.entry_counts)
 
-    @property
+    @cached_property
     def total_candidates(self) -> int:
         return self.p ** self.total_entries
 
@@ -149,12 +151,22 @@ class CandidateSpace:
 # scanning (parallelizable, deterministic)
 # ---------------------------------------------------------------------------
 
-def _valid_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[int]:
-    return [i for i in chunk if is_valid_cocycle(space.candidate(i))]
+def _valid_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, NabCocycle]]:
+    hits = []
+    for i in chunk:
+        c = space.candidate(i)
+        if is_valid_cocycle(c):
+            hits.append((i, c))
+    return hits
 
 
-def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[int]:
-    return [i for i in chunk if build_extension(space.candidate(i))[0].is_associative()]
+def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, Algebra]]:
+    hits = []
+    for i in chunk:
+        ext = build_extension(space.candidate(i))[0]
+        if ext.is_associative():
+            hits.append((i, ext))
+    return hits
 
 
 def _chunks(indices: Sequence[int], parts: int) -> List[List[int]]:
@@ -168,12 +180,13 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def _scan(space, indices, worker, jobs) -> List[int]:
+def _scan(space, indices, worker, jobs) -> List[Tuple]:
+    """The ``(index, hit)`` pairs ``worker`` keeps, in index order."""
     indices = list(indices)
     chunks = _chunks(indices, worker_count(jobs, len(indices)))
     if len(chunks) <= 1 or len(indices) < 64:
         return worker(space, indices)
-    out: List[int] = []
+    out: List[Tuple] = []
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         for part in pool.map(worker, itertools.repeat(space), chunks):
             out.extend(part)
@@ -185,11 +198,11 @@ def enumerate_cocycles(
     indices: Optional[Iterable[int]] = None,
     jobs: int = 1,
 ) -> List[Tuple[int, NabCocycle]]:
-    """All candidates passing the cocycle equations, in index order."""
+    """All candidates passing the cocycle equations, in index order, as
+    ``(index, cocycle)`` pairs decoded once by the scan."""
     if indices is None:
         indices = space.exhaustive_indices()
-    hits = _scan(space, indices, _valid_chunk, jobs)
-    return [(i, space.candidate(i)) for i in hits]
+    return _scan(space, indices, _valid_chunk, jobs)
 
 
 def enumerate_extensions(
@@ -197,15 +210,15 @@ def enumerate_extensions(
     indices: Optional[Iterable[int]] = None,
     jobs: int = 1,
 ) -> List[Tuple[int, Algebra]]:
-    """All candidates whose twisted product is associative, in index order.
+    """All candidates whose twisted product is associative, in index order,
+    as ``(index, extension algebra)`` pairs built once by the scan.
 
     This is the extension-side route: it never consults the cocycle
     equations, so it can cross-check them.
     """
     if indices is None:
         indices = space.exhaustive_indices()
-    hits = _scan(space, indices, _associative_chunk, jobs)
-    return [(i, build_extension(space.candidate(i))[0]) for i in hits]
+    return _scan(space, indices, _associative_chunk, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +255,9 @@ def _key(c: NabCocycle):
 
 
 def orbit_partition(
-    space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocycle]]
+    space: CandidateSpace,
+    cocycles: Sequence[Tuple[int, NabCocycle]],
+    mc_elements: Mapping[int, MultilinearMap],
 ) -> List[Orbit]:
     """Partition an equivalence-closed cocycle list into gauge orbits.
 
@@ -257,14 +272,15 @@ def orbit_partition(
     Raises :class:`CrossCheckError` when an image leaves the list or lands in
     an earlier orbit, when |orbit| * |stabilizer| is not p^(a*b), or when,
     for any cocycle, the closed-form gauge images of its Maurer-Cartan
-    element under all ``beta`` are not exactly its orbit.
+    element (``mc_elements[index]``, the :func:`cocycle_to_mc` assembly)
+    under all ``beta`` are not exactly its orbit.
     """
     betas = space.gauge_params()
     group_order = space.p ** (space.A.dim * space.B.dim)
     cocycles = sorted(cocycles, key=lambda item: item[0])
     pos_by_key = {_key(c): pos for pos, (_, c) in enumerate(cocycles)}
-    mc_elements = [cocycle_to_mc(c) for _, c in cocycles]
-    pos_by_mc = {x.coeffs: pos for pos, x in enumerate(mc_elements)}
+    mc_by_pos = [mc_elements[i] for i, _ in cocycles]
+    pos_by_mc = {x.coeffs: pos for pos, x in enumerate(mc_by_pos)}
     base, split = direct_sum_space(space.A, space.B)
 
     # position -> the witnesses of its orbit, keyed by member position
@@ -295,7 +311,7 @@ def orbit_partition(
                 orbit_of[to] = witnesses
             found.append(witnesses)
         images = {
-            pos_by_mc.get(gauge_closed_form(mc_elements[pos], beta, base, split).coeffs)
+            pos_by_mc.get(gauge_closed_form(mc_by_pos[pos], beta, base, split).coeffs)
             for beta in betas
         }
         if images != orbit_of[pos].keys():
@@ -349,10 +365,11 @@ def census(
         )
 
     base, split = direct_sum_space(space.A, space.B)
-    for i, c in cocycles:
+    mc_elements = {i: cocycle_to_mc(c) for i, c in cocycles}
+    for i, x in mc_elements.items():
         # the characteristic-free residual: equals the dgLa Maurer-Cartan
         # residual over F_2 and tracks associativity over every field
-        if not associator_residual(cocycle_to_mc(c), base, split).is_zero():
+        if not associator_residual(x, base, split).is_zero():
             raise CrossCheckError(f"cocycle {i} fails the Maurer-Cartan equation")
 
     report = ClassificationReport(
@@ -380,6 +397,6 @@ def census(
         if _key(cocycle_from_section(pres, canonical_section(pres))) != _key(c):
             raise CrossCheckError(f"canonical section does not recover candidate {i}")
 
-    report.orbits = orbit_partition(space, cocycles)
+    report.orbits = orbit_partition(space, cocycles, mc_elements)
     report.checks.update(tables_match=True, section_roundtrip=True, partitions_agree=True)
     return report

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence, Tuple
 
 from .algebra import Algebra
 from .fields import Field, Scalar
-from .linalg import Vector, zero_vector
+from .linalg import Vector
 
 
 def _flat_size(dims: Sequence[int]) -> int:
@@ -70,7 +70,7 @@ class MultilinearMap:
 
     @property
     def input_size(self) -> int:
-        return _flat_size(self.source_dims)
+        return len(self.coeffs) // self.target_dim
 
     def is_uniform(self, dim: int) -> bool:
         return all(d == dim for d in self.source_dims)
@@ -140,10 +140,9 @@ class MultilinearMap:
         return self.coeffs[k * self.input_size + self._flat_index(idxs)]
 
     def column(self, idxs: Sequence[int]) -> Vector:
-        """The value on a basis tuple, as a target vector."""
-        off = self._flat_index(idxs)
-        step = self.input_size
-        return tuple(self.coeffs[k * step + off] for k in range(self.target_dim))
+        """The value on a basis tuple, as a target vector: with the target
+        index outermost it is every ``input_size``-th coefficient."""
+        return self.coeffs[self._flat_index(idxs) :: self.input_size]
 
     def apply(self, vectors: Sequence[Vector]) -> Vector:
         """Full multilinear evaluation on arbitrary vectors."""

@@ -29,7 +29,6 @@ from .linalg import (
     rank,
     solve,
     vec_sub,
-    zero_vector,
 )
 from .nonabelian import GaugeParam, NabCocycle, build_extension
 from .cochains import MultilinearMap

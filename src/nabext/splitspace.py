@@ -16,7 +16,6 @@ from typing import Dict, Iterable, Tuple
 
 from .algebra import Algebra, SplitSpace
 from .cochains import MultilinearMap, gerstenhaber_bracket, hochschild_delta
-from .fields import Field
 
 Pattern = str
 

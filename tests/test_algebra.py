@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import associative_samples, line_algebra, rand_vector, trunc_poly2
 from nabext import Algebra, direct_sum_space
@@ -117,6 +119,53 @@ def test_is_associative_exhaustive_matches_over_f2_dim2():
             for w in vectors
         )
         assert by_basis == by_vectors
+
+
+_SCALARS = {
+    GF2: (0, 1),
+    GF3: (0, 1, 2),
+    QQ: (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)),
+}
+
+
+@st.composite
+def _algebras(draw):
+    """Structure-constant tables of dims 1-4 over F2, F3 and Q: either
+    random and mostly sparse (rarely associative), or an associative
+    algebra or direct sum with at most one entry redrawn."""
+    field = draw(st.sampled_from([GF2, GF3, QQ]))
+    scalars = _SCALARS[field]
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 4))
+        entry = st.sampled_from((field.zero,) * len(scalars) + scalars)
+        table = draw(st.lists(entry, min_size=dim ** 3, max_size=dim ** 3))
+        return Algebra(field, dim, tuple(f"e{i}" for i in range(dim)), tuple(table))
+    samples = associative_samples(field)
+    alg = draw(st.sampled_from(samples))
+    other = draw(st.sampled_from([None] + [b for b in samples if alg.dim + b.dim <= 4]))
+    if other is not None:
+        alg, _ = direct_sum_space(alg, other)
+    table = list(alg.table)
+    if draw(st.booleans()):
+        table[draw(st.integers(0, len(table) - 1))] = draw(st.sampled_from(scalars))
+    return Algebra(field, alg.dim, alg.basis, tuple(table))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_algebras())
+def test_associativity_witness_matches_the_vector_route(alg):
+    # the sparse-table kernel against the first basis triple, in product
+    # order, where the dense associator of basis vectors is nonzero
+    expected = next(
+        (
+            idxs
+            for idxs in itertools.product(range(alg.dim), repeat=3)
+            if not is_zero_vector(alg.associator(*(alg.basis_vector(i) for i in idxs)))
+        ),
+        None,
+    )
+    assert alg.associativity_witness() == expected
+    assert alg.is_associative() == (expected is None)
 
 
 def test_zero_multiplication_is_associative():

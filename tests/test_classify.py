@@ -27,6 +27,11 @@ from nabext.io_json import dumps_canonical, report_to_json
 from nabext.fields import GF2, GF3
 
 
+def _mc(cocycles):
+    """Each cocycle's assembled Maurer-Cartan element, by candidate index."""
+    return {i: cocycle_to_mc(c) for i, c in cocycles}
+
+
 def _space(a2="zero", b2="idem", **kw):
     return CandidateSpace(
         line_algebra(GF2, a2, "a"), line_algebra(GF2, b2, "b"), **kw
@@ -118,12 +123,27 @@ def test_sampling_is_deterministic_and_in_range():
     assert space.sample_indices(100, seed=6) != s1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scans_return_the_decoded_hits(monkeypatch, jobs):
+    # 256 candidates, enough for the scan to split over a 2-worker pool
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    space = CandidateSpace(line_algebra(GF2, "zero", "a"), trunc_poly2(GF2))
+    assert space.total_candidates >= 64
+    cocycles = enumerate_cocycles(space, jobs=jobs)
+    extensions = enumerate_extensions(space, jobs=jobs)
+    assert cocycles and [i for i, _ in cocycles] == [i for i, _ in extensions]
+    for i, c in cocycles:
+        assert c == space.candidate(i)
+    for i, ext in extensions:
+        assert ext == build_extension(space.candidate(i))[0]
+
+
 def test_orbit_partition_matches_hand_derivation():
     # a^2 = 0, b^2 = b: chi shifts by (phi + psi + 1) t, so {000, 001} and
     # {110, 111} merge and the two mixed-twist cocycles sit alone
     space = _space()
     cocycles = enumerate_cocycles(space)
-    orbits = orbit_partition(space, cocycles)
+    orbits = orbit_partition(space, cocycles, _mc(cocycles))
     as_triples = []
     for orbit in orbits:
         members = {
@@ -144,7 +164,7 @@ def test_orbit_witness_chains_replay():
     space = _space()
     cocycles = enumerate_cocycles(space)
     by_index = dict(cocycles)
-    orbits = orbit_partition(space, cocycles)
+    orbits = orbit_partition(space, cocycles, _mc(cocycles))
     for orbit in orbits:
         rep = by_index[orbit.representative]
         for member, chain in orbit.witnesses:
@@ -217,10 +237,10 @@ def test_census_two_one_dimensional_kernel():
 def test_partition_stability_under_candidate_shuffling():
     space = _space()
     cocycles = enumerate_cocycles(space)
-    orbits_sorted = orbit_partition(space, cocycles)
+    orbits_sorted = orbit_partition(space, cocycles, _mc(cocycles))
     shuffled = list(cocycles)
     random.Random(99).shuffle(shuffled)
-    orbits_shuffled = orbit_partition(space, shuffled)
+    orbits_shuffled = orbit_partition(space, shuffled, _mc(shuffled))
     canon = lambda orbits: sorted(tuple(sorted(o.members)) for o in orbits)
     assert canon(orbits_sorted) == canon(orbits_shuffled)
     assert [o.representative for o in orbits_sorted] == sorted(
@@ -252,7 +272,7 @@ def test_orbit_stabilizer(A, B):
     space = CandidateSpace(A, B)
     by_index = dict(enumerate_cocycles(space))
     betas = space.gauge_params()
-    orbits = orbit_partition(space, list(by_index.items()))
+    orbits = orbit_partition(space, list(by_index.items()), _mc(by_index.items()))
     assert sorted(i for o in orbits for i in o.members) == sorted(by_index)
     for orbit in orbits:
         rep = by_index[orbit.representative]
@@ -277,7 +297,7 @@ def test_orbit_partition_rejects_a_miscounted_orbit(monkeypatch):
         lambda c, beta: apply_equivalence(c, betas[1] if beta == betas[2] else beta),
     )
     with pytest.raises(CrossCheckError, match="stabilizing"):
-        orbit_partition(space, cocycles)
+        orbit_partition(space, cocycles, _mc(cocycles))
 
 
 def test_orbit_partition_rejects_overlapping_orbits(monkeypatch):
@@ -285,7 +305,7 @@ def test_orbit_partition_rejects_overlapping_orbits(monkeypatch):
     space = _space()
     cocycles = enumerate_cocycles(space)
     by_index = dict(cocycles)
-    second = by_index[orbit_partition(space, cocycles)[1].representative]
+    second = by_index[orbit_partition(space, cocycles, _mc(cocycles))[1].representative]
     zero = space.gauge_params()[0]
     _broken_action(
         monkeypatch,
@@ -294,15 +314,16 @@ def test_orbit_partition_rejects_overlapping_orbits(monkeypatch):
         else apply_equivalence(c, beta),
     )
     with pytest.raises(CrossCheckError, match="earlier orbit"):
-        orbit_partition(space, cocycles)
+        orbit_partition(space, cocycles, _mc(cocycles))
 
 
 def test_orbit_partition_rejects_a_gauge_orbit_mismatch(monkeypatch):
     # a triple action that fixes everything disagrees with the closed form
     space = _space()
+    cocycles = enumerate_cocycles(space)
     _broken_action(monkeypatch, lambda c, beta: c)
     with pytest.raises(CrossCheckError, match="closed-form"):
-        orbit_partition(space, enumerate_cocycles(space))
+        orbit_partition(space, cocycles, _mc(cocycles))
 
 
 GOLDEN = Path(__file__).parent / "golden"

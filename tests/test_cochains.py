@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -31,6 +33,19 @@ def test_map_shape_and_entry_round_trip():
     assert sorted(m.entries()) == sorted(
         MultilinearMap.from_entries(QQ, (2, 3), 2, list(m.entries())).entries()
     )
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize(
+    "source_dims,target",
+    [((), 1), ((), 3), ((2,), 1), ((3,), 2), ((2, 3), 2), ((3, 1), 3), ((2, 1, 3), 2), ((2, 2, 2), 1)],
+)
+def test_column_is_the_entries_of_a_basis_tuple(field, source_dims, target):
+    # the strided slice of the coefficients against entry-by-entry lookup
+    m = rand_map(random.Random(len(source_dims) * 10 + target), field, source_dims, target)
+    assert m.input_size == math.prod(source_dims)
+    for idxs in itertools.product(*(range(d) for d in source_dims)):
+        assert m.column(idxs) == tuple(m.entry(k, idxs) for k in range(target))
 
 
 def test_map_apply_is_multilinear_evaluation():
