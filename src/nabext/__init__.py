@@ -57,6 +57,7 @@ from .nonabelian import (
     cocycle_from_mc,
     cocycle_to_mc,
     cocycles_equivalent_by,
+    curvature_defects,
     derivation_condition_defect,
     gauge_closed_form,
     gauge_series,
@@ -65,6 +66,7 @@ from .nonabelian import (
     mc_context,
     mc_residual,
     module_coboundary,
+    twist_defects,
 )
 from .splitspace import (
     MembershipError,

@@ -5,7 +5,14 @@ orbits are read straight off the group action, so every member carries a
 one-step witness from its representative.
 
 Candidates are indexed by writing all twist coefficients as base-p digits,
-so runs are deterministic and trivially splittable across workers.
+so runs are deterministic and trivially splittable across workers.  The
+(phi, psi) coefficients are the low digits and chi the high ones.
+
+The two routes of the census scan differently.  The cocycle route is
+staged by (phi, psi) pair: the equations that never read chi are checked
+once per pair, and the chi-affine ones only for the pairs that pass.  The
+extension route is the brute-force oracle: it builds the twisted product
+of every candidate and tests it for associativity, consulting no equation.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ from .nonabelian import (
     associator_residual,
     build_extension,
     cocycle_to_mc,
+    curvature_defects,
     gauge_closed_form,
     is_valid_cocycle,
+    twist_defects,
 )
 
 DEFAULT_BUDGET = 2 ** 24
@@ -38,6 +47,15 @@ DEFAULT_BUDGET = 2 ** 24
 
 class BudgetExceededError(ValueError):
     """The requested sweep is larger than the configured budget."""
+
+
+def _digits(n: int, p: int, count: int) -> List[int]:
+    """The ``count`` lowest base-p digits of ``n``, least significant first."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,24 +101,32 @@ class CandidateSpace:
     def total_candidates(self) -> int:
         return self.p ** self.total_entries
 
+    @cached_property
+    def pair_count(self) -> int:
+        """The (phi, psi) pairs: they are the low base-p digits of an index,
+        so ``index = pair + pair_count * chi``."""
+        return self.p ** (self.entry_counts[0] + self.entry_counts[1])
+
+    def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
+        dims, target = self.shapes[part]
+        return MultilinearMap(self.A.field, dims, target, tuple(digits))
+
+    def twists(self, pair: int) -> Tuple[MultilinearMap, MultilinearMap]:
+        """Decode ``(phi, psi)`` from the low digits of a candidate index."""
+        n_phi, n_psi, _ = self.entry_counts
+        digits = _digits(pair, self.p, n_phi + n_psi)
+        return self._map(0, digits[:n_phi]), self._map(1, digits[n_phi:])
+
+    def curvature(self, chi: int) -> MultilinearMap:
+        """Decode ``chi`` from the high digits of a candidate index."""
+        return self._map(2, _digits(chi, self.p, self.entry_counts[2]))
+
     def candidate(self, index: int) -> NabCocycle:
         """Decode a candidate from its base-p digit expansion."""
         if not 0 <= index < self.total_candidates:
             raise IndexError(f"candidate index {index} out of range")
-        field = self.A.field
-        digits = []
-        rest = index
-        for _ in range(self.total_entries):
-            rest, d = divmod(rest, self.p)
-            digits.append(d)
-        parts = []
-        pos = 0
-        for (dims, target), count in zip(self.shapes, self.entry_counts):
-            coeffs = tuple(digits[pos : pos + count])
-            pos += count
-            parts.append(MultilinearMap(field, dims, target, coeffs))
-        phi, psi, chi = parts
-        return NabCocycle(self.A, self.B, phi, psi, chi)
+        chi, pair = divmod(index, self.pair_count)
+        return NabCocycle(self.A, self.B, *self.twists(pair), self.curvature(chi))
 
     def index_of(self, c: NabCocycle) -> int:
         digits = list(c.phi.coeffs) + list(c.psi.coeffs) + list(c.chi.coeffs)
@@ -151,12 +177,21 @@ class CandidateSpace:
 # scanning (parallelizable, deterministic)
 # ---------------------------------------------------------------------------
 
-def _valid_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, NabCocycle]]:
+def _cocycle_chunk(
+    space: CandidateSpace, tasks: Sequence[Tuple[int, Sequence[int]]]
+) -> List[Tuple[int, NabCocycle]]:
+    """The cocycles among ``(pair, [chi, ...])`` tasks: the curvature-free
+    equations once per pair, the curvature ones only for pairs that pass."""
+    A, B = space.A, space.B
     hits = []
-    for i in chunk:
-        c = space.candidate(i)
-        if is_valid_cocycle(c):
-            hits.append((i, c))
+    for pair, chis in tasks:
+        phi, psi = space.twists(pair)
+        if next(twist_defects(A, B, phi, psi), None) is not None:
+            continue
+        for chi in chis:
+            chi_map = space.curvature(chi)
+            if next(curvature_defects(A, B, phi, psi, chi_map), None) is None:
+                hits.append((pair + space.pair_count * chi, NabCocycle(A, B, phi, psi, chi_map)))
     return hits
 
 
@@ -169,9 +204,9 @@ def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tupl
     return hits
 
 
-def _chunks(indices: Sequence[int], parts: int) -> List[List[int]]:
-    n = max(1, -(-len(indices) // parts))
-    return [list(indices[i : i + n]) for i in range(0, len(indices), n)]
+def _chunks(tasks: Sequence, parts: int) -> List[List]:
+    n = max(1, -(-len(tasks) // parts))
+    return [list(tasks[i : i + n]) for i in range(0, len(tasks), n)]
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -180,17 +215,22 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def _scan(space, indices, worker, jobs) -> List[Tuple]:
-    """The ``(index, hit)`` pairs ``worker`` keeps, in index order."""
-    indices = list(indices)
-    chunks = _chunks(indices, worker_count(jobs, len(indices)))
-    if len(chunks) <= 1 or len(indices) < 64:
-        return worker(space, indices)
-    out: List[Tuple] = []
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for part in pool.map(worker, itertools.repeat(space), chunks):
-            out.extend(part)
-    return out
+def _scan(space, tasks, worker, jobs) -> List[Tuple]:
+    """The ``(index, hit)`` pairs ``worker`` keeps, in index order.
+
+    A pool starts only for 64 tasks or more (candidate indices for the
+    extension route, (phi, psi) pairs for the cocycle route).
+    """
+    tasks = list(tasks)
+    chunks = _chunks(tasks, worker_count(jobs, len(tasks)))
+    if len(chunks) <= 1 or len(tasks) < 64:
+        out = worker(space, tasks)
+    else:
+        out = []
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            for part in pool.map(worker, itertools.repeat(space), chunks):
+                out.extend(part)
+    return sorted(out, key=lambda hit: hit[0])
 
 
 def enumerate_cocycles(
@@ -199,10 +239,24 @@ def enumerate_cocycles(
     jobs: int = 1,
 ) -> List[Tuple[int, NabCocycle]]:
     """All candidates passing the cocycle equations, in index order, as
-    ``(index, cocycle)`` pairs decoded once by the scan."""
+    ``(index, cocycle)`` pairs.
+
+    The scan is staged by (phi, psi) pair: the indices are grouped by their
+    low digits, each pair is decoded once and checked once against the
+    curvature-free equations (:func:`twist_defects`), and only the chi of
+    the pairs that pass are decoded and checked against the rest
+    (:func:`curvature_defects`).  The hits are exactly the indices that
+    :func:`is_valid_cocycle` accepts.
+    """
     if indices is None:
         indices = space.exhaustive_indices()
-    return _scan(space, indices, _valid_chunk, jobs)
+    by_pair: Dict[int, List[int]] = {}
+    for i in indices:
+        if not 0 <= i < space.total_candidates:
+            raise IndexError(f"candidate index {i} out of range")
+        chi, pair = divmod(i, space.pair_count)
+        by_pair.setdefault(pair, []).append(chi)
+    return _scan(space, by_pair.items(), _cocycle_chunk, jobs)
 
 
 def enumerate_extensions(
@@ -357,11 +411,14 @@ def census(
     cocycle_idx = [i for i, _ in cocycles]
     extension_idx = [i for i, _ in extensions]
     if cocycle_idx != extension_idx:
-        only_c = set(cocycle_idx) - set(extension_idx)
-        only_e = set(extension_idx) - set(cocycle_idx)
+        only_c = sorted(set(cocycle_idx) - set(extension_idx))[:5]
+        only_e = sorted(set(extension_idx) - set(cocycle_idx))[:5]
+        # the unstaged equations tell a fault of the staged scan from a
+        # disagreement between the equations and associativity
+        unstaged = [i for i in only_c + only_e if is_valid_cocycle(space.candidate(i))]
         raise CrossCheckError(
-            f"cocycle/extension mismatch: valid-only {sorted(only_c)[:5]}, "
-            f"associative-only {sorted(only_e)[:5]}"
+            f"cocycle/extension mismatch: valid-only {only_c}, "
+            f"associative-only {only_e}; the unstaged equations accept {unstaged}"
         )
 
     base, split = direct_sum_space(space.A, space.B)

@@ -24,17 +24,13 @@ adjoint ``d = [m, -]`` obeys the textbook derivation axiom
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .algebra import Algebra
 from .fields import Field, Scalar
 from .linalg import Vector
-
-
-def _flat_size(dims: Sequence[int]) -> int:
-    return reduce(lambda a, b: a * b, dims, 1)
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class MultilinearMap:
     def __post_init__(self):
         if self.target_dim < 1 or any(d < 1 for d in self.source_dims):
             raise ValueError("dimensions must be positive")
-        if len(self.coeffs) != self.target_dim * _flat_size(self.source_dims):
+        if len(self.coeffs) != self.target_dim * math.prod(self.source_dims):
             raise ValueError("coefficient tensor has wrong size")
 
     # -- shape ------------------------------------------------------------
@@ -85,7 +81,7 @@ class MultilinearMap:
 
     @classmethod
     def zero(cls, field: Field, source_dims: Sequence[int], target_dim: int) -> "MultilinearMap":
-        size = target_dim * _flat_size(source_dims)
+        size = target_dim * math.prod(source_dims)
         return cls(field, tuple(source_dims), target_dim, (field.zero,) * size)
 
     @classmethod
@@ -98,7 +94,7 @@ class MultilinearMap:
     ) -> "MultilinearMap":
         """Tabulate ``fn`` on all basis tuples; ``fn`` returns target vectors."""
         dims = tuple(source_dims)
-        in_size = _flat_size(dims)
+        in_size = math.prod(dims)
         buf = [field.zero] * (target_dim * in_size)
         for flat, idxs in enumerate(itertools.product(*(range(d) for d in dims))):
             vec = fn(idxs)
@@ -117,7 +113,7 @@ class MultilinearMap:
     ) -> "MultilinearMap":
         """Entries are ``(k, i_1, ..., i_n, coeff)``; absent entries are zero."""
         dims = tuple(source_dims)
-        in_size = _flat_size(dims)
+        in_size = math.prod(dims)
         buf = [field.zero] * (target_dim * in_size)
         for entry in entries:
             *idx, coeff = entry

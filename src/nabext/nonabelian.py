@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .algebra import Algebra, SplitSpace, _disambiguate, direct_sum_space
 from .cochains import (
@@ -138,121 +138,149 @@ class GaugeParam:
 # cocycle equations
 # ---------------------------------------------------------------------------
 
-def _equation_defects(c: NabCocycle, early_exit: bool) -> List[CocycleViolation]:
-    """Defects of the five twisted-product equations on all basis tuples.
+# The five equations are the associator components of the twisted product.
+# EQ3 and EQ4 (the triples with one B factor, and B.A.B) never read the
+# curvature; EQ1, EQ2 and EQ5 are affine in it.  So the census checks the
+# first group once per (phi, psi) pair, and the second only for the chi of
+# the pairs that pass.
 
-    The right-twist equation composes in the order forced by associativity
-    of the twisted product: ``psi_{b1}(psi_{b2}(a)) = psi_{b2 b1}(a)
-    + a chi(b2, b1)``.  The derivation condition is checked through the
-    three Leibniz-type identities (the form associativity consumes); the
-    weaker "difference is a derivation" reading is available separately via
+def twist_defects(
+    A: Algebra, B: Algebra, phi: MultilinearMap, psi: MultilinearMap
+) -> Iterator[CocycleViolation]:
+    """Violations of the curvature-free equations, lazily: EQ3 (the twists
+    commute) on every ``(j1, j2, i)``, then EQ4 on every ``(i1, i2, j)``.
+
+    The derivation condition is checked through the three Leibniz-type
+    identities (the form associativity consumes); the weaker "difference is
+    a derivation" reading is available separately via
     :func:`derivation_condition_defect`.
     """
-    A, B, phi, psi, chi = c.A, c.B, c.phi, c.psi, c.chi
     f = A.field
-    out: List[CocycleViolation] = []
-    a_idx, b_idx = range(A.dim), range(B.dim)
+    a_basis = [A.basis_vector(i) for i in range(A.dim)]
+    b_basis = [B.basis_vector(j) for j in range(B.dim)]
 
-    def record(kind, witness, disc, detail=""):
-        out.append(CocycleViolation(kind, witness, disc, detail))
-        return early_exit
-
-    def a_basis(i):
-        return A.basis_vector(i)
-
-    def b_basis(j):
-        return B.basis_vector(j)
-
-    for j1, j2, i in itertools.product(b_idx, b_idx, a_idx):
-        lhs = phi.apply([b_basis(j1), phi.column((j2, i))])
-        rhs = vec_add(
-            f,
-            phi.apply([B.product_row(j1, j2), a_basis(i)]),
-            A.multiply(chi.column((j1, j2)), a_basis(i)),
-        )
+    for j1, j2, i in itertools.product(range(B.dim), range(B.dim), range(A.dim)):
+        lhs = phi.apply([b_basis[j1], psi.column((i, j2))])
+        rhs = psi.apply([phi.column((j1, i)), b_basis[j2]])
         disc = vec_sub(f, lhs, rhs)
         if not is_zero_vector(disc):
-            if record(ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), disc):
-                return out
+            yield CocycleViolation(ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc)
 
-    for j1, j2, i in itertools.product(b_idx, b_idx, a_idx):
-        lhs = psi.apply([psi.column((i, j2)), b_basis(j1)])
-        rhs = vec_add(
-            f,
-            psi.apply([a_basis(i), B.product_row(j2, j1)]),
-            A.multiply(a_basis(i), chi.column((j2, j1))),
-        )
-        disc = vec_sub(f, lhs, rhs)
-        if not is_zero_vector(disc):
-            if record(ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), disc):
-                return out
-
-    for j1, j2, i in itertools.product(b_idx, b_idx, a_idx):
-        lhs = phi.apply([b_basis(j1), psi.column((i, j2))])
-        rhs = psi.apply([phi.column((j1, i)), b_basis(j2)])
-        disc = vec_sub(f, lhs, rhs)
-        if not is_zero_vector(disc):
-            if record(ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc):
-                return out
-
-    for i1, i2, j in itertools.product(a_idx, a_idx, b_idx):
+    for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
         row = A.product_row(i1, i2)
         checks = (
             (
                 "psi_leibniz",
                 vec_sub(
                     f,
-                    psi.apply([row, b_basis(j)]),
-                    A.multiply(a_basis(i1), psi.column((i2, j))),
+                    psi.apply([row, b_basis[j]]),
+                    A.multiply(a_basis[i1], psi.column((i2, j))),
                 ),
             ),
             (
                 "phi_leibniz",
                 vec_sub(
                     f,
-                    phi.apply([b_basis(j), row]),
-                    A.multiply(phi.column((j, i1)), a_basis(i2)),
+                    phi.apply([b_basis[j], row]),
+                    A.multiply(phi.column((j, i1)), a_basis[i2]),
                 ),
             ),
             (
                 "cross_compat",
                 vec_sub(
                     f,
-                    A.multiply(psi.column((i1, j)), a_basis(i2)),
-                    A.multiply(a_basis(i1), phi.column((j, i2))),
+                    A.multiply(psi.column((i1, j)), a_basis[i2]),
+                    A.multiply(a_basis[i1], phi.column((j, i2))),
                 ),
             ),
         )
         for detail, disc in checks:
             if not is_zero_vector(disc):
-                if record(ViolationKind.EQ4_DERIVATION, (i1, i2, j), disc, detail):
-                    return out
+                yield CocycleViolation(ViolationKind.EQ4_DERIVATION, (i1, i2, j), disc, detail)
 
-    for j1, j2, j3 in itertools.product(b_idx, b_idx, b_idx):
-        acc = vec_neg(f, phi.apply([b_basis(j1), chi.column((j2, j3))]))
-        acc = vec_add(f, acc, chi.apply([B.product_row(j1, j2), b_basis(j3)]))
-        acc = vec_sub(f, acc, chi.apply([b_basis(j1), B.product_row(j2, j3)]))
-        acc = vec_add(f, acc, psi.apply([chi.column((j1, j2)), b_basis(j3)]))
+
+def curvature_defects(
+    A: Algebra,
+    B: Algebra,
+    phi: MultilinearMap,
+    psi: MultilinearMap,
+    chi: MultilinearMap,
+) -> Iterator[CocycleViolation]:
+    """Violations of the equations that read the curvature, lazily: EQ1 and
+    EQ2 (the twists are actions up to chi) on every ``(j1, j2, i)``, then
+    EQ5 (chi is a cocycle) on every ``(j1, j2, j3)``.
+
+    The right-twist equation composes in the order forced by associativity
+    of the twisted product: ``psi_{b1}(psi_{b2}(a)) = psi_{b2 b1}(a)
+    + a chi(b2, b1)``.
+    """
+    f = A.field
+    a_basis = [A.basis_vector(i) for i in range(A.dim)]
+    b_basis = [B.basis_vector(j) for j in range(B.dim)]
+    bba = list(itertools.product(range(B.dim), range(B.dim), range(A.dim)))
+
+    for j1, j2, i in bba:
+        lhs = phi.apply([b_basis[j1], phi.column((j2, i))])
+        rhs = vec_add(
+            f,
+            phi.apply([B.product_row(j1, j2), a_basis[i]]),
+            A.multiply(chi.column((j1, j2)), a_basis[i]),
+        )
+        disc = vec_sub(f, lhs, rhs)
+        if not is_zero_vector(disc):
+            yield CocycleViolation(ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), disc)
+
+    for j1, j2, i in bba:
+        lhs = psi.apply([psi.column((i, j2)), b_basis[j1]])
+        rhs = vec_add(
+            f,
+            psi.apply([a_basis[i], B.product_row(j2, j1)]),
+            A.multiply(a_basis[i], chi.column((j2, j1))),
+        )
+        disc = vec_sub(f, lhs, rhs)
+        if not is_zero_vector(disc):
+            yield CocycleViolation(ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), disc)
+
+    for j1, j2, j3 in itertools.product(range(B.dim), repeat=3):
+        acc = vec_neg(f, phi.apply([b_basis[j1], chi.column((j2, j3))]))
+        acc = vec_add(f, acc, chi.apply([B.product_row(j1, j2), b_basis[j3]]))
+        acc = vec_sub(f, acc, chi.apply([b_basis[j1], B.product_row(j2, j3)]))
+        acc = vec_add(f, acc, psi.apply([chi.column((j1, j2)), b_basis[j3]]))
         if not is_zero_vector(acc):
-            if record(ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc):
-                return out
+            yield CocycleViolation(ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc)
 
-    return out
+
+_KIND_ORDER = {kind: pos for pos, kind in enumerate(ViolationKind)}
 
 
 def check_cocycle(c: NabCocycle, *, check_ambient: bool = True) -> List[CocycleViolation]:
-    """All violations of the five cocycle equations; empty means valid."""
+    """All violations of the five cocycle equations; empty means valid.
+
+    Both groups of :func:`twist_defects` and :func:`curvature_defects` in
+    full, stably sorted by :class:`ViolationKind` order: equation by
+    equation, each in basis-triple order.
+    """
     if check_ambient:
         if not c.A.is_associative():
             raise ValueError("kernel algebra is not associative")
         if not c.B.is_associative():
             raise ValueError("quotient algebra is not associative")
-    return _equation_defects(c, early_exit=False)
+    found = [
+        *twist_defects(c.A, c.B, c.phi, c.psi),
+        *curvature_defects(c.A, c.B, c.phi, c.psi, c.chi),
+    ]
+    return sorted(found, key=lambda v: _KIND_ORDER[v.which])
 
 
 def is_valid_cocycle(c: NabCocycle) -> bool:
-    """Early-exit validity test (ambient associativity is the caller's job)."""
-    return not _equation_defects(c, early_exit=True)
+    """Whether the five cocycle equations hold, stopping at the first
+    violation: the curvature-free group first, then the curvature group
+    (ambient associativity is the caller's job).  Equal to
+    ``check_cocycle(c) == []``."""
+    return (
+        next(twist_defects(c.A, c.B, c.phi, c.psi), None) is None
+        and next(curvature_defects(c.A, c.B, c.phi, c.psi, c.chi), None) is None
+    )
 
 
 def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from nabext import (
     is_mc,
     is_valid_cocycle,
     orbit_partition,
+    ViolationKind,
 )
-from nabext.classify import worker_count
+from nabext.classify import _cocycle_chunk, worker_count
 from nabext.io_json import dumps_canonical, report_to_json
 from nabext.fields import GF2, GF3
 
@@ -123,19 +125,98 @@ def test_sampling_is_deterministic_and_in_range():
     assert space.sample_indices(100, seed=6) != s1
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_scans_return_the_decoded_hits(monkeypatch, jobs):
-    # 256 candidates, enough for the scan to split over a 2-worker pool
+class _CountedPool(ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs, whatever the host has, and a count of the pools started."""
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    space = CandidateSpace(line_algebra(GF2, "zero", "a"), trunc_poly2(GF2))
-    assert space.total_candidates >= 64
+    monkeypatch.setattr("nabext.classify.ProcessPoolExecutor", _CountedPool)
+    monkeypatch.setattr(_CountedPool, "started", 0)
+    return _CountedPool
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scans_return_the_decoded_hits(two_cpus, jobs):
+    # 256 (phi, psi) pairs and 1,024 candidates: both routes hand out at
+    # least 64 tasks, so with two jobs each scan splits over a 2-worker pool
+    space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
+    assert space.pair_count == 256 and space.total_candidates == 1024
     cocycles = enumerate_cocycles(space, jobs=jobs)
     extensions = enumerate_extensions(space, jobs=jobs)
+    assert two_cpus.started == (2 if jobs == 2 else 0)
     assert cocycles and [i for i, _ in cocycles] == [i for i, _ in extensions]
     for i, c in cocycles:
         assert c == space.candidate(i)
     for i, ext in extensions:
         assert ext == build_extension(space.candidate(i))[0]
+
+
+# each has pairs that pass and pairs that fail the curvature-free equations
+_ORACLE_SPACES = {
+    "F2-idem-zero": (line_algebra(GF2, "idem", "a"), line_algebra(GF2, "zero", "b")),
+    "F2-idem-idem": (line_algebra(GF2, "idem", "a"), line_algebra(GF2, "idem", "b")),
+    "F3-idem-idem": (line_algebra(GF3, "idem", "a"), line_algebra(GF3, "idem", "b")),
+    "F3-idem-zero": (line_algebra(GF3, "idem", "a"), line_algebra(GF3, "zero", "b")),
+    "F2-idem-k[t]/t2": (line_algebra(GF2, "idem", "a"), trunc_poly2(GF2)),
+    "F2-k[t]/t2-idem": (trunc_poly2(GF2), line_algebra(GF2, "idem", "b")),
+}
+
+
+def _hand_picked(space):
+    """Sorted indices in which several chi share a pair: the zero pair, the
+    first pairs that fail the curvature-free equations (EQ3/EQ4) and the
+    first nonzero pairs that pass them, each with three of its chi."""
+    twist_kinds = {ViolationKind.EQ3_COMMUTE, ViolationKind.EQ4_DERIVATION}
+
+    def fails_twists(pair):
+        return any(v.which in twist_kinds for v in check_cocycle(space.candidate(pair)))
+
+    pairs = range(1, space.pair_count)
+    failing = [pair for pair in pairs if fails_twists(pair)][:2]
+    passing = [pair for pair in pairs if not fails_twists(pair)][:2]
+    assert failing and passing
+    chi_count = space.total_candidates // space.pair_count
+    chis = sorted({0, chi_count // 2, chi_count - 1})
+    return sorted(pair + space.pair_count * chi for pair in [0] + failing + passing for chi in chis)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPACES))
+def test_staged_scan_matches_both_unstaged_oracles(two_cpus, name, jobs):
+    # the staged cocycle scan against associativity of the twisted product
+    # and against the full equation check, candidate by candidate
+    space = CandidateSpace(*_ORACLE_SPACES[name])
+    for idx in (list(space.exhaustive_indices()), _hand_picked(space)):
+        got = [i for i, _ in enumerate_cocycles(space, idx, jobs=jobs)]
+        assert got == [i for i in idx if build_extension(space.candidate(i))[0].is_associative()]
+        assert got == [i for i in idx if check_cocycle(space.candidate(i)) == []]
+
+
+def test_staged_scan_rejects_out_of_range_indices():
+    space = _space()
+    for bad in (-1, space.total_candidates):
+        with pytest.raises(IndexError):
+            enumerate_cocycles(space, [0, bad])
+
+
+def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):
+    # a staged scan that drops a hit trips the cross-check, and the message
+    # says the unstaged equations accept the lost candidate
+    space = _space()
+    lost = enumerate_cocycles(space)[-1][0]
+    monkeypatch.setattr(
+        "nabext.classify._cocycle_chunk",
+        lambda sp, tasks: [hit for hit in _cocycle_chunk(sp, tasks) if hit[0] != lost],
+    )
+    with pytest.raises(CrossCheckError, match=rf"associative-only \[{lost}\]; the unstaged equations accept \[{lost}\]"):
+        census(space)
 
 
 def test_orbit_partition_matches_hand_derivation():

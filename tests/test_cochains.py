@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     associative_samples,
@@ -24,6 +25,22 @@ from nabext import (
     multiplication_map,
 )
 from nabext.fields import GF2, GF3, QQ
+
+_SCALARS = {
+    GF2: st.integers(0, 1),
+    GF3: st.integers(0, 2),
+    QQ: st.fractions(-2, 2, max_denominator=3),
+}
+_ARITIES = st.integers(1, 3)
+
+
+def _maps(field, dim, arity):
+    """Arity-``arity`` maps on a ``dim``-dimensional space with any
+    coefficients of ``field``."""
+    size = dim ** (arity + 1)
+    return st.lists(_SCALARS[field], min_size=size, max_size=size).map(
+        lambda coeffs: MultilinearMap(field, (dim,) * arity, dim, tuple(coeffs))
+    )
 
 
 def test_map_shape_and_entry_round_trip():
@@ -180,20 +197,14 @@ def test_bracket_of_product_with_itself_detects_associativity():
         assert alg.is_associative() is expected
 
 
-def test_graded_antisymmetry_random_pairs():
-    rng = random.Random(9)
-    pairs = 0
-    for field in (QQ, GF2):
-        for dim in (2, 3):
-            for af, ag in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
-                f = rand_map(rng, field, (dim,) * af, dim)
-                g = rand_map(rng, field, (dim,) * ag, dim)
-                sign = field.from_int((-1) ** (f.degree * g.degree))
-                lhs = gerstenhaber_bracket(f, g)
-                rhs = gerstenhaber_bracket(g, f).scale(sign)
-                assert (lhs + rhs).is_zero()
-                pairs += 1
-    assert pairs >= 20
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([GF2, GF3, QQ]), st.integers(1, 3), _ARITIES, _ARITIES)
+def test_graded_antisymmetry_random_pairs(data, field, dim, af, ag):
+    # [f, g] = -(-1)^(deg f deg g) [g, f]
+    f = data.draw(_maps(field, dim, af))
+    g = data.draw(_maps(field, dim, ag))
+    sign = field.from_int((-1) ** (f.degree * g.degree))
+    assert (gerstenhaber_bracket(f, g) + gerstenhaber_bracket(g, f).scale(sign)).is_zero()
 
 
 def test_delta_as_bracket_matches_hochschild_delta():
@@ -222,27 +233,26 @@ def test_delta_as_bracket_zero():
     assert delta_as_bracket(z, m).is_zero()
 
 
-def test_graded_jacobi_identity_random():
-    rng = random.Random(12)
-    for field in (QQ, GF3):
-        for _ in range(6):
-            dim = rng.choice((1, 2))
-            arities = [rng.choice((1, 2)) for _ in range(3)]
-            f, g, h = (rand_map(rng, field, (dim,) * a, dim) for a in arities)
-            mf, ng, kh = f.degree, g.degree, h.degree
-            t1 = gerstenhaber_bracket(f, gerstenhaber_bracket(g, h)).scale(
-                field.from_int((-1) ** (mf * kh))
-            )
-            t2 = gerstenhaber_bracket(g, gerstenhaber_bracket(h, f)).scale(
-                field.from_int((-1) ** (ng * mf))
-            )
-            t3 = gerstenhaber_bracket(h, gerstenhaber_bracket(f, g)).scale(
-                field.from_int((-1) ** (kh * ng))
-            )
-            assert (t1 + t2 + t3).is_zero()
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([GF2, GF3, QQ]), st.integers(1, 2), _ARITIES, _ARITIES, _ARITIES)
+def test_graded_jacobi_identity_random(data, field, dim, af, ag, ah):
+    f, g, h = (data.draw(_maps(field, dim, a)) for a in (af, ag, ah))
+    mf, ng, kh = f.degree, g.degree, h.degree
+    t1 = gerstenhaber_bracket(f, gerstenhaber_bracket(g, h)).scale(
+        field.from_int((-1) ** (mf * kh))
+    )
+    t2 = gerstenhaber_bracket(g, gerstenhaber_bracket(h, f)).scale(
+        field.from_int((-1) ** (ng * mf))
+    )
+    t3 = gerstenhaber_bracket(h, gerstenhaber_bracket(f, g)).scale(
+        field.from_int((-1) ** (kh * ng))
+    )
+    assert (t1 + t2 + t3).is_zero()
 
 
-def test_delta_is_a_graded_derivation_of_the_bracket():
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([GF2, GF3, QQ]), _ARITIES, _ARITIES)
+def test_delta_is_a_graded_derivation_of_the_bracket(data, field, af, ag):
     """Derivation rule, in the two equivalent signed forms.
 
     The differential in bracket form, d = [m, -], satisfies the textbook
@@ -251,27 +261,24 @@ def test_delta_is_a_graded_derivation_of_the_bracket():
     the rule to delta[f,g] = (-1)^{deg g}[delta f, g] + [f, delta g]; both
     are exact tensor identities here.
     """
-    rng = random.Random(13)
-    for field in (QQ, GF2):
-        for alg in associative_samples(field)[:3]:
-            m = multiplication_map(alg)
-            for af, ag in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-                f = rand_cochain(rng, alg, af)
-                g = rand_cochain(rng, alg, ag)
-                br = gerstenhaber_bracket(f, g)
+    alg = data.draw(st.sampled_from([a for a in associative_samples(field) if a.dim <= 2]))
+    f = data.draw(_maps(field, alg.dim, af))
+    g = data.draw(_maps(field, alg.dim, ag))
+    m = multiplication_map(alg)
+    br = gerstenhaber_bracket(f, g)
 
-                ad = lambda x: gerstenhaber_bracket(m, x)
-                lhs = ad(br)
-                rhs = gerstenhaber_bracket(ad(f), g) + gerstenhaber_bracket(
-                    f, ad(g)
-                ).scale(field.from_int((-1) ** f.degree))
-                assert lhs == rhs
+    ad = lambda x: gerstenhaber_bracket(m, x)
+    lhs = ad(br)
+    rhs = gerstenhaber_bracket(ad(f), g) + gerstenhaber_bracket(
+        f, ad(g)
+    ).scale(field.from_int((-1) ** f.degree))
+    assert lhs == rhs
 
-                lhs = hochschild_delta(br, alg)
-                rhs = gerstenhaber_bracket(hochschild_delta(f, alg), g).scale(
-                    field.from_int((-1) ** g.degree)
-                ) + gerstenhaber_bracket(f, hochschild_delta(g, alg))
-                assert lhs == rhs
+    lhs = hochschild_delta(br, alg)
+    rhs = gerstenhaber_bracket(hochschild_delta(f, alg), g).scale(
+        field.from_int((-1) ** g.degree)
+    ) + gerstenhaber_bracket(f, hochschild_delta(g, alg))
+    assert lhs == rhs
 
 
 def test_arity_zero_constants():

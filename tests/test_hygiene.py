@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module of the package imports is used there.
+"""Source hygiene: every name a module of the package imports is used there,
+and no float enters the exact arithmetic.
 
 Stdlib only: each ``src/nabext/*.py`` is parsed with ``ast``.  The package
-``__init__.py`` is exempt, since its imports are the public re-exports.
+``__init__.py`` is exempt from the import check, since its imports are the
+public re-exports.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nabext"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module):
@@ -58,3 +61,25 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _floats(tree: ast.Module):
+    """(what, line) of every float or complex literal and ``float(...)`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield repr(node.value), node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield "float(...)", node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats(path):
+    # the arithmetic is exact: Fraction over Q, int over F_p
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{what} (line {line})" for what, line in _floats(tree)]
+    assert not found, f"{path.name} uses floats: {', '.join(found)}"
+
+
+def test_float_scan_sees_literals_and_calls():
+    tree = ast.parse("x = 0.5\ny = float(1)\nz = 2j\nw = 3\n")
+    assert [what for what, _ in _floats(tree)] == ["0.5", "float(...)", "2j"]

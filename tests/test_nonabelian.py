@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from helpers import (
 )
 from nabext import (
     Algebra,
+    CandidateSpace,
     MultilinearMap,
     NabCocycle,
     ViolationKind,
@@ -21,6 +24,7 @@ from nabext import (
     check_cocycle,
     cocycle_from_mc,
     cocycle_to_mc,
+    curvature_defects,
     derivation_condition_defect,
     direct_sum_space,
     extract_component,
@@ -30,8 +34,9 @@ from nabext import (
     is_valid_cocycle,
     mc_context,
     mc_residual,
+    twist_defects,
 )
-from nabext.fields import GF2, QQ
+from nabext.fields import GF2, GF3, QQ
 from nabext.splitspace import patterns
 
 
@@ -307,3 +312,65 @@ def test_mc_residual_requires_arity_two_and_membership():
     _, base, split = mc_context(NabCocycle.zero(a, b))
     with pytest.raises(ValueError):
         mc_residual(MultilinearMap.zero(GF2, (2,), 2), base, split)
+
+
+# ---------------------------------------------------------------------------
+# check_cocycle pinned: the violations of ~200 seeded F2/F3 candidates at dims
+# (1,1), (2,1), (1,2) and (2,2), recorded from the single-pass equation check
+# that preceded the split into twist_defects and curvature_defects
+# ---------------------------------------------------------------------------
+
+GOLDEN_CHECK = Path(__file__).parent / "golden" / "check_cocycle_F2_F3.json"
+_GOLDEN_ALGEBRAS = {
+    "idem": lambda f: line_algebra(f, "idem", "x"),
+    "zero": lambda f: line_algebra(f, "zero", "x"),
+    "trunc2": trunc_poly2,
+    "zero2": lambda f: zero_algebra(f, 2),
+}
+_GOLDEN_BY_DIM = {1: ("idem", "zero"), 2: ("trunc2", "zero2")}
+
+
+def _golden_cases():
+    """(field name, A name, B name, index, space) of the pinned candidates:
+    half uniform over the space, half with one or two nonzero digits (often
+    valid)."""
+    rng = random.Random(20180213)
+    for field in (GF2, GF3):
+        for a_dim, b_dim in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            for _ in range(25):
+                a, b = rng.choice(_GOLDEN_BY_DIM[a_dim]), rng.choice(_GOLDEN_BY_DIM[b_dim])
+                space = CandidateSpace(_GOLDEN_ALGEBRAS[a](field), _GOLDEN_ALGEBRAS[b](field))
+                if rng.random() < 0.5:
+                    index = rng.randrange(space.total_candidates)
+                else:
+                    index = 0
+                    for pos in rng.sample(range(space.total_entries), rng.choice((1, 2))):
+                        index += rng.randrange(1, field.p) * field.p ** pos
+                yield str(field), a, b, index, space
+
+
+def test_check_cocycle_matches_golden():
+    golden = json.loads(GOLDEN_CHECK.read_text())
+    cases = list(_golden_cases())
+    assert [(g["field"], g["A"], g["B"], g["index"]) for g in golden] == [case[:4] for case in cases]
+    valid = 0
+    for g, (*_, index, space) in zip(golden, cases):
+        c = space.candidate(index)
+        got = [[v.which.value, list(v.witness), list(v.discrepancy), v.detail] for v in check_cocycle(c)]
+        assert got == g["violations"], (g["field"], g["A"], g["B"], index)
+        assert is_valid_cocycle(c) == (got == [])
+        valid += got == []
+    assert 0 < valid < len(golden)
+
+
+def test_defect_groups_split_by_what_they_read():
+    # the curvature-free group reports EQ3/EQ4 only, the curvature group
+    # EQ1/EQ2/EQ5 only, and together they are check_cocycle's list
+    twist_kinds = {ViolationKind.EQ3_COMMUTE, ViolationKind.EQ4_DERIVATION}
+    for *_, index, space in itertools.islice(_golden_cases(), 0, None, 5):
+        c = space.candidate(index)
+        twist = list(twist_defects(c.A, c.B, c.phi, c.psi))
+        curvature = list(curvature_defects(c.A, c.B, c.phi, c.psi, c.chi))
+        assert {v.which for v in twist} <= twist_kinds
+        assert not {v.which for v in curvature} & twist_kinds
+        assert sorted(twist + curvature, key=lambda v: v.which.value) == check_cocycle(c)
