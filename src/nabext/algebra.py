@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .fields import Field, FieldError, Scalar
-from .linalg import Vector, is_zero_vector, vec_sub, zero_vector
+from .linalg import Vector, basis_vector, is_zero_vector, vec_sub, zero_vector
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class Algebra:
         return self.table[base : base + self.dim]
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
+        return basis_vector(self.field, self.dim, i)
 
     def zero_vector(self) -> Vector:
         return zero_vector(self.field, self.dim)

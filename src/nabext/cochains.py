@@ -12,6 +12,11 @@ Sign conventions, used verbatim everywhere in this package:
   ``m = deg f``;
 * ``[f, g] = f o g - (-1)^{m n} g o f``.
 
+One function evaluates the differential, :func:`hochschild_delta_module`,
+for any pair of actions on a coefficient space; :func:`hochschild_delta` is
+that function with the algebra acting on itself, and the gauge coboundaries
+and the derivation check of :mod:`nabext.nonabelian` call it too.
+
 These choices satisfy ``delta f = (-1)^{arity(f)-1} [m, f]`` for the
 multiplication map ``m`` of an associative algebra; the test suite gates the
 package on that identity.  One consequence worth spelling out: the plain
@@ -30,7 +35,7 @@ from typing import Callable, Iterable, Sequence, Tuple
 
 from .algebra import Algebra
 from .fields import Field, Scalar
-from .linalg import Vector
+from .linalg import Vector, basis_vector
 
 
 @dataclass(frozen=True)
@@ -224,9 +229,7 @@ class MultilinearMap:
 
 def identity_map(field: Field, dim: int) -> MultilinearMap:
     return MultilinearMap.from_function(
-        field, (dim,), dim, lambda idxs: tuple(
-            field.one if k == idxs[0] else field.zero for k in range(dim)
-        )
+        field, (dim,), dim, lambda idxs: basis_vector(field, dim, idxs[0])
     )
 
 
@@ -241,53 +244,15 @@ def hochschild_delta(f: MultilinearMap, amb: Algebra) -> MultilinearMap:
     """The Hochschild differential of ``f`` with actions from ``amb``.
 
     ``f`` must be an n-ary map on ``amb``'s space with values inside it;
-    the outer actions are multiplications in ``amb``.
+    the outer actions are multiplications in ``amb``: this is
+    :func:`hochschild_delta_module` with the algebra acting on itself.
     """
     if f.field != amb.field:
         raise ValueError("field mismatch between cochain and algebra")
     if not f.is_uniform(amb.dim) or f.target_dim != amb.dim:
         raise ValueError("cochain does not live on the algebra's space")
-    field = f.field
-    n = f.arity
-    dim = amb.dim
-    minus_one = field.from_int(-1)
-
-    def value(idxs: Tuple[int, ...]) -> Vector:
-        out = [field.zero] * dim
-        # x_1 * f(x_2, ..., x_{n+1})
-        head = f.column(idxs[1:])
-        for t, v in enumerate(head):
-            if v != 0:
-                row = amb.product_row(idxs[0], t)
-                for k, c in enumerate(row):
-                    if c != 0:
-                        out[k] = field.add(out[k], field.mul(v, c))
-        # (-1)^i f(..., x_i x_{i+1}, ...)
-        sign = field.one
-        for i in range(1, n + 1):
-            sign = field.mul(sign, minus_one)
-            row = amb.product_row(idxs[i - 1], idxs[i])
-            for t, c in enumerate(row):
-                if c == 0:
-                    continue
-                col = f.column(idxs[: i - 1] + (t,) + idxs[i + 1 :])
-                w = field.mul(sign, c)
-                for k, v in enumerate(col):
-                    if v != 0:
-                        out[k] = field.add(out[k], field.mul(w, v))
-        # (-1)^{n+1} f(x_1, ..., x_n) * x_{n+1}
-        sign = field.mul(sign, minus_one)
-        tail = f.column(idxs[:n])
-        for t, v in enumerate(tail):
-            if v != 0:
-                row = amb.product_row(t, idxs[n])
-                w = field.mul(sign, v)
-                for k, c in enumerate(row):
-                    if c != 0:
-                        out[k] = field.add(out[k], field.mul(w, c))
-        return tuple(out)
-
-    return MultilinearMap.from_function(field, (dim,) * (n + 1), dim, value)
+    m = multiplication_map(amb)
+    return hochschild_delta_module(f, amb, m, m)
 
 
 def hochschild_delta_module(
@@ -298,7 +263,11 @@ def hochschild_delta_module(
 ) -> MultilinearMap:
     """Hochschild differential for maps ``ring^(x)n -> M`` with bimodule
     actions given as tensors ``left: ring (x) M -> M`` and
-    ``right: M (x) ring -> M``."""
+    ``right: M (x) ring -> M``.
+
+    The one evaluation of the formula in the package; the actions need not
+    satisfy the bimodule axioms.
+    """
     m_dim = f.target_dim
     r_dim = ring.dim
     if f.field != ring.field or not f.is_uniform(r_dim):
@@ -310,26 +279,34 @@ def hochschild_delta_module(
     field = f.field
     n = f.arity
     minus_one = field.from_int(-1)
+    # left[i][t] = e_i . m_t and right[t][i] = m_t . e_i
+    left = [[left_action.column((i, t)) for t in range(m_dim)] for i in range(r_dim)]
+    right = [[right_action.column((t, i)) for i in range(r_dim)] for t in range(m_dim)]
+
+    def add_scaled(out, w: Scalar, vec: Vector):
+        for k, v in enumerate(vec):
+            if v != 0:
+                out[k] = field.add(out[k], field.mul(w, v))
 
     def value(idxs: Tuple[int, ...]) -> Vector:
-        out = list(left_action.apply([ring.basis_vector(idxs[0]), f.column(idxs[1:])]))
+        out = [field.zero] * m_dim
+        # x_1 f(x_2, ..., x_{n+1})
+        for t, v in enumerate(f.column(idxs[1:])):
+            if v != 0:
+                add_scaled(out, v, left[idxs[0]][t])
+        # (-1)^i f(..., x_i x_{i+1}, ...)
         sign = field.one
         for i in range(1, n + 1):
             sign = field.mul(sign, minus_one)
-            row = ring.product_row(idxs[i - 1], idxs[i])
-            for t, c in enumerate(row):
-                if c == 0:
-                    continue
-                col = f.column(idxs[: i - 1] + (t,) + idxs[i + 1 :])
-                w = field.mul(sign, c)
-                for k, v in enumerate(col):
-                    if v != 0:
-                        out[k] = field.add(out[k], field.mul(w, v))
+            for t, c in enumerate(ring.product_row(idxs[i - 1], idxs[i])):
+                if c != 0:
+                    col = f.column(idxs[: i - 1] + (t,) + idxs[i + 1 :])
+                    add_scaled(out, field.mul(sign, c), col)
+        # (-1)^{n+1} f(x_1, ..., x_n) x_{n+1}
         sign = field.mul(sign, minus_one)
-        tail = right_action.apply([f.column(idxs[:n]), ring.basis_vector(idxs[n])])
-        for k, v in enumerate(tail):
+        for t, v in enumerate(f.column(idxs[:n])):
             if v != 0:
-                out[k] = field.add(out[k], field.mul(sign, v))
+                add_scaled(out, field.mul(sign, v), right[t][idxs[n]])
         return tuple(out)
 
     return MultilinearMap.from_function(field, (r_dim,) * (n + 1), m_dim, value)

@@ -22,6 +22,7 @@ from .fields import Field
 from .linalg import (
     Matrix,
     Vector,
+    basis_vector,
     identity_matrix,
     is_zero_vector,
     mat_mul,
@@ -106,8 +107,8 @@ def _derive_kernel(ext: ExtensionPresentation, failures: List[str]) -> Optional[
         return None
     products = {}
     for i, j in itertools.product(range(a_dim), repeat=2):
-        u = ext.include(tuple(field.one if t == i else field.zero for t in range(a_dim)))
-        v = ext.include(tuple(field.one if t == j else field.zero for t in range(a_dim)))
+        u = ext.include(basis_vector(field, a_dim, i))
+        v = ext.include(basis_vector(field, a_dim, j))
         w = ext.E.multiply(u, v)
         x = solve(field, ext.iota, w)
         if x is None:
@@ -127,7 +128,7 @@ def _derive_quotient(ext: ExtensionPresentation, failures: List[str]) -> Optiona
         return None
     cols = []
     for j in range(b_dim):
-        col = solve(field, ext.proj, tuple(field.one if t == j else field.zero for t in range(b_dim)))
+        col = solve(field, ext.proj, basis_vector(field, b_dim, j))
         if col is None:
             failures.append(f"projection misses quotient basis vector {j}")
             return None
@@ -205,16 +206,8 @@ def verify_extension(ext: ExtensionPresentation) -> ExtensionDiagnostics:
 
 def block_presentation(E: Algebra, A: Algebra, B: Algebra) -> ExtensionPresentation:
     """``E`` on the split space ``A (+) B`` with block inclusion and projection."""
-    field = E.field
-    a, dim = A.dim, A.dim + B.dim
-    iota = tuple(
-        tuple(field.one if i == j else field.zero for j in range(a)) for i in range(dim)
-    )
-    proj = tuple(
-        tuple(field.one if j == a + i else field.zero for j in range(dim))
-        for i in range(B.dim)
-    )
-    return ExtensionPresentation(E, iota, proj, A, B)
+    eye = identity_matrix(E.field, A.dim + B.dim)
+    return ExtensionPresentation(E, tuple(row[: A.dim] for row in eye), eye[A.dim :], A, B)
 
 
 def canonical_presentation(c: NabCocycle) -> ExtensionPresentation:
@@ -229,8 +222,7 @@ def canonical_section(ext: ExtensionPresentation) -> Section:
     b_dim = ext.b_dim
     cols = []
     for j in range(b_dim):
-        target = tuple(field.one if t == j else field.zero for t in range(b_dim))
-        col = solve(field, ext.proj, target)
+        col = solve(field, ext.proj, basis_vector(field, b_dim, j))
         if col is None:
             raise BrokenExtensionError("projection admits no section")
         cols.append(col)

@@ -28,13 +28,8 @@ from .cochains import (
     hochschild_delta_module,
 )
 from .fields import Field, FieldError, Scalar
-from .linalg import Vector, is_zero_vector, vec_add, vec_neg, vec_sub
-from .splitspace import (
-    embed_block_map,
-    extract_component,
-    project_block_map,
-    require_in_L,
-)
+from .linalg import Vector, basis_vector, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
+from .splitspace import embed_block_map, project_block_map, require_in_L
 
 
 class CrossCheckError(RuntimeError):
@@ -122,13 +117,13 @@ class GaugeParam:
         return tuple(row[j] for row in self.matrix)
 
     def apply(self, field: Field, bvec: Vector) -> Vector:
-        out = [field.zero] * self.a_dim
-        for j, c in enumerate(bvec):
-            if c != 0:
-                for i in range(self.a_dim):
-                    if self.matrix[i][j] != 0:
-                        out[i] = field.add(out[i], field.mul(c, self.matrix[i][j]))
-        return tuple(out)
+        return mat_vec(field, self.matrix, bvec)
+
+    def as_map(self, field: Field) -> MultilinearMap:
+        """The parameter as an arity-1 cochain B -> A: with the target index
+        outermost, its coefficients are the matrix rows in order."""
+        coeffs = tuple(v for row in self.matrix for v in row)
+        return MultilinearMap(field, (self.b_dim,), self.a_dim, coeffs)
 
     def negate(self, field: Field) -> "GaugeParam":
         return GaugeParam(tuple(tuple(field.neg(v) for v in row) for row in self.matrix))
@@ -286,26 +281,26 @@ def is_valid_cocycle(c: NabCocycle) -> bool:
 def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:
     """First failure of the literal reading "psi - phi maps into derivations",
     or None.  Informational: validity is gated on the three Leibniz-type
-    identities, which imply this condition but not conversely."""
+    identities, which imply this condition but not conversely.
+
+    ``D_j = psi(., b_j) - phi(b_j, .)`` is a derivation of A exactly when
+    its :func:`hochschild_delta` vanishes; the discrepancy at ``(i1, i2, j)``
+    is ``D_j(a1 a2) - D_j(a1) a2 - a1 D_j(a2) = -delta D_j(a1, a2)``.
+    """
     A, B, phi, psi = c.A, c.B, c.phi, c.psi
     f = A.field
 
-    def diff_on(bvec_j: int, avec: Vector) -> Vector:
-        return vec_sub(
+    def derivation_part(j: int) -> MultilinearMap:
+        return MultilinearMap.from_function(
             f,
-            psi.apply([avec, B.basis_vector(bvec_j)]),
-            phi.apply([B.basis_vector(bvec_j), avec]),
+            (A.dim,),
+            A.dim,
+            lambda idxs: vec_sub(f, psi.column((idxs[0], j)), phi.column((j, idxs[0]))),
         )
 
+    deltas = [hochschild_delta(derivation_part(j), A) for j in range(B.dim)]
     for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
-        a1, a2 = A.basis_vector(i1), A.basis_vector(i2)
-        lhs = diff_on(j, A.multiply(a1, a2))
-        rhs = vec_add(
-            f,
-            A.multiply(diff_on(j, a1), a2),
-            A.multiply(a1, diff_on(j, a2)),
-        )
-        disc = vec_sub(f, lhs, rhs)
+        disc = vec_neg(f, deltas[j].column((i1, i2)))
         if not is_zero_vector(disc):
             return CocycleViolation(
                 ViolationKind.EQ4_DERIVATION, (i1, i2, j), disc, "derivation"
@@ -391,7 +386,7 @@ def cocycle_from_mc(x: MultilinearMap, a: Algebra, b: Algebra) -> NabCocycle:
     :func:`cocycle_to_mc`); requires the AA component to vanish."""
     split = SplitSpace(a.dim, b.dim)
     require_in_L(x, split, "assembled element")
-    if not extract_component(x, split, "AA", "A").is_zero():
+    if not project_block_map(x, split, "AA", "A").is_zero():
         raise ValueError("element has a nonzero AA component; not a cocycle assembly")
     return NabCocycle(
         a,
@@ -446,25 +441,16 @@ def is_mc(x: MultilinearMap, base: Algebra, split: SplitSpace) -> bool:
 
 def beta_element(beta: GaugeParam, split: SplitSpace, field: Field) -> MultilinearMap:
     """The gauge parameter as a degree-0 element: an arity-1 A-valued map on
-    the split space vanishing on the A block."""
-    if beta.a_dim != split.a_dim or beta.b_dim != split.b_dim:
-        raise ValueError("gauge parameter shape does not match the split")
-
-    def value(idxs):
-        (i,) = idxs
-        if i < split.a_dim:
-            return (field.zero,) * split.dim
-        col = beta.column(i - split.a_dim)
-        return tuple(col) + (field.zero,) * split.b_dim
-
-    return MultilinearMap.from_function(field, (split.dim,), split.dim, value)
+    the split space vanishing on the A block, i.e. :meth:`GaugeParam.as_map`
+    through :func:`embed_block_map` at pattern ``"B"``."""
+    return embed_block_map(beta.as_map(field), split, "B", "A")
 
 
 def _require_twist_shape(x: MultilinearMap, split: SplitSpace):
     if x.arity != 2:
         raise ValueError("gauge transforms act on arity-2 elements")
     require_in_L(x, split, "gauge transform input")
-    if not extract_component(x, split, "AA", "A").is_zero():
+    if not project_block_map(x, split, "AA", "A").is_zero():
         raise ValueError(
             "gauge transform input must have zero AA component (twist shape)"
         )
@@ -493,12 +479,6 @@ def gauge_closed_form(
     phi = project_block_map(x, split, "BA", "A")
     psi = project_block_map(x, split, "AB", "A")
 
-    def a_unit(i: int) -> Vector:
-        return tuple(f.one if t == i else f.zero for t in range(a_dim))
-
-    def b_unit(j: int) -> Vector:
-        return tuple(f.one if t == j else f.zero for t in range(b_dim))
-
     def a_mul(v: Vector, w: Vector) -> Vector:
         # products inside the A block of the base algebra
         full = base.multiply(tuple(v) + (f.zero,) * b_dim, tuple(w) + (f.zero,) * b_dim)
@@ -510,19 +490,19 @@ def gauge_closed_form(
     def bb_term(idxs) -> Vector:
         j1, j2 = idxs
         col1, col2 = beta.column(j1), beta.column(j2)
-        acc = vec_neg(f, phi.apply([b_unit(j1), col2]))
-        acc = vec_sub(f, acc, psi.apply([col1, b_unit(j2)]))
+        acc = vec_neg(f, phi.apply([basis_vector(f, b_dim, j1), col2]))
+        acc = vec_sub(f, acc, psi.apply([col1, basis_vector(f, b_dim, j2)]))
         acc = vec_add(f, acc, beta.apply(f, b_product_row(j1, j2)))
         acc = vec_add(f, acc, a_mul(col1, col2))
         return acc
 
     def ba_term(idxs) -> Vector:
         j1, i2 = idxs
-        return vec_neg(f, a_mul(beta.column(j1), a_unit(i2)))
+        return vec_neg(f, a_mul(beta.column(j1), basis_vector(f, a_dim, i2)))
 
     def ab_term(idxs) -> Vector:
         i1, j2 = idxs
-        return vec_neg(f, a_mul(a_unit(i1), beta.column(j2)))
+        return vec_neg(f, a_mul(basis_vector(f, a_dim, i1), beta.column(j2)))
 
     correction = (
         embed_block_map(
@@ -693,14 +673,7 @@ def abelian_specialize(c: NabCocycle) -> AbelianStructure:
 
 def module_coboundary(beta: GaugeParam, c: NabCocycle) -> MultilinearMap:
     """``delta beta`` for the bimodule structure carried by ``c``:
-    ``(b1, b2) -> phi(b1, beta(b2)) - beta(b1 b2) + psi(beta(b1), b2)``."""
-    B, f = c.B, c.A.field
-
-    def value(idxs):
-        j1, j2 = idxs
-        acc = c.phi.apply([B.basis_vector(j1), beta.column(j2)])
-        acc = vec_sub(f, acc, beta.apply(f, B.product_row(j1, j2)))
-        acc = vec_add(f, acc, c.psi.apply([beta.column(j1), B.basis_vector(j2)]))
-        return acc
-
-    return MultilinearMap.from_function(f, (B.dim, B.dim), c.A.dim, value)
+    ``(b1, b2) -> phi(b1, beta(b2)) - beta(b1 b2) + psi(beta(b1), b2)``,
+    computed by :func:`hochschild_delta_module` on :meth:`GaugeParam.as_map`
+    with ``phi``/``psi`` as the actions of B on A."""
+    return hochschild_delta_module(beta.as_map(c.A.field), c.B, c.phi, c.psi)

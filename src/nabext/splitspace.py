@@ -30,36 +30,29 @@ def patterns(arity: int) -> Iterable[Pattern]:
         yield "".join(word)
 
 
-def _check_pattern(pattern: Pattern, arity: int):
-    if len(pattern) != arity:
+def _block_layout(
+    split: SplitSpace, in_pattern: Pattern, out_block: str, arity: int
+) -> Tuple[Tuple[range, ...], range]:
+    """The index ranges of a (pattern, block) pair on ``split``: one per
+    input slot and one for the output block, each starting at its block's
+    offset with its block's dimension as length.  Raises ``ValueError`` for
+    a pattern of the wrong length or a letter or block other than A and B."""
+    if len(in_pattern) != arity:
         raise ValueError(
-            f"pattern {pattern!r} has length {len(pattern)}, map has arity {arity}"
+            f"pattern {in_pattern!r} has length {len(in_pattern)}, map has arity {arity}"
         )
-    if any(ch not in "AB" for ch in pattern):
-        raise ValueError(f"pattern {pattern!r} must use letters A and B only")
+    slots = tuple(split.block_indices(ch) for ch in in_pattern)
+    return slots, split.block_indices(out_block)
 
 
 def extract_component(
     f: MultilinearMap, split: SplitSpace, in_pattern: Pattern, out_block: str
 ) -> MultilinearMap:
     """The (pattern, block) component of ``f``, embedded back on the split
-    space so components can be summed and compared as tensors."""
-    _check_pattern(in_pattern, f.arity)
-    if out_block not in ("A", "B"):
-        raise ValueError(f"unknown output block {out_block!r}")
-    if not f.is_uniform(split.dim):
-        raise ValueError("map does not live on the split space")
-    slot_ranges = [split.block_indices(ch) for ch in in_pattern]
-    out_range = split.block_indices(out_block)
-    entries = []
-    for idxs in itertools.product(*slot_ranges):
-        col = f.column(idxs)
-        for k in out_range:
-            if col[k] != 0:
-                entries.append((k, *idxs, col[k]))
-    return MultilinearMap.from_entries(
-        f.field, f.source_dims, f.target_dim, entries
-    )
+    space so components can be summed and compared as tensors: the
+    :func:`project_block_map` of ``f`` put back by :func:`embed_block_map`."""
+    small = project_block_map(f, split, in_pattern, out_block)
+    return embed_block_map(small, split, in_pattern, out_block)
 
 
 def all_components(
@@ -130,24 +123,16 @@ def embed_block_map(
 ) -> MultilinearMap:
     """Inflate a map on block factors (e.g. B (x) A -> A) to the split space,
     zero off-pattern."""
-    _check_pattern(in_pattern, small.arity)
-    offsets = [0 if ch == "A" else split.a_dim for ch in in_pattern]
-    expected = tuple(
-        split.a_dim if ch == "A" else split.b_dim for ch in in_pattern
-    )
-    if small.source_dims != expected:
+    slots, out = _block_layout(split, in_pattern, out_block, small.arity)
+    if small.source_dims != tuple(len(r) for r in slots):
         raise ValueError(
             f"block map of shape {small.source_dims} does not match pattern {in_pattern!r}"
         )
-    out_off = 0 if out_block == "A" else split.a_dim
-    out_dim = split.a_dim if out_block == "A" else split.b_dim
-    if small.target_dim != out_dim:
+    if small.target_dim != len(out):
         raise ValueError("block map target does not match the output block")
     entries = [
-        (entry[0] + out_off,)
-        + tuple(i + off for i, off in zip(entry[1:-1], offsets))
-        + (entry[-1],)
-        for entry in small.entries()
+        (out[k], *(r[i] for r, i in zip(slots, idxs)), coeff)
+        for k, *idxs, coeff in small.entries()
     ]
     return MultilinearMap.from_entries(
         small.field, (split.dim,) * small.arity, split.dim, entries
@@ -159,16 +144,13 @@ def project_block_map(
 ) -> MultilinearMap:
     """Read a component of ``f`` as a map on the block factors themselves
     (inverse of :func:`embed_block_map` on its image)."""
-    _check_pattern(in_pattern, f.arity)
-    if not f.is_uniform(split.dim):
+    slots, out = _block_layout(split, in_pattern, out_block, f.arity)
+    if not f.is_uniform(split.dim) or f.target_dim != split.dim:
         raise ValueError("map does not live on the split space")
-    dims = tuple(split.a_dim if ch == "A" else split.b_dim for ch in in_pattern)
-    offsets = [0 if ch == "A" else split.a_dim for ch in in_pattern]
-    out_off = 0 if out_block == "A" else split.a_dim
-    out_dim = split.a_dim if out_block == "A" else split.b_dim
 
     def value(idxs: Tuple[int, ...]):
-        col = f.column(tuple(i + off for i, off in zip(idxs, offsets)))
-        return col[out_off : out_off + out_dim]
+        return f.column(tuple(r[i] for r, i in zip(slots, idxs)))[out.start : out.stop]
 
-    return MultilinearMap.from_function(f.field, dims, out_dim, value)
+    return MultilinearMap.from_function(
+        f.field, tuple(len(r) for r in slots), len(out), value
+    )

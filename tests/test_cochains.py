@@ -21,10 +21,12 @@ from nabext import (
     delta_as_bracket,
     gerstenhaber_bracket,
     hochschild_delta,
+    hochschild_delta_module,
     identity_map,
     multiplication_map,
 )
 from nabext.fields import GF2, GF3, QQ
+from nabext.linalg import vec_add, vec_scale
 
 _SCALARS = {
     GF2: st.integers(0, 1),
@@ -117,6 +119,41 @@ def test_circ_i_definition_unrolled():
         bz = tuple(QQ.one if t == z else QQ.zero for t in range(2))
         assert h1.column(idxs) == f.apply([g.apply([bx, by]), bz])
         assert h2.column(idxs) == f.apply([bx, g.apply([by, bz])])
+
+
+def _delta_module_by_definition(f, ring, left, right, idxs):
+    """``delta f`` at a basis tuple, term by term from the textbook formula
+    with ``MultilinearMap.apply`` on basis vectors."""
+    field, n = f.field, f.arity
+    e = [ring.basis_vector(i) for i in idxs]
+    out = left.apply([e[0], f.apply(e[1:])])
+    for i in range(1, n + 1):
+        term = f.apply(e[: i - 1] + [ring.multiply(e[i - 1], e[i])] + e[i + 1 :])
+        out = vec_add(field, out, vec_scale(field, field.from_int((-1) ** i), term))
+    tail = right.apply([f.apply(e[:n]), e[n]])
+    return vec_add(field, out, vec_scale(field, field.from_int((-1) ** (n + 1)), tail))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([GF2, GF3, QQ]), st.integers(1, 2), st.integers(1, 3), st.integers(0, 3))
+def test_delta_module_matches_the_textbook_formula(data, field, r_dim, m_dim, arity):
+    # random structure constants and actions: the formula needs neither
+    # associativity nor the bimodule axioms
+    scalars = _SCALARS[field]
+    table = data.draw(st.lists(scalars, min_size=r_dim ** 3, max_size=r_dim ** 3))
+    ring = Algebra(field, r_dim, tuple(f"r{i}" for i in range(r_dim)), tuple(table))
+
+    def tensor(dims, target):
+        size = target * math.prod(dims)
+        coeffs = data.draw(st.lists(scalars, min_size=size, max_size=size))
+        return MultilinearMap(field, dims, target, tuple(coeffs))
+
+    left, right = tensor((r_dim, m_dim), m_dim), tensor((m_dim, r_dim), m_dim)
+    f = tensor((r_dim,) * arity, m_dim)
+    d = hochschild_delta_module(f, ring, left, right)
+    assert (d.source_dims, d.target_dim) == ((r_dim,) * (arity + 1), m_dim)
+    for idxs in itertools.product(range(r_dim), repeat=arity + 1):
+        assert d.column(idxs) == _delta_module_by_definition(f, ring, left, right, idxs)
 
 
 def test_circ_i_identity_is_neutral():

@@ -36,6 +36,7 @@ from nabext import (
     module_coboundary,
 )
 from nabext.fields import GF2, GF3, QQ, FieldError
+from nabext.linalg import vec_add, vec_scale
 
 
 GAUGE_CASES = [
@@ -316,6 +317,23 @@ def test_equivalent_abelian_cocycles_share_actions_and_differ_by_coboundary():
                 # chi' - chi = -delta beta for the module differential
                 diff = c2.chi - c.chi
                 assert diff == -module_coboundary(beta, c)
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("a_dim,b_dim", [(1, 2), (2, 3), (3, 2)])
+def test_gauge_param_as_map_is_the_matrix_as_a_cochain(field, a_dim, b_dim):
+    # non-square shapes, so that a transposed coefficient layout fails
+    rng = random.Random(10 * a_dim + b_dim)
+    beta = rand_gauge(rng, zero_algebra(field, a_dim), zero_algebra(field, b_dim))
+    m = beta.as_map(field)
+    assert (m.source_dims, m.target_dim) == ((b_dim,), a_dim)
+    for j in range(b_dim):
+        assert m.column((j,)) == beta.column(j)
+    v = tuple(field.random(rng) for _ in range(b_dim))
+    by_columns = (field.zero,) * a_dim
+    for j, c in enumerate(v):
+        by_columns = vec_add(field, by_columns, vec_scale(field, c, beta.column(j)))
+    assert m.apply([v]) == beta.apply(field, v) == by_columns
 
 
 def test_module_coboundary_is_a_cocycle_boundary():

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the package imports is used there,
-and no float enters the exact arithmetic.
+every module-level private function or class is read somewhere in the
+package, and no float enters the exact arithmetic.
 
 Stdlib only: each ``src/nabext/*.py`` is parsed with ``ast``.  The package
 ``__init__.py`` is exempt from the import check, since its imports are the
@@ -61,6 +62,51 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_defs(tree: ast.Module):
+    """(name, line) of every module-level ``_private`` function or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name, node.lineno
+
+
+def _reads(tree: ast.Module):
+    """Every name the module reads, as a bare name or as an attribute."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
+
+
+def test_no_unread_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    dead = [
+        f"{name}: {helper} (line {line})"
+        for name, tree in trees.items()
+        for helper, line in _private_defs(tree)
+        if helper not in read
+    ]
+    assert not dead, f"private helpers nothing in the package reads: {', '.join(dead)}"
+
+
+def test_private_helper_scan_sees_reads_only():
+    tree = ast.parse(
+        "def _called(): pass\n"
+        "class _Attr: pass\n"
+        "def _dead(): pass\n"
+        "class _Gone: pass\n"
+        "def __dunder__(): pass\n"
+        "def api(m):\n"
+        "    _dead = 1\n"
+        "    return _called(), m._Attr\n"
+    )
+    assert [name for name, _ in _private_defs(tree) if name not in _reads(tree)] == ["_dead", "_Gone"]
 
 
 def _floats(tree: ast.Module):

@@ -317,10 +317,13 @@ def test_mc_residual_requires_arity_two_and_membership():
 # ---------------------------------------------------------------------------
 # check_cocycle pinned: the violations of ~200 seeded F2/F3 candidates at dims
 # (1,1), (2,1), (1,2) and (2,2), recorded from the single-pass equation check
-# that preceded the split into twist_defects and curvature_defects
+# that preceded the split into twist_defects and curvature_defects; and the
+# derivation_condition_defect of the same candidates, recorded from the
+# pointwise check that preceded its route through hochschild_delta
 # ---------------------------------------------------------------------------
 
 GOLDEN_CHECK = Path(__file__).parent / "golden" / "check_cocycle_F2_F3.json"
+GOLDEN_DERIVATION = Path(__file__).parent / "golden" / "derivation_condition_F2_F3.json"
 _GOLDEN_ALGEBRAS = {
     "idem": lambda f: line_algebra(f, "idem", "x"),
     "zero": lambda f: line_algebra(f, "zero", "x"),
@@ -361,6 +364,17 @@ def test_check_cocycle_matches_golden():
         assert is_valid_cocycle(c) == (got == [])
         valid += got == []
     assert 0 < valid < len(golden)
+
+
+def test_derivation_condition_matches_golden():
+    golden = json.loads(GOLDEN_DERIVATION.read_text())
+    cases = list(_golden_cases())
+    assert [(g["field"], g["A"], g["B"], g["index"]) for g in golden] == [case[:4] for case in cases]
+    for g, (*_, index, space) in zip(golden, cases):
+        v = derivation_condition_defect(space.candidate(index))
+        got = None if v is None else [v.which.value, list(v.witness), list(v.discrepancy), v.detail]
+        assert got == g["defect"], (g["field"], g["A"], g["B"], index)
+    assert 0 < sum(g["defect"] is None for g in golden) < len(golden)
 
 
 def test_defect_groups_split_by_what_they_read():

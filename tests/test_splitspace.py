@@ -78,6 +78,17 @@ def test_extract_component_validation():
         extract_component(f, split, "ABA", "A")
     with pytest.raises(ValueError):
         extract_component(f, split, "AC", "A")
+    # an output block other than A or B is refused, not read as B
+    with pytest.raises(ValueError):
+        extract_component(f, split, "AB", "C")
+    with pytest.raises(ValueError):
+        project_block_map(f, split, "BB", "C")
+    with pytest.raises(ValueError):
+        embed_block_map(project_block_map(f, split, "BB", "B"), split, "BB", "C")
+    # values outside the split space
+    wide = rand_map(random.Random(1), QQ, (split.dim,) * 2, split.dim + 1)
+    with pytest.raises(ValueError):
+        project_block_map(wide, split, "AB", "A")
 
 
 def test_in_L_examples():
