@@ -142,28 +142,9 @@ class Algebra:
 
     def associativity_witness(self) -> Optional[Tuple[int, int, int]]:
         """First basis triple, in ``itertools.product`` order, with nonzero
-        associator, or None.
-
-        Reads ``(e_i e_j) e_k - e_i (e_j e_k)`` straight off the sparse
-        structure constants: ``sum_m c_ij^m row(m, k) - sum_m c_jk^m row(i, m)``.
-        :meth:`associator` on basis vectors is the independent vector route.
-        """
-        f, dim = self.field, self.dim
-        rows = [
-            [(m, c) for m, c in enumerate(self.table[base : base + dim]) if c != 0]
-            for base in range(0, dim ** 3, dim)
-        ]
-        for i, j, k in itertools.product(range(dim), repeat=3):
-            out = [f.zero] * dim
-            for m, c in rows[i * dim + j]:
-                for t, v in rows[m * dim + k]:
-                    out[t] = f.add(out[t], f.mul(c, v))
-            for m, c in rows[j * dim + k]:
-                for t, v in rows[i * dim + m]:
-                    out[t] = f.sub(out[t], f.mul(c, v))
-            if not is_zero_vector(out):
-                return (i, j, k)
-        return None
+        associator, or None (see :func:`associativity_witness`).
+        :meth:`associator` on basis vectors is the independent vector route."""
+        return associativity_witness(self.field, self.dim, self.table)
 
     def is_associative(self) -> bool:
         # Vanishing on all basis triples suffices by multilinearity.
@@ -171,6 +152,44 @@ class Algebra:
 
     def has_zero_product(self) -> bool:
         return all(v == 0 for v in self.table)
+
+
+def basis_associator(
+    field: Field, dim: int, table: Sequence[Scalar], i: int, j: int, k: int
+) -> Vector:
+    """``(e_i e_j) e_k - e_i (e_j e_k)`` read straight off a flat
+    structure-constant table (the :class:`Algebra` layout):
+    ``sum_m c_ij^m row(m, k) - sum_m c_jk^m row(i, m)``."""
+    out = [field.zero] * dim
+    ij, jk = (i * dim + j) * dim, (j * dim + k) * dim
+    for m in range(dim):
+        c = table[ij + m]
+        if c != 0:
+            row = (m * dim + k) * dim
+            for t in range(dim):
+                v = table[row + t]
+                if v != 0:
+                    out[t] = field.add(out[t], field.mul(c, v))
+        c = table[jk + m]
+        if c != 0:
+            row = (i * dim + m) * dim
+            for t in range(dim):
+                v = table[row + t]
+                if v != 0:
+                    out[t] = field.sub(out[t], field.mul(c, v))
+    return tuple(out)
+
+
+def associativity_witness(
+    field: Field, dim: int, table: Sequence[Scalar]
+) -> Optional[Tuple[int, int, int]]:
+    """First basis triple, in ``itertools.product`` order, whose
+    :func:`basis_associator` is nonzero, or None: the table is associative
+    exactly when it returns None, by multilinearity."""
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if not is_zero_vector(basis_associator(field, dim, table, i, j, k)):
+            return (i, j, k)
+    return None
 
 
 def _disambiguate(names_a: Sequence[str], names_b: Sequence[str]) -> Tuple[str, ...]:

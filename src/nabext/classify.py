@@ -11,8 +11,12 @@ so runs are deterministic and trivially splittable across workers.  The
 The two routes of the census scan differently.  The cocycle route is
 staged by (phi, psi) pair: the equations that never read chi are checked
 once per pair, and the chi-affine ones only for the pairs that pass.  The
-extension route is the brute-force oracle: it builds the twisted product
-of every candidate and tests it for associativity, consulting no equation.
+extension route is the brute-force oracle: it tests the twisted product of
+every candidate for associativity, consulting no equation.  It builds no
+candidate object: each index's digits are scattered into the table slots
+that :func:`build_extension` puts them in (probed once per space), the
+triple that rejected the previous candidate is tried first, and only the
+hits become :class:`Algebra` values.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Algebra, direct_sum_space
+from .algebra import Algebra, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
 from .exact_sequences import block_presentation, canonical_section, cocycle_from_section
-from .fields import PrimeField
+from .fields import Field, PrimeField, Scalar
+from .linalg import is_zero_vector
 from .nonabelian import (
     CrossCheckError,
     GaugeParam,
@@ -106,6 +111,32 @@ class CandidateSpace:
         """The (phi, psi) pairs: they are the low base-p digits of an index,
         so ``index = pair + pair_count * chi``."""
         return self.p ** (self.entry_counts[0] + self.entry_counts[1])
+
+    @cached_property
+    def extension_layout(self) -> Tuple[Algebra, Tuple[int, ...]]:
+        """The zero candidate's twisted product and, for each index digit,
+        the slot of the structure-constant table that holds that digit.
+
+        Probed from :func:`build_extension` on the zero candidate and on each
+        unit candidate ``p**s``, so that function stays the only definition
+        of the twisted product: a candidate's table is the zero table with
+        its digits written into their slots.  Raises
+        :class:`CrossCheckError` unless each unit table differs from the zero
+        table in one slot of its own, where the zero table holds 0 and the
+        unit table 1.
+        """
+        zero = build_extension(self.candidate(0))[0]
+        slots: List[int] = []
+        for s in range(self.total_entries):
+            unit = build_extension(self.candidate(self.p ** s))[0].table
+            moved = [k for k, (u, z) in enumerate(zip(unit, zero.table)) if u != z]
+            if len(moved) != 1 or unit[moved[0]] != 1 or zero.table[moved[0]] != 0 or moved[0] in slots:
+                raise CrossCheckError(
+                    f"index digit {s} is not a slot of its own in the twisted product"
+                    f" (the unit candidate moves slots {moved})"
+                )
+            slots.append(moved[0])
+        return zero, tuple(slots)
 
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
@@ -195,12 +226,38 @@ def _cocycle_chunk(
     return hits
 
 
+def _rejection(
+    field: Field, dim: int, table: Sequence[Scalar], last: Optional[Tuple[int, int, int]]
+) -> Optional[Tuple[int, int, int]]:
+    """A basis triple with nonzero associator, or None when the table is
+    associative: ``last`` is tried first, then every triple in order.  A
+    nonzero associator proves non-associativity, so trying ``last`` first
+    never changes the verdict."""
+    if last is not None and not is_zero_vector(basis_associator(field, dim, table, *last)):
+        return last
+    return associativity_witness(field, dim, table)
+
+
 def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, Algebra]]:
+    """The candidates of ``chunk`` whose twisted product is associative:
+    each index's digits are written into their slots of the zero table, and
+    the triple that rejected the previous candidate is tried first (indices
+    next to each other differ in their low digits)."""
+    zero, slots = space.extension_layout
+    field, dim, p, n = zero.field, zero.dim, space.p, space.total_entries
+    table = list(zero.table)
+    last = None
     hits = []
     for i in chunk:
-        ext = build_extension(space.candidate(i))[0]
-        if ext.is_associative():
-            hits.append((i, ext))
+        if not 0 <= i < space.total_candidates:
+            raise IndexError(f"candidate index {i} out of range")
+        for slot, digit in zip(slots, _digits(i, p, n)):
+            table[slot] = digit
+        witness = _rejection(field, dim, table, last)
+        if witness is None:
+            hits.append((i, replace(zero, table=tuple(table))))
+        else:
+            last = witness
     return hits
 
 
@@ -265,13 +322,19 @@ def enumerate_extensions(
     jobs: int = 1,
 ) -> List[Tuple[int, Algebra]]:
     """All candidates whose twisted product is associative, in index order,
-    as ``(index, extension algebra)`` pairs built once by the scan.
+    as ``(index, extension algebra)`` pairs, an algebra built for each hit
+    only.
 
-    This is the extension-side route: it never consults the cocycle
-    equations, so it can cross-check them.
+    This is the extension-side route, the brute-force oracle: it never
+    consults the cocycle equations, so it can cross-check them.  Each
+    candidate's table is its digits scattered into the slots of
+    :attr:`CandidateSpace.extension_layout`, the layout of
+    :func:`build_extension`, and is tested on every basis triple, the one
+    that rejected the previous candidate first.
     """
     if indices is None:
         indices = space.exhaustive_indices()
+    space.extension_layout  # probed here, so that the workers inherit it
     return _scan(space, indices, _associative_chunk, jobs)
 
 

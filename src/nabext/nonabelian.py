@@ -137,7 +137,28 @@ class GaugeParam:
 # EQ3 and EQ4 (the triples with one B factor, and B.A.B) never read the
 # curvature; EQ1, EQ2 and EQ5 are affine in it.  So the census checks the
 # first group once per (phi, psi) pair, and the second only for the chi of
-# the pairs that pass.
+# the pairs that pass.  Both groups read the columns of the maps and the
+# product rows once per call, and evaluate every term as
+# :func:`_from_columns`, a map applied to a vector through its columns.
+
+def _from_columns(field: Field, vec: Vector, cols) -> Vector:
+    """``sum_t vec[t] * cols[t]``: the linear map whose value on the t-th
+    basis vector is ``cols[t]``, applied to ``vec``."""
+    out = [field.zero] * len(cols[0])
+    for v, col in zip(vec, cols):
+        if v != 0:
+            for k, c in enumerate(col):
+                if c != 0:
+                    out[k] = field.add(out[k], field.mul(v, c))
+    return tuple(out)
+
+
+def _columns(read, n1: int, n2: int):
+    """``[[read(x, y) for y] for x]`` and its transpose: the values of a
+    bilinear map on basis pairs, as rows over either slot."""
+    rows = [[read(x, y) for y in range(n2)] for x in range(n1)]
+    return rows, list(zip(*rows))
+
 
 def twist_defects(
     A: Algebra, B: Algebra, phi: MultilinearMap, psi: MultilinearMap
@@ -148,44 +169,49 @@ def twist_defects(
     The derivation condition is checked through the three Leibniz-type
     identities (the form associativity consumes); the weaker "difference is
     a derivation" reading is available separately via
-    :func:`derivation_condition_defect`.
+    :func:`derivation_condition_defect`.  Reads the columns of ``phi`` and
+    ``psi`` and the product rows of ``A`` once, and applies no map to a
+    basis vector.
     """
     f = A.field
-    a_basis = [A.basis_vector(i) for i in range(A.dim)]
-    b_basis = [B.basis_vector(j) for j in range(B.dim)]
+    # phi_b[j][i] = phi_a[i][j] = phi(b_j, a_i), psi_a[i][j] = psi_b[j][i] = psi(a_i, b_j)
+    phi_b, phi_a = _columns(lambda j, i: phi.column((j, i)), B.dim, A.dim)
+    psi_a, psi_b = _columns(lambda i, j: psi.column((i, j)), A.dim, B.dim)
+    # left[i][t] = right[t][i] = a_i a_t
+    left, right = _columns(A.product_row, A.dim, A.dim)
 
     for j1, j2, i in itertools.product(range(B.dim), range(B.dim), range(A.dim)):
-        lhs = phi.apply([b_basis[j1], psi.column((i, j2))])
-        rhs = psi.apply([phi.column((j1, i)), b_basis[j2]])
+        lhs = _from_columns(f, psi_a[i][j2], phi_b[j1])
+        rhs = _from_columns(f, phi_b[j1][i], psi_b[j2])
         disc = vec_sub(f, lhs, rhs)
         if not is_zero_vector(disc):
             yield CocycleViolation(ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc)
 
     for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
-        row = A.product_row(i1, i2)
+        row = left[i1][i2]
         checks = (
             (
                 "psi_leibniz",
                 vec_sub(
                     f,
-                    psi.apply([row, b_basis[j]]),
-                    A.multiply(a_basis[i1], psi.column((i2, j))),
+                    _from_columns(f, row, psi_b[j]),
+                    _from_columns(f, psi_a[i2][j], left[i1]),
                 ),
             ),
             (
                 "phi_leibniz",
                 vec_sub(
                     f,
-                    phi.apply([b_basis[j], row]),
-                    A.multiply(phi.column((j, i1)), a_basis[i2]),
+                    _from_columns(f, row, phi_b[j]),
+                    _from_columns(f, phi_b[j][i1], right[i2]),
                 ),
             ),
             (
                 "cross_compat",
                 vec_sub(
                     f,
-                    A.multiply(psi.column((i1, j)), a_basis[i2]),
-                    A.multiply(a_basis[i1], phi.column((j, i2))),
+                    _from_columns(f, psi_a[i1][j], right[i2]),
+                    _from_columns(f, phi_b[j][i2], left[i1]),
                 ),
             ),
         )
@@ -207,40 +233,45 @@ def curvature_defects(
 
     The right-twist equation composes in the order forced by associativity
     of the twisted product: ``psi_{b1}(psi_{b2}(a)) = psi_{b2 b1}(a)
-    + a chi(b2, b1)``.
+    + a chi(b2, b1)``.  Reads the columns of the three maps and the product
+    rows of ``A`` and ``B`` once, and applies no map to a basis vector.
     """
     f = A.field
-    a_basis = [A.basis_vector(i) for i in range(A.dim)]
-    b_basis = [B.basis_vector(j) for j in range(B.dim)]
+    phi_b, phi_a = _columns(lambda j, i: phi.column((j, i)), B.dim, A.dim)
+    psi_a, psi_b = _columns(lambda i, j: psi.column((i, j)), A.dim, B.dim)
+    # chi_1[j1][j2] = chi(b_j1, b_j2) = chi_2[j2][j1]
+    chi_1, chi_2 = _columns(lambda j1, j2: chi.column((j1, j2)), B.dim, B.dim)
+    left, right = _columns(A.product_row, A.dim, A.dim)
+    b_rows, _ = _columns(B.product_row, B.dim, B.dim)
     bba = list(itertools.product(range(B.dim), range(B.dim), range(A.dim)))
 
     for j1, j2, i in bba:
-        lhs = phi.apply([b_basis[j1], phi.column((j2, i))])
+        lhs = _from_columns(f, phi_b[j2][i], phi_b[j1])
         rhs = vec_add(
             f,
-            phi.apply([B.product_row(j1, j2), a_basis[i]]),
-            A.multiply(chi.column((j1, j2)), a_basis[i]),
+            _from_columns(f, b_rows[j1][j2], phi_a[i]),
+            _from_columns(f, chi_1[j1][j2], right[i]),
         )
         disc = vec_sub(f, lhs, rhs)
         if not is_zero_vector(disc):
             yield CocycleViolation(ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), disc)
 
     for j1, j2, i in bba:
-        lhs = psi.apply([psi.column((i, j2)), b_basis[j1]])
+        lhs = _from_columns(f, psi_a[i][j2], psi_b[j1])
         rhs = vec_add(
             f,
-            psi.apply([a_basis[i], B.product_row(j2, j1)]),
-            A.multiply(a_basis[i], chi.column((j2, j1))),
+            _from_columns(f, b_rows[j2][j1], psi_a[i]),
+            _from_columns(f, chi_1[j2][j1], left[i]),
         )
         disc = vec_sub(f, lhs, rhs)
         if not is_zero_vector(disc):
             yield CocycleViolation(ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), disc)
 
     for j1, j2, j3 in itertools.product(range(B.dim), repeat=3):
-        acc = vec_neg(f, phi.apply([b_basis[j1], chi.column((j2, j3))]))
-        acc = vec_add(f, acc, chi.apply([B.product_row(j1, j2), b_basis[j3]]))
-        acc = vec_sub(f, acc, chi.apply([b_basis[j1], B.product_row(j2, j3)]))
-        acc = vec_add(f, acc, psi.apply([chi.column((j1, j2)), b_basis[j3]]))
+        acc = vec_neg(f, _from_columns(f, chi_1[j2][j3], phi_b[j1]))
+        acc = vec_add(f, acc, _from_columns(f, b_rows[j1][j2], chi_2[j3]))
+        acc = vec_sub(f, acc, _from_columns(f, b_rows[j2][j3], chi_1[j1]))
+        acc = vec_add(f, acc, _from_columns(f, chi_1[j1][j2], psi_b[j3]))
         if not is_zero_vector(acc):
             yield CocycleViolation(ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc)
 

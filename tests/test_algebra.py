@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import associative_samples, line_algebra, rand_vector, trunc_poly2
 from nabext import Algebra, direct_sum_space
+from nabext.algebra import associativity_witness, basis_associator
+from nabext.classify import _rejection
 from nabext.fields import GF2, GF3, FieldError, QQ
 from nabext.linalg import is_zero_vector, vec_add, vec_scale
 
@@ -166,6 +168,26 @@ def test_associativity_witness_matches_the_vector_route(alg):
     )
     assert alg.associativity_witness() == expected
     assert alg.is_associative() == (expected is None)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_algebras(), st.data())
+def test_table_associator_kernel(alg, data):
+    # the flat-table kernel against the dense associator of basis vectors
+    f, dim, table = alg.field, alg.dim, alg.table
+    triples = list(itertools.product(range(dim), repeat=3))
+    for idxs in triples:
+        expected = alg.associator(*(alg.basis_vector(i) for i in idxs))
+        assert basis_associator(f, dim, table, *idxs) == expected
+    # the ordered walk is the method's witness, and trying any earlier
+    # rejection first never changes the verdict
+    witness = associativity_witness(f, dim, table)
+    assert witness == alg.associativity_witness()
+    last = data.draw(st.sampled_from(triples))
+    rejects = not is_zero_vector(basis_associator(f, dim, table, *last))
+    assert _rejection(f, dim, table, None) == witness
+    assert _rejection(f, dim, table, last) == (last if rejects else witness)
+    assert rejects <= (witness is not None)
 
 
 def test_zero_multiplication_is_associative():

@@ -1,17 +1,21 @@
 import itertools
 import random
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from helpers import line_algebra, trunc_poly2, zero_algebra
+import nabext.classify as classify
 from nabext import (
+    Algebra,
     BudgetExceededError,
     CandidateSpace,
     apply_equivalence,
     build_extension,
     CrossCheckError,
+    MultilinearMap,
     census,
     check_cocycle,
     cocycle_to_mc,
@@ -158,6 +162,87 @@ def test_scans_return_the_decoded_hits(two_cpus, jobs):
         assert ext == build_extension(space.candidate(i))[0]
 
 
+def _diag2(field):
+    return Algebra.from_products(field, ["e1", "e2"], {(0, 0): {0: 1}, (1, 1): {1: 1}})
+
+
+# (1,1), (2,1), (1,2) and (1,1) over F3; the (2,1) and (1,2) spaces hand
+# out at least 64 indices, so with two jobs their scan starts a pool
+_SCATTER_SPACES = {
+    "F2-idem-zero": (line_algebra(GF2, "idem", "a"), line_algebra(GF2, "zero", "b")),
+    "F2-unit2-idem1": (trunc_poly2(GF2), line_algebra(GF2, "idem", "b")),
+    "F2-zero1-diag2": (line_algebra(GF2, "zero", "a"), _diag2(GF2)),
+    "F3-zero-idem": (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(_SCATTER_SPACES))
+def test_scattered_tables_are_build_extension_tables(two_cpus, name, jobs):
+    # every index: the oracle keeps exactly the associative twisted
+    # products, and each hit is build_extension's algebra
+    space = CandidateSpace(*_SCATTER_SPACES[name])
+    built = {i: build_extension(space.candidate(i))[0] for i in space.exhaustive_indices()}
+    hits = enumerate_extensions(space, jobs=jobs)
+    assert two_cpus.started == (1 if jobs == 2 and space.total_candidates >= 64 else 0)
+    for i, ext in hits:
+        assert ext == built[i]
+    assert [i for i, _ in hits] == [i for i, ext in built.items() if ext.is_associative()]
+    assert hits and len(hits) < len(built)
+
+
+def test_a_swapped_layout_trips_the_census():
+    # two digits written into each other's slots: the oracle no longer
+    # builds build_extension's tables, and the census cross-checks notice
+    space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
+    zero, slots = space.extension_layout
+    swapped = (slots[-1],) + slots[1:-1] + (slots[0],)
+    object.__setattr__(space, "extension_layout", (zero, swapped))
+    with pytest.raises(CrossCheckError):
+        census(space)
+
+
+def test_layout_probe_rejects_a_product_that_is_not_a_scatter(monkeypatch):
+    # a twisted product in which a unit digit moves two slots is refused
+    space = _space()
+
+    def doubled(c):
+        ext, split = build_extension(c)
+        if c.chi.coeffs[0] == 0:
+            return ext, split
+        table = list(ext.table)
+        table[0] = 1 - table[0]
+        return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
+
+    monkeypatch.setattr(classify, "build_extension", doubled)
+    with pytest.raises(CrossCheckError, match="index digit 2"):
+        space.extension_layout
+
+
+def test_census_work_guard(monkeypatch):
+    # deterministic work counts instead of a timing: the oracle builds
+    # twisted products only to probe the layout (and census once per
+    # cocycle for its tables check), and the cocycle equations never apply
+    # a map to a vector
+    space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
+    assert space.total_candidates == 1024
+    built = []
+    monkeypatch.setattr(
+        classify, "build_extension", lambda c: built.append(c) or build_extension(c)
+    )
+    applied_from = []
+    real_apply = MultilinearMap.apply
+
+    def apply(self, vectors):
+        applied_from.append(sys._getframe(1).f_code.co_name)
+        return real_apply(self, vectors)
+
+    monkeypatch.setattr(MultilinearMap, "apply", apply)
+    report = census(space)
+    assert len(built) < space.total_entries + 1 + 2 * report.num_cocycles
+    assert not {"twist_defects", "curvature_defects"} & set(applied_from)
+
+
 # each has pairs that pass and pairs that fail the curvature-free equations
 _ORACLE_SPACES = {
     "F2-idem-zero": (line_algebra(GF2, "idem", "a"), line_algebra(GF2, "zero", "b")),
@@ -204,6 +289,8 @@ def test_staged_scan_rejects_out_of_range_indices():
     for bad in (-1, space.total_candidates):
         with pytest.raises(IndexError):
             enumerate_cocycles(space, [0, bad])
+        with pytest.raises(IndexError):
+            enumerate_extensions(space, [0, bad])
 
 
 def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from nabext import (
     apply_equivalence,
     canonical_presentation,
     canonical_section,
+    cocycle_to_mc,
+    direct_sum_space,
 )
 from nabext.cli import main
 from nabext.fields import GF2, GF3, QQ
@@ -209,6 +212,25 @@ def test_cli_mc_check_exit_codes(hand_files, capsys):
     assert doc["violations"]
 
 
+def test_cli_mc_check_evaluates_each_tensor_once(hand_files, monkeypatch, capsys):
+    # x o x and delta x serve both residuals; derivation_condition_defect's
+    # own differentials go through nonabelian, not these names
+    import nabext.cli as cli
+
+    calls = {"circ": [], "hochschild_delta": []}
+    for name, log in calls.items():
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
+    for key in ("valid", "invalid"):
+        for log in calls.values():
+            log.clear()
+        main(["mc-check", hand_files[key]])
+        c = cocycle_from_json(loads(Path(hand_files[key]).read_text()))
+        x, base = cocycle_to_mc(c), direct_sum_space(c.A, c.B)[0]
+        assert calls == {"circ": [(x, x)], "hochschild_delta": [(x, base)]}
+    capsys.readouterr()
+
+
 def test_cli_mc_check_rational_input(tmp_path, capsys):
     a = line_algebra(QQ, "zero", "a")
     b = line_algebra(QQ, "idem", "b")
@@ -398,3 +420,14 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     not_schema = tmp_path / "not_schema.json"
     not_schema.write_text('{"hello": 1}')
     assert main(["check-assoc", str(not_schema)]) == 2
+    capsys.readouterr()
+    # maps on the wrong space: one error line, no traceback
+    from nabext import identity_map
+
+    alg2 = _write(tmp_path, "alg2.json", algebra_to_json(trunc_poly2(QQ)))
+    id2 = _write(tmp_path, "id2.json", map_to_json(identity_map(QQ, 2)))
+    id3 = _write(tmp_path, "id3.json", map_to_json(identity_map(QQ, 3)))
+    for argv in (["hochschild-delta", id3, alg2], ["bracket", id2, id3, "--field", "Q"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
