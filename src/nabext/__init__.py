@@ -47,6 +47,7 @@ from .nonabelian import (
     NabCocycle,
     ViolationKind,
     abelian_specialize,
+    all_gauge_params,
     apply_equivalence,
     associator_component_table,
     associator_residual,

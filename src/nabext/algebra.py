@@ -209,15 +209,10 @@ def direct_sum_space(a: Algebra, b: Algebra) -> Tuple[Algebra, SplitSpace]:
     dim = split.dim
     field = a.field
     table = [field.zero] * dim ** 3
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                table[(i * dim + j) * dim + k] = a.c(i, j, k)
-    off = a.dim
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                table[((i + off) * dim + (j + off)) * dim + (k + off)] = b.c(i, j, k)
+    for alg, off in ((a, 0), (b, a.dim)):
+        for i, j in itertools.product(range(alg.dim), repeat=2):
+            start = ((i + off) * dim + j + off) * dim + off
+            table[start : start + alg.dim] = alg.product_row(i, j)
     return (
         Algebra(field, dim, _disambiguate(a.basis, b.basis), tuple(table)),
         split,

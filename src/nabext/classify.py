@@ -37,6 +37,7 @@ from .nonabelian import (
     CrossCheckError,
     GaugeParam,
     NabCocycle,
+    all_gauge_params,
     apply_equivalence,
     associator_residual,
     build_extension,
@@ -191,17 +192,10 @@ class CandidateSpace:
 
     def gauge_params(self) -> List[GaugeParam]:
         """Every linear map from the quotient into the kernel."""
-        field = self.A.field
         a, b = self.A.dim, self.B.dim
         if self.p ** (a * b) > self.budget:
             raise BudgetExceededError("gauge parameter space exceeds the budget")
-        scalars = list(field.elements())
-        out = []
-        for combo in itertools.product(scalars, repeat=a * b):
-            out.append(
-                GaugeParam(tuple(tuple(combo[i * b + j] for j in range(b)) for i in range(a)))
-            )
-        return out
+        return list(all_gauge_params(self.A.field, a, b))
 
 
 # ---------------------------------------------------------------------------

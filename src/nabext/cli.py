@@ -32,6 +32,7 @@ from .io_json import (
     cocycle_from_json,
     cocycle_to_json,
     dumps_canonical,
+    entries_to_json,
     extension_from_json,
     field_to_json,
     gauge_from_json,
@@ -224,8 +225,12 @@ def _cmd_equiv_check(args) -> int:
         ok = image == c2
         _emit(dumps_canonical({"equivalent": ok}), args.output)
         return 0 if ok else 1
-    ext1 = resolved(extension_from_json(_read(args.first)))
-    ext2 = resolved(extension_from_json(_read(args.second)))
+    try:
+        ext1 = resolved(extension_from_json(_read(args.first)))
+        ext2 = resolved(extension_from_json(_read(args.second)))
+    except BrokenExtensionError as exc:
+        _emit(dumps_canonical({"equivalent": False, "failures": [str(exc)]}), args.output)
+        return 1
     doc = _read(args.witness)
     if not isinstance(doc, dict) or "theta" not in doc:
         raise FormatError("extension witness file must carry a 'theta' matrix")
@@ -301,17 +306,12 @@ def _cmd_abelianize(args) -> int:
         )
         return 1
     structure = abelian_specialize(c)
-    field = c.A.field
-
-    def entries(m):
-        return [[*e[:-1], field.format(e[-1])] for e in m.entries()]
-
     payload = {
         "ok": True,
-        "field": field_to_json(field),
-        "left_action": entries(structure.left_action),
-        "right_action": entries(structure.right_action),
-        "cocycle": entries(structure.cocycle),
+        "field": field_to_json(c.A.field),
+        "left_action": entries_to_json(structure.left_action),
+        "right_action": entries_to_json(structure.right_action),
+        "cocycle": entries_to_json(structure.cocycle),
         "delta_chi_zero": True,
     }
     _emit(dumps_canonical(payload), args.output)

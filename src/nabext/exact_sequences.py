@@ -31,7 +31,7 @@ from .linalg import (
     solve,
     vec_sub,
 )
-from .nonabelian import GaugeParam, NabCocycle, build_extension
+from .nonabelian import GaugeParam, NabCocycle, all_gauge_params, beta_element, build_extension
 from .cochains import MultilinearMap
 
 
@@ -235,27 +235,22 @@ def is_section(ext: ExtensionPresentation, s: Section) -> bool:
 
 
 def enumerate_sections(ext: ExtensionPresentation) -> Iterable[Section]:
-    """All sections over a finite field: one base section plus arbitrary
-    kernel-valued offsets, ``p^(dim A * dim B)`` in total."""
+    """All sections over a finite field: one base section plus
+    ``iota . beta`` for every ``beta`` in Hom(B, A), in
+    :func:`all_gauge_params` order, ``p^(dim A * dim B)`` in total."""
     field = ext.E.field
     if not hasattr(field, "elements"):
         raise ValueError("section enumeration needs a finite field")
     base = canonical_section(ext)
-    a_dim, b_dim = ext.a_dim, ext.b_dim
-    scalars = list(field.elements())
-    for combo in itertools.product(scalars, repeat=a_dim * b_dim):
-        offset = tuple(
-            tuple(combo[i * b_dim + j] for j in range(b_dim)) for i in range(a_dim)
+    for beta in all_gauge_params(field, ext.a_dim, ext.b_dim):
+        # shift[j] = iota(beta(b_j)), the offset of column j
+        shift = [ext.include(beta.column(j)) for j in range(ext.b_dim)]
+        yield Section(
+            tuple(
+                tuple(field.add(v, shift[j][r]) for j, v in enumerate(row))
+                for r, row in enumerate(base.matrix)
+            )
         )
-        matrix = []
-        for row_e in range(ext.E.dim):
-            row = []
-            for j in range(b_dim):
-                avec = tuple(offset[i][j] for i in range(a_dim))
-                shift = ext.include(avec)[row_e]
-                row.append(field.add(base.matrix[row_e][j], shift))
-            matrix.append(tuple(row))
-        yield Section(tuple(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +350,12 @@ def check_extension_equivalence(
 
 
 def theta_from_gauge(beta: GaugeParam, split: SplitSpace, field: Field) -> Matrix:
-    """The block map ``a + b -> a + beta(b) + b`` realizing an equivalence
-    between a twisted product and its gauge transform."""
+    """The map ``a + b -> a + beta(b) + b`` realizing an equivalence between
+    a twisted product and its gauge transform: the identity plus the matrix
+    of :func:`beta_element`."""
     dim = split.dim
-    rows = []
-    for i in range(dim):
-        row = [field.zero] * dim
-        row[i] = field.one
-        if i < split.a_dim:
-            for j in range(split.b_dim):
-                row[split.a_dim + j] = beta.matrix[i][j]
-        rows.append(tuple(row))
-    return tuple(rows)
+    shift = beta_element(beta, split, field).coeffs
+    return tuple(
+        tuple(field.add(u, v) for u, v in zip(row, shift[k * dim : (k + 1) * dim]))
+        for k, row in enumerate(identity_matrix(field, dim))
+    )

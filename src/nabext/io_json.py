@@ -124,6 +124,12 @@ def algebra_from_json(obj) -> Algebra:
 
 # -- multilinear maps --------------------------------------------------------
 
+def entries_to_json(m: MultilinearMap) -> List[List]:
+    """The nonzero entries ``[k, i_1, ..., i_n, coeff]`` of ``m``, in index
+    order, with each coefficient as a decimal string."""
+    return [[*e[:-1], m.field.format(e[-1])] for e in m.entries()]
+
+
 def map_to_json(m: MultilinearMap, split: Optional[SplitSpace] = None) -> Dict:
     if not m.is_uniform(m.source_dims[0] if m.source_dims else 1):
         raise ValueError("only uniform-slot maps are serialized standalone")
@@ -131,9 +137,7 @@ def map_to_json(m: MultilinearMap, split: Optional[SplitSpace] = None) -> Dict:
         "arity": m.arity,
         "source_dim": m.source_dims[0] if m.source_dims else 1,
         "target_dim": m.target_dim,
-        "entries": [
-            [*entry[:-1], m.field.format(entry[-1])] for entry in m.entries()
-        ],
+        "entries": entries_to_json(m),
     }
     if split is not None:
         out["split"] = {"a_dim": split.a_dim, "b_dim": split.b_dim}
@@ -164,15 +168,20 @@ def _entries_from_json(
 
 def map_from_json(obj, field: Field) -> Tuple[MultilinearMap, Optional[SplitSpace]]:
     arity = _expect(obj, "arity", int, "map")
+    if arity < 0:
+        raise FormatError(f"map arity must be nonnegative, got {arity}")
     source_dim = _expect(obj, "source_dim", int, "map")
     target_dim = _expect(obj, "target_dim", int, "map")
     rows = _expect(obj, "entries", list, "map")
     split = None
     if "split" in obj:
         sp = obj["split"]
-        split = SplitSpace(
-            _expect(sp, "a_dim", int, "split"), _expect(sp, "b_dim", int, "split")
-        )
+        try:
+            split = SplitSpace(
+                _expect(sp, "a_dim", int, "split"), _expect(sp, "b_dim", int, "split")
+            )
+        except ValueError as exc:
+            raise FormatError(f"split header: {exc}") from exc
         if split.dim != source_dim:
             raise FormatError("split header does not match source_dim")
     return (
@@ -184,16 +193,12 @@ def map_from_json(obj, field: Field) -> Tuple[MultilinearMap, Optional[SplitSpac
 # -- cocycles -----------------------------------------------------------------
 
 def cocycle_to_json(c: NabCocycle) -> Dict:
-    field = c.A.field
-    def entries(m: MultilinearMap):
-        return [[*e[:-1], field.format(e[-1])] for e in m.entries()]
-
     return {
         "A": algebra_to_json(c.A),
         "B": algebra_to_json(c.B),
-        "phi": entries(c.phi),
-        "psi": entries(c.psi),
-        "chi": entries(c.chi),
+        "phi": entries_to_json(c.phi),
+        "psi": entries_to_json(c.psi),
+        "chi": entries_to_json(c.chi),
     }
 
 
@@ -260,9 +265,15 @@ def extension_to_json(ext: ExtensionPresentation) -> Dict:
 
 
 def _infer_dim(rows, axis: int, what: str) -> int:
-    if not rows:
-        raise FormatError(f"cannot infer {what} dimension from an empty entry list")
-    return max(r[axis] for r in rows if isinstance(r, list) and len(r) == 3) + 1
+    """One more than the largest index on ``axis`` among the ``[row, col,
+    coeff]`` entries; the entries are checked in full later."""
+    found = [r[axis] for r in rows if isinstance(r, list) and len(r) == 3]
+    if not found or not all(isinstance(i, int) for i in found):
+        raise FormatError(
+            f"cannot infer the {what} dimension: entries must be [row, col, coeff]"
+            " with integer indices"
+        )
+    return max(found) + 1
 
 
 def extension_from_json(obj) -> ExtensionPresentation:

@@ -9,6 +9,10 @@ Valid triples are exactly the ones whose twisted product on ``A (+) B``
 
 is associative; invalid candidates stay representable so enumeration can
 filter them.
+
+The twisted product is ``base + x``, the blockwise product of
+:func:`~nabext.algebra.direct_sum_space` plus the twist, and
+:func:`build_extension` is its only layout on ``A (+) B``.
 """
 
 from __future__ import annotations
@@ -19,16 +23,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Tuple
 
-from .algebra import Algebra, SplitSpace, _disambiguate, direct_sum_space
+from .algebra import Algebra, SplitSpace, direct_sum_space
 from .cochains import (
     MultilinearMap,
     circ,
     gerstenhaber_bracket,
     hochschild_delta,
     hochschild_delta_module,
+    multiplication_map,
 )
 from .fields import Field, FieldError, Scalar
-from .linalg import Vector, basis_vector, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
+from .linalg import Vector, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
 from .splitspace import embed_block_map, project_block_map, require_in_L
 
 
@@ -127,6 +132,13 @@ class GaugeParam:
 
     def negate(self, field: Field) -> "GaugeParam":
         return GaugeParam(tuple(tuple(field.neg(v) for v in row) for row in self.matrix))
+
+
+def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugeParam]:
+    """Every linear map B -> A over a finite field: the matrix entries row by
+    row as base-p digits, the last one varying fastest."""
+    for combo in itertools.product(list(field.elements()), repeat=a_dim * b_dim):
+        yield GaugeParam(tuple(combo[i * b_dim : (i + 1) * b_dim] for i in range(a_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +291,17 @@ def curvature_defects(
 _KIND_ORDER = {kind: pos for pos, kind in enumerate(ViolationKind)}
 
 
-def check_cocycle(c: NabCocycle, *, check_ambient: bool = True) -> List[CocycleViolation]:
+def check_cocycle(c: NabCocycle) -> List[CocycleViolation]:
     """All violations of the five cocycle equations; empty means valid.
 
     Both groups of :func:`twist_defects` and :func:`curvature_defects` in
     full, stably sorted by :class:`ViolationKind` order: equation by
     equation, each in basis-triple order.
     """
-    if check_ambient:
-        if not c.A.is_associative():
-            raise ValueError("kernel algebra is not associative")
-        if not c.B.is_associative():
-            raise ValueError("quotient algebra is not associative")
+    if not c.A.is_associative():
+        raise ValueError("kernel algebra is not associative")
+    if not c.B.is_associative():
+        raise ValueError("quotient algebra is not associative")
     found = [
         *twist_defects(c.A, c.B, c.phi, c.psi),
         *curvature_defects(c.A, c.B, c.phi, c.psi, c.chi),
@@ -344,38 +355,20 @@ def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:
 # ---------------------------------------------------------------------------
 
 def build_extension(c: NabCocycle) -> Tuple[Algebra, SplitSpace]:
-    """The twisted product on the split space A (+) B.
-
-    No validity requirement: associativity of the result is a theorem to
-    test, not a precondition.
-    """
-    A, B = c.A, c.B
-    split = SplitSpace(A.dim, B.dim)
-    dim = split.dim
-    f = A.field
-    off = A.dim
-    table = [f.zero] * dim ** 3
-    for i, j in itertools.product(range(dim), repeat=2):
-        if i < off and j < off:
-            row = A.product_row(i, j)
-            for k, v in enumerate(row):
-                table[(i * dim + j) * dim + k] = v
-        elif i < off:  # A x B: right twist
-            row = c.psi.column((i, j - off))
-            for k, v in enumerate(row):
-                table[(i * dim + j) * dim + k] = v
-        elif j < off:  # B x A: left twist
-            row = c.phi.column((i - off, j))
-            for k, v in enumerate(row):
-                table[(i * dim + j) * dim + k] = v
-        else:  # B x B: curvature into A plus the B product
-            arow = c.chi.column((i - off, j - off))
-            for k, v in enumerate(arow):
-                table[(i * dim + j) * dim + k] = v
-            brow = B.product_row(i - off, j - off)
-            for k, v in enumerate(brow):
-                table[(i * dim + j) * dim + (k + off)] = v
-    return Algebra(f, dim, _disambiguate(A.basis, B.basis), tuple(table)), split
+    """The twisted product ``base + x`` on the split space A (+) B, and the
+    only code that places the twist there: the :func:`direct_sum_space`
+    table with the columns of phi, psi and chi written into its A-valued BA,
+    AB and BB slots.  No validity requirement: associativity of the result
+    is a theorem to test, not a precondition."""
+    base, split = direct_sum_space(c.A, c.B)
+    dim, a, b = split.dim, split.a_indices, split.b_indices
+    table = list(base.table)
+    for twist, first, second in ((c.phi, b, a), (c.psi, a, b), (c.chi, b, b)):
+        # the column of the flat-th basis pair, as in MultilinearMap.column
+        for flat, (i, j) in enumerate(itertools.product(first, second)):
+            start = (i * dim + j) * dim
+            table[start : start + split.a_dim] = twist.coeffs[flat :: twist.input_size]
+    return Algebra(base.field, dim, base.basis, tuple(table)), split
 
 
 def associator_component_table(m: Algebra, split: SplitSpace):
@@ -402,14 +395,11 @@ def associator_component_table(m: Algebra, split: SplitSpace):
 # ---------------------------------------------------------------------------
 
 def cocycle_to_mc(c: NabCocycle) -> MultilinearMap:
-    """Assemble chi + phi + psi as one A-valued arity-2 map on the split
-    space (components at patterns BB, BA, AB; the AA component is zero)."""
-    split = SplitSpace(c.A.dim, c.B.dim)
-    return (
-        embed_block_map(c.chi, split, "BB", "A")
-        + embed_block_map(c.phi, split, "BA", "A")
-        + embed_block_map(c.psi, split, "AB", "A")
-    )
+    """The assembled element ``x = chi + phi + psi``, an A-valued arity-2
+    cochain on the split space: the product of :func:`build_extension` minus
+    the base product.  It places no block itself, so :func:`cocycle_from_mc`
+    (block projections) and the census section round trip check that layout."""
+    return multiplication_map(build_extension(c)[0]) - multiplication_map(direct_sum_space(c.A, c.B)[0])
 
 
 def cocycle_from_mc(x: MultilinearMap, a: Algebra, b: Algebra) -> NabCocycle:
@@ -490,66 +480,41 @@ def _require_twist_shape(x: MultilinearMap, split: SplitSpace):
 def gauge_closed_form(
     x: MultilinearMap, beta: GaugeParam, base: Algebra, split: SplitSpace
 ) -> MultilinearMap:
-    """The division-free gauge transform, valid in every characteristic:
+    """The division-free gauge transform, valid in every characteristic,
+    block-free on the whole split space:
 
-        x'(e1, e2) = x(e1, e2) - phi_{b1}(beta(b2)) - psi_{b2}(beta(b1))
-                     - beta(b1) a2 - a1 beta(b2) + beta(b1 b2)
-                     + beta(b1) beta(b2)
+        x'(e1, e2) = x(e1, e2) - x(e1, beta e2) - x(beta e1, e2)
+                     - (delta beta)(e1, e2) + (beta e1)(beta e2)
+        (delta beta)(e1, e2) = e1 (beta e2) - beta(e1 e2) + (beta e1) e2
 
-    where (chi, phi, psi) are the components of ``x`` and the products are
-    the blockwise base products.  Built term by term from the components,
-    independently of the bracket machinery, so the series form can be
-    cross-checked against it.
+    where ``beta`` is extended by zero on the A block and the products are
+    the base's.  It uses no bracket and no block of ``x``, so both the
+    series form and the per-component transform of :func:`apply_equivalence`
+    are cross-checked against it.
     """
     _require_twist_shape(x, split)
     if beta.a_dim != split.a_dim or beta.b_dim != split.b_dim:
         raise ValueError("gauge parameter shape does not match the split")
-    f = base.field
-    a_dim, b_dim = split.a_dim, split.b_dim
-    off = a_dim
-    phi = project_block_map(x, split, "BA", "A")
-    psi = project_block_map(x, split, "AB", "A")
+    f, dim = base.field, split.dim
+    # bcol[e] = beta(e_e) on the split space: zero on the A block
+    pad = (f.zero,) * split.b_dim
+    bcol = [(f.zero,) * dim] * split.a_dim + [beta.column(j) + pad for j in range(split.b_dim)]
+    # x_first[i][t] = x_second[t][i] = x(e_i, e_t); left[i][t] = right[t][i] = e_i e_t
+    x_first, x_second = _columns(lambda i, t: x.column((i, t)), dim, dim)
+    left, right = _columns(base.product_row, dim, dim)
 
-    def a_mul(v: Vector, w: Vector) -> Vector:
-        # products inside the A block of the base algebra
-        full = base.multiply(tuple(v) + (f.zero,) * b_dim, tuple(w) + (f.zero,) * b_dim)
-        return full[:a_dim]
+    def value(idxs) -> Vector:
+        i, j = idxs
+        # x(e_i, beta e_j), x(beta e_i, e_j) and the outer terms of delta beta
+        minus = ((bcol[j], x_first[i]), (bcol[i], x_second[j]), (bcol[j], left[i]), (bcol[i], right[j]))
+        acc = x_first[i][j]
+        for vec, cols in minus:
+            acc = vec_sub(f, acc, _from_columns(f, vec, cols))
+        # beta(e_i e_j), the middle term of delta beta, and (beta e_i)(beta e_j)
+        acc = vec_add(f, acc, _from_columns(f, left[i][j], bcol))
+        return vec_add(f, acc, base.multiply(bcol[i], bcol[j]))
 
-    def b_product_row(j1: int, j2: int) -> Vector:
-        return base.product_row(off + j1, off + j2)[off:]
-
-    def bb_term(idxs) -> Vector:
-        j1, j2 = idxs
-        col1, col2 = beta.column(j1), beta.column(j2)
-        acc = vec_neg(f, phi.apply([basis_vector(f, b_dim, j1), col2]))
-        acc = vec_sub(f, acc, psi.apply([col1, basis_vector(f, b_dim, j2)]))
-        acc = vec_add(f, acc, beta.apply(f, b_product_row(j1, j2)))
-        acc = vec_add(f, acc, a_mul(col1, col2))
-        return acc
-
-    def ba_term(idxs) -> Vector:
-        j1, i2 = idxs
-        return vec_neg(f, a_mul(beta.column(j1), basis_vector(f, a_dim, i2)))
-
-    def ab_term(idxs) -> Vector:
-        i1, j2 = idxs
-        return vec_neg(f, a_mul(basis_vector(f, a_dim, i1), beta.column(j2)))
-
-    correction = (
-        embed_block_map(
-            MultilinearMap.from_function(f, (b_dim, b_dim), a_dim, bb_term),
-            split, "BB", "A",
-        )
-        + embed_block_map(
-            MultilinearMap.from_function(f, (b_dim, a_dim), a_dim, ba_term),
-            split, "BA", "A",
-        )
-        + embed_block_map(
-            MultilinearMap.from_function(f, (a_dim, b_dim), a_dim, ab_term),
-            split, "AB", "A",
-        )
-    )
-    return x + correction
+    return MultilinearMap.from_function(f, (dim, dim), dim, value)
 
 
 #: Iteration bound for the gauge series; the parameter is nilpotent of order

@@ -42,6 +42,20 @@ def trunc_poly3(field: Field) -> Algebra:
     )
 
 
+def left_unit2(field: Field) -> Algebra:
+    """A non-commutative 2-dimensional algebra: e e = e, e n = n, n e = 0."""
+    return Algebra.from_products(field, ["e", "n"], {(0, 0): {0: 1}, (0, 1): {1: 1}})
+
+
+def upper_triangular2(field: Field) -> Algebra:
+    """The upper triangular 2x2 matrices, basis (e11, e12, e22)."""
+    return Algebra.from_products(
+        field,
+        ["e11", "e12", "e22"],
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
+    )
+
+
 def zero_algebra(field: Field, dim: int, prefix: str = "a") -> Algebra:
     return Algebra.zero_product(field, [f"{prefix}{i}" for i in range(dim)])
 

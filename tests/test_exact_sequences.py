@@ -8,6 +8,7 @@ from nabext import (
     ExtensionPresentation,
     NabCocycle,
     Section,
+    all_gauge_params,
     apply_equivalence,
     build_extension,
     canonical_presentation,
@@ -22,7 +23,7 @@ from nabext import (
     verify_extension,
 )
 from nabext.exact_sequences import BrokenExtensionError, is_section, resolved
-from nabext.fields import GF2, QQ
+from nabext.fields import GF2, GF3, QQ
 from nabext.linalg import identity_matrix
 
 
@@ -106,6 +107,18 @@ def test_section_count_matches_kernel_hom_space():
         assert len(sections) == 2 ** a_dim
         assert all(is_section(ext, s) for s in sections)
         assert len({s.matrix for s in sections}) == len(sections)
+
+
+def test_sections_are_base_plus_iota_beta_in_gauge_order():
+    # the n-th section differs from the canonical one by the n-th gauge parameter
+    for field, a, b in (
+        (GF2, zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")),
+        (GF3, zero_algebra(GF3, 1), zero_algebra(GF3, 2, "b")),
+    ):
+        ext = canonical_presentation(NabCocycle.zero(a, b))
+        base = canonical_section(ext)
+        offsets = [section_difference(s, base, ext) for s in enumerate_sections(ext)]
+        assert offsets == list(all_gauge_params(field, a.dim, b.dim))
 
 
 def test_extracted_cocycles_are_valid_for_every_section():

@@ -288,6 +288,22 @@ def test_cli_gauge_and_equiv_check(hand_files, tmp_path, capsys):
     )
 
 
+def test_cli_equiv_check_reports_a_broken_extension(tmp_path, capsys):
+    # E = k[t]/t^2 with iota = u + t and A omitted: the image of iota is not
+    # closed under the product, so the kernel algebra cannot be derived
+    broken = _write(
+        tmp_path,
+        "broken.json",
+        {"E": algebra_to_json(trunc_poly2(QQ)), "iota": [[0, 0, "1"], [1, 0, "1"]], "p": [[0, 1, "1"]]},
+    )
+    theta = _write(tmp_path, "theta.json", {"theta": [[0, 0, "1"], [1, 1, "1"]]})
+    assert main(["equiv-check", broken, broken, "--witness", theta, "--kind", "extension"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["equivalent"] is False and "not closed" in doc["failures"][0]
+    assert captured.err == ""
+
+
 def test_cli_gauge_series_matches_closed_form_over_f3(tmp_path, capsys):
     a = line_algebra(GF3, "zero", "a")
     b = line_algebra(GF3, "idem", "b")
@@ -431,3 +447,24 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # malformed headers and entry lists: one error line, no traceback
+    bad_maps = [
+        {**map_to_json(identity_map(QQ, 2)), "split": {"a_dim": -1, "b_dim": 3}},
+        {**map_to_json(identity_map(QQ, 2)), "split": {"a_dim": 0, "b_dim": 0}},
+        {**map_to_json(identity_map(QQ, 2)), "arity": -1},
+    ]
+    e_doc = algebra_to_json(trunc_poly2(QQ))
+    bad_extensions = [
+        {"E": e_doc, "iota": [[0, "x", "1"]], "p": [[0, 1, "1"]]},
+        {"E": e_doc, "iota": [[0, 0]], "p": [[0, 1, "1"]]},
+    ]
+    argvs = []
+    for n, doc in enumerate(bad_maps):
+        path = _write(tmp_path, f"bad_map{n}.json", doc)
+        argvs += [["hochschild-delta", path, alg2], ["bracket", path, path, "--field", "Q"]]
+    for n, doc in enumerate(bad_extensions):
+        argvs.append(["extract-cocycle", _write(tmp_path, f"bad_ext{n}.json", doc)])
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
