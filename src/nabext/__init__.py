@@ -54,10 +54,8 @@ from .nonabelian import (
     beta_element,
     build_extension,
     check_cocycle,
-    check_gauge_witness,
     cocycle_from_mc,
     cocycle_to_mc,
-    cocycles_equivalent_by,
     curvature_defects,
     derivation_condition_defect,
     gauge_closed_form,

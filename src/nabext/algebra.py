@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .fields import Field, FieldError, Scalar
 from .linalg import Vector, basis_vector, is_zero_vector, vec_sub, zero_vector
@@ -131,6 +131,24 @@ class Algebra:
                     if ck != 0:
                         out[k] = f.add(out[k], f.mul(coeff, ck))
         return tuple(out)
+
+    def transported(
+        self, cols: Sequence[Vector], back: Callable[[Vector], Optional[Vector]]
+    ) -> Tuple[Optional["Algebra"], Optional[Tuple[int, int]]]:
+        """This product read in the basis ``cols`` (vectors of this algebra):
+        ``e_i e_j = back(cols[i] * cols[j])``, where ``back`` expresses a
+        vector in that basis, or returns None when it cannot.  Returns the
+        algebra (basis ``e0, e1, ...``) and None, or None and the first
+        basis pair, in ``itertools.product`` order, that ``back`` cannot
+        express.  Every change of basis of a product goes through here."""
+        table = []
+        for i, j in itertools.product(range(len(cols)), repeat=2):
+            row = back(self.multiply(cols[i], cols[j]))
+            if row is None:
+                return None, (i, j)
+            table.extend(row)
+        names = tuple(f"e{i}" for i in range(len(cols)))
+        return Algebra(self.field, len(cols), names, tuple(table)), None
 
     def associator(self, x: Vector, y: Vector, z: Vector) -> Vector:
         """``(x*y)*z - x*(y*z)``."""

@@ -39,6 +39,7 @@ from .io_json import (
     loads,
     map_from_json,
     map_to_json,
+    matrix_from_entries,
     report_to_json,
     report_to_text,
     section_from_json,
@@ -234,11 +235,7 @@ def _cmd_equiv_check(args) -> int:
     doc = _read(args.witness)
     if not isinstance(doc, dict) or "theta" not in doc:
         raise FormatError("extension witness file must carry a 'theta' matrix")
-    from .io_json import _matrix_from_entries
-
-    theta = _matrix_from_entries(
-        doc["theta"], ext1.E.field, ext2.E.dim, ext1.E.dim, "theta"
-    )
+    theta = matrix_from_entries(doc["theta"], ext1.E.field, ext2.E.dim, ext1.E.dim, "theta")
     ok, failures = check_extension_equivalence(ext1, ext2, theta)
     _emit(dumps_canonical({"equivalent": ok, "failures": failures}), args.output)
     return 0 if ok else 1

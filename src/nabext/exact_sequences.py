@@ -4,21 +4,28 @@ sections, cocycle extraction, and equivalence of extensions.
 A presentation is a middle algebra E together with an injection matrix
 ``iota`` (columns are images of the kernel basis) and a surjection matrix
 ``proj`` (rows express the quotient coordinates).  The kernel and quotient
-algebras can be supplied or derived: the derived kernel product pulls the
-E product back through ``iota`` and the derived quotient product pushes it
-forward through any right inverse of ``proj``; both derivations are only
-possible for honest extensions, and :func:`verify_extension` reports every
+algebras can be supplied or derived; :func:`verify_extension` reports every
 failure explicitly instead of raising.
+
+Every change of basis is :meth:`~nabext.algebra.Algebra.transported`: the
+derived kernel is E read through the columns of ``iota``, the derived
+quotient is E read through one right inverse of ``proj`` and pushed forward
+by ``proj``.  An extension with a section ``s`` is the twisted product
+``base + x`` on A (+) B read through ``theta = (iota | s)``, so the cocycle
+of ``s`` is E read through ``theta`` minus the direct-sum product; moving
+the section by ``beta`` is the gauge action
+(:func:`~nabext.nonabelian.gauge_closed_form`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Iterable, List, Optional, Tuple
 
-from .algebra import Algebra, SplitSpace
-from .fields import Field
+from .algebra import Algebra, SplitSpace, direct_sum_space
+from .cochains import multiplication_map
+from .fields import Field, FieldError
 from .linalg import (
     Matrix,
     Vector,
@@ -31,8 +38,14 @@ from .linalg import (
     solve,
     vec_sub,
 )
-from .nonabelian import GaugeParam, NabCocycle, all_gauge_params, beta_element, build_extension
-from .cochains import MultilinearMap
+from .nonabelian import (
+    GaugeParam,
+    NabCocycle,
+    all_gauge_params,
+    beta_element,
+    build_extension,
+    cocycle_from_mc,
+)
 
 
 class BrokenExtensionError(ValueError):
@@ -48,6 +61,9 @@ class ExtensionPresentation:
     B: Optional[Algebra] = None
 
     def __post_init__(self):
+        for name, alg in (("kernel", self.A), ("quotient", self.B)):
+            if alg is not None and alg.field != self.E.field:
+                raise FieldError(f"the {name} algebra lives over a different field than E")
         if len(self.iota) != self.E.dim:
             raise ValueError("iota must have one row per E basis vector")
         if self.proj and len(self.proj[0]) != self.E.dim:
@@ -85,9 +101,6 @@ class Section:
 
     matrix: Matrix
 
-    def apply(self, field: Field, bvec: Vector) -> Vector:
-        return mat_vec(field, self.matrix, bvec)
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
 
@@ -98,47 +111,52 @@ class ExtensionDiagnostics:
     failures: List[str] = dc_field(default_factory=list)
 
 
-def _derive_kernel(ext: ExtensionPresentation, failures: List[str]) -> Optional[Algebra]:
-    """Pull the E product back through iota; records failures."""
+def _right_inverse(ext: ExtensionPresentation) -> List[Optional[Vector]]:
+    """``solve(proj, e_j)`` for every quotient basis vector: the columns of
+    one right inverse of the projection (free choices set to zero), None
+    where the projection misses ``e_j``."""
+    field, b_dim = ext.E.field, ext.b_dim
+    return [solve(field, ext.proj, basis_vector(field, b_dim, j)) for j in range(b_dim)]
+
+
+def _end_algebras(
+    ext: ExtensionPresentation, failures: List[str]
+) -> Tuple[Optional[Algebra], Optional[Algebra]]:
+    """The kernel and quotient algebras, supplied or derived; records why a
+    derivation failed.  The kernel is E read through the columns of iota and
+    pulled back by ``solve``; the quotient is E read through
+    :func:`_right_inverse` and pushed forward by ``proj``."""
     field = ext.E.field
-    a_dim = ext.a_dim
-    if a_dim == 0:
+    a, b = ext.A, ext.B
+    if a is None and ext.a_dim == 0:
         failures.append("kernel dimension is zero")
-        return None
-    products = {}
-    for i, j in itertools.product(range(a_dim), repeat=2):
-        u = ext.include(basis_vector(field, a_dim, i))
-        v = ext.include(basis_vector(field, a_dim, j))
-        w = ext.E.multiply(u, v)
-        x = solve(field, ext.iota, w)
-        if x is None:
-            failures.append(f"image of iota is not closed under the product at ({i},{j})")
-            return None
-        products[(i, j)] = {k: v2 for k, v2 in enumerate(x) if v2 != 0}
-    names = tuple(f"a{i}" for i in range(a_dim))
-    return Algebra.from_products(field, names, products)
-
-
-def _derive_quotient(ext: ExtensionPresentation, failures: List[str]) -> Optional[Algebra]:
-    """Push the E product forward through proj along one section."""
-    field = ext.E.field
-    b_dim = ext.b_dim
-    if b_dim == 0:
+    elif a is None:
+        a, missed = ext.E.transported(list(zip(*ext.iota)), lambda w: solve(field, ext.iota, w))
+        if missed:
+            failures.append(f"image of iota is not closed under the product at ({missed[0]},{missed[1]})")
+        else:
+            a = replace(a, basis=tuple(f"a{i}" for i in range(a.dim)))
+    if b is None and ext.b_dim == 0:
         failures.append("quotient dimension is zero")
-        return None
-    cols = []
-    for j in range(b_dim):
-        col = solve(field, ext.proj, basis_vector(field, b_dim, j))
-        if col is None:
-            failures.append(f"projection misses quotient basis vector {j}")
-            return None
-        cols.append(col)
-    products = {}
-    for i, j in itertools.product(range(b_dim), repeat=2):
-        w = ext.project(ext.E.multiply(cols[i], cols[j]))
-        products[(i, j)] = {k: v for k, v in enumerate(w) if v != 0}
-    names = tuple(f"b{j}" for j in range(b_dim))
-    return Algebra.from_products(field, names, products)
+    elif b is None:
+        cols = _right_inverse(ext)
+        if None in cols:
+            failures.append(f"projection misses quotient basis vector {cols.index(None)}")
+        else:
+            b, _ = ext.E.transported(cols, ext.project)
+            b = replace(b, basis=tuple(f"b{j}" for j in range(b.dim)))
+    return a, b
+
+
+def _non_morphism(src: Algebra, dst: Algebra, matrix: Matrix) -> Optional[Tuple[int, int]]:
+    """The first basis pair of ``src``, in ``itertools.product`` order, whose
+    product ``matrix`` does not carry to the product of the images in
+    ``dst``, or None when ``matrix`` is an algebra morphism."""
+    cols = list(zip(*matrix))
+    for i, j in itertools.product(range(src.dim), repeat=2):
+        if mat_vec(src.field, matrix, src.product_row(i, j)) != dst.multiply(cols[i], cols[j]):
+            return i, j
+    return None
 
 
 def resolved(ext: ExtensionPresentation) -> ExtensionPresentation:
@@ -146,8 +164,7 @@ def resolved(ext: ExtensionPresentation) -> ExtensionPresentation:
     if ext.A is not None and ext.B is not None:
         return ext
     failures: List[str] = []
-    a = ext.A if ext.A is not None else _derive_kernel(ext, failures)
-    b = ext.B if ext.B is not None else _derive_quotient(ext, failures)
+    a, b = _end_algebras(ext, failures)
     if failures or a is None or b is None:
         raise BrokenExtensionError("; ".join(failures) or "cannot derive end algebras")
     return ExtensionPresentation(ext.E, ext.iota, ext.proj, a, b)
@@ -174,29 +191,11 @@ def verify_extension(ext: ExtensionPresentation) -> ExtensionDiagnostics:
     # conditions above then force equality exactly when dims add up, which
     # is the exactness at E.
 
-    a = ext.A
-    b = ext.B
-    derive_failures: List[str] = []
-    if a is None:
-        a = _derive_kernel(ext, derive_failures)
-    if b is None:
-        b = _derive_quotient(ext, derive_failures)
-    failures.extend(derive_failures)
-
-    if a is not None:
-        for i, j in itertools.product(range(a_dim), repeat=2):
-            lhs = ext.E.multiply(ext.include(a.basis_vector(i)), ext.include(a.basis_vector(j)))
-            rhs = ext.include(a.product_row(i, j))
-            if lhs != rhs:
-                failures.append(f"iota is not an algebra morphism at ({i},{j})")
-                break
-    if b is not None:
-        for i, j in itertools.product(range(e_dim), repeat=2):
-            lhs = ext.project(ext.E.multiply(ext.E.basis_vector(i), ext.E.basis_vector(j)))
-            rhs = b.multiply(ext.project(ext.E.basis_vector(i)), ext.project(ext.E.basis_vector(j)))
-            if lhs != rhs:
-                failures.append(f"proj is not an algebra morphism at ({i},{j})")
-                break
+    a, b = _end_algebras(ext, failures)
+    for name, src, dst, matrix in (("iota", a, ext.E, ext.iota), ("proj", ext.E, b, ext.proj)):
+        missed = None if src is None or dst is None else _non_morphism(src, dst, matrix)
+        if missed:
+            failures.append(f"{name} is not an algebra morphism at ({missed[0]},{missed[1]})")
     return ExtensionDiagnostics(ok=not failures, failures=failures)
 
 
@@ -216,16 +215,12 @@ def canonical_presentation(c: NabCocycle) -> ExtensionPresentation:
 
 
 def canonical_section(ext: ExtensionPresentation) -> Section:
-    """Any exact right inverse of the projection (free choices set to zero);
-    for block presentations this is the B-block embedding."""
-    field = ext.E.field
-    b_dim = ext.b_dim
-    cols = []
-    for j in range(b_dim):
-        col = solve(field, ext.proj, basis_vector(field, b_dim, j))
-        if col is None:
-            raise BrokenExtensionError("projection admits no section")
-        cols.append(col)
+    """The right inverse of the projection that the derived quotient is read
+    through (free choices set to zero); for block presentations this is the
+    B-block embedding."""
+    cols = _right_inverse(ext)
+    if None in cols:
+        raise BrokenExtensionError("projection admits no section")
     return Section(tuple(tuple(col[i] for col in cols) for i in range(ext.E.dim)))
 
 
@@ -258,14 +253,17 @@ def enumerate_sections(ext: ExtensionPresentation) -> Iterable[Section]:
 # ---------------------------------------------------------------------------
 
 def cocycle_from_section(ext: ExtensionPresentation, s: Section) -> NabCocycle:
-    """Extract the twist triple of a section:
+    """The twist triple of a section: E read through ``theta = (iota | s)``
+    is the twisted product ``base + x`` on A (+) B, so ``x`` is that product
+    minus the :func:`direct_sum_space` one, and its blocks are
 
         phi(b, a)   = s(b) a     (pulled back through iota)
         psi(a, b)   = a s(b)
         chi(b1, b2) = s(b1) s(b2) - s(b1 b2)
 
-    All three land in the kernel by exactness; a failed pull-back signals a
-    broken extension.
+    ``theta`` is invertible for a verified extension and a section, so the
+    read always succeeds; a failed verification raises
+    :class:`BrokenExtensionError`.
     """
     ext = resolved(ext)
     diag = verify_extension(ext)
@@ -273,32 +271,11 @@ def cocycle_from_section(ext: ExtensionPresentation, s: Section) -> NabCocycle:
         raise BrokenExtensionError("; ".join(diag.failures))
     if not is_section(ext, s):
         raise ValueError("the supplied map is not a section of the projection")
-    A, B = ext.A, ext.B
     field = ext.E.field
-
-    def phi_fn(idxs):
-        j, i = idxs
-        prod = ext.E.multiply(s.column(j), ext.include(A.basis_vector(i)))
-        return ext.pull_back(prod)
-
-    def psi_fn(idxs):
-        i, j = idxs
-        prod = ext.E.multiply(ext.include(A.basis_vector(i)), s.column(j))
-        return ext.pull_back(prod)
-
-    def chi_fn(idxs):
-        j1, j2 = idxs
-        prod = ext.E.multiply(s.column(j1), s.column(j2))
-        curved = vec_sub(field, prod, s.apply(field, B.product_row(j1, j2)))
-        return ext.pull_back(curved)
-
-    return NabCocycle(
-        A,
-        B,
-        MultilinearMap.from_function(field, (B.dim, A.dim), A.dim, phi_fn),
-        MultilinearMap.from_function(field, (A.dim, B.dim), A.dim, psi_fn),
-        MultilinearMap.from_function(field, (B.dim, B.dim), A.dim, chi_fn),
-    )
+    theta = tuple(i_row + s_row for i_row, s_row in zip(ext.iota, s.matrix))
+    read, _ = ext.E.transported(list(zip(*theta)), lambda w: solve(field, theta, w))
+    base, _ = direct_sum_space(ext.A, ext.B)
+    return cocycle_from_mc(multiplication_map(read) - multiplication_map(base), ext.A, ext.B)
 
 
 def section_difference(
@@ -307,15 +284,7 @@ def section_difference(
     """The kernel-valued map with ``iota(beta(b)) = s(b) - s'(b)``."""
     ext = resolved(ext)
     field = ext.E.field
-    cols = []
-    for j in range(ext.b_dim):
-        diff = vec_sub(field, s.column(j), s_prime.column(j))
-        x = solve(field, ext.iota, diff)
-        if x is None:
-            raise BrokenExtensionError(
-                "difference of sections is not in the image of iota"
-            )
-        cols.append(x)
+    cols = [ext.pull_back(vec_sub(field, s.column(j), s_prime.column(j))) for j in range(ext.b_dim)]
     return GaugeParam(tuple(tuple(col[i] for col in cols) for i in range(ext.a_dim)))
 
 
@@ -332,6 +301,8 @@ def check_extension_equivalence(
     both structure maps (``theta o iota = iota'`` and ``proj' o theta =
     proj``).  Returns a verdict with diagnostics."""
     field = ext.E.field
+    if field != ext_prime.E.field:
+        return False, ["the two extensions live over different fields"]
     failures: List[str] = []
     if len(theta) != ext_prime.E.dim or (theta and len(theta[0]) != ext.E.dim):
         return False, ["theta has the wrong shape"]
@@ -339,13 +310,9 @@ def check_extension_equivalence(
         failures.append("theta o iota differs from iota'")
     if mat_mul(field, ext_prime.proj, theta) != ext.proj:
         failures.append("proj' o theta differs from proj")
-    for i, j in itertools.product(range(ext.E.dim), repeat=2):
-        u, v = ext.E.basis_vector(i), ext.E.basis_vector(j)
-        lhs = mat_vec(field, theta, ext.E.multiply(u, v))
-        rhs = ext_prime.E.multiply(mat_vec(field, theta, u), mat_vec(field, theta, v))
-        if lhs != rhs:
-            failures.append(f"theta is not an algebra morphism at ({i},{j})")
-            break
+    missed = _non_morphism(ext.E, ext_prime.E, theta)
+    if missed:
+        failures.append(f"theta is not an algebra morphism at ({missed[0]},{missed[1]})")
     return (not failures), failures
 
 

@@ -225,7 +225,7 @@ def _matrix_to_entries(m: Matrix, field: Field) -> List[List]:
     return out
 
 
-def _matrix_from_entries(rows, field: Field, n_rows: int, n_cols: int, what: str) -> Matrix:
+def matrix_from_entries(rows, field: Field, n_rows: int, n_cols: int, what: str) -> Matrix:
     if not isinstance(rows, list):
         raise FormatError(f"{what} must be a list of [row, col, coeff] entries")
     buf = [[field.zero] * n_cols for _ in range(n_rows)]
@@ -247,7 +247,7 @@ def gauge_to_json(beta: GaugeParam, field: Field) -> Dict:
 
 def gauge_from_json(obj, field: Field, a_dim: int, b_dim: int) -> GaugeParam:
     rows = _expect(obj, "beta", list, "gauge witness")
-    return GaugeParam(_matrix_from_entries(rows, field, a_dim, b_dim, "beta"))
+    return GaugeParam(matrix_from_entries(rows, field, a_dim, b_dim, "beta"))
 
 
 def extension_to_json(ext: ExtensionPresentation) -> Dict:
@@ -284,8 +284,8 @@ def extension_from_json(obj) -> ExtensionPresentation:
     proj_rows = _expect(obj, "p", list, "extension")
     a_dim = a.dim if a is not None else _infer_dim(iota_rows, 1, "kernel")
     b_dim = b.dim if b is not None else _infer_dim(proj_rows, 0, "quotient")
-    iota = _matrix_from_entries(iota_rows, e.field, e.dim, a_dim, "iota")
-    proj = _matrix_from_entries(proj_rows, e.field, b_dim, e.dim, "p")
+    iota = matrix_from_entries(iota_rows, e.field, e.dim, a_dim, "iota")
+    proj = matrix_from_entries(proj_rows, e.field, b_dim, e.dim, "p")
     try:
         return ExtensionPresentation(e, iota, proj, a, b)
     except ValueError as exc:
@@ -298,7 +298,7 @@ def section_to_json(s: Section, field: Field) -> Dict:
 
 def section_from_json(obj, field: Field, e_dim: int, b_dim: int) -> Section:
     rows = _expect(obj, "s", list, "section")
-    return Section(_matrix_from_entries(rows, field, e_dim, b_dim, "section"))
+    return Section(matrix_from_entries(rows, field, e_dim, b_dim, "section"))
 
 
 # -- reports ------------------------------------------------------------------

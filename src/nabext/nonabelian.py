@@ -33,8 +33,8 @@ from .cochains import (
     multiplication_map,
 )
 from .fields import Field, FieldError, Scalar
-from .linalg import Vector, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
-from .splitspace import embed_block_map, project_block_map, require_in_L
+from .linalg import Vector, identity_matrix, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
+from .splitspace import all_components, embed_block_map, project_block_map, require_in_L
 
 
 class CrossCheckError(RuntimeError):
@@ -385,8 +385,6 @@ def associator_component_table(m: Algebra, split: SplitSpace):
         m.dim,
         lambda idxs: m.associator(*(m.basis_vector(i) for i in idxs)),
     )
-    from .splitspace import all_components
-
     return all_components(assoc, split)
 
 
@@ -480,41 +478,37 @@ def _require_twist_shape(x: MultilinearMap, split: SplitSpace):
 def gauge_closed_form(
     x: MultilinearMap, beta: GaugeParam, base: Algebra, split: SplitSpace
 ) -> MultilinearMap:
-    """The division-free gauge transform, valid in every characteristic,
-    block-free on the whole split space:
+    """The division-free gauge transform, valid in every characteristic:
+    the twisted product ``base + x`` read through ``1 - beta`` (back map
+    ``1 + beta``, the matrix of
+    :func:`~nabext.exact_sequences.theta_from_gauge`), minus the base, with
+    ``beta`` extended by zero on the A block.  Since ``beta^2 = 0``, ``x``
+    has no AA component and ``beta`` kills A-values, expanding
+    ``(1 + beta)((e1 - beta e1)(e2 - beta e2))`` gives
 
         x'(e1, e2) = x(e1, e2) - x(e1, beta e2) - x(beta e1, e2)
                      - (delta beta)(e1, e2) + (beta e1)(beta e2)
         (delta beta)(e1, e2) = e1 (beta e2) - beta(e1 e2) + (beta e1) e2
 
-    where ``beta`` is extended by zero on the A block and the products are
-    the base's.  It uses no bracket and no block of ``x``, so both the
-    series form and the per-component transform of :func:`apply_equivalence`
-    are cross-checked against it.
+    with the base's products.  It uses no bracket and no block of ``x``, so
+    both the series form and the per-component transform of
+    :func:`apply_equivalence` are cross-checked against it.
     """
     _require_twist_shape(x, split)
     if beta.a_dim != split.a_dim or beta.b_dim != split.b_dim:
         raise ValueError("gauge parameter shape does not match the split")
     f, dim = base.field, split.dim
-    # bcol[e] = beta(e_e) on the split space: zero on the A block
+    # bcol[t] = beta(e_t) on the split space: zero on the A block
     pad = (f.zero,) * split.b_dim
     bcol = [(f.zero,) * dim] * split.a_dim + [beta.column(j) + pad for j in range(split.b_dim)]
-    # x_first[i][t] = x_second[t][i] = x(e_i, e_t); left[i][t] = right[t][i] = e_i e_t
-    x_first, x_second = _columns(lambda i, t: x.column((i, t)), dim, dim)
-    left, right = _columns(base.product_row, dim, dim)
-
-    def value(idxs) -> Vector:
-        i, j = idxs
-        # x(e_i, beta e_j), x(beta e_i, e_j) and the outer terms of delta beta
-        minus = ((bcol[j], x_first[i]), (bcol[i], x_second[j]), (bcol[j], left[i]), (bcol[i], right[j]))
-        acc = x_first[i][j]
-        for vec, cols in minus:
-            acc = vec_sub(f, acc, _from_columns(f, vec, cols))
-        # beta(e_i e_j), the middle term of delta beta, and (beta e_i)(beta e_j)
-        acc = vec_add(f, acc, _from_columns(f, left[i][j], bcol))
-        return vec_add(f, acc, base.multiply(bcol[i], bcol[j]))
-
-    return MultilinearMap.from_function(f, (dim, dim), dim, value)
+    # base + x: x is stored target-outermost, the table target-innermost
+    n2 = dim * dim
+    twisted = vec_add(f, base.table, tuple(v for flat in range(n2) for v in x.coeffs[flat::n2]))
+    read, _ = Algebra(f, dim, base.basis, twisted).transported(
+        [vec_sub(f, e, b) for e, b in zip(identity_matrix(f, dim), bcol)],
+        lambda w: vec_add(f, w, _from_columns(f, w, bcol)),
+    )
+    return multiplication_map(read) - multiplication_map(base)
 
 
 #: Iteration bound for the gauge series; the parameter is nilpotent of order
@@ -560,17 +554,6 @@ def gauge_series(
     exp_part = summed(x, lambda n: math.factorial(n))
     g_part = summed(hochschild_delta(b_elt, base), lambda n: math.factorial(n + 1))
     return exp_part - g_part
-
-
-def check_gauge_witness(
-    x: MultilinearMap,
-    x_prime: MultilinearMap,
-    beta: GaugeParam,
-    base: Algebra,
-    split: SplitSpace,
-) -> bool:
-    """Exact check that ``beta`` gauges ``x`` to ``x_prime``."""
-    return gauge_closed_form(x, beta, base, split) == x_prime
 
 
 def apply_equivalence(c: NabCocycle, beta: GaugeParam) -> NabCocycle:
@@ -623,10 +606,6 @@ def apply_equivalence(c: NabCocycle, beta: GaugeParam) -> NabCocycle:
         MultilinearMap.from_function(f, (A.dim, B.dim), A.dim, psi_new),
         MultilinearMap.from_function(f, (B.dim, B.dim), A.dim, chi_new),
     )
-
-
-def cocycles_equivalent_by(c: NabCocycle, c_prime: NabCocycle, beta: GaugeParam) -> bool:
-    return apply_equivalence(c, beta) == c_prime
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle
 from nabext.fields import Field
+from nabext.linalg import basis_vector, solve
 
 
 def line_algebra(field: Field, square: str, name: str = "e") -> Algebra:
@@ -115,3 +117,24 @@ def line_cocycle(a: Algebra, b: Algebra, f, g, x) -> NabCocycle:
         MultilinearMap.from_entries(field, (1, 1), 1, [(0, 0, 0, g)]),
         MultilinearMap.from_entries(field, (1, 1), 1, [(0, 0, 0, x)]),
     )
+
+
+def rand_invertible(rng: random.Random, field: Field, n: int):
+    """A random invertible n x n matrix and its inverse, as row tuples."""
+    while True:
+        p = tuple(tuple(field.random(rng) for _ in range(n)) for _ in range(n))
+        cols = [solve(field, p, basis_vector(field, n, k)) for k in range(n)]
+        if all(col is not None for col in cols):
+            return p, tuple(zip(*cols))
+
+
+def read_through(alg: Algebra, p, p_inv) -> Algebra:
+    """The product ``u . v = p_inv (p u * p v)`` of ``alg`` in the basis of
+    the columns of ``p``, summed entry by entry from the structure
+    constants: ``c'_ij^k = sum p[r][i] p[s][j] c_rs^t p_inv[k][t]``."""
+    f, n = alg.field, alg.dim
+    table = [f.zero] * n ** 3
+    for i, j, r, s, t, k in itertools.product(range(n), repeat=6):
+        term = f.mul(f.mul(p[r][i], p[s][j]), f.mul(alg.c(r, s, t), p_inv[k][t]))
+        table[(i * n + j) * n + k] = f.add(table[(i * n + j) * n + k], term)
+    return Algebra(f, n, alg.basis, tuple(table))

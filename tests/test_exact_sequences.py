@@ -1,9 +1,21 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import line_algebra, line_cocycle, rand_cocycle, rand_gauge, zero_algebra
+from helpers import (
+    left_unit2,
+    line_algebra,
+    line_cocycle,
+    rand_cocycle,
+    rand_gauge,
+    rand_invertible,
+    read_through,
+    trunc_poly2,
+    zero_algebra,
+)
 from nabext import (
     ExtensionPresentation,
     NabCocycle,
@@ -22,9 +34,9 @@ from nabext import (
     theta_from_gauge,
     verify_extension,
 )
-from nabext.exact_sequences import BrokenExtensionError, is_section, resolved
+from nabext.exact_sequences import BrokenExtensionError, block_presentation, is_section, resolved
 from nabext.fields import GF2, GF3, QQ
-from nabext.linalg import identity_matrix
+from nabext.linalg import identity_matrix, mat_mul
 
 
 def _hand_pair(a2="zero", b2="idem"):
@@ -244,3 +256,107 @@ def test_pull_back_outside_image_fails():
     ext = canonical_presentation(line_cocycle(a, b, 0, 0, 0))
     with pytest.raises(BrokenExtensionError):
         ext.pull_back((GF2.zero, GF2.one))
+
+
+# ---------------------------------------------------------------------------
+# diagnostics of broken and honest presentations, pinned
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIAGNOSTICS = Path(__file__).parent / "golden" / "extension_diagnostics_F2_F3.json"
+
+_DIAGNOSTIC_PAIRS = (
+    (lambda f: line_algebra(f, "idem", "a"), lambda f: line_algebra(f, "zero", "b")),
+    (trunc_poly2, lambda f: line_algebra(f, "idem", "b")),
+    (lambda f: line_algebra(f, "zero", "a"), lambda f: zero_algebra(f, 2, "b")),
+    (left_unit2, lambda f: line_algebra(f, "idem", "b")),
+)
+
+
+def _foreign(alg):
+    """Another algebra of the same dimension: zero if ``alg`` is not."""
+    if not alg.has_zero_product():
+        return zero_algebra(alg.field, alg.dim, "x")
+    return line_algebra(alg.field, "idem", "x") if alg.dim == 1 else trunc_poly2(alg.field)
+
+
+def _rand_matrix(rng, field, rows, cols):
+    return tuple(tuple(field.random(rng) for _ in range(cols)) for _ in range(rows))
+
+
+def _presentation(rng, kind, mode, a, b):
+    """One seeded presentation of a random twisted product of ``a`` and ``b``:
+    ``block``, ``moved`` (read through a random invertible P, iota' = P^-1
+    iota, proj' = proj P), ``bent`` (moved, one entry of iota' or proj'
+    shifted), ``random`` (random iota and proj) or ``foreign`` (moved, with
+    other end algebras); A and B are supplied as ``mode`` says."""
+    f = a.field
+    E, _ = build_extension(rand_cocycle(rng, a, b))
+    ends = (_foreign(a), _foreign(b)) if kind == "foreign" else (a, b)
+    block = block_presentation(E, a, b)
+    iota, proj = block.iota, block.proj
+    if kind == "random":
+        iota, proj = _rand_matrix(rng, f, E.dim, a.dim), _rand_matrix(rng, f, b.dim, E.dim)
+    elif kind != "block":
+        p, p_inv = rand_invertible(rng, f, E.dim)
+        E, iota, proj = read_through(E, p, p_inv), mat_mul(f, p_inv, iota), mat_mul(f, proj, p)
+    if kind == "bent":
+        which = rng.randrange(2)
+        m = [list(row) for row in (iota, proj)[which]]
+        r, c = rng.randrange(len(m)), rng.randrange(len(m[0]))
+        m[r][c] = f.add(m[r][c], f.one)
+        bent = tuple(tuple(row) for row in m)
+        iota, proj = (bent, proj) if which == 0 else (iota, bent)
+    return ExtensionPresentation(
+        E, iota, proj, ends[0] if "A" in mode else None, ends[1] if "B" in mode else None
+    )
+
+
+def _diagnostic_cases():
+    rng = random.Random(1802)
+    for field in (GF2, GF3):
+        for n, (build_a, build_b) in enumerate(_DIAGNOSTIC_PAIRS):
+            a, b = build_a(field), build_b(field)
+            for kind in ("block", "moved", "bent", "random", "foreign"):
+                for mode in ("AB", "A", "B", ""):
+                    ext = _presentation(rng, kind, mode, a, b)
+                    junk = Section(_rand_matrix(rng, field, ext.E.dim, b.dim))
+                    yield [str(field), n, kind, mode], ext, junk
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, [exception type, message])."""
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, [type(exc).__name__, str(exc)]
+
+
+def _diagnose(ext, junk):
+    """The failures of :func:`verify_extension`, in order, and what
+    :func:`resolved`, :func:`canonical_section` and
+    :func:`cocycle_from_section` (with the canonical section, or ``junk``
+    when there is none, and with ``junk``) return or raise."""
+    fmt = lambda values: [ext.E.field.format(v) for v in values]
+    filled, filled_err = _outcome(resolved, ext)
+    section, section_err = _outcome(canonical_section, ext)
+    out = {
+        "failures": verify_extension(ext).failures,
+        "resolved": filled_err
+        or [[list(alg.basis), fmt(alg.table)] for alg in (filled.A, filled.B)],
+        "section": section_err or [fmt(row) for row in section.matrix],
+    }
+    for key, s in (("cocycle", section or junk), ("cocycle_junk", junk)):
+        c, err = _outcome(cocycle_from_section, ext, s)
+        out[key] = err or [fmt(m.coeffs) for m in (c.phi, c.psi, c.chi)]
+    return out
+
+
+def test_extension_diagnostics_match_golden():
+    golden = json.loads(GOLDEN_DIAGNOSTICS.read_text())
+    cases = list(_diagnostic_cases())
+    assert [g["case"] for g in golden] == [case for case, _, _ in cases]
+    for g, (case, ext, junk) in zip(golden, cases):
+        assert {"case": case, **_diagnose(ext, junk)} == g, case
+    # both honest and broken presentations, and every kind of outcome, occur
+    assert 0 < sum(g["failures"] == [] for g in golden) < len(golden)
+    assert 0 < sum(isinstance(g["cocycle"][0], str) for g in golden) < len(golden)

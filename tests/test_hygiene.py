@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used there,
 every module-level private function or class is read somewhere in the
-package, and no float enters the exact arithmetic.
+package, package modules are imported at module level and only by their
+public names, and no float enters the exact arithmetic.
 
 Stdlib only: each ``src/nabext/*.py`` is parsed with ``ast``.  The package
 ``__init__.py`` is exempt from the import check, since its imports are the
@@ -107,6 +108,55 @@ def test_private_helper_scan_sees_reads_only():
         "    return _called(), m._Attr\n"
     )
     assert [name for name, _ in _private_defs(tree) if name not in _reads(tree)] == ["_dead", "_Gone"]
+
+
+def _package_imports(tree: ast.Module):
+    """(module, names, inside a function) of every import of a package
+    module: a relative import, or one of ``nabext`` itself."""
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            inner = local or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            if isinstance(child, ast.ImportFrom) and (child.level or (child.module or "").startswith("nabext")):
+                yield "." * child.level + (child.module or ""), [alias.name for alias in child.names], inner
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.startswith("nabext"):
+                        yield alias.name, [], inner
+            yield from visit(child, inner)
+
+    yield from visit(tree, False)
+
+
+def _import_faults(tree: ast.Module):
+    """Function-local imports of package modules, and imported ``_private``
+    names of another module."""
+    for module, names, local in _package_imports(tree):
+        if local:
+            yield f"local import of {module}"
+        yield from (f"{module}.{n} is private" for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_imports_are_top_level_and_public(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    faults = list(_import_faults(tree))
+    assert not faults, f"{path.name}: {', '.join(faults)}"
+
+
+def test_import_scan_sees_local_and_private_imports():
+    tree = ast.parse(
+        "import random\n"
+        "from .linalg import solve\n"
+        "def f():\n"
+        "    import json\n"
+        "    from .io_json import _reader, loads\n"
+        "    from nabext.fields import QQ\n"
+    )
+    assert list(_import_faults(tree)) == [
+        "local import of .io_json",
+        ".io_json._reader is private",
+        "local import of nabext.fields",
+    ]
 
 
 def _floats(tree: ast.Module):

@@ -304,6 +304,43 @@ def test_cli_equiv_check_reports_a_broken_extension(tmp_path, capsys):
     assert captured.err == ""
 
 
+def _dual_numbers_doc(field, **ends):
+    """k[t]/t^2 over ``field`` as an extension of k by the ideal (t)."""
+    return {"E": algebra_to_json(trunc_poly2(field)), "iota": [[1, 0, "1"]], "p": [[0, 0, "1"]], **ends}
+
+
+def test_cli_equiv_check_tells_apart_coefficient_fields(tmp_path, capsys):
+    # the same presentation over Q and over F2 is not one extension, even
+    # though every entry of the identity theta checks out
+    over_q = _write(tmp_path, "q.json", _dual_numbers_doc(QQ))
+    over_f2 = _write(tmp_path, "f2.json", _dual_numbers_doc(GF2))
+    theta = _write(tmp_path, "theta.json", {"theta": [[0, 0, "1"], [1, 1, "1"]]})
+    assert main(["equiv-check", over_q, over_q, "--witness", theta, "--kind", "extension"]) == 0
+    capsys.readouterr()
+    assert main(["equiv-check", over_q, over_f2, "--witness", theta, "--kind", "extension"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "equivalent": False,
+        "failures": ["the two extensions live over different fields"],
+    }
+    assert captured.err == ""
+
+
+def test_cli_rejects_end_algebras_over_another_field(tmp_path, capsys):
+    # a kernel over F2 inside an E over Q: one error line, exit 2
+    kernel = algebra_to_json(line_algebra(GF2, "zero", "a"))
+    mixed = _write(tmp_path, "mixed.json", _dual_numbers_doc(QQ, A=kernel))
+    theta = _write(tmp_path, "theta.json", {"theta": [[0, 0, "1"], [1, 1, "1"]]})
+    for argv in (
+        ["equiv-check", mixed, mixed, "--witness", theta, "--kind", "extension"],
+        ["extract-cocycle", mixed],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the kernel algebra lives over a different field than E\n"
+
+
 def test_cli_gauge_series_matches_closed_form_over_f3(tmp_path, capsys):
     a = line_algebra(GF3, "zero", "a")
     b = line_algebra(GF3, "idem", "b")
