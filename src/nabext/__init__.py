@@ -34,6 +34,7 @@ from .exact_sequences import (
     check_extension_equivalence,
     cocycle_from_section,
     enumerate_sections,
+    section_cocycle,
     section_difference,
     theta_from_gauge,
     verify_extension,
@@ -57,6 +58,7 @@ from .nonabelian import (
     cocycle_from_mc,
     cocycle_to_mc,
     curvature_defects,
+    curvature_residuals,
     derivation_condition_defect,
     gauge_closed_form,
     gauge_series,
@@ -66,6 +68,7 @@ from .nonabelian import (
     mc_residual,
     module_coboundary,
     twist_defects,
+    twist_residuals,
 )
 from .splitspace import (
     MembershipError,

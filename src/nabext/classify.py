@@ -1,22 +1,28 @@
-"""Brute-force classification over prime fields: enumerate candidate twist
-triples, keep the valid ones, split them into the orbits of the gauge group
-Hom(B, A), and cross-check every step against the extension picture.  The
-orbits are read straight off the group action, so every member carries a
-one-step witness from its representative.
+"""Classification over prime fields: find every valid twist triple, split
+the cocycles into the orbits of the gauge group Hom(B, A), and cross-check
+every step against the extension picture.  The orbits are read straight off
+the group action, so every member carries a one-step witness from its
+representative.
 
 Candidates are indexed by writing all twist coefficients as base-p digits,
 so runs are deterministic and trivially splittable across workers.  The
 (phi, psi) coefficients are the low digits and chi the high ones.
 
-The two routes of the census scan differently.  The cocycle route is
-staged by (phi, psi) pair: the equations that never read chi are checked
-once per pair, and the chi-affine ones only for the pairs that pass.  The
-extension route is the brute-force oracle: it tests the twisted product of
-every candidate for associativity, consulting no equation.  It builds no
-candidate object: each index's digits are scattered into the table slots
-that :func:`build_extension` puts them in (probed once per space), the
-triple that rejected the previous candidate is tried first, and only the
-hits become :class:`Algebra` values.
+The two routes of the census find the cocycles independently.  The cocycle
+route solves the cocycle equations level by level, since each is affine in
+one unknown once the others are fixed: the phi form the nullspace of the
+psi-free ``phi_leibniz`` rows of EQ4; for each phi, psi ranges over the
+affine solution set of EQ3 and EQ4; for each (phi, psi), chi ranges over the
+affine solution set of EQ1, EQ2 and EQ5.  Every system is read off the
+residual generators of :mod:`~nabext.nonabelian` by probing them at zero and
+at each unit vector, so no equation is written out here.  A sample of
+indices is tested point by point instead.  The extension route is the
+brute-force oracle: it tests the twisted product of every candidate for
+associativity, consulting no equation.  It builds no candidate object: each
+index's digits are scattered into the table slots that
+:func:`build_extension` puts them in (probed once per space), the triple
+that rejected the previous candidate is tried first, and only the hits
+become :class:`Algebra` values.
 """
 
 from __future__ import annotations
@@ -26,26 +32,40 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Algebra, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
 from .exact_sequences import block_presentation, canonical_section, cocycle_from_section
 from .fields import Field, PrimeField, Scalar
-from .linalg import is_zero_vector
+from .linalg import (
+    Vector,
+    identity_matrix,
+    is_zero_vector,
+    nullspace,
+    solve,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
 from .nonabelian import (
     CrossCheckError,
     GaugeParam,
     NabCocycle,
+    Residual,
     all_gauge_params,
     apply_equivalence,
     associator_residual,
     build_extension,
     cocycle_to_mc,
     curvature_defects,
+    curvature_residuals,
     gauge_closed_form,
     is_valid_cocycle,
     twist_defects,
+    twist_residuals,
 )
 
 DEFAULT_BUDGET = 2 ** 24
@@ -202,21 +222,67 @@ class CandidateSpace:
 # scanning (parallelizable, deterministic)
 # ---------------------------------------------------------------------------
 
-def _cocycle_chunk(
-    space: CandidateSpace, tasks: Sequence[Tuple[int, Sequence[int]]]
-) -> List[Tuple[int, NabCocycle]]:
-    """The cocycles among ``(pair, [chi, ...])`` tasks: the curvature-free
-    equations once per pair, the curvature ones only for pairs that pass."""
+def _pointwise_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, NabCocycle]]:
+    """The cocycles among the indices of ``chunk``, each tested on its own:
+    the curvature-free equations first, and the curvature ones only when
+    those hold."""
     A, B = space.A, space.B
     hits = []
-    for pair, chis in tasks:
+    for i in chunk:
+        chi, pair = divmod(i, space.pair_count)
         phi, psi = space.twists(pair)
-        if next(twist_defects(A, B, phi, psi), None) is not None:
-            continue
-        for chi in chis:
+        if next(twist_defects(A, B, phi, psi), None) is None:
             chi_map = space.curvature(chi)
             if next(curvature_defects(A, B, phi, psi, chi_map), None) is None:
-                hits.append((pair + space.pair_count * chi, NabCocycle(A, B, phi, psi, chi_map)))
+                hits.append((i, NabCocycle(A, B, phi, psi, chi_map)))
+    return hits
+
+
+def _stacked(residuals: Iterable[Residual]) -> Vector:
+    """The discrepancies of ``residuals``, one after the other."""
+    return tuple(v for _, _, disc, _ in residuals for v in disc)
+
+
+def _affine_solutions(
+    field: Field, residual: Callable[[Vector], Vector], n: int
+) -> Iterator[Vector]:
+    """Every ``x`` in F_p^n with ``residual(x) = 0``, for a ``residual`` that
+    is affine in ``x``: probed at zero and at each unit vector, which gives
+    ``residual(x) = r0 + M x``, then one solution of ``M x = -r0`` plus
+    every combination of the nullspace of ``M``.  All probes are made
+    before the first point is yielded, so ``residual`` may read variables
+    that the caller rebinds while consuming the points."""
+    r0 = residual(zero_vector(field, n))
+    cols = [vec_sub(field, residual(e), r0) for e in identity_matrix(field, n)]
+    m = tuple(zip(*cols))
+    x0 = solve(field, m, vec_neg(field, r0))
+    if x0 is None:
+        return
+    basis = nullspace(field, m)
+    for combo in itertools.product(list(field.elements()), repeat=len(basis)):
+        x = x0
+        for c, v in zip(combo, basis):
+            if c != 0:
+                x = vec_add(field, x, vec_scale(field, c, v))
+        yield x
+
+
+def _fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, NabCocycle]]:
+    """The cocycles over each ``phi`` of ``phis``: psi over the solutions of
+    the curvature-free equations, then chi over the solutions of the
+    curvature ones."""
+    A, B, field = space.A, space.B, space.A.field
+    _, n_psi, n_chi = space.entry_counts
+    hits = []
+    for phi_coeffs in phis:
+        phi = space._map(0, phi_coeffs)
+        twist = lambda x: _stacked(twist_residuals(A, B, phi, space._map(1, x)))
+        for psi_coeffs in _affine_solutions(field, twist, n_psi):
+            psi = space._map(1, psi_coeffs)
+            curvature = lambda x: _stacked(curvature_residuals(A, B, phi, psi, space._map(2, x)))
+            for chi_coeffs in _affine_solutions(field, curvature, n_chi):
+                c = NabCocycle(A, B, phi, psi, space._map(2, chi_coeffs))
+                hits.append((space.index_of(c), c))
     return hits
 
 
@@ -270,7 +336,8 @@ def _scan(space, tasks, worker, jobs) -> List[Tuple]:
     """The ``(index, hit)`` pairs ``worker`` keeps, in index order.
 
     A pool starts only for 64 tasks or more (candidate indices for the
-    extension route, (phi, psi) pairs for the cocycle route).
+    extension route and for a sampled cocycle route, phi points for the
+    solver).
     """
     tasks = list(tasks)
     chunks = _chunks(tasks, worker_count(jobs, len(tasks)))
@@ -290,24 +357,32 @@ def enumerate_cocycles(
     jobs: int = 1,
 ) -> List[Tuple[int, NabCocycle]]:
     """All candidates passing the cocycle equations, in index order, as
-    ``(index, cocycle)`` pairs.
-
-    The scan is staged by (phi, psi) pair: the indices are grouped by their
-    low digits, each pair is decoded once and checked once against the
-    curvature-free equations (:func:`twist_defects`), and only the chi of
-    the pairs that pass are decoded and checked against the rest
-    (:func:`curvature_defects`).  The hits are exactly the indices that
+    ``(index, cocycle)`` pairs: exactly the indices that
     :func:`is_valid_cocycle` accepts.
+
+    An exhaustive run (``indices`` None; over the budget it raises
+    :class:`BudgetExceededError`) solves instead of sweeping.  The phi are
+    the nullspace of the ``phi_leibniz`` rows of :func:`twist_residuals`,
+    which never read psi; the workers take the phi points, and over each
+    one solve the rest of :func:`twist_residuals` for psi and then
+    :func:`curvature_residuals` for chi, each an affine system in its
+    unknown.  A sample of indices is tested point by point with
+    :func:`twist_defects` and then :func:`curvature_defects`.
     """
-    if indices is None:
-        indices = space.exhaustive_indices()
-    by_pair: Dict[int, List[int]] = {}
-    for i in indices:
-        if not 0 <= i < space.total_candidates:
-            raise IndexError(f"candidate index {i} out of range")
-        chi, pair = divmod(i, space.pair_count)
-        by_pair.setdefault(pair, []).append(chi)
-    return _scan(space, by_pair.items(), _cocycle_chunk, jobs)
+    if indices is not None:
+        indices = list(indices)
+        for i in indices:
+            if not 0 <= i < space.total_candidates:
+                raise IndexError(f"candidate index {i} out of range")
+        return _scan(space, indices, _pointwise_chunk, jobs)
+    space.exhaustive_indices()  # the budget bounds an exhaustive run either way
+    A, B, field = space.A, space.B, space.A.field
+    no_psi = space._map(1, zero_vector(field, space.entry_counts[1]))
+    leibniz = lambda x: _stacked(
+        r for r in twist_residuals(A, B, space._map(0, x), no_psi) if r[3] == "phi_leibniz"
+    )
+    phis = list(_affine_solutions(field, leibniz, space.entry_counts[0]))
+    return _scan(space, phis, _fibre_chunk, jobs)
 
 
 def enumerate_extensions(
@@ -470,8 +545,8 @@ def census(
     if cocycle_idx != extension_idx:
         only_c = sorted(set(cocycle_idx) - set(extension_idx))[:5]
         only_e = sorted(set(extension_idx) - set(cocycle_idx))[:5]
-        # the unstaged equations tell a fault of the staged scan from a
-        # disagreement between the equations and associativity
+        # the unstaged equations tell a fault of the solver or the pointwise
+        # test from a disagreement between the equations and associativity
         unstaged = [i for i in only_c + only_e if is_valid_cocycle(space.candidate(i))]
         raise CrossCheckError(
             f"cocycle/extension mismatch: valid-only {only_c}, "

@@ -20,8 +20,8 @@ from .exact_sequences import (
     BrokenExtensionError,
     canonical_section,
     check_extension_equivalence,
-    cocycle_from_section,
     resolved,
+    section_cocycle,
     verify_extension,
 )
 from .fields import Field, FieldError, PrimeField, Rationals
@@ -194,8 +194,8 @@ def _cmd_extract_cocycle(args) -> int:
     else:
         section = canonical_section(ext)
     try:
-        c = cocycle_from_section(ext, section)
-    except (BrokenExtensionError, ValueError) as exc:
+        c = section_cocycle(ext, section)  # the extension was verified above
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
     _emit(dumps_canonical(cocycle_to_json(c)), args.output)
     return 0

@@ -253,22 +253,30 @@ def enumerate_sections(ext: ExtensionPresentation) -> Iterable[Section]:
 # ---------------------------------------------------------------------------
 
 def cocycle_from_section(ext: ExtensionPresentation, s: Section) -> NabCocycle:
-    """The twist triple of a section: E read through ``theta = (iota | s)``
-    is the twisted product ``base + x`` on A (+) B, so ``x`` is that product
-    minus the :func:`direct_sum_space` one, and its blocks are
+    """The twist triple of a section (:func:`section_cocycle`), after
+    :func:`resolved` and :func:`verify_extension`: a failed verification
+    raises :class:`BrokenExtensionError`."""
+    ext = resolved(ext)
+    diag = verify_extension(ext)
+    if not diag.ok:
+        raise BrokenExtensionError("; ".join(diag.failures))
+    return section_cocycle(ext, s)
+
+
+def section_cocycle(ext: ExtensionPresentation, s: Section) -> NabCocycle:
+    """The twist triple of a section of a presentation that :func:`resolved`
+    filled in and :func:`verify_extension` passed; neither is run again.  E
+    read through ``theta = (iota | s)`` is the twisted product ``base + x``
+    on A (+) B, so ``x`` is that product minus the :func:`direct_sum_space`
+    one, and its blocks are
 
         phi(b, a)   = s(b) a     (pulled back through iota)
         psi(a, b)   = a s(b)
         chi(b1, b2) = s(b1) s(b2) - s(b1 b2)
 
     ``theta`` is invertible for a verified extension and a section, so the
-    read always succeeds; a failed verification raises
-    :class:`BrokenExtensionError`.
+    read always succeeds.  Raises ValueError when ``s`` is not a section.
     """
-    ext = resolved(ext)
-    diag = verify_extension(ext)
-    if not diag.ok:
-        raise BrokenExtensionError("; ".join(diag.failures))
     if not is_section(ext, s):
         raise ValueError("the supplied map is not a section of the projection")
     field = ext.E.field

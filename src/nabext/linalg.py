@@ -118,3 +118,23 @@ def solve(field: Field, m: Matrix, b: Vector) -> Optional[Vector]:
     for r, c in enumerate(pivots):
         x[c] = aug[r][n_cols]
     return tuple(x)
+
+
+def nullspace(field: Field, m: Matrix) -> Tuple[Vector, ...]:
+    """A basis of the solutions of ``m x = 0``, one vector per free column.
+
+    The vector of free column ``f`` has 1 at ``f``, 0 at the other free
+    columns, and the pivot values that the reduced row echelon form forces,
+    so the basis is deterministic.  Every solution is one combination of it.
+    """
+    n_cols = len(m[0]) if m else 0
+    rows = [list(r) for r in m]
+    pivots = _eliminate(field, rows)
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        x = [field.zero] * n_cols
+        x[free] = field.one
+        for r, c in enumerate(pivots):
+            x[c] = field.neg(rows[r][free])
+        basis.append(tuple(x))
+    return tuple(basis)

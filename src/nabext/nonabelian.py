@@ -147,11 +147,23 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 
 # The five equations are the associator components of the twisted product.
 # EQ3 and EQ4 (the triples with one B factor, and B.A.B) never read the
-# curvature; EQ1, EQ2 and EQ5 are affine in it.  So the census checks the
-# first group once per (phi, psi) pair, and the second only for the chi of
-# the pairs that pass.  Both groups read the columns of the maps and the
-# product rows once per call, and evaluate every term as
-# :func:`_from_columns`, a map applied to a vector through its columns.
+# curvature; EQ1, EQ2 and EQ5 are affine in it.  Each group is one lazy
+# generator of residuals, every equation's discrepancy in a fixed order,
+# zeros included: the defect functions keep the nonzero ones, and the census
+# solver probes the generators at zero and at unit vectors to read off the
+# affine systems, so every equation is written out once.  Both generators
+# read the columns of the maps and the product rows once per call, and
+# evaluate every term as :func:`_from_columns`, a map applied to a vector
+# through its columns.
+
+
+#: One equation at one basis triple and its discrepancy, zero or not:
+#: ``(which, witness, discrepancy, detail)``, the fields of
+#: :class:`CocycleViolation` in order.  A plain tuple: a sampled census
+#: makes one per equation and candidate tested, and a named tuple costs a
+#: Python-level constructor call each.
+Residual = Tuple[ViolationKind, Tuple[int, ...], Vector, str]
+
 
 def _from_columns(field: Field, vec: Vector, cols) -> Vector:
     """``sum_t vec[t] * cols[t]``: the linear map whose value on the t-th
@@ -172,18 +184,20 @@ def _columns(read, n1: int, n2: int):
     return rows, list(zip(*rows))
 
 
-def twist_defects(
+def twist_residuals(
     A: Algebra, B: Algebra, phi: MultilinearMap, psi: MultilinearMap
-) -> Iterator[CocycleViolation]:
-    """Violations of the curvature-free equations, lazily: EQ3 (the twists
-    commute) on every ``(j1, j2, i)``, then EQ4 on every ``(i1, i2, j)``.
+) -> Iterator[Residual]:
+    """Every curvature-free equation, lazily: EQ3 (the twists commute) on
+    every ``(j1, j2, i)``, then EQ4 on every ``(i1, i2, j)``.
 
     The derivation condition is checked through the three Leibniz-type
-    identities (the form associativity consumes); the weaker "difference is
-    a derivation" reading is available separately via
-    :func:`derivation_condition_defect`.  Reads the columns of ``phi`` and
-    ``psi`` and the product rows of ``A`` once, and applies no map to a
-    basis vector.
+    identities (the form associativity consumes), tagged ``psi_leibniz``,
+    ``phi_leibniz`` and ``cross_compat``; the weaker "difference is a
+    derivation" reading is available separately via
+    :func:`derivation_condition_defect`.  ``phi_leibniz``,
+    ``phi(b, a1 a2) = phi(b, a1) a2``, is the one that never reads ``psi``.
+    Reads the columns of ``phi`` and ``psi`` and the product rows of ``A``
+    once, and applies no map to a basis vector.
     """
     f = A.field
     # phi_b[j][i] = phi_a[i][j] = phi(b_j, a_i), psi_a[i][j] = psi_b[j][i] = psi(a_i, b_j)
@@ -195,9 +209,7 @@ def twist_defects(
     for j1, j2, i in itertools.product(range(B.dim), range(B.dim), range(A.dim)):
         lhs = _from_columns(f, psi_a[i][j2], phi_b[j1])
         rhs = _from_columns(f, phi_b[j1][i], psi_b[j2])
-        disc = vec_sub(f, lhs, rhs)
-        if not is_zero_vector(disc):
-            yield CocycleViolation(ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc)
+        yield (ViolationKind.EQ3_COMMUTE, (j1, j2, i), vec_sub(f, lhs, rhs), "")
 
     for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
         row = left[i1][i2]
@@ -228,20 +240,19 @@ def twist_defects(
             ),
         )
         for detail, disc in checks:
-            if not is_zero_vector(disc):
-                yield CocycleViolation(ViolationKind.EQ4_DERIVATION, (i1, i2, j), disc, detail)
+            yield (ViolationKind.EQ4_DERIVATION, (i1, i2, j), disc, detail)
 
 
-def curvature_defects(
+def curvature_residuals(
     A: Algebra,
     B: Algebra,
     phi: MultilinearMap,
     psi: MultilinearMap,
     chi: MultilinearMap,
-) -> Iterator[CocycleViolation]:
-    """Violations of the equations that read the curvature, lazily: EQ1 and
-    EQ2 (the twists are actions up to chi) on every ``(j1, j2, i)``, then
-    EQ5 (chi is a cocycle) on every ``(j1, j2, j3)``.
+) -> Iterator[Residual]:
+    """Every equation that reads the curvature, lazily: EQ1 and EQ2 (the
+    twists are actions up to chi) on every ``(j1, j2, i)``, then EQ5 (chi is
+    a cocycle) on every ``(j1, j2, j3)``.
 
     The right-twist equation composes in the order forced by associativity
     of the twisted product: ``psi_{b1}(psi_{b2}(a)) = psi_{b2 b1}(a)
@@ -264,9 +275,7 @@ def curvature_defects(
             _from_columns(f, b_rows[j1][j2], phi_a[i]),
             _from_columns(f, chi_1[j1][j2], right[i]),
         )
-        disc = vec_sub(f, lhs, rhs)
-        if not is_zero_vector(disc):
-            yield CocycleViolation(ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), disc)
+        yield (ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), vec_sub(f, lhs, rhs), "")
 
     for j1, j2, i in bba:
         lhs = _from_columns(f, psi_a[i][j2], psi_b[j1])
@@ -275,17 +284,39 @@ def curvature_defects(
             _from_columns(f, b_rows[j2][j1], psi_a[i]),
             _from_columns(f, chi_1[j2][j1], left[i]),
         )
-        disc = vec_sub(f, lhs, rhs)
-        if not is_zero_vector(disc):
-            yield CocycleViolation(ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), disc)
+        yield (ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), vec_sub(f, lhs, rhs), "")
 
     for j1, j2, j3 in itertools.product(range(B.dim), repeat=3):
         acc = vec_neg(f, _from_columns(f, chi_1[j2][j3], phi_b[j1]))
         acc = vec_add(f, acc, _from_columns(f, b_rows[j1][j2], chi_2[j3]))
         acc = vec_sub(f, acc, _from_columns(f, b_rows[j2][j3], chi_1[j1]))
         acc = vec_add(f, acc, _from_columns(f, chi_1[j1][j2], psi_b[j3]))
-        if not is_zero_vector(acc):
-            yield CocycleViolation(ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc)
+        yield (ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc, "")
+
+
+def _violations(residuals: Iterator[Residual]) -> Iterator[CocycleViolation]:
+    """The residuals with a nonzero discrepancy, as violations, lazily."""
+    return (CocycleViolation(*r) for r in residuals if not is_zero_vector(r[2]))
+
+
+def twist_defects(
+    A: Algebra, B: Algebra, phi: MultilinearMap, psi: MultilinearMap
+) -> Iterator[CocycleViolation]:
+    """Violations of the curvature-free equations, lazily: the nonzero
+    :func:`twist_residuals`, in their order."""
+    return _violations(twist_residuals(A, B, phi, psi))
+
+
+def curvature_defects(
+    A: Algebra,
+    B: Algebra,
+    phi: MultilinearMap,
+    psi: MultilinearMap,
+    chi: MultilinearMap,
+) -> Iterator[CocycleViolation]:
+    """Violations of the equations that read the curvature, lazily: the
+    nonzero :func:`curvature_residuals`, in their order."""
+    return _violations(curvature_residuals(A, B, phi, psi, chi))
 
 
 _KIND_ORDER = {kind: pos for pos, kind in enumerate(ViolationKind)}

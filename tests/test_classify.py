@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -5,9 +6,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import line_algebra, trunc_poly2, zero_algebra
+from helpers import line_algebra, trunc_poly2, trunc_poly3, zero_algebra
 import nabext.classify as classify
+import nabext.nonabelian as nonabelian
 from nabext import (
     Algebra,
     BudgetExceededError,
@@ -28,7 +31,7 @@ from nabext import (
     orbit_partition,
     ViolationKind,
 )
-from nabext.classify import _cocycle_chunk, worker_count
+from nabext.classify import worker_count
 from nabext.io_json import dumps_canonical, report_to_json
 from nabext.fields import GF2, GF3
 
@@ -148,10 +151,12 @@ def two_cpus(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scans_return_the_decoded_hits(two_cpus, jobs):
-    # 256 (phi, psi) pairs and 1,024 candidates: both routes hand out at
-    # least 64 tasks, so with two jobs each scan splits over a 2-worker pool
-    space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
-    assert space.pair_count == 256 and space.total_candidates == 1024
+    # A = zero(2) satisfies phi(b, a1 a2) = phi(b, a1) a2 for every phi, so
+    # the solver hands out all 3^4 = 81 phi and the oracle 3^10 indices:
+    # both routes have at least 64 tasks, so with two jobs each scan splits
+    # over a 2-worker pool
+    space = CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
+    assert space.entry_counts[0] == 4 and space.total_candidates == 3 ** 10
     cocycles = enumerate_cocycles(space, jobs=jobs)
     extensions = enumerate_extensions(space, jobs=jobs)
     assert two_cpus.started == (2 if jobs == 2 else 0)
@@ -240,7 +245,32 @@ def test_census_work_guard(monkeypatch):
     monkeypatch.setattr(MultilinearMap, "apply", apply)
     report = census(space)
     assert len(built) < space.total_entries + 1 + 2 * report.num_cocycles
-    assert not {"twist_defects", "curvature_defects"} & set(applied_from)
+    equations = {"twist_residuals", "curvature_residuals", "twist_defects", "curvature_defects"}
+    assert not equations & set(applied_from)
+
+
+def test_solver_evaluates_fewer_twist_residuals_than_pairs(monkeypatch):
+    # deterministic work count: an exhaustive run probes the curvature-free
+    # equations once per unknown coefficient and fibre, far fewer times
+    # than there are (phi, psi) pairs, which a pair sweep would visit each
+    space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
+    assert space.pair_count == 256
+    calls = []
+    real = nonabelian.twist_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # the solver calls the generator directly, the defect filters through
+    # their own module
+    monkeypatch.setattr(classify, "twist_residuals", counted)
+    monkeypatch.setattr(nonabelian, "twist_residuals", counted)
+    hits = enumerate_cocycles(space)
+    assert [i for i, _ in hits] == [i for i, _ in enumerate_extensions(space)]
+    n_phi, n_psi, _ = space.entry_counts
+    phis = len({c.phi.coeffs for _, c in hits})
+    assert n_phi + 1 + phis * (n_psi + 1) <= len(calls) < space.pair_count
 
 
 # each has pairs that pass and pairs that fail the curvature-free equations
@@ -278,10 +308,47 @@ def test_staged_scan_matches_both_unstaged_oracles(two_cpus, name, jobs):
     # the staged cocycle scan against associativity of the twisted product
     # and against the full equation check, candidate by candidate
     space = CandidateSpace(*_ORACLE_SPACES[name])
-    for idx in (list(space.exhaustive_indices()), _hand_picked(space)):
+    every = list(space.exhaustive_indices())
+    solved = [i for i, _ in enumerate_cocycles(space, jobs=jobs)]
+    for idx in (every, _hand_picked(space)):
         got = [i for i, _ in enumerate_cocycles(space, idx, jobs=jobs)]
         assert got == [i for i in idx if build_extension(space.candidate(i))[0].is_associative()]
         assert got == [i for i in idx if check_cocycle(space.candidate(i)) == []]
+    assert solved == [i for i in every if check_cocycle(space.candidate(i)) == []]
+
+
+@functools.lru_cache(maxsize=None)
+def _associative_algebras(field, dim):
+    """Every associative structure-constant table of dimension ``dim``."""
+    algebras = []
+    for table in itertools.product(list(field.elements()), repeat=dim ** 3):
+        alg = Algebra(field, dim, tuple(f"e{i}" for i in range(dim)), table)
+        if alg.is_associative():
+            algebras.append(alg)
+    return tuple(algebras)
+
+
+# (field, dim A, dim B) with at most 6,561 candidates, so that the oracle
+# sweeps every one; F3 (2,1) and every (2,2) space are larger
+_SOLVER_SHAPES = ((GF2, 1, 1), (GF3, 1, 1), (GF2, 2, 1), (GF2, 1, 2), (GF3, 1, 2))
+
+
+@st.composite
+def _small_spaces(draw):
+    field, a, b = draw(st.sampled_from(_SOLVER_SHAPES))
+    A = draw(st.sampled_from(_associative_algebras(field, a)))
+    B = draw(st.sampled_from(_associative_algebras(field, b)))
+    return CandidateSpace(A, B)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_small_spaces())
+def test_solver_matches_the_extension_sweep(space):
+    # the solved cocycles are exactly the associative twisted products, and
+    # each is the decoded candidate of its index
+    cocycles = enumerate_cocycles(space)
+    assert [i for i, _ in cocycles] == [i for i, _ in enumerate_extensions(space)]
+    assert all(c == space.candidate(i) for i, c in cocycles)
 
 
 def test_staged_scan_rejects_out_of_range_indices():
@@ -294,13 +361,15 @@ def test_staged_scan_rejects_out_of_range_indices():
 
 
 def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):
-    # a staged scan that drops a hit trips the cross-check, and the message
-    # says the unstaged equations accept the lost candidate
+    # a solver worker that drops a hit trips the cross-check, and the
+    # message says the unstaged equations accept the lost candidate
     space = _space()
     lost = enumerate_cocycles(space)[-1][0]
+    solve_fibres = classify._fibre_chunk
     monkeypatch.setattr(
-        "nabext.classify._cocycle_chunk",
-        lambda sp, tasks: [hit for hit in _cocycle_chunk(sp, tasks) if hit[0] != lost],
+        classify,
+        "_fibre_chunk",
+        lambda sp, phis: [hit for hit in solve_fibres(sp, phis) if hit[0] != lost],
     )
     with pytest.raises(CrossCheckError, match=rf"associative-only \[{lost}\]; the unstaged equations accept \[{lost}\]"):
         census(space)
@@ -509,6 +578,39 @@ def test_census_report_matches_golden(name, A, B):
     space = CandidateSpace(A, B)
     text = dumps_canonical(report_to_json(census(space), space.A.field))
     assert text == (GOLDEN / name).read_text()
+
+
+def _nil2(field):
+    """The non-unital algebra t k[t]/t^3: basis (t, t^2), t t = t^2."""
+    return Algebra.from_products(field, ["t", "t2"], {(0, 0): {1: 1}})
+
+
+# the eleven exhaustive census spaces of the benchmark, F2 zero line/k[t]/t^3
+# (every (phi, psi) pair passes the curvature-free equations) and F3
+# k[t]/t^2/idem line; the reports were recorded by the pair sweep that the
+# staged solver replaced
+_GOLDEN_CENSUS_SPACES = {
+    "F2-unit2-idem1": (trunc_poly2(GF2), line_algebra(GF2, "idem", "b")),
+    "F2-diag2-idem1": (_diag2(GF2), line_algebra(GF2, "idem", "b")),
+    "F2-nil2-zero1": (_nil2(GF2), line_algebra(GF2, "zero", "b")),
+    "F2-unit2-zero1": (trunc_poly2(GF2), line_algebra(GF2, "zero", "b")),
+    "F2-diag2-zero1": (_diag2(GF2), line_algebra(GF2, "zero", "b")),
+    "F2-zero1-zero2": (line_algebra(GF2, "zero", "a"), zero_algebra(GF2, 2, "b")),
+    "F2-zero1-diag2": (line_algebra(GF2, "zero", "a"), _diag2(GF2)),
+    "F2-zero1-unit2": (line_algebra(GF2, "zero", "a"), trunc_poly2(GF2)),
+    "F2-zero1-idem1": (line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b")),
+    "F3-zero1-idem1": (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
+    "F3-zero1-zero1": (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "zero", "b")),
+    "F2-zero1-unit3": (line_algebra(GF2, "zero", "a"), trunc_poly3(GF2)),
+    "F3-unit2-idem1": (trunc_poly2(GF3), line_algebra(GF3, "idem", "b")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CENSUS_SPACES))
+def test_census_reports_of_the_benchmark_spaces_match_golden(name):
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    text = dumps_canonical(report_to_json(census(space), space.A.field))
+    assert text == (GOLDEN / "census" / f"{name}.json").read_text()
 
 
 def test_sampled_census_has_no_orbit_stage():

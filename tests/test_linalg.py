@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nabext.fields import GF2, GF3, QQ
 from nabext.linalg import (
     identity_matrix,
     mat_mul,
     mat_vec,
+    nullspace,
     rank,
     solve,
     vec_add,
@@ -79,3 +82,30 @@ def test_vector_helpers():
     v = (Fraction(1), Fraction(2))
     assert vec_add(QQ, v, v) == (Fraction(2), Fraction(4))
     assert vec_scale(QQ, Fraction(1, 2), v) == (Fraction(1, 2), Fraction(1))
+
+
+def test_nullspace_of_a_rational_system():
+    # x + y + z = 0 and y = 2z: one free column, z
+    m = ((Fraction(1), Fraction(1), Fraction(1)), (Fraction(0), Fraction(1), Fraction(-2)))
+    assert nullspace(QQ, m) == ((Fraction(-3), Fraction(2), Fraction(1)),)
+    assert nullspace(QQ, identity_matrix(QQ, 2)) == ()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([GF2, GF3]), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_nullspace_spans_exactly_the_solutions(field, n_rows, n_cols, data):
+    # every combination of the basis solves m x = 0, and the combinations
+    # are p^(n - rank) distinct points: all the solutions
+    entries = st.sampled_from(list(field.elements()))
+    m = tuple(tuple(data.draw(entries) for _ in range(n_cols)) for _ in range(n_rows))
+    basis = nullspace(field, m)
+    assert len(basis) == n_cols - rank(field, m)
+    zero = (field.zero,) * n_rows
+    points = set()
+    for combo in itertools.product(list(field.elements()), repeat=len(basis)):
+        x = (field.zero,) * n_cols
+        for c, v in zip(combo, basis):
+            x = vec_add(field, x, vec_scale(field, c, v))
+        assert mat_vec(field, m, x) == zero
+        points.add(x)
+    assert len(points) == field.p ** (n_cols - rank(field, m))
