@@ -1,5 +1,11 @@
 """Command-line driver.
 
+Every verb is defined once, in the table ``_VERBS``: its name, help, arguments
+and handler.  A call whose first argument is a verb builds the top-level parser
+and that verb's subparser only; the whole tree is built only when no verb is
+named (no arguments, ``-h``, an unknown verb), since only then is the usage or
+help of every verb printed.  Each call builds its parsers afresh.
+
 Exit codes: 0 success / check passed, 1 check failed (witness JSON on
 stdout), 2 input or usage error (message on stderr), 3 internal consistency
 failure (must never happen; it would mean the cocycle equations and the
@@ -11,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .classify import BudgetExceededError, CandidateSpace, census
@@ -205,6 +211,8 @@ def _cmd_gauge(args) -> int:
     c = cocycle_from_json(_read(args.cocycle))
     beta = gauge_from_json(_read(args.witness), c.A.field, c.A.dim, c.B.dim)
     if args.method == "series":
+        if c.A.field.characteristic == 2:
+            raise FormatError("--method series needs 1/2, which characteristic 2 lacks; pass --method closed")
         x, base, split = mc_context(c)
         try:
             y = gauge_series(x, beta, base, split)
@@ -250,12 +258,14 @@ def _line_algebra(field: Field, name: str, square: str) -> Algebra:
 
 
 def _census_space(args) -> CandidateSpace:
-    field = _parse_field(args.field)
+    field = _parse_field(args.field or "F2")
     if args.A or args.B:
         if not (args.A and args.B):
             raise FormatError("census needs both --A and --B when files are used")
         a = algebra_from_json(_read(args.A))
         b = algebra_from_json(_read(args.B))
+        if args.field and field != a.field:
+            raise FormatError(f"--field {field} contradicts the algebra files, which are over {a.field}")
     else:
         if args.dimA != 1 or args.dimB != 1:
             raise FormatError(
@@ -319,92 +329,103 @@ def _cmd_abelianize(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+class _Verb(NamedTuple):
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: Tuple[Tuple[Tuple[str, ...], dict], ...]
+
+
+_OUTPUT = _arg("--output", help="write the result document here instead of stdout")
+
+#: Every verb, once, in usage order; each also takes ``--output``.
+_VERBS = (
+    _Verb("check-assoc", "check associativity of an algebra file", _cmd_check_assoc, (
+        _arg("algebra"),
+    )),
+    _Verb("hochschild-delta", "differential of a cochain file", _cmd_hochschild_delta, (
+        _arg("map"),
+        _arg("algebra"),
+    )),
+    _Verb("bracket", "Gerstenhaber bracket of two cochain files", _cmd_bracket, (
+        _arg("left"),
+        _arg("right"),
+        _arg("--field", default="Q", help="coefficient field: Q or F<p>"),
+    )),
+    _Verb("mc-check", "cocycle equations and Maurer-Cartan test", _cmd_mc_check, (
+        _arg("cocycle"),
+    )),
+    _Verb("build-extension", "twisted product algebra of a cocycle", _cmd_build_extension, (
+        _arg("cocycle"),
+    )),
+    _Verb("extract-cocycle", "cocycle of an extension and a section", _cmd_extract_cocycle, (
+        _arg("extension"),
+        _arg("--section", help="section file; canonical when omitted"),
+    )),
+    _Verb("gauge", "apply a gauge parameter to a cocycle", _cmd_gauge, (
+        _arg("cocycle"),
+        _arg("witness"),
+        _arg(
+            "--method", choices=("closed", "series"), default="closed",
+            help="closed: the per-component transform apply_equivalence; "
+            "series: the exponential series, which needs 1/2",
+        ),
+    )),
+    _Verb("equiv-check", "verify an equivalence witness", _cmd_equiv_check, (
+        _arg("first"),
+        _arg("second"),
+        _arg("--witness", required=True),
+        _arg("--kind", choices=("cocycle", "extension"), default="cocycle"),
+    )),
+    _Verb("census", "enumerate, classify, and cross-check", _cmd_census, (
+        _arg("--A", help="kernel algebra file"),
+        _arg("--B", help="quotient algebra file"),
+        # F2 for the shorthand census; with --A/--B it must name their field
+        _arg("--field"),
+        _arg("--dimA", type=int, default=1),
+        _arg("--dimB", type=int, default=1),
+        _arg("--a2", default="zero", help="kernel generator square: zero|idem"),
+        _arg("--b2", default="idem", help="quotient generator square: zero|idem"),
+        _arg("--budget", type=int, default=2 ** 24),
+        _arg("--jobs", type=int, default=1),
+        _arg("--sample", type=int, default=0, help="sample this many candidates instead of sweeping"),
+        _arg("--seed", type=int, default=0),
+        _arg("--format", choices=("json", "text"), default="json"),
+    )),
+    _Verb("abelianize", "specialize a zero-kernel-product cocycle", _cmd_abelianize, (
+        _arg("cocycle"),
+    )),
+)
+_VERB_BY_NAME = {verb.name: verb for verb in _VERBS}
+
+
+def _build_parser(verbs: Sequence[_Verb]) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of ``verbs``."""
     parser = argparse.ArgumentParser(
         prog="nabext",
         description="Exact computations with non-abelian extensions of associative algebras.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p):
-        p.add_argument("--output", help="write the result document here instead of stdout")
-
-    p = sub.add_parser("check-assoc", help="check associativity of an algebra file")
-    p.add_argument("algebra")
-    add_common(p)
-    p.set_defaults(handler=_cmd_check_assoc)
-
-    p = sub.add_parser("hochschild-delta", help="differential of a cochain file")
-    p.add_argument("map")
-    p.add_argument("algebra")
-    add_common(p)
-    p.set_defaults(handler=_cmd_hochschild_delta)
-
-    p = sub.add_parser("bracket", help="Gerstenhaber bracket of two cochain files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--field", default="Q", help="coefficient field: Q or F<p>")
-    add_common(p)
-    p.set_defaults(handler=_cmd_bracket)
-
-    p = sub.add_parser("mc-check", help="cocycle equations and Maurer-Cartan test")
-    p.add_argument("cocycle")
-    add_common(p)
-    p.set_defaults(handler=_cmd_mc_check)
-
-    p = sub.add_parser("build-extension", help="twisted product algebra of a cocycle")
-    p.add_argument("cocycle")
-    add_common(p)
-    p.set_defaults(handler=_cmd_build_extension)
-
-    p = sub.add_parser("extract-cocycle", help="cocycle of an extension and a section")
-    p.add_argument("extension")
-    p.add_argument("--section", help="section file; canonical when omitted")
-    add_common(p)
-    p.set_defaults(handler=_cmd_extract_cocycle)
-
-    p = sub.add_parser("gauge", help="apply a gauge parameter to a cocycle")
-    p.add_argument("cocycle")
-    p.add_argument("witness")
-    p.add_argument("--method", choices=("closed", "series"), default="closed")
-    add_common(p)
-    p.set_defaults(handler=_cmd_gauge)
-
-    p = sub.add_parser("equiv-check", help="verify an equivalence witness")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--witness", required=True)
-    p.add_argument("--kind", choices=("cocycle", "extension"), default="cocycle")
-    add_common(p)
-    p.set_defaults(handler=_cmd_equiv_check)
-
-    p = sub.add_parser("census", help="enumerate, classify, and cross-check")
-    p.add_argument("--A", help="kernel algebra file")
-    p.add_argument("--B", help="quotient algebra file")
-    p.add_argument("--field", default="F2")
-    p.add_argument("--dimA", type=int, default=1)
-    p.add_argument("--dimB", type=int, default=1)
-    p.add_argument("--a2", default="zero", help="kernel generator square: zero|idem")
-    p.add_argument("--b2", default="idem", help="quotient generator square: zero|idem")
-    p.add_argument("--budget", type=int, default=2 ** 24)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--sample", type=int, default=0, help="sample this many candidates instead of sweeping")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    add_common(p)
-    p.set_defaults(handler=_cmd_census)
-
-    p = sub.add_parser("abelianize", help="specialize a zero-kernel-product cocycle")
-    p.add_argument("cocycle")
-    add_common(p)
-    p.set_defaults(handler=_cmd_abelianize)
-
+    for verb in verbs:
+        p = sub.add_parser(verb.name, help=verb.help)
+        for flags, options in (*verb.arguments, _OUTPUT):
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=verb.handler)
+    if len(verbs) < len(_VERBS):
+        # the top parser reports unknown options given after the verb, with
+        # a usage line that must still list every verb
+        sub.metavar = "{" + ",".join(_VERB_BY_NAME) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = _VERB_BY_NAME.get(argv[0]) if argv else None
+    args = _build_parser((verb,) if verb else _VERBS).parse_args(argv)
     try:
         return args.handler(args)
     except (FormatError, BudgetExceededError, FieldError) as exc:

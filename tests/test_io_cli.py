@@ -360,7 +360,9 @@ def test_cli_gauge_series_matches_closed_form_over_f3(tmp_path, capsys):
 def test_cli_gauge_series_refuses_f2(hand_files, capsys):
     code = main(["gauge", hand_files["valid"], hand_files["beta"], "--method", "series"])
     assert code == 2
-    assert "characteristic 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "characteristic 2" in err and "pass --method closed" in err
+    assert "gauge_closed_form" not in err and err.count("\n") == 1
 
 
 def test_cli_census_json_and_text(capsys):
@@ -408,6 +410,25 @@ def test_cli_census_budget_error(capsys):
     args = ["census", "--field", "F2", "--budget", "4"]
     assert main(args) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_census_field_must_match_the_algebra_files(tmp_path, capsys):
+    a = _write(tmp_path, "A.json", algebra_to_json(line_algebra(GF3, "zero", "a")))
+    b = _write(tmp_path, "B.json", algebra_to_json(line_algebra(GF3, "idem", "b")))
+    files = ["census", "--A", a, "--B", b]
+    for field in ("F2", "F5", "Q"):
+        assert main([*files, "--field", field]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --field {field} contradicts the algebra files, which are over F3\n"
+    assert main([*files, "--field", "F3"]) == 0
+    given = capsys.readouterr().out
+    assert json.loads(given)["p"] == 3
+    assert main(files) == 0
+    assert capsys.readouterr().out == given
+    # the shorthand census stays over F2
+    assert main(["census"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 2
 
 
 @pytest.mark.parametrize(
