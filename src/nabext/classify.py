@@ -16,13 +16,18 @@ affine solution set of EQ3 and EQ4; for each (phi, psi), chi ranges over the
 affine solution set of EQ1, EQ2 and EQ5.  Every system is read off the
 residual generators of :mod:`~nabext.nonabelian` by probing them at zero and
 at each unit vector, so no equation is written out here.  A sample of
-indices is tested point by point instead.  The extension route is the
-brute-force oracle: it tests the twisted product of every candidate for
-associativity, consulting no equation.  It builds no candidate object: each
-index's digits are scattered into the table slots that
-:func:`build_extension` puts them in (probed once per space), the triple
-that rejected the previous candidate is tried first, and only the hits
-become :class:`Algebra` values.
+indices is tested point by point instead.
+
+The extension route is the oracle: it reads only the twisted-product table
+that :func:`build_extension` lays out (probed once per space) and never
+consults an equation.  It solves by block pattern, the same three levels
+read off associativity: the BAA associators give the phi subspace; for each
+phi, the AAB, ABA and BAB associators give the affine psi-fibre; for each
+(phi, psi), the BBA, ABB and BBB associators give the affine chi-fibre (AAA
+is the associativity of A).  Each hit is tested on every basis triple and
+only the hits become :class:`Algebra` values.  A sample of indices is swept
+instead: each index's digits are scattered into the table's slots, and the
+triple that rejected the previous candidate is tried first.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Algebra, associativity_witness, basis_associator, direct_sum_space
+from .algebra import Algebra, SplitSpace, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
 from .exact_sequences import block_presentation, canonical_section, cocycle_from_section
 from .fields import Field, PrimeField, Scalar
@@ -42,8 +47,7 @@ from .linalg import (
     Vector,
     identity_matrix,
     is_zero_vector,
-    nullspace,
-    solve,
+    solution_space,
     vec_add,
     vec_neg,
     vec_scale,
@@ -249,16 +253,16 @@ def _affine_solutions(
     """Every ``x`` in F_p^n with ``residual(x) = 0``, for a ``residual`` that
     is affine in ``x``: probed at zero and at each unit vector, which gives
     ``residual(x) = r0 + M x``, then one solution of ``M x = -r0`` plus
-    every combination of the nullspace of ``M``.  All probes are made
-    before the first point is yielded, so ``residual`` may read variables
-    that the caller rebinds while consuming the points."""
+    every combination of the nullspace of ``M``, both from one
+    :func:`solution_space`.  All probes are made before the first point is
+    yielded, so ``residual`` may read variables that the caller rebinds
+    while consuming the points."""
     r0 = residual(zero_vector(field, n))
     cols = [vec_sub(field, residual(e), r0) for e in identity_matrix(field, n)]
-    m = tuple(zip(*cols))
-    x0 = solve(field, m, vec_neg(field, r0))
-    if x0 is None:
+    solutions = solution_space(field, tuple(zip(*cols)), vec_neg(field, r0))
+    if solutions is None:
         return
-    basis = nullspace(field, m)
+    x0, basis = solutions
     for combo in itertools.product(list(field.elements()), repeat=len(basis)):
         x = x0
         for c, v in zip(combo, basis):
@@ -321,6 +325,80 @@ def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tupl
     return hits
 
 
+# the block pattern of a basis triple -> the stage that solves it: 0 for
+# phi, 1 for psi, 2 for chi.  AAA is the associativity of A.
+_STAGE_OF_PATTERN = {"BAA": 0, "AAB": 1, "ABA": 1, "BAB": 1, "BBA": 2, "ABB": 2, "BBB": 2}
+
+
+def _stage_triples(space: CandidateSpace) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    """The basis triples of A (+) B that decide phi, psi and chi in turn,
+    grouped by block pattern.  A triple's associator reads the twisted
+    product only through its blocks: a BAA associator is linear in phi and
+    reads nothing else; an AAB, ABA or BAB one is affine in psi once phi is
+    fixed and reads no chi; a BBA, ABB or BBB one is affine in chi once phi
+    and psi are fixed."""
+    split = SplitSpace(space.A.dim, space.B.dim)
+    stages: Tuple[List[Tuple[int, int, int]], ...] = ([], [], [])
+    for triple in itertools.product(range(split.dim), repeat=3):
+        stage = _STAGE_OF_PATTERN.get("".join(split.block_of(i) for i in triple))
+        if stage is not None:
+            stages[stage].append(triple)
+    return tuple(tuple(triples) for triples in stages)
+
+
+def _associators(
+    zero: Algebra, table: List[Scalar], slots: Sequence[int], triples: Sequence[Tuple[int, int, int]]
+) -> Callable[[Vector], Vector]:
+    """The associators of ``triples`` in ``table``, one after the other, as a
+    function of the digits written into ``slots``."""
+    field, dim = zero.field, zero.dim
+
+    def residual(x: Vector) -> Vector:
+        for slot, digit in zip(slots, x):
+            table[slot] = digit
+        return tuple(v for t in triples for v in basis_associator(field, dim, table, *t))
+
+    return residual
+
+
+def _extension_fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, Algebra]]:
+    """The candidates over each ``phi`` of ``phis`` whose twisted product is
+    associative: psi over the affine solutions of the psi-stage associators
+    with phi written in and chi at zero, then chi over those of the
+    chi-stage associators with phi and psi written in.  Each hit is tested
+    on every basis triple; one that fails raises :class:`CrossCheckError`
+    with its index and the triple."""
+    zero, slots = space.extension_layout
+    n_phi, n_psi, n_chi = space.entry_counts
+    phi_slots, psi_slots, chi_slots = slots[:n_phi], slots[n_phi : n_phi + n_psi], slots[n_phi + n_psi :]
+    _, psi_triples, chi_triples = _stage_triples(space)
+    weights = [space.p ** s for s in range(space.total_entries)]
+    table = list(zero.table)
+    psi_residual = _associators(zero, table, psi_slots, psi_triples)
+    chi_residual = _associators(zero, table, chi_slots, chi_triples)
+    hits = []
+    for phi in phis:
+        for slot, digit in zip(phi_slots, phi):
+            table[slot] = digit
+        for slot in chi_slots:
+            table[slot] = zero.field.zero
+        for psi in _affine_solutions(zero.field, psi_residual, n_psi):
+            for slot, digit in zip(psi_slots, psi):
+                table[slot] = digit
+            for chi in _affine_solutions(zero.field, chi_residual, n_chi):
+                for slot, digit in zip(chi_slots, chi):
+                    table[slot] = digit
+                index = sum(d * w for d, w in zip(phi + psi + chi, weights))
+                witness = associativity_witness(zero.field, zero.dim, table)
+                if witness is not None:
+                    raise CrossCheckError(
+                        f"staged extension route: candidate {index} is not associative"
+                        f" at basis triple {witness}"
+                    )
+                hits.append((index, replace(zero, table=tuple(table))))
+    return hits
+
+
 def _chunks(tasks: Sequence, parts: int) -> List[List]:
     n = max(1, -(-len(tasks) // parts))
     return [list(tasks[i : i + n]) for i in range(0, len(tasks), n)]
@@ -335,9 +413,8 @@ def worker_count(jobs: int, tasks: int) -> int:
 def _scan(space, tasks, worker, jobs) -> List[Tuple]:
     """The ``(index, hit)`` pairs ``worker`` keeps, in index order.
 
-    A pool starts only for 64 tasks or more (candidate indices for the
-    extension route and for a sampled cocycle route, phi points for the
-    solver).
+    A pool starts only for 64 tasks or more (candidate indices for a
+    sampled run, phi points for an exhaustive one).
     """
     tasks = list(tasks)
     chunks = _chunks(tasks, worker_count(jobs, len(tasks)))
@@ -394,17 +471,29 @@ def enumerate_extensions(
     as ``(index, extension algebra)`` pairs, an algebra built for each hit
     only.
 
-    This is the extension-side route, the brute-force oracle: it never
-    consults the cocycle equations, so it can cross-check them.  Each
-    candidate's table is its digits scattered into the slots of
-    :attr:`CandidateSpace.extension_layout`, the layout of
-    :func:`build_extension`, and is tested on every basis triple, the one
-    that rejected the previous candidate first.
+    This is the extension-side route, the oracle of the cocycle route: it
+    reads only the twisted-product table, laid out by
+    :attr:`CandidateSpace.extension_layout` (the layout of
+    :func:`build_extension`), and never consults the cocycle equations.  An
+    exhaustive run (``indices`` None; over the budget it raises
+    :class:`BudgetExceededError`) solves by block pattern: the phi are the
+    affine solutions of the BAA associators, which read no other digit; the
+    workers take the phi points, and over each one solve the AAB, ABA and
+    BAB associators for psi and then the BBA, ABB and BBB associators for
+    chi, each affine in its unknown.  Every hit is tested on all basis
+    triples.  A sample of indices is swept instead: each candidate's table
+    is its digits scattered into the layout's slots, tested on every basis
+    triple, the one that rejected the previous candidate first.
     """
-    if indices is None:
-        indices = space.exhaustive_indices()
-    space.extension_layout  # probed here, so that the workers inherit it
-    return _scan(space, indices, _associative_chunk, jobs)
+    if indices is not None:
+        space.extension_layout  # probed here, so that the workers inherit it
+        return _scan(space, indices, _associative_chunk, jobs)
+    space.exhaustive_indices()  # the budget bounds an exhaustive run either way
+    zero, slots = space.extension_layout
+    n_phi = space.entry_counts[0]
+    baa = _associators(zero, list(zero.table), slots[:n_phi], _stage_triples(space)[0])
+    phis = list(_affine_solutions(zero.field, baa, n_phi))
+    return _scan(space, phis, _extension_fibre_chunk, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,11 @@ def identity_map(field: Field, dim: int) -> MultilinearMap:
 
 
 def multiplication_map(alg: Algebra) -> MultilinearMap:
-    """The product of ``alg`` as an arity-2 map on its own space."""
-    return MultilinearMap.from_function(
-        alg.field, (alg.dim, alg.dim), alg.dim, lambda idxs: alg.product_row(*idxs)
-    )
+    """The product of ``alg`` as an arity-2 map on its own space: the
+    structure-constant table with the target index moved outermost."""
+    zero, dim = alg.field.zero, alg.dim
+    coeffs = tuple(v if v != 0 else zero for k in range(dim) for v in alg.table[k::dim])
+    return MultilinearMap(alg.field, (dim, dim), dim, coeffs)
 
 
 def hochschild_delta(f: MultilinearMap, amb: Algebra) -> MultilinearMap:

@@ -101,10 +101,18 @@ def rank(field: Field, m: Matrix) -> int:
     return len(_eliminate(field, rows))
 
 
-def solve(field: Field, m: Matrix, b: Vector) -> Optional[Vector]:
-    """One exact solution of ``m x = b``, or None when inconsistent.
+def solution_space(
+    field: Field, m: Matrix, b: Vector
+) -> Optional[Tuple[Vector, Tuple[Vector, ...]]]:
+    """Every solution of ``m x = b`` from one elimination of the augmented
+    matrix: one solution and a basis of the solutions of ``m x = 0``, or
+    None when the system is inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    The solution sets the free variables to zero.  The basis has one
+    vector per free column ``f``: 1 at ``f``, 0 at the other free columns,
+    and the pivot values that the reduced row echelon form forces.  Both
+    are deterministic, and every solution is the one solution plus exactly
+    one combination of the basis.
     """
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
@@ -117,24 +125,24 @@ def solve(field: Field, m: Matrix, b: Vector) -> Optional[Vector]:
     x = [field.zero] * n_cols
     for r, c in enumerate(pivots):
         x[c] = aug[r][n_cols]
-    return tuple(x)
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        v = [field.zero] * n_cols
+        v[free] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(aug[r][free])
+        basis.append(tuple(v))
+    return tuple(x), tuple(basis)
+
+
+def solve(field: Field, m: Matrix, b: Vector) -> Optional[Vector]:
+    """One exact solution of ``m x = b`` (free variables zero), or None when
+    inconsistent: the first part of :func:`solution_space`."""
+    space = solution_space(field, m, b)
+    return None if space is None else space[0]
 
 
 def nullspace(field: Field, m: Matrix) -> Tuple[Vector, ...]:
-    """A basis of the solutions of ``m x = 0``, one vector per free column.
-
-    The vector of free column ``f`` has 1 at ``f``, 0 at the other free
-    columns, and the pivot values that the reduced row echelon form forces,
-    so the basis is deterministic.  Every solution is one combination of it.
-    """
-    n_cols = len(m[0]) if m else 0
-    rows = [list(r) for r in m]
-    pivots = _eliminate(field, rows)
-    basis = []
-    for free in (c for c in range(n_cols) if c not in pivots):
-        x = [field.zero] * n_cols
-        x[free] = field.one
-        for r, c in enumerate(pivots):
-            x[c] = field.neg(rows[r][free])
-        basis.append(tuple(x))
-    return tuple(basis)
+    """A basis of the solutions of ``m x = 0``: the basis of
+    :func:`solution_space`."""
+    return solution_space(field, m, zero_vector(field, len(m)))[1]

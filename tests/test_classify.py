@@ -167,6 +167,25 @@ def test_scans_return_the_decoded_hits(two_cpus, jobs):
         assert ext == build_extension(space.candidate(i))[0]
 
 
+def test_staged_extension_route_hands_out_phi_points_to_a_pool(two_cpus, monkeypatch):
+    # A = zero(2) makes every BAA associator vanish, so the staged oracle
+    # hands out all 3^4 = 81 phi points: with two jobs a 2-worker pool
+    # takes them, and the hits are the sweep's
+    space = CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
+    handed = []
+    scan = classify._scan
+
+    def counted(sp, tasks, worker, jobs):
+        tasks = list(tasks)
+        handed.append((worker.__name__, len(tasks)))
+        return scan(sp, tasks, worker, jobs)
+
+    monkeypatch.setattr(classify, "_scan", counted)
+    staged = enumerate_extensions(space, jobs=2)
+    assert handed == [("_extension_fibre_chunk", 81)] and two_cpus.started == 1
+    assert staged == enumerate_extensions(space, space.exhaustive_indices())
+
+
 def _diag2(field):
     return Algebra.from_products(field, ["e1", "e2"], {(0, 0): {0: 1}, (1, 1): {1: 1}})
 
@@ -184,11 +203,11 @@ _SCATTER_SPACES = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(_SCATTER_SPACES))
 def test_scattered_tables_are_build_extension_tables(two_cpus, name, jobs):
-    # every index: the oracle keeps exactly the associative twisted
-    # products, and each hit is build_extension's algebra
+    # every index, swept one by one: the sweep keeps exactly the associative
+    # twisted products, and each hit is build_extension's algebra
     space = CandidateSpace(*_SCATTER_SPACES[name])
     built = {i: build_extension(space.candidate(i))[0] for i in space.exhaustive_indices()}
-    hits = enumerate_extensions(space, jobs=jobs)
+    hits = enumerate_extensions(space, space.exhaustive_indices(), jobs=jobs)
     assert two_cpus.started == (1 if jobs == 2 and space.total_candidates >= 64 else 0)
     for i, ext in hits:
         assert ext == built[i]
@@ -205,6 +224,22 @@ def test_a_swapped_layout_trips_the_census():
     object.__setattr__(space, "extension_layout", (zero, swapped))
     with pytest.raises(CrossCheckError):
         census(space)
+
+
+def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch):
+    # a^2 = 0, b^2 = b: the BBB associator is chi (psi - phi) a, so it is
+    # the only chi-stage triple that rejects candidate 6 (phi 0, psi 1,
+    # chi 1); a chi stage without it lets that candidate through, and the
+    # full check of the hit names the candidate and the triple
+    space = _space()
+    phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
+    assert chi_triples[-1] == (1, 1, 1)
+    monkeypatch.setattr(
+        classify, "_stage_triples", lambda sp: (phi_triples, psi_triples, chi_triples[:-1])
+    )
+    with pytest.raises(CrossCheckError, match=r"candidate 6 is not associative at basis triple \(1, 1, 1\)"):
+        census(space)
+    assert build_extension(space.candidate(6))[0].associativity_witness() == (1, 1, 1)
 
 
 def test_layout_probe_rejects_a_product_that_is_not_a_scatter(monkeypatch):
@@ -344,11 +379,17 @@ def _small_spaces(draw):
 @settings(deadline=None, max_examples=60)
 @given(_small_spaces())
 def test_solver_matches_the_extension_sweep(space):
-    # the solved cocycles are exactly the associative twisted products, and
-    # each is the decoded candidate of its index
+    # three routes: the solved cocycles, the extensions solved by block
+    # pattern and the per-index sweep keep the same indices; each solved
+    # cocycle is the decoded candidate of its index, and each staged hit
+    # is build_extension's algebra
     cocycles = enumerate_cocycles(space)
-    assert [i for i, _ in cocycles] == [i for i, _ in enumerate_extensions(space)]
+    staged = enumerate_extensions(space)
+    swept = enumerate_extensions(space, space.exhaustive_indices())
+    assert [i for i, _ in cocycles] == [i for i, _ in staged]
+    assert staged == swept
     assert all(c == space.candidate(i) for i, c in cocycles)
+    assert all(ext == build_extension(space.candidate(i))[0] for i, ext in staged)
 
 
 def test_staged_scan_rejects_out_of_range_indices():
@@ -603,6 +644,11 @@ _GOLDEN_CENSUS_SPACES = {
     "F3-zero1-zero1": (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "zero", "b")),
     "F2-zero1-unit3": (line_algebra(GF2, "zero", "a"), trunc_poly3(GF2)),
     "F3-unit2-idem1": (trunc_poly2(GF3), line_algebra(GF3, "idem", "b")),
+    # two (2,2) spaces of 2^24 candidates, recorded by the per-index
+    # extension sweep (about two minutes each); solved by block pattern,
+    # each census takes about a second
+    "F2-nil2-nil2": (_nil2(GF2), _nil2(GF2)),
+    "F2-unit2-zero2": (trunc_poly2(GF2), zero_algebra(GF2, 2, "b")),
 }
 
 

@@ -12,6 +12,7 @@ from nabext.linalg import (
     mat_vec,
     nullspace,
     rank,
+    solution_space,
     solve,
     vec_add,
     vec_scale,
@@ -95,17 +96,41 @@ def test_nullspace_of_a_rational_system():
 @given(st.sampled_from([GF2, GF3]), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_nullspace_spans_exactly_the_solutions(field, n_rows, n_cols, data):
     # every combination of the basis solves m x = 0, and the combinations
-    # are p^(n - rank) distinct points: all the solutions
+    # are p^(n - rank) distinct points: all the solutions; for a right-hand
+    # side b, the one solution plus the combinations are exactly the points
+    # of F_p^n that brute force finds, and None means there are none
     entries = st.sampled_from(list(field.elements()))
     m = tuple(tuple(data.draw(entries) for _ in range(n_cols)) for _ in range(n_rows))
+    b = tuple(data.draw(entries) for _ in range(n_rows))
     basis = nullspace(field, m)
     assert len(basis) == n_cols - rank(field, m)
     zero = (field.zero,) * n_rows
-    points = set()
-    for combo in itertools.product(list(field.elements()), repeat=len(basis)):
-        x = (field.zero,) * n_cols
-        for c, v in zip(combo, basis):
-            x = vec_add(field, x, vec_scale(field, c, v))
-        assert mat_vec(field, m, x) == zero
-        points.add(x)
+    assert solution_space(field, m, zero) == ((field.zero,) * n_cols, basis)
+
+    def span(x0, vectors):
+        points = set()
+        for combo in itertools.product(list(field.elements()), repeat=len(vectors)):
+            x = x0
+            for c, v in zip(combo, vectors):
+                x = vec_add(field, x, vec_scale(field, c, v))
+            points.add(x)
+        return points
+
+    points = span((field.zero,) * n_cols, basis)
+    assert all(mat_vec(field, m, x) == zero for x in points)
     assert len(points) == field.p ** (n_cols - rank(field, m))
+    brute = {
+        x for x in itertools.product(list(field.elements()), repeat=n_cols) if mat_vec(field, m, x) == b
+    }
+    solved = solution_space(field, m, b)
+    if solved is None:
+        assert not brute and solve(field, m, b) is None
+    else:
+        x0, affine_basis = solved
+        assert affine_basis == basis and x0 == solve(field, m, b)
+        assert span(x0, affine_basis) == brute
+
+
+def test_solution_space_rejects_a_mismatched_right_hand_side():
+    with pytest.raises(ValueError):
+        solution_space(GF2, ((1, 0),), (1, 0))
