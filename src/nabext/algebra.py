@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .fields import Field, FieldError, Scalar
@@ -106,6 +107,17 @@ class Algebra:
         """The vector ``e_i * e_j``."""
         base = (i * self.dim + j) * self.dim
         return self.table[base : base + self.dim]
+
+    @cached_property
+    def product_entries(self) -> Tuple[Tuple[int, int, int, Scalar], ...]:
+        """The nonzero structure constants as ``(i, j, k, c[i][j][k])``, in
+        table order; built on first use and kept."""
+        dim = self.dim
+        return tuple(
+            (pos // (dim * dim), pos // dim % dim, pos % dim, c)
+            for pos, c in enumerate(self.table)
+            if c
+        )
 
     def basis_vector(self, i: int) -> Vector:
         return basis_vector(self.field, self.dim, i)

@@ -200,13 +200,18 @@ class CandidateSpace:
         return range(self.total_candidates)
 
     def sample_indices(self, count: int, seed: int) -> Tuple[int, ...]:
-        """Deterministic uniform sample without replacement (sorted)."""
+        """Deterministic uniform sample without replacement (sorted).  The
+        budget bounds a sample as it bounds an exhaustive run."""
         import random
 
         if not 0 <= count <= self.total_candidates:
             raise ValueError(
                 f"sample size {count} is not between 0 and the"
                 f" {self.total_candidates} candidates of the space"
+            )
+        if count > self.budget:
+            raise BudgetExceededError(
+                f"a sample of {count} candidates exceeds the budget of {self.budget}"
             )
         rng = random.Random(seed)
         seen = set()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra
@@ -63,16 +62,22 @@ from .nonabelian import (
 )
 
 
+# Files are opened by name rather than through pathlib: a Path interns each
+# component of its name, so a process that reads many files keeps inserting
+# into the interpreter's table of interned strings, which then grows and is
+# rehashed, and peak memory climbs with the number of calls.
 def _read(path: str):
     try:
-        return loads(Path(path).read_text())
+        with open(path) as handle:
+            return loads(handle.read())
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text: str, output: Optional[str]):
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 

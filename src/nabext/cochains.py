@@ -12,10 +12,21 @@ Sign conventions, used verbatim everywhere in this package:
   ``m = deg f``;
 * ``[f, g] = f o g - (-1)^{m n} g o f``.
 
-One function evaluates the differential, :func:`hochschild_delta_module`,
-for any pair of actions on a coefficient space; :func:`hochschild_delta` is
-that function with the algebra acting on itself, and the gauge coboundaries
-and the derivation check of :mod:`nabext.nonabelian` call it too.
+One function body evaluates the differential for any pair of actions on a
+coefficient space: :func:`hochschild_delta_module` hands it the actions as
+tensors, :func:`hochschild_delta` the algebra acting on itself, and the gauge
+coboundaries and the derivation check of :mod:`nabext.nonabelian` call it
+too.
+
+The tensors are stored dense, but the kernels walk only their nonzero
+coefficients: :func:`circ_i`, the differential and the linear structure of
+:class:`MultilinearMap` do no arithmetic on a zero coefficient, and
+:meth:`MultilinearMap.from_terms` sums the kernels' products into one flat
+buffer.  The twist-shaped elements of the Maurer-Cartan side are mostly
+zero (no AA block, only A-valued targets), so a sweep over every basis tuple
+would spend most of its work on zeros.
+:meth:`MultilinearMap.apply` stays the dense route, a full multilinear
+evaluation, and the tests use it as the oracle of every kernel.
 
 These choices satisfy ``delta f = (-1)^{arity(f)-1} [m, f]`` for the
 multiplication map ``m`` of an associative algebra; the test suite gates the
@@ -31,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .algebra import Algebra
 from .fields import Field, Scalar
@@ -135,6 +146,27 @@ class MultilinearMap:
             buf[k * in_size + off] = field.coerce(coeff)
         return cls(field, dims, target_dim, tuple(buf))
 
+    @classmethod
+    def from_terms(
+        cls,
+        field: Field,
+        source_dims: Sequence[int],
+        target_dim: int,
+        terms: Iterable[Tuple[int, Scalar, Scalar]],
+    ) -> "MultilinearMap":
+        """The map whose flat coefficients are the sums of ``v * w`` at
+        position ``at`` over the ``(at, v, w)`` of ``terms``, and zero where
+        no term lands: the sparse kernels name only the positions
+        they reach, so each term costs one product and at most one sum."""
+        add, mul = field.add, field.mul
+        buf = [None] * (target_dim * math.prod(source_dims))
+        for at, v, w in terms:
+            term = mul(v, w)
+            prev = buf[at]
+            buf[at] = term if prev is None else add(prev, term)
+        zero = field.zero
+        return cls(field, tuple(source_dims), target_dim, tuple(zero if c is None else c for c in buf))
+
     # -- access -----------------------------------------------------------
 
     def entry(self, k: int, idxs: Sequence[int]) -> Scalar:
@@ -193,38 +225,32 @@ class MultilinearMap:
 
     def __add__(self, other: "MultilinearMap") -> "MultilinearMap":
         self._check_same_shape(other)
-        f = self.field
-        return MultilinearMap(
-            f,
-            self.source_dims,
-            self.target_dim,
-            tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)),
+        add = self.field.add
+        coeffs = tuple(
+            (add(a, b) if a else b) if b else a for a, b in zip(self.coeffs, other.coeffs)
         )
+        return MultilinearMap(self.field, self.source_dims, self.target_dim, coeffs)
 
     def __sub__(self, other: "MultilinearMap") -> "MultilinearMap":
         self._check_same_shape(other)
-        f = self.field
-        return MultilinearMap(
-            f,
-            self.source_dims,
-            self.target_dim,
-            tuple(f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)),
+        sub, neg = self.field.sub, self.field.neg
+        coeffs = tuple(
+            (sub(a, b) if a else neg(b)) if b else a for a, b in zip(self.coeffs, other.coeffs)
         )
+        return MultilinearMap(self.field, self.source_dims, self.target_dim, coeffs)
 
     def __neg__(self) -> "MultilinearMap":
-        f = self.field
-        return MultilinearMap(
-            f, self.source_dims, self.target_dim, tuple(f.neg(a) for a in self.coeffs)
-        )
+        neg = self.field.neg
+        coeffs = tuple(neg(a) if a else a for a in self.coeffs)
+        return MultilinearMap(self.field, self.source_dims, self.target_dim, coeffs)
 
     def scale(self, c: Scalar) -> "MultilinearMap":
-        f = self.field
-        return MultilinearMap(
-            f, self.source_dims, self.target_dim, tuple(f.mul(c, a) for a in self.coeffs)
-        )
+        mul = self.field.mul
+        coeffs = tuple(mul(c, a) if a else a for a in self.coeffs)
+        return MultilinearMap(self.field, self.source_dims, self.target_dim, coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
 
 def identity_map(field: Field, dim: int) -> MultilinearMap:
@@ -246,14 +272,15 @@ def hochschild_delta(f: MultilinearMap, amb: Algebra) -> MultilinearMap:
 
     ``f`` must be an n-ary map on ``amb``'s space with values inside it;
     the outer actions are multiplications in ``amb``: this is
-    :func:`hochschild_delta_module` with the algebra acting on itself.
+    :func:`hochschild_delta_module` with the algebra acting on itself, its
+    actions read straight off :attr:`Algebra.product_entries`.
     """
     if f.field != amb.field:
         raise ValueError("field mismatch between cochain and algebra")
     if not f.is_uniform(amb.dim) or f.target_dim != amb.dim:
         raise ValueError("cochain does not live on the algebra's space")
-    m = multiplication_map(amb)
-    return hochschild_delta_module(f, amb, m, m)
+    products = amb.product_entries
+    return _delta(f, amb, products, products)
 
 
 def hochschild_delta_module(
@@ -266,8 +293,7 @@ def hochschild_delta_module(
     actions given as tensors ``left: ring (x) M -> M`` and
     ``right: M (x) ring -> M``.
 
-    The one evaluation of the formula in the package; the actions need not
-    satisfy the bimodule axioms.
+    The actions need not satisfy the bimodule axioms.
     """
     m_dim = f.target_dim
     r_dim = ring.dim
@@ -277,71 +303,109 @@ def hochschild_delta_module(
         raise ValueError("left action has wrong shape")
     if right_action.source_dims != (m_dim, r_dim) or right_action.target_dim != m_dim:
         raise ValueError("right action has wrong shape")
+    return _delta(f, ring, _bilinear_entries(left_action), _bilinear_entries(right_action))
+
+
+def _bilinear_entries(m: MultilinearMap) -> List[Tuple[int, int, int, Scalar]]:
+    """The nonzero coefficients of an arity-2 map as ``(i, j, k, w)``: its
+    value on ``(e_i, e_j)`` has ``w`` at ``e_k``, the layout of
+    :attr:`Algebra.product_entries`."""
+    d2 = m.source_dims[1]
+    size = m.input_size
+    return [(pos % size // d2, pos % d2, pos // size, w) for pos, w in enumerate(m.coeffs) if w]
+
+
+def _delta(f: MultilinearMap, ring: Algebra, left, right) -> MultilinearMap:
+    """The one evaluation of the Hochschild formula in the package, for
+    ``f: ring^(x)n -> M`` with the actions given by their nonzero entries:
+    ``(x, t, k, w)`` in ``left`` says ``e_x . m_t`` has ``w`` at ``m_k``,
+    ``(t, x, k, w)`` in ``right`` that ``m_t . e_x`` does.
+
+    Each nonzero coefficient of ``f``, at target ``t`` and input ``idxs``,
+    is sent through the three terms: into ``x . f(idxs)`` and
+    ``f(idxs) . x`` for every ``x``, and, for the ``i``-th middle term,
+    into every ``(.., a, b, ..)`` whose product ``e_a e_b`` reaches the
+    ``i``-th index of ``idxs``.  Signs ride on the weights.
+    """
     field = f.field
-    n = f.arity
-    minus_one = field.from_int(-1)
-    # left[i][t] = e_i . m_t and right[t][i] = m_t . e_i
-    left = [[left_action.column((i, t)) for t in range(m_dim)] for i in range(r_dim)]
-    right = [[right_action.column((t, i)) for i in range(r_dim)] for t in range(m_dim)]
+    neg = field.neg
+    r, n, m_dim = ring.dim, f.arity, f.target_dim
+    f_in = f.input_size
+    out_in = f_in * r
+    # x f(...) lands at k*out_in + x*f_in + flat and (-1)^{n+1} f(...) x at
+    # k*out_in + flat*r + x, for f's coefficient at (t, flat)
+    outer_left = [[] for _ in range(m_dim)]
+    for x, t, k, w in left:
+        outer_left[t].append((k * out_in + x * f_in, w))
+    outer_right = [[] for _ in range(m_dim)]
+    for t, x, k, w in right:
+        outer_right[t].append((k * out_in + x, w if n % 2 else neg(w)))
+    # (-1)^i f(.., x_i x_{i+1}, ..): the i-th index of f's input, s, has
+    # ``below`` = r^(n-i) inputs after it; e_a e_b having w at e_s puts the
+    # pair (a, b) there instead
+    belows = [r ** (n - i) for i in range(1, n + 1)]
+    middles = [[[] for _ in range(r)] for _ in belows]
+    for a, b, s, w in ring.product_entries:
+        for i, below in enumerate(belows, 1):
+            middles[i - 1][s].append(((a * r + b) * below, w if i % 2 == 0 else neg(w)))
 
-    def add_scaled(out, w: Scalar, vec: Vector):
-        for k, v in enumerate(vec):
-            if v != 0:
-                out[k] = field.add(out[k], field.mul(w, v))
+    def terms():
+        for pos, v in enumerate(f.coeffs):
+            if not v:
+                continue
+            t, flat = divmod(pos, f_in)
+            for off, w in outer_left[t]:
+                yield off + flat, v, w
+            for off, w in outer_right[t]:
+                yield off + flat * r, v, w
+            for below, by_index in zip(belows, middles):
+                head, rest = divmod(flat, r * below)
+                s, tail = divmod(rest, below)
+                at = t * out_in + head * r * r * below + tail
+                for off, w in by_index[s]:
+                    yield at + off, v, w
 
-    def value(idxs: Tuple[int, ...]) -> Vector:
-        out = [field.zero] * m_dim
-        # x_1 f(x_2, ..., x_{n+1})
-        for t, v in enumerate(f.column(idxs[1:])):
-            if v != 0:
-                add_scaled(out, v, left[idxs[0]][t])
-        # (-1)^i f(..., x_i x_{i+1}, ...)
-        sign = field.one
-        for i in range(1, n + 1):
-            sign = field.mul(sign, minus_one)
-            for t, c in enumerate(ring.product_row(idxs[i - 1], idxs[i])):
-                if c != 0:
-                    col = f.column(idxs[: i - 1] + (t,) + idxs[i + 1 :])
-                    add_scaled(out, field.mul(sign, c), col)
-        # (-1)^{n+1} f(x_1, ..., x_n) x_{n+1}
-        sign = field.mul(sign, minus_one)
-        for t, v in enumerate(f.column(idxs[:n])):
-            if v != 0:
-                add_scaled(out, field.mul(sign, v), right[t][idxs[n]])
-        return tuple(out)
-
-    return MultilinearMap.from_function(field, (r_dim,) * (n + 1), m_dim, value)
+    return MultilinearMap.from_terms(field, (r,) * (n + 1), m_dim, terms())
 
 
 def circ_i(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
-    """Plug ``g`` into slot ``i`` of ``f`` (1-based)."""
+    """Plug ``g`` into slot ``i`` of ``f`` (1-based).
+
+    ``(f o_i g)(head, inner, tail) = sum_t g(inner)_t f(head, e_t, tail)``:
+    every nonzero coefficient of ``f`` at slot value ``t`` meets every
+    nonzero value of ``g`` with target ``t``.
+    """
     if f.field != g.field:
         raise ValueError("field mismatch")
     if not 1 <= i <= f.arity:
         raise ValueError(f"slot {i} out of range for arity {f.arity}")
     if g.target_dim != f.source_dims[i - 1]:
         raise ValueError("target of inner map does not match the slot space")
-    field = f.field
     out_dims = f.source_dims[: i - 1] + g.source_dims + f.source_dims[i:]
-    pre = i - 1
-    mid = g.arity
+    f_in, g_in = f.input_size, g.input_size
+    slot = f.source_dims[i - 1]
+    tail_size = math.prod(f.source_dims[i:])
+    out_in = f_in // slot * g_in
+    # plugs[t]: the offset of g's input inside the output input, and the
+    # value, for every nonzero coefficient of g with target t
+    plugs = [[] for _ in range(g.target_dim)]
+    for pos, v in enumerate(g.coeffs):
+        if v:
+            t, inner = divmod(pos, g_in)
+            plugs[t].append((inner * tail_size, v))
 
-    def value(idxs: Tuple[int, ...]) -> Vector:
-        head = idxs[:pre]
-        inner = idxs[pre : pre + mid]
-        tail = idxs[pre + mid :]
-        plug = g.column(inner)
-        out = [field.zero] * f.target_dim
-        for t, v in enumerate(plug):
-            if v == 0:
+    def terms():
+        for pos, c in enumerate(f.coeffs):
+            if not c:
                 continue
-            col = f.column(head + (t,) + tail)
-            for k, c in enumerate(col):
-                if c != 0:
-                    out[k] = field.add(out[k], field.mul(v, c))
-        return tuple(out)
+            k, flat = divmod(pos, f_in)
+            head, rest = divmod(flat, slot * tail_size)
+            t, tail = divmod(rest, tail_size)
+            at = k * out_in + head * g_in * tail_size + tail
+            for off, v in plugs[t]:
+                yield at + off, v, c
 
-    return MultilinearMap.from_function(field, out_dims, f.target_dim, value)
+    return MultilinearMap.from_terms(f.field, out_dims, f.target_dim, terms())
 
 
 def _sign(field: Field, exponent: int) -> Scalar:

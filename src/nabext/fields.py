@@ -37,14 +37,9 @@ class Rationals:
     """The field Q with scalars stored as ``Fraction``."""
 
     characteristic: ClassVar[int] = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    # a Fraction is immutable, so every access can share one object
+    zero: ClassVar[Fraction] = Fraction(0)
+    one: ClassVar[Fraction] = Fraction(1)
 
     def coerce(self, value) -> Fraction:
         try:

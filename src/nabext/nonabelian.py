@@ -599,43 +599,65 @@ def apply_equivalence(c: NabCocycle, beta: GaugeParam) -> NabCocycle:
     extension to ``s - beta``; it matches the gauge transform of the
     assembled element component by component (a tested identity) and is
     inverted by ``-beta``.
+
+    Every correction term is read off the stored coefficients of phi and
+    psi, the nonzero structure constants of A and B and the nonzero entries
+    of beta, summed by :meth:`~nabext.cochains.MultilinearMap.from_terms`
+    and added to the old map.
     """
     A, B = c.A, c.B
     f = A.field
     if beta.a_dim != A.dim or beta.b_dim != B.dim:
         raise ValueError("gauge parameter shape does not match the cocycle")
+    a, b = A.dim, B.dim
+    # row m of beta: the nonzero (j, beta[m][j]), i.e. where a_m occurs in
+    # the beta(b_j); minus: the same with the values negated
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in beta.matrix]
+    minus = [[(j, f.neg(v)) for j, v in row] for row in rows]
+    # beta(b_j) a_i = sum_m beta[m][j] a_m a_i, at phi's (k, j, i)
+    phi_terms = (
+        (k * b * a + j * a + i, v, w)
+        for m, i, k, w in A.product_entries
+        for j, v in minus[m]
+    )
+    # a_i beta(b_j) = sum_m beta[m][j] a_i a_m, at psi's (k, i, j)
+    psi_terms = (
+        (k * a * b + i * b + j, v, w)
+        for i, m, k, w in A.product_entries
+        for j, v in minus[m]
+    )
 
-    def phi_new(idxs):
-        j, i = idxs
-        return vec_sub(
-            f,
-            c.phi.column((j, i)),
-            A.multiply(beta.column(j), A.basis_vector(i)),
-        )
-
-    def psi_new(idxs):
-        i, j = idxs
-        return vec_sub(
-            f,
-            c.psi.column((i, j)),
-            A.multiply(A.basis_vector(i), beta.column(j)),
-        )
-
-    def chi_new(idxs):
-        j1, j2 = idxs
-        acc = c.chi.column((j1, j2))
-        acc = vec_sub(f, acc, c.phi.apply([B.basis_vector(j1), beta.column(j2)]))
-        acc = vec_sub(f, acc, c.psi.apply([beta.column(j1), B.basis_vector(j2)]))
-        acc = vec_add(f, acc, beta.apply(f, B.product_row(j1, j2)))
-        acc = vec_add(f, acc, A.multiply(beta.column(j1), beta.column(j2)))
-        return acc
+    def chi_terms():
+        bb = b * b
+        # phi(b1, beta(b2)) = sum_m beta[m][j2] phi(b1, a_m)
+        for pos, v in enumerate(c.phi.coeffs):
+            if v:
+                k, j1, m = pos // (b * a), pos // a % b, pos % a
+                for j2, w in minus[m]:
+                    yield k * bb + j1 * b + j2, v, w
+        # psi(beta(b1), b2) = sum_m beta[m][j1] psi(a_m, b2)
+        for pos, v in enumerate(c.psi.coeffs):
+            if v:
+                k, m, j2 = pos // (a * b), pos // b % a, pos % b
+                for j1, w in minus[m]:
+                    yield k * bb + j1 * b + j2, v, w
+        # beta(b1 b2) = sum_l (b1 b2)_l beta(b_l)
+        for j1, j2, l, w in B.product_entries:
+            for k, row in enumerate(beta.matrix):
+                if row[l]:
+                    yield k * bb + j1 * b + j2, w, row[l]
+        # beta(b1) beta(b2) = sum_{m,n} beta[m][j1] beta[n][j2] a_m a_n
+        for m, n, k, w in A.product_entries:
+            for j1, v1 in rows[m]:
+                for j2, v2 in rows[n]:
+                    yield k * bb + j1 * b + j2, f.mul(v1, v2), w
 
     return NabCocycle(
         A,
         B,
-        MultilinearMap.from_function(f, (B.dim, A.dim), A.dim, phi_new),
-        MultilinearMap.from_function(f, (A.dim, B.dim), A.dim, psi_new),
-        MultilinearMap.from_function(f, (B.dim, B.dim), A.dim, chi_new),
+        c.phi + MultilinearMap.from_terms(f, (b, a), a, phi_terms),
+        c.psi + MultilinearMap.from_terms(f, (a, b), a, psi_terms),
+        c.chi + MultilinearMap.from_terms(f, (b, b), a, chi_terms()),
     )
 
 

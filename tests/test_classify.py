@@ -118,6 +118,10 @@ def test_budget_enforcement():
         space.exhaustive_indices()
     with pytest.raises(BudgetExceededError):
         _space(budget=1).gauge_params()
+    # a sample counts against the budget too
+    assert len(space.sample_indices(4, seed=0)) == 4
+    with pytest.raises(BudgetExceededError):
+        space.sample_indices(5, seed=0)
 
 
 def test_sampling_is_deterministic_and_in_range():

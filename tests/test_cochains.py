@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +27,14 @@ from nabext import (
     multiplication_map,
 )
 from nabext.fields import GF2, GF3, QQ
-from nabext.linalg import vec_add, vec_scale
+from nabext.linalg import basis_vector, vec_add, vec_scale
 
+# Over Q, half the draws are zero: a plain ``st.fractions`` rarely yields 0,
+# and the kernels skip zero coefficients, so those branches need zeros.
 _SCALARS = {
     GF2: st.integers(0, 1),
     GF3: st.integers(0, 2),
-    QQ: st.fractions(-2, 2, max_denominator=3),
+    QQ: st.one_of(st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=3)),
 }
 _ARITIES = st.integers(1, 3)
 
@@ -154,6 +157,56 @@ def test_delta_module_matches_the_textbook_formula(data, field, r_dim, m_dim, ar
     assert (d.source_dims, d.target_dim) == ((r_dim,) * (arity + 1), m_dim)
     for idxs in itertools.product(range(r_dim), repeat=arity + 1):
         assert d.column(idxs) == _delta_module_by_definition(f, ring, left, right, idxs)
+
+
+@settings(deadline=None, max_examples=40)
+@pytest.mark.parametrize("inner_arity", [0, 1, 2])
+@given(
+    data=st.data(),
+    field=st.sampled_from([GF2, GF3, QQ]),
+    zero_side=st.sampled_from([None, None, "f", "g"]),
+)
+def test_circ_i_matches_the_definition_on_basis_vectors(inner_arity, data, field, zero_side):
+    # slots of different dimensions, every slot, and the zero map on
+    # either side; the oracle is the dense MultilinearMap.apply
+    dims = st.integers(1, 3)
+    f_dims = tuple(data.draw(st.lists(dims, min_size=1, max_size=3)))
+    g_dims = tuple(data.draw(st.lists(dims, min_size=inner_arity, max_size=inner_arity)))
+    target = data.draw(dims)
+
+    def tensor(source_dims, target_dim, zero):
+        size = target_dim * math.prod(source_dims)
+        if zero:
+            return MultilinearMap.zero(field, source_dims, target_dim)
+        coeffs = data.draw(st.lists(_SCALARS[field], min_size=size, max_size=size))
+        return MultilinearMap(field, source_dims, target_dim, tuple(coeffs))
+
+    f = tensor(f_dims, target, zero_side == "f")
+    for i in range(1, len(f_dims) + 1):
+        g = tensor(g_dims, f_dims[i - 1], zero_side == "g")
+        h = circ_i(f, g, i)
+        head, tail = f_dims[: i - 1], f_dims[i:]
+        assert (h.source_dims, h.target_dim) == (head + g_dims + tail, target)
+        for idxs in itertools.product(*(range(d) for d in h.source_dims)):
+            e = [basis_vector(field, d, x) for d, x in zip(h.source_dims, idxs)]
+            inner = g.apply(e[i - 1 : i - 1 + inner_arity])
+            expected = f.apply(e[: i - 1] + [inner] + e[i - 1 + inner_arity :])
+            assert h.column(idxs) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([GF2, GF3, QQ]), st.integers(1, 2), st.integers(0, 2))
+def test_linear_structure_is_coefficientwise(data, field, dim, arity):
+    # +, -, negation and scaling skip zero coefficients; the field
+    # operations on every coefficient are the oracle
+    f, g = (data.draw(_maps(field, dim, arity)) for _ in range(2))
+    c = data.draw(_SCALARS[field])
+    pairs = list(zip(f.coeffs, g.coeffs))
+    assert (f + g).coeffs == tuple(field.add(a, b) for a, b in pairs)
+    assert (f - g).coeffs == tuple(field.sub(a, b) for a, b in pairs)
+    assert (-f).coeffs == tuple(field.neg(a) for a in f.coeffs)
+    assert f.scale(c).coeffs == tuple(field.mul(c, a) for a in f.coeffs)
+    assert f.is_zero() == all(a == 0 for a in f.coeffs)
 
 
 def test_circ_i_identity_is_neutral():

@@ -231,6 +231,32 @@ def test_cli_mc_check_evaluates_each_tensor_once(hand_files, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_cli_q_verbs_tabulate_no_kernel_closures(tmp_path, monkeypatch, capsys):
+    # the cochain kernels and the per-component gauge transform walk the
+    # nonzero coefficients instead of tabulating a closure on every basis
+    # tuple; what mc-check still tabulates is derivation_condition_defect's
+    # one derivation part per B basis vector
+    rng = random.Random(12)
+    a, b = trunc_poly2(QQ), zero_algebra(QQ, 2, "b")
+    c = rand_cocycle(rng, a, b)
+    cocycle = _write(tmp_path, "c.json", cocycle_to_json(c))
+    witness = _write(tmp_path, "beta.json", gauge_to_json(rand_gauge(rng, a, b), QQ))
+    tabulated = []
+    real = MultilinearMap.from_function.__func__
+
+    def counting(cls, *args, **kwargs):
+        tabulated.append(args[1:3])
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(MultilinearMap, "from_function", classmethod(counting))
+    assert main(["mc-check", cocycle]) in (0, 1)
+    assert tabulated == [((2,), 2), ((2,), 2)]
+    tabulated.clear()
+    assert main(["gauge", cocycle, witness, "--method", "closed"]) == 0
+    assert tabulated == []
+    capsys.readouterr()
+
+
 def test_cli_mc_check_rational_input(tmp_path, capsys):
     a = line_algebra(QQ, "zero", "a")
     b = line_algebra(QQ, "idem", "b")
@@ -410,6 +436,16 @@ def test_cli_census_budget_error(capsys):
     args = ["census", "--field", "F2", "--budget", "4"]
     assert main(args) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_census_sample_respects_the_budget(capsys):
+    # the default space has 8 candidates
+    assert main(["census", "--field", "F2", "--budget", "2", "--sample", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a sample of 8 candidates exceeds the budget of 2\n"
+    assert main(["census", "--field", "F2", "--budget", "8", "--sample", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["num_candidates"] == 8
 
 
 def test_cli_census_field_must_match_the_algebra_files(tmp_path, capsys):
