@@ -22,14 +22,12 @@ from .cochains import (
     gerstenhaber_bracket,
     hochschild_delta,
     hochschild_delta_module,
-    identity_map,
     multiplication_map,
 )
 from .exact_sequences import (
     BrokenExtensionError,
     ExtensionPresentation,
     Section,
-    canonical_presentation,
     canonical_section,
     check_extension_equivalence,
     cocycle_from_section,
@@ -50,7 +48,6 @@ from .nonabelian import (
     abelian_specialize,
     all_gauge_params,
     apply_equivalence,
-    associator_component_table,
     associator_residual,
     beta_element,
     build_extension,
@@ -70,17 +67,6 @@ from .nonabelian import (
     twist_defects,
     twist_residuals,
 )
-from .splitspace import (
-    MembershipError,
-    all_components,
-    bidegrees,
-    embed_block_map,
-    extract_component,
-    in_L,
-    l_bracket,
-    l_delta,
-    patterns,
-    project_block_map,
-)
+from .splitspace import MembershipError, embed_block_map, in_L, project_block_map
 
 __version__ = "0.1.0"

@@ -308,7 +308,10 @@ def _cmd_abelianize(args) -> int:
     c = cocycle_from_json(_read(args.cocycle))
     if not c.A.has_zero_product():
         raise FormatError("abelianize requires a kernel algebra with zero product")
-    violations = check_cocycle(c)
+    try:
+        violations = check_cocycle(c)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     if violations:
         _emit(
             dumps_canonical(

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .algebra import Algebra
 from .fields import Field, Scalar
-from .linalg import Vector, basis_vector
+from .linalg import Vector
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,9 @@ class MultilinearMap:
         target_dim: int,
         fn: Callable[[Tuple[int, ...]], Vector],
     ) -> "MultilinearMap":
-        """Tabulate ``fn`` on all basis tuples; ``fn`` returns target vectors."""
+        """Tabulate ``fn`` on all basis tuples; ``fn`` returns target vectors.
+        No kernel calls it: it builds test maps, and the benchmark traces it
+        to show that none of the verbs tabulates a closure."""
         dims = tuple(source_dims)
         in_size = math.prod(dims)
         buf = [field.zero] * (target_dim * in_size)
@@ -251,12 +253,6 @@ class MultilinearMap:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-
-def identity_map(field: Field, dim: int) -> MultilinearMap:
-    return MultilinearMap.from_function(
-        field, (dim,), dim, lambda idxs: basis_vector(field, dim, idxs[0])
-    )
 
 
 def multiplication_map(alg: Algebra) -> MultilinearMap:
@@ -453,7 +449,8 @@ def delta_as_bracket(f: MultilinearMap, m: MultilinearMap) -> MultilinearMap:
 
     ``m`` is an arity-2 candidate multiplication on the same space.  When
     ``m`` is the product of an associative algebra this agrees with
-    :func:`hochschild_delta`.
+    :func:`hochschild_delta`.  The package computes with the latter; this is
+    the independent side of the test of ``delta = (-1)^{n-1} [m, .]``.
     """
     if m.arity != 2:
         raise ValueError("expected an arity-2 multiplication map")

@@ -43,7 +43,6 @@ from .nonabelian import (
     NabCocycle,
     all_gauge_params,
     beta_element,
-    build_extension,
     cocycle_from_mc,
 )
 
@@ -209,11 +208,6 @@ def block_presentation(E: Algebra, A: Algebra, B: Algebra) -> ExtensionPresentat
     return ExtensionPresentation(E, tuple(row[: A.dim] for row in eye), eye[A.dim :], A, B)
 
 
-def canonical_presentation(c: NabCocycle) -> ExtensionPresentation:
-    """The twisted product of ``c`` with block inclusion and projection."""
-    return block_presentation(build_extension(c)[0], c.A, c.B)
-
-
 def canonical_section(ext: ExtensionPresentation) -> Section:
     """The right inverse of the projection that the derived quotient is read
     through (free choices set to zero); for block presentations this is the
@@ -232,7 +226,9 @@ def is_section(ext: ExtensionPresentation, s: Section) -> bool:
 def enumerate_sections(ext: ExtensionPresentation) -> Iterable[Section]:
     """All sections over a finite field: one base section plus
     ``iota . beta`` for every ``beta`` in Hom(B, A), in
-    :func:`all_gauge_params` order, ``p^(dim A * dim B)`` in total."""
+    :func:`all_gauge_params` order, ``p^(dim A * dim B)`` in total.  With
+    :func:`section_difference` it is the section side of the law that moving
+    the section is the gauge action."""
     field = ext.E.field
     if not hasattr(field, "elements"):
         raise ValueError("section enumeration needs a finite field")
@@ -289,7 +285,8 @@ def section_cocycle(ext: ExtensionPresentation, s: Section) -> NabCocycle:
 def section_difference(
     s: Section, s_prime: Section, ext: ExtensionPresentation
 ) -> GaugeParam:
-    """The kernel-valued map with ``iota(beta(b)) = s(b) - s'(b)``."""
+    """The kernel-valued map with ``iota(beta(b)) = s(b) - s'(b)``: the
+    gauge parameter of a move of the section (see :func:`enumerate_sections`)."""
     ext = resolved(ext)
     field = ext.E.field
     cols = [ext.pull_back(vec_sub(field, s.column(j), s_prime.column(j))) for j in range(ext.b_dim)]
@@ -327,7 +324,8 @@ def check_extension_equivalence(
 def theta_from_gauge(beta: GaugeParam, split: SplitSpace, field: Field) -> Matrix:
     """The map ``a + b -> a + beta(b) + b`` realizing an equivalence between
     a twisted product and its gauge transform: the identity plus the matrix
-    of :func:`beta_element`."""
+    of :func:`beta_element`.  The independent side of the law that a gauge
+    transform is an equivalent extension."""
     dim = split.dim
     shift = beta_element(beta, split, field).coeffs
     return tuple(

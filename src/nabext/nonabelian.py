@@ -34,7 +34,7 @@ from .cochains import (
 )
 from .fields import Field, FieldError, Scalar
 from .linalg import Vector, identity_matrix, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
-from .splitspace import all_components, embed_block_map, project_block_map, require_in_L
+from .splitspace import embed_block_map, project_block_map, require_in_L
 
 
 class CrossCheckError(RuntimeError):
@@ -364,12 +364,9 @@ def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:
     f = A.field
 
     def derivation_part(j: int) -> MultilinearMap:
-        return MultilinearMap.from_function(
-            f,
-            (A.dim,),
-            A.dim,
-            lambda idxs: vec_sub(f, psi.column((idxs[0], j)), phi.column((j, idxs[0]))),
-        )
+        # the value on a_i is column i; the target index is outermost
+        cols = [vec_sub(f, psi.column((i, j)), phi.column((j, i))) for i in range(A.dim)]
+        return MultilinearMap(f, (A.dim,), A.dim, tuple(itertools.chain.from_iterable(zip(*cols))))
 
     deltas = [hochschild_delta(derivation_part(j), A) for j in range(B.dim)]
     for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
@@ -400,23 +397,6 @@ def build_extension(c: NabCocycle) -> Tuple[Algebra, SplitSpace]:
             start = (i * dim + j) * dim
             table[start : start + split.a_dim] = twist.coeffs[flat :: twist.input_size]
     return Algebra(base.field, dim, base.basis, tuple(table)), split
-
-
-def associator_component_table(m: Algebra, split: SplitSpace):
-    """All 16 embedded components of the associator of ``m``.
-
-    Computed directly from the product (no cochain machinery), so it can
-    serve as an independent oracle for the Maurer-Cartan residual.
-    """
-    if m.dim != split.dim:
-        raise ValueError("algebra does not live on the split space")
-    assoc = MultilinearMap.from_function(
-        m.field,
-        (m.dim,) * 3,
-        m.dim,
-        lambda idxs: m.associator(*(m.basis_vector(i) for i in idxs)),
-    )
-    return all_components(assoc, split)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +462,8 @@ def associator_residual(x: MultilinearMap, base: Algebra, split: SplitSpace) -> 
 
 
 def is_mc(x: MultilinearMap, base: Algebra, split: SplitSpace) -> bool:
+    """Whether :func:`mc_residual` vanishes; the benchmark traces it as the
+    Maurer-Cartan test of a cocycle."""
     return mc_residual(x, base, split).is_zero()
 
 
@@ -703,5 +685,7 @@ def module_coboundary(beta: GaugeParam, c: NabCocycle) -> MultilinearMap:
     """``delta beta`` for the bimodule structure carried by ``c``:
     ``(b1, b2) -> phi(b1, beta(b2)) - beta(b1 b2) + psi(beta(b1), b2)``,
     computed by :func:`hochschild_delta_module` on :meth:`GaugeParam.as_map`
-    with ``phi``/``psi`` as the actions of B on A."""
+    with ``phi``/``psi`` as the actions of B on A.  With the kernel product
+    zero, a gauge move changes the curvature by exactly ``-delta beta``: the
+    independent side of that law in the abelian specialization tests."""
     return hochschild_delta_module(beta.as_map(c.A.field), c.B, c.phi, c.psi)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle
+from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle, build_extension
+from nabext.exact_sequences import ExtensionPresentation, block_presentation
 from nabext.fields import Field
 from nabext.linalg import basis_vector, solve
 
@@ -138,3 +139,21 @@ def read_through(alg: Algebra, p, p_inv) -> Algebra:
         term = f.mul(f.mul(p[r][i], p[s][j]), f.mul(alg.c(r, s, t), p_inv[k][t]))
         table[(i * n + j) * n + k] = f.add(table[(i * n + j) * n + k], term)
     return Algebra(f, n, alg.basis, tuple(table))
+
+
+def canonical_presentation(c: NabCocycle) -> ExtensionPresentation:
+    """The twisted product of ``c`` with block inclusion and projection."""
+    return block_presentation(build_extension(c)[0], c.A, c.B)
+
+
+def associator_map(m: Algebra) -> MultilinearMap:
+    """The associator of ``m`` as an arity-3 map, tabulated from
+    :meth:`Algebra.associator` on basis vectors.  No cochain kernel takes
+    part, so its blocks are an independent oracle for the Maurer-Cartan
+    residual."""
+    return MultilinearMap.from_function(
+        m.field,
+        (m.dim,) * 3,
+        m.dim,
+        lambda idxs: m.associator(*(m.basis_vector(i) for i in idxs)),
+    )

@@ -13,6 +13,8 @@ import pytest
 
 from helpers import (
     associative_samples,
+    associator_map,
+    canonical_presentation,
     line_algebra,
     line_cocycle,
     rand_cochain,
@@ -28,10 +30,8 @@ from nabext import (
     NabCocycle,
     abelian_specialize,
     apply_equivalence,
-    associator_component_table,
     beta_element,
     build_extension,
-    canonical_presentation,
     canonical_section,
     census,
     check_cocycle,
@@ -46,16 +46,20 @@ from nabext import (
     gerstenhaber_bracket,
     hochschild_delta,
     hochschild_delta_module,
+    in_L,
     is_valid_cocycle,
     mc_context,
     mc_residual,
     module_coboundary,
     multiplication_map,
+    project_block_map,
     section_difference,
 )
 from nabext.fields import GF2, GF3, QQ
 from nabext.io_json import dumps_canonical, report_to_json
-from nabext.splitspace import patterns
+
+# the input patterns of an arity-3 map on A (+) B, in index order
+PATTERNS3 = ["".join(word) for word in itertools.product("AB", repeat=3)]
 
 
 def _report(criterion: str, detail: str):
@@ -225,18 +229,18 @@ def _sweep_record(space, base, split, idx):
     x = cocycle_to_mc(c)
     residual = mc_residual(x, base, split)
     ext, _ = build_extension(c)
-    table = associator_component_table(ext, split)
-    a_total = None
-    for pat in patterns(3):
-        comp = table[(pat, "A")]
-        a_total = comp if a_total is None else a_total + comp
-    b_components_zero = all(table[(pat, "B")].is_zero() for pat in patterns(3))
+    assoc = associator_map(ext)
+    residual_matches = in_L(residual, split) and all(
+        project_block_map(residual, split, pat, "A") == project_block_map(assoc, split, pat, "A")
+        for pat in PATTERNS3
+    )
+    b_components_zero = all(project_block_map(assoc, split, pat, "B").is_zero() for pat in PATTERNS3)
     return {
         "valid": valid,
         "mc": residual.is_zero(),
         "associative": ext.is_associative(),
-        "residual_matches_table": residual == a_total,
-        "aaa_component_zero": table[("AAA", "A")].is_zero(),
+        "residual_matches_table": residual_matches,
+        "aaa_component_zero": project_block_map(assoc, split, "AAA", "A").is_zero(),
         "b_components_zero": b_components_zero,
     }
 
@@ -258,9 +262,9 @@ def test_criterion_4_associativity_and_residual_identity(f2_sweep):
     records, _ = f2_sweep
     assert all(r["valid"] == r["associative"] for r in records)
     assert all(r["residual_matches_table"] for r in records)
-    # the A-valued component sum above ranges over all eight patterns; the
-    # AAA component vanishes identically (the kernel algebra is
-    # associative), so it is exactly the seven-component sum
+    # the residual is compared with the associator on all eight A-valued
+    # patterns; the AAA component vanishes identically (the kernel algebra
+    # is associative), so the comparison holds on the other seven
     assert all(r["aaa_component_zero"] for r in records)
     assert all(r["b_components_zero"] for r in records)
     _report(

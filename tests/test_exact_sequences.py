@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    canonical_presentation,
     left_unit2,
     line_algebra,
     line_cocycle,
@@ -23,7 +24,6 @@ from nabext import (
     all_gauge_params,
     apply_equivalence,
     build_extension,
-    canonical_presentation,
     canonical_section,
     check_extension_equivalence,
     cocycle_from_section,

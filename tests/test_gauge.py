@@ -29,7 +29,6 @@ from nabext import (
     hochschild_delta_module,
     is_mc,
     is_valid_cocycle,
-    l_delta,
     mc_context,
     module_coboundary,
 )

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used there,
 every module-level private function or class is read somewhere in the
-package, package modules are imported at module level and only by their
-public names, and no float enters the exact arithmetic.
+package, every public re-export is read by the package or has a stated
+reason to stay, package modules are imported at module level and only by
+their public names, and no float enters the exact arithmetic.
 
 Stdlib only: each ``src/nabext/*.py`` is parsed with ``ast``.  The package
 ``__init__.py`` is exempt from the import check, since its imports are the
@@ -108,6 +109,41 @@ def test_private_helper_scan_sees_reads_only():
         "    return _called(), m._Attr\n"
     )
     assert [name for name, _ in _private_defs(tree) if name not in _reads(tree)] == ["_dead", "_Gone"]
+
+
+# Re-exports that no module of the package reads, and why each stays.
+UNREAD_EXPORTS = {
+    "QQ": "the field constants are the way callers name a field",
+    "GF2": "the field constants are the way callers name a field",
+    "GF3": "the field constants are the way callers name a field",
+    "delta_as_bracket": "delta = (-1)^(n-1) [m, .]: the independent side of the sign gate (criterion 2)",
+    "is_mc": "the Maurer-Cartan test the benchmark traces as a span",
+    "enumerate_sections": "the section side of 'moving the section is the gauge action' (criterion 7)",
+    "section_difference": "the section side of 'moving the section is the gauge action' (criterion 7)",
+    "theta_from_gauge": "the independent side of 'a gauge transform is an equivalent extension'",
+    "module_coboundary": "the curvature shift of an abelian gauge move (criterion 8); H^2 fibres build on it",
+}
+
+
+def _exports(tree: ast.Module):
+    """(name, line) of every name the package ``__init__`` re-exports."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_export_is_read_or_has_a_reason():
+    init = PACKAGE / "__init__.py"
+    loaded = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    exports = dict(_exports(ast.parse(init.read_text(), filename=str(init))))
+    unread = [f"{name} (line {line})" for name, line in exports.items() if name not in loaded | UNREAD_EXPORTS.keys()]
+    assert not unread, f"exported, read by no package module and given no reason: {', '.join(unread)}"
+    stale = sorted((UNREAD_EXPORTS.keys() - exports.keys()) | (UNREAD_EXPORTS.keys() & loaded))
+    assert not stale, f"reasons for names that are not unread exports: {', '.join(stale)}"
 
 
 def _package_imports(tree: ast.Module):

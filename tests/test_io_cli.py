@@ -5,14 +5,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import line_algebra, line_cocycle, rand_cocycle, rand_gauge, trunc_poly2, zero_algebra
+from helpers import (
+    canonical_presentation,
+    line_algebra,
+    line_cocycle,
+    rand_cocycle,
+    rand_gauge,
+    trunc_poly2,
+    zero_algebra,
+)
 from nabext import (
+    Algebra,
     GaugeParam,
     MultilinearMap,
     NabCocycle,
     SplitSpace,
     apply_equivalence,
-    canonical_presentation,
     canonical_section,
     cocycle_to_mc,
     direct_sum_space,
@@ -232,15 +240,15 @@ def test_cli_mc_check_evaluates_each_tensor_once(hand_files, monkeypatch, capsys
 
 
 def test_cli_q_verbs_tabulate_no_kernel_closures(tmp_path, monkeypatch, capsys):
-    # the cochain kernels and the per-component gauge transform walk the
-    # nonzero coefficients instead of tabulating a closure on every basis
-    # tuple; what mc-check still tabulates is derivation_condition_defect's
-    # one derivation part per B basis vector
+    # the cochain kernels, the gauge transforms and the block reads walk or
+    # copy coefficients instead of tabulating a closure on every basis tuple
     rng = random.Random(12)
     a, b = trunc_poly2(QQ), zero_algebra(QQ, 2, "b")
     c = rand_cocycle(rng, a, b)
     cocycle = _write(tmp_path, "c.json", cocycle_to_json(c))
     witness = _write(tmp_path, "beta.json", gauge_to_json(rand_gauge(rng, a, b), QQ))
+    valid = apply_equivalence(NabCocycle.zero(a, b), rand_gauge(rng, a, b))
+    extension = _write(tmp_path, "ext.json", extension_to_json(canonical_presentation(valid)))
     tabulated = []
     real = MultilinearMap.from_function.__func__
 
@@ -250,9 +258,9 @@ def test_cli_q_verbs_tabulate_no_kernel_closures(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(MultilinearMap, "from_function", classmethod(counting))
     assert main(["mc-check", cocycle]) in (0, 1)
-    assert tabulated == [((2,), 2), ((2,), 2)]
-    tabulated.clear()
-    assert main(["gauge", cocycle, witness, "--method", "closed"]) == 0
+    for method in ("series", "closed"):
+        assert main(["gauge", cocycle, witness, "--method", method]) == 0
+    assert main(["extract-cocycle", extension]) == 0
     assert tabulated == []
     capsys.readouterr()
 
@@ -507,9 +515,7 @@ def test_cli_abelianize_rejects_nonzero_kernel_product(tmp_path, capsys):
 def test_cli_hochschild_delta_and_bracket(tmp_path, capsys):
     alg = trunc_poly2(QQ)
     alg_path = _write(tmp_path, "alg.json", algebra_to_json(alg))
-    from nabext import identity_map
-
-    f = identity_map(QQ, 2)
+    f = MultilinearMap.from_entries(QQ, (2,), 2, [(0, 0, 1), (1, 1, 1)])
     f_path = _write(tmp_path, "f.json", map_to_json(f))
     assert main(["hochschild-delta", f_path, alg_path]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -532,20 +538,20 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert main(["check-assoc", str(not_schema)]) == 2
     capsys.readouterr()
     # maps on the wrong space: one error line, no traceback
-    from nabext import identity_map
-
+    id2_doc = map_to_json(MultilinearMap.from_entries(QQ, (2,), 2, [(0, 0, 1), (1, 1, 1)]))
+    id3_doc = map_to_json(MultilinearMap.from_entries(QQ, (3,), 3, [(k, k, 1) for k in range(3)]))
     alg2 = _write(tmp_path, "alg2.json", algebra_to_json(trunc_poly2(QQ)))
-    id2 = _write(tmp_path, "id2.json", map_to_json(identity_map(QQ, 2)))
-    id3 = _write(tmp_path, "id3.json", map_to_json(identity_map(QQ, 3)))
+    id2 = _write(tmp_path, "id2.json", id2_doc)
+    id3 = _write(tmp_path, "id3.json", id3_doc)
     for argv in (["hochschild-delta", id3, alg2], ["bracket", id2, id3, "--field", "Q"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     # malformed headers and entry lists: one error line, no traceback
     bad_maps = [
-        {**map_to_json(identity_map(QQ, 2)), "split": {"a_dim": -1, "b_dim": 3}},
-        {**map_to_json(identity_map(QQ, 2)), "split": {"a_dim": 0, "b_dim": 0}},
-        {**map_to_json(identity_map(QQ, 2)), "arity": -1},
+        {**id2_doc, "split": {"a_dim": -1, "b_dim": 3}},
+        {**id2_doc, "split": {"a_dim": 0, "b_dim": 0}},
+        {**id2_doc, "arity": -1},
     ]
     e_doc = algebra_to_json(trunc_poly2(QQ))
     bad_extensions = [
@@ -558,6 +564,10 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         argvs += [["hochschild-delta", path, alg2], ["bracket", path, path, "--field", "Q"]]
     for n, doc in enumerate(bad_extensions):
         argvs.append(["extract-cocycle", _write(tmp_path, f"bad_ext{n}.json", doc)])
+    # a non-associative quotient (x x = y, y y = x): (x x) y = x, x (x y) = 0
+    loop = Algebra.from_products(QQ, ["x", "y"], {(0, 0): {1: 1}, (1, 1): {0: 1}})
+    twisted_quotient = _write(tmp_path, "loop.json", cocycle_to_json(NabCocycle.zero(zero_algebra(QQ, 1), loop)))
+    argvs += [["mc-check", twisted_quotient], ["abelianize", twisted_quotient]]
     for argv in argvs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -20,6 +20,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    canonical_presentation,
     left_unit2,
     line_algebra,
     line_cocycle,
@@ -37,7 +38,6 @@ from nabext import (
     Section,
     apply_equivalence,
     build_extension,
-    canonical_presentation,
     canonical_section,
     check_extension_equivalence,
     cocycle_from_mc,
