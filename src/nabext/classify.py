@@ -8,15 +8,23 @@ Candidates are indexed by writing all twist coefficients as base-p digits,
 so runs are deterministic and trivially splittable across workers.  The
 (phi, psi) coefficients are the low digits and chi the high ones.
 
-The two routes of the census find the cocycles independently.  The cocycle
-route solves the cocycle equations level by level, since each is affine in
-one unknown once the others are fixed: the phi form the nullspace of the
-psi-free ``phi_leibniz`` rows of EQ4; for each phi, psi ranges over the
-affine solution set of EQ3 and EQ4; for each (phi, psi), chi ranges over the
-affine solution set of EQ1, EQ2 and EQ5.  Every system is read off the
-residual generators of :mod:`~nabext.nonabelian` by probing them at zero and
-at each unit vector, so no equation is written out here.  A sample of
-indices is tested point by point instead.
+The two routes of the census find the cocycles independently, and each
+solves in three stages, phi, then psi with phi fixed, then chi with phi and
+psi fixed; each stage is affine in its unknown once the earlier digits are
+fixed.  Each route reads its stage systems off one symbolic pass per space:
+its equations are evaluated once over :class:`_Poly`, a polynomial of
+degree at most 2 in the index digits, and each stage keeps the terms that
+give its affine system ``r0 + M x`` as sparse sums in the earlier digits.
+A term of degree 2 in a stage's unknowns, or one in a later stage's digit,
+raises :class:`CrossCheckError`, so affinity is checked, not assumed.  No
+equation is written out here.
+
+The cocycle route reads the residual generators of
+:mod:`~nabext.nonabelian`: the phi form the nullspace of the psi-free
+``phi_leibniz`` rows of EQ4; for each phi, psi ranges over the affine
+solution set of EQ3 and EQ4; for each (phi, psi), chi ranges over the affine
+solution set of EQ1, EQ2 and EQ5.  A sample of indices is tested point by
+point instead.
 
 The extension route is the oracle: it reads only the twisted-product table
 that :func:`build_extension` lays out (probed once per space) and never
@@ -37,7 +45,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Algebra, SplitSpace, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
@@ -45,14 +53,10 @@ from .exact_sequences import block_presentation, canonical_section, cocycle_from
 from .fields import Field, PrimeField, Scalar
 from .linalg import (
     Vector,
-    identity_matrix,
     is_zero_vector,
     solution_space,
     vec_add,
-    vec_neg,
     vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from .nonabelian import (
     CrossCheckError,
@@ -86,6 +90,188 @@ def _digits(n: int, p: int, count: int) -> List[int]:
         n, d = divmod(n, p)
         out.append(d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the equations as affine systems, read once per space
+# ---------------------------------------------------------------------------
+
+#: A product of index digits: ``()``, ``(k,)`` or ``(k, l)`` with ``k <= l``.
+Monomial = Tuple[int, ...]
+
+
+def _terms(x) -> Dict[Monomial, int]:
+    """The ``{monomial: coefficient}`` of a :class:`_Poly` or a scalar."""
+    return x.terms if isinstance(x, _Poly) else ({(): x} if x else {})
+
+
+class _Poly:
+    """A polynomial of degree at most 2 over F_p in a candidate's index
+    digits, ``{monomial: coefficient}``.
+
+    It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
+    ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
+    the zero tests of the kernels (``== 0``, ``!= 0``), so the residual
+    generators and :func:`basis_associator` run over it as written.  A
+    product above degree 2 raises :class:`CrossCheckError`: the solver
+    relies on the equations being at most quadratic in the digits.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Monomial, int]):
+        self.terms = terms
+
+    def __add__(self, other) -> "_Poly":
+        terms = dict(self.terms)
+        for m, c in _terms(other).items():
+            terms[m] = terms.get(m, 0) + c
+        return _Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Poly":
+        return _Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other) -> "_Poly":
+        return self + -other
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    def __mul__(self, other) -> "_Poly":
+        terms: Dict[Monomial, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in _terms(other).items():
+                m = tuple(sorted(m1 + m2))
+                if len(m) > 2:
+                    raise CrossCheckError(
+                        f"a product of the index digits {m} has degree {len(m)};"
+                        " the equations are not of degree at most 2"
+                    )
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return _Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p: int) -> "_Poly":
+        return _Poly({m: c % p for m, c in self.terms.items() if c % p})
+
+    def __eq__(self, other) -> bool:
+        return self.terms == _terms(other)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One solver stage as an affine system: its unknowns are the index
+    digits ``lo`` to ``hi - 1``, the digits below ``lo`` are fixed and the
+    digits from ``hi`` on are not read.  The stage's residual components, one
+    row each, are ``r0 + M x`` in the unknowns ``x``, where ``r0`` and
+    ``M`` are polynomials in the fixed digits: ``terms`` maps each monomial
+    in the fixed digits to the ``(position, coefficient)`` pairs it adds to
+    the augmented matrix ``[M | -r0]``, flat and row by row."""
+
+    field: PrimeField
+    lo: int
+    hi: int
+    rows: int
+    terms: Tuple[Tuple[Monomial, Tuple[Tuple[int, int], ...]], ...]
+
+    def system(self, digits: Sequence[int]) -> List[Vector]:
+        """The rows of ``[M | -r0]`` with ``digits`` (the digits below
+        ``lo``) written in: a sparse sum over the monomials whose digits
+        are all nonzero."""
+        width = self.hi - self.lo + 1
+        aug = [0] * (self.rows * width)
+        for mono, entries in self.terms:
+            w = 1
+            for k in mono:
+                w *= digits[k]
+            if w:
+                for pos, c in entries:
+                    aug[pos] += w * c
+        p = self.field.p
+        aug = [v % p for v in aug]
+        return [tuple(aug[r : r + width]) for r in range(0, len(aug), width)]
+
+    def solutions(self, digits: Sequence[int]) -> Iterator[Vector]:
+        """Every value of the unknowns that zeroes the stage with
+        ``digits`` fixed: one solution plus every combination of the
+        nullspace, both from one :func:`solution_space`.  An empty fibre
+        costs that one elimination."""
+        field = self.field
+        rows = self.system(digits)
+        # a zero row or a repeated one constrains nothing, so elimination
+        # sees only the distinct nonzero rows (the first row stays when all
+        # are zero, so that the system keeps its width)
+        rows = list(dict.fromkeys(row for row in rows if any(row))) or rows[:1]
+        solved = solution_space(
+            field, tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)
+        )
+        if solved is None:
+            return
+        x0, basis = solved
+        for combo in itertools.product(list(field.elements()), repeat=len(basis)):
+            x = x0
+            for c, v in zip(combo, basis):
+                if c != 0:
+                    x = vec_add(field, x, vec_scale(field, c, v))
+            yield x
+
+
+def _compile_stage(
+    space: "CandidateSpace",
+    name: str,
+    lo: int,
+    hi: int,
+    residuals: Iterable[Tuple[str, Sequence]],
+) -> _Stage:
+    """The :class:`_Stage` of the unknowns ``lo`` to ``hi - 1`` read off
+    symbolic ``(label, discrepancy)`` residuals, in order.  Raises
+    :class:`CrossCheckError`, naming the stage, the residual and the
+    monomial, if a term has degree 2 in the unknowns or reads a digit from
+    ``hi`` on: the stage must be affine in its unknowns and decided before
+    the later digits are."""
+    names = [f"{part}[{k}]" for part, n in zip(("phi", "psi", "chi"), space.entry_counts) for k in range(n)]
+    width = hi - lo + 1
+    by_fixed: Dict[Monomial, List[Tuple[int, int]]] = {}
+    row = 0
+    for label, disc in residuals:
+        for component, value in enumerate(disc):
+            for mono, c in _terms(value).items():
+                unknown = [k for k in mono if k >= lo]
+                if len(unknown) > 1 or any(k >= hi for k in unknown):
+                    why = (
+                        "in a later stage's digit"
+                        if unknown[-1] >= hi
+                        else "of degree 2 in the stage's unknowns"
+                    )
+                    raise CrossCheckError(
+                        f"{name}: residual {label}, component {component}, has the term"
+                        f" {'*'.join(names[k] for k in mono)} {why}"
+                    )
+                fixed = tuple(k for k in mono if k < lo)
+                if unknown:
+                    by_fixed.setdefault(fixed, []).append((row * width + unknown[0] - lo, c))
+                else:
+                    by_fixed.setdefault(fixed, []).append((row * width + width - 1, -c))
+            row += 1
+    return _Stage(space.A.field, lo, hi, row, tuple((m, tuple(e)) for m, e in by_fixed.items()))
+
+
+def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
+    """Each residual's discrepancy, named by its kind and basis triple."""
+    return [
+        (f"{kind.value}{' ' + detail if detail else ''} at {witness}", disc)
+        for kind, witness, disc, detail in residuals
+    ]
+
+
+def _symbolic_digits(count: int) -> List[_Poly]:
+    """The index digits ``0`` to ``count - 1`` as variables."""
+    return [_Poly({(k,): 1}) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -162,6 +348,53 @@ class CandidateSpace:
                 )
             slots.append(moved[0])
         return zero, tuple(slots)
+
+    @cached_property
+    def cocycle_stages(self) -> Tuple[_Stage, _Stage, _Stage]:
+        """The phi, psi and chi stages of the cocycle route, from one pass
+        of :func:`twist_residuals` and one of :func:`curvature_residuals`
+        with every digit a variable: phi from the ``phi_leibniz`` rows,
+        psi from all of :func:`twist_residuals`, chi from
+        :func:`curvature_residuals`."""
+        n_phi, n_psi, _ = self.entry_counts
+        mid, end = n_phi + n_psi, self.total_entries
+        digits = _symbolic_digits(end)
+        phi, psi = self._map(0, digits[:n_phi]), self._map(1, digits[n_phi:mid])
+        chi = self._map(2, digits[mid:])
+        twist = list(twist_residuals(self.A, self.B, phi, psi))
+        leibniz = [r for r in twist if r[3] == "phi_leibniz"]
+        curvature = curvature_residuals(self.A, self.B, phi, psi, chi)
+        return (
+            _compile_stage(self, "cocycle route, phi stage", 0, n_phi, _labelled(leibniz)),
+            _compile_stage(self, "cocycle route, psi stage", n_phi, mid, _labelled(twist)),
+            _compile_stage(self, "cocycle route, chi stage", mid, end, _labelled(curvature)),
+        )
+
+    @cached_property
+    def extension_stages(self) -> Tuple[_Stage, _Stage, _Stage]:
+        """The phi, psi and chi stages of the extension route, from one
+        :func:`basis_associator` per triple of :func:`_stage_triples` on the
+        :attr:`extension_layout` table with every slot holding its digit as
+        a variable."""
+        zero, slots = self.extension_layout
+        table = list(zero.table)
+        for slot, digit in zip(slots, _symbolic_digits(self.total_entries)):
+            table[slot] = digit
+        n_phi, n_psi, _ = self.entry_counts
+        bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
+        return tuple(
+            _compile_stage(
+                self,
+                f"extension route, {part} stage",
+                lo,
+                hi,
+                [
+                    (f"associator at basis triple {t}", basis_associator(zero.field, zero.dim, table, *t))
+                    for t in triples
+                ],
+            )
+            for part, (lo, hi), triples in zip(("phi", "psi", "chi"), bounds, _stage_triples(self))
+        )
 
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
@@ -247,49 +480,18 @@ def _pointwise_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[
     return hits
 
 
-def _stacked(residuals: Iterable[Residual]) -> Vector:
-    """The discrepancies of ``residuals``, one after the other."""
-    return tuple(v for _, _, disc, _ in residuals for v in disc)
-
-
-def _affine_solutions(
-    field: Field, residual: Callable[[Vector], Vector], n: int
-) -> Iterator[Vector]:
-    """Every ``x`` in F_p^n with ``residual(x) = 0``, for a ``residual`` that
-    is affine in ``x``: probed at zero and at each unit vector, which gives
-    ``residual(x) = r0 + M x``, then one solution of ``M x = -r0`` plus
-    every combination of the nullspace of ``M``, both from one
-    :func:`solution_space`.  All probes are made before the first point is
-    yielded, so ``residual`` may read variables that the caller rebinds
-    while consuming the points."""
-    r0 = residual(zero_vector(field, n))
-    cols = [vec_sub(field, residual(e), r0) for e in identity_matrix(field, n)]
-    solutions = solution_space(field, tuple(zip(*cols)), vec_neg(field, r0))
-    if solutions is None:
-        return
-    x0, basis = solutions
-    for combo in itertools.product(list(field.elements()), repeat=len(basis)):
-        x = x0
-        for c, v in zip(combo, basis):
-            if c != 0:
-                x = vec_add(field, x, vec_scale(field, c, v))
-        yield x
-
-
 def _fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, NabCocycle]]:
     """The cocycles over each ``phi`` of ``phis``: psi over the solutions of
     the curvature-free equations, then chi over the solutions of the
-    curvature ones."""
-    A, B, field = space.A, space.B, space.A.field
-    _, n_psi, n_chi = space.entry_counts
+    curvature ones, each system read off :attr:`CandidateSpace.cocycle_stages`."""
+    A, B = space.A, space.B
+    _, psi_stage, chi_stage = space.cocycle_stages
     hits = []
     for phi_coeffs in phis:
         phi = space._map(0, phi_coeffs)
-        twist = lambda x: _stacked(twist_residuals(A, B, phi, space._map(1, x)))
-        for psi_coeffs in _affine_solutions(field, twist, n_psi):
+        for psi_coeffs in psi_stage.solutions(phi_coeffs):
             psi = space._map(1, psi_coeffs)
-            curvature = lambda x: _stacked(curvature_residuals(A, B, phi, psi, space._map(2, x)))
-            for chi_coeffs in _affine_solutions(field, curvature, n_chi):
+            for chi_coeffs in chi_stage.solutions(phi_coeffs + psi_coeffs):
                 c = NabCocycle(A, B, phi, psi, space._map(2, chi_coeffs))
                 hits.append((space.index_of(c), c))
     return hits
@@ -351,49 +553,26 @@ def _stage_triples(space: CandidateSpace) -> Tuple[Tuple[Tuple[int, int, int], .
     return tuple(tuple(triples) for triples in stages)
 
 
-def _associators(
-    zero: Algebra, table: List[Scalar], slots: Sequence[int], triples: Sequence[Tuple[int, int, int]]
-) -> Callable[[Vector], Vector]:
-    """The associators of ``triples`` in ``table``, one after the other, as a
-    function of the digits written into ``slots``."""
-    field, dim = zero.field, zero.dim
-
-    def residual(x: Vector) -> Vector:
-        for slot, digit in zip(slots, x):
-            table[slot] = digit
-        return tuple(v for t in triples for v in basis_associator(field, dim, table, *t))
-
-    return residual
-
-
 def _extension_fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, Algebra]]:
     """The candidates over each ``phi`` of ``phis`` whose twisted product is
     associative: psi over the affine solutions of the psi-stage associators
-    with phi written in and chi at zero, then chi over those of the
-    chi-stage associators with phi and psi written in.  Each hit is tested
-    on every basis triple; one that fails raises :class:`CrossCheckError`
-    with its index and the triple."""
+    with phi fixed, then chi over those of the chi-stage associators with
+    phi and psi fixed, each system read off
+    :attr:`CandidateSpace.extension_stages`.  Each hit is tested on every
+    basis triple; one that fails raises :class:`CrossCheckError` with its
+    index and the triple."""
     zero, slots = space.extension_layout
-    n_phi, n_psi, n_chi = space.entry_counts
-    phi_slots, psi_slots, chi_slots = slots[:n_phi], slots[n_phi : n_phi + n_psi], slots[n_phi + n_psi :]
-    _, psi_triples, chi_triples = _stage_triples(space)
+    _, psi_stage, chi_stage = space.extension_stages
     weights = [space.p ** s for s in range(space.total_entries)]
     table = list(zero.table)
-    psi_residual = _associators(zero, table, psi_slots, psi_triples)
-    chi_residual = _associators(zero, table, chi_slots, chi_triples)
     hits = []
     for phi in phis:
-        for slot, digit in zip(phi_slots, phi):
-            table[slot] = digit
-        for slot in chi_slots:
-            table[slot] = zero.field.zero
-        for psi in _affine_solutions(zero.field, psi_residual, n_psi):
-            for slot, digit in zip(psi_slots, psi):
-                table[slot] = digit
-            for chi in _affine_solutions(zero.field, chi_residual, n_chi):
-                for slot, digit in zip(chi_slots, chi):
+        for psi in psi_stage.solutions(phi):
+            for chi in chi_stage.solutions(phi + psi):
+                digits = phi + psi + chi
+                for slot, digit in zip(slots, digits):
                     table[slot] = digit
-                index = sum(d * w for d, w in zip(phi + psi + chi, weights))
+                index = sum(d * w for d, w in zip(digits, weights))
                 witness = associativity_witness(zero.field, zero.dim, table)
                 if witness is not None:
                     raise CrossCheckError(
@@ -448,7 +627,10 @@ def enumerate_cocycles(
     which never read psi; the workers take the phi points, and over each
     one solve the rest of :func:`twist_residuals` for psi and then
     :func:`curvature_residuals` for chi, each an affine system in its
-    unknown.  A sample of indices is tested point by point with
+    unknown.  The three systems come from
+    :attr:`CandidateSpace.cocycle_stages`, one symbolic pass of each
+    generator per space, so a fibre costs one elimination and no generator
+    call.  A sample of indices is tested point by point with
     :func:`twist_defects` and then :func:`curvature_defects`.
     """
     if indices is not None:
@@ -458,12 +640,8 @@ def enumerate_cocycles(
                 raise IndexError(f"candidate index {i} out of range")
         return _scan(space, indices, _pointwise_chunk, jobs)
     space.exhaustive_indices()  # the budget bounds an exhaustive run either way
-    A, B, field = space.A, space.B, space.A.field
-    no_psi = space._map(1, zero_vector(field, space.entry_counts[1]))
-    leibniz = lambda x: _stacked(
-        r for r in twist_residuals(A, B, space._map(0, x), no_psi) if r[3] == "phi_leibniz"
-    )
-    phis = list(_affine_solutions(field, leibniz, space.entry_counts[0]))
+    # the stages are read here, so that the workers inherit them
+    phis = list(space.cocycle_stages[0].solutions(()))
     return _scan(space, phis, _fibre_chunk, jobs)
 
 
@@ -485,8 +663,11 @@ def enumerate_extensions(
     affine solutions of the BAA associators, which read no other digit; the
     workers take the phi points, and over each one solve the AAB, ABA and
     BAB associators for psi and then the BBA, ABB and BBB associators for
-    chi, each affine in its unknown.  Every hit is tested on all basis
-    triples.  A sample of indices is swept instead: each candidate's table
+    chi, each affine in its unknown.  The three systems come from
+    :attr:`CandidateSpace.extension_stages`, one symbolic pass of the
+    associators per space, so a fibre costs one elimination and no
+    associator; every hit is then tested on all basis triples, numerically.
+    A sample of indices is swept instead: each candidate's table
     is its digits scattered into the layout's slots, tested on every basis
     triple, the one that rejected the previous candidate first.
     """
@@ -494,10 +675,8 @@ def enumerate_extensions(
         space.extension_layout  # probed here, so that the workers inherit it
         return _scan(space, indices, _associative_chunk, jobs)
     space.exhaustive_indices()  # the budget bounds an exhaustive run either way
-    zero, slots = space.extension_layout
-    n_phi = space.entry_counts[0]
-    baa = _associators(zero, list(zero.table), slots[:n_phi], _stage_triples(space)[0])
-    phis = list(_affine_solutions(zero.field, baa, n_phi))
+    # the stages are read here, so that the workers inherit them
+    phis = list(space.extension_stages[0].solutions(()))
     return _scan(space, phis, _extension_fibre_chunk, jobs)
 
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -8,7 +9,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import line_algebra, trunc_poly2, trunc_poly3, zero_algebra
+from helpers import (
+    left_unit2,
+    line_algebra,
+    rand_invertible,
+    read_through,
+    trunc_poly2,
+    trunc_poly3,
+    zero_algebra,
+)
+import nabext.algebra as algebra
 import nabext.classify as classify
 import nabext.nonabelian as nonabelian
 from nabext import (
@@ -32,8 +42,10 @@ from nabext import (
     ViolationKind,
 )
 from nabext.classify import worker_count
+from nabext.cli import main
 from nabext.io_json import dumps_canonical, report_to_json
-from nabext.fields import GF2, GF3
+from nabext.fields import GF2, GF3, PrimeField
+from nabext.linalg import identity_matrix, vec_neg, vec_sub
 
 
 def _mc(cocycles):
@@ -289,27 +301,230 @@ def test_census_work_guard(monkeypatch):
 
 
 def test_solver_evaluates_fewer_twist_residuals_than_pairs(monkeypatch):
-    # deterministic work count: an exhaustive run probes the curvature-free
-    # equations once per unknown coefficient and fibre, far fewer times
-    # than there are (phi, psi) pairs, which a pair sweep would visit each
+    # deterministic work count: an exhaustive run reads each equation
+    # generator exactly once, symbolically, and every stage system off that
+    # one pass; a pair sweep would visit each of the (phi, psi) pairs
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
     assert space.pair_count == 256
-    calls = []
-    real = nonabelian.twist_residuals
+    calls = {"twist_residuals": 0, "curvature_residuals": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name):
+        real = getattr(nonabelian, name)
 
-    # the solver calls the generator directly, the defect filters through
+        def generator(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return generator
+
+    # the solver calls the generators directly, the defect filters through
     # their own module
-    monkeypatch.setattr(classify, "twist_residuals", counted)
-    monkeypatch.setattr(nonabelian, "twist_residuals", counted)
+    for name in calls:
+        monkeypatch.setattr(classify, name, counted(name))
+        monkeypatch.setattr(nonabelian, name, counted(name))
     hits = enumerate_cocycles(space)
+    assert calls == {"twist_residuals": 1, "curvature_residuals": 1}
     assert [i for i, _ in hits] == [i for i, _ in enumerate_extensions(space)]
+    assert len({c.phi.coeffs for _, c in hits}) > 1
+
+
+def test_oracle_evaluates_numeric_associators_only_to_check_its_hits(monkeypatch):
+    # deterministic work count: the staged oracle reads its stage systems
+    # off one symbolic pass, so the only associators it evaluates on numbers
+    # are the full checks of its hits, at most dim^3 per hit
+    space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
+    space.extension_stages
+    numeric = []
+    real = algebra.basis_associator
+
+    def counted(field, dim, table, *triple):
+        numeric.append(triple)
+        return real(field, dim, table, *triple)
+
+    monkeypatch.setattr(classify, "basis_associator", counted)
+    monkeypatch.setattr(algebra, "basis_associator", counted)
+    hits = enumerate_extensions(space)
+    dim = space.A.dim + space.B.dim
+    assert hits and 0 < len(numeric) <= dim ** 3 * len(hits)
+
+
+def _evaluated(value, digits, p):
+    """A symbolic scalar of the stage pass at ``digits``."""
+    return sum(c * math.prod(digits[k] for k in m) for m, c in classify._terms(value).items()) % p
+
+
+def _stack(residuals):
+    return tuple(v for _, _, disc, _ in residuals for v in disc)
+
+
+def _bounds(space):
     n_phi, n_psi, _ = space.entry_counts
-    phis = len({c.phi.coeffs for _, c in hits})
-    assert n_phi + 1 + phis * (n_psi + 1) <= len(calls) < space.pair_count
+    return ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, space.total_entries))
+
+
+def _twists(space, digits):
+    """phi, psi and chi with the index digits ``digits``, numbers or not."""
+    return tuple(space._map(part, digits[lo:hi]) for part, (lo, hi) in enumerate(_bounds(space)))
+
+
+def _scattered(space, digits):
+    """The extension layout's table with ``digits`` in their slots."""
+    zero, slots = space.extension_layout
+    table = list(zero.table)
+    for slot, digit in zip(slots, digits):
+        table[slot] = digit
+    return table
+
+
+def _associators(space, table, triples):
+    zero = space.extension_layout[0]
+    return tuple(v for t in triples for v in algebra.basis_associator(zero.field, zero.dim, table, *t))
+
+
+def _stage_values(space, route, stage, digits):
+    """What the probes of a stage read: the generator's residuals, or the
+    stage associators of the scattered table, at the digits ``digits``."""
+    if route == "extension":
+        return _associators(space, _scattered(space, digits), classify._stage_triples(space)[stage])
+    phi, psi, chi = _twists(space, digits)
+    if stage == 2:
+        return _stack(nonabelian.curvature_residuals(space.A, space.B, phi, psi, chi))
+    twist = nonabelian.twist_residuals(space.A, space.B, phi, psi)
+    return _stack(r for r in twist if stage == 1 or r[3] == "phi_leibniz")
+
+
+_GF5 = PrimeField(5)
+# dims 1 and 2, commutative and not
+_STAGE_BUILDERS = (
+    lambda f: line_algebra(f, "zero"),
+    lambda f: line_algebra(f, "idem"),
+    trunc_poly2,
+    lambda f: zero_algebra(f, 2),
+    left_unit2,
+)
+
+
+@st.composite
+def _spaces_and_digits(draw):
+    """A space over F2, F3 or F5 whose ends are helper algebras of dims 1-2
+    read through a random change of basis, and random index digits."""
+    field = draw(st.sampled_from([GF2, GF3, _GF5]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ends = []
+    for _ in range(2):
+        alg = draw(st.sampled_from(_STAGE_BUILDERS))(field)
+        ends.append(read_through(alg, *rand_invertible(rng, field, alg.dim)))
+    space = CandidateSpace(*ends)
+    return space, tuple(field.random(rng) for _ in range(space.total_entries))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_spaces_and_digits())
+def test_symbolic_equations_evaluate_to_the_numeric_ones(case):
+    # the generators and the associator kernel over symbolic digits,
+    # evaluated at random digits, give what they give on the numbers
+    space, digits = case
+    A, B = space.A, space.B
+    symbolic = classify._symbolic_digits(space.total_entries)
+    evaluated = lambda values: tuple(_evaluated(v, digits, space.p) for v in values)
+    (phi, psi, chi), (phi_x, psi_x, chi_x) = _twists(space, symbolic), _twists(space, digits)
+    assert evaluated(_stack(nonabelian.twist_residuals(A, B, phi, psi))) == _stack(
+        nonabelian.twist_residuals(A, B, phi_x, psi_x)
+    )
+    assert evaluated(_stack(nonabelian.curvature_residuals(A, B, phi, psi, chi))) == _stack(
+        nonabelian.curvature_residuals(A, B, phi_x, psi_x, chi_x)
+    )
+    for triples in classify._stage_triples(space):
+        assert evaluated(_associators(space, _scattered(space, symbolic), triples)) == _associators(
+            space, _scattered(space, digits), triples
+        )
+
+
+@settings(deadline=None, max_examples=60)
+@given(_spaces_and_digits())
+def test_stage_systems_are_the_probes_of_their_generators(case):
+    # each stage at random earlier digits: r0 is the generator with the
+    # unknowns and later digits at zero, and column j is the generator at
+    # the j-th unit vector minus r0
+    space, digits = case
+    field = space.A.field
+    for route, stages in (("cocycle", space.cocycle_stages), ("extension", space.extension_stages)):
+        for stage, ((lo, hi), system) in enumerate(zip(_bounds(space), stages)):
+            fixed, later = digits[:lo], (0,) * (space.total_entries - hi)
+            rows = system.system(fixed)
+            r0 = _stage_values(space, route, stage, fixed + (0,) * (hi - lo) + later)
+            assert vec_neg(field, tuple(row[-1] for row in rows)) == r0
+            for j, unit in enumerate(identity_matrix(field, hi - lo)):
+                column = vec_sub(field, _stage_values(space, route, stage, fixed + unit + later), r0)
+                assert tuple(row[j] for row in rows) == column
+
+
+def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):
+    # a curvature generator with an added chi * chi term is no longer
+    # affine in chi: the chi stage refuses it, naming the residual and the
+    # monomial, and the CLI exits 3
+    real = nonabelian.curvature_residuals
+
+    def squared(A, B, phi, psi, chi):
+        f = A.field
+        for kind, witness, disc, detail in real(A, B, phi, psi, chi):
+            if kind is ViolationKind.EQ5_CHI_COCYCLE and witness == (0, 0, 0):
+                disc = (f.add(disc[0], f.mul(chi.coeffs[0], chi.coeffs[0])),) + disc[1:]
+            yield kind, witness, disc, detail
+
+    monkeypatch.setattr(classify, "curvature_residuals", squared)
+    message = (
+        r"cocycle route, chi stage: residual eq5_chi_cocycle at \(0, 0, 0\), component 0,"
+        r" has the term chi\[0\]\*chi\[0\] of degree 2"
+    )
+    with pytest.raises(CrossCheckError, match=message):
+        census(_space())
+    assert main(["census", "--field", "F2", "--a2", "zero", "--b2", "idem"]) == 3
+    err = capsys.readouterr().err
+    assert "chi stage" in err and "chi[0]*chi[0]" in err and "Traceback" not in err
+
+
+def test_a_stage_that_reads_a_later_digit_is_refused(monkeypatch):
+    # the BBB triple, whose associator chi (psi - phi) a reads chi, moved
+    # into the psi stage
+    space = _space()
+    phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
+    monkeypatch.setattr(
+        classify, "_stage_triples", lambda sp: (phi_triples, psi_triples + chi_triples[-1:], chi_triples)
+    )
+    message = (
+        r"extension route, psi stage: residual associator at basis triple \(1, 1, 1\),"
+        r" component 0, has the term (phi|psi)\[0\]\*chi\[0\] in a later stage's digit"
+    )
+    with pytest.raises(CrossCheckError, match=message):
+        census(space)
+
+
+def _refuse(*args):
+    raise AssertionError("a worker evaluated the equations again")
+
+
+def test_pool_census_reads_the_stage_systems_of_the_parent(two_cpus, monkeypatch):
+    # F3 zero(2)/idem line: both routes hand 81 phi points to a 2-worker
+    # pool.  The workers get the stage systems with the pickled space: one
+    # that read an equation or the layout again would fail
+    def space():
+        return CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
+
+    serial = dumps_canonical(report_to_json(census(space(), jobs=1), GF3))
+    assert two_cpus.started == 0
+    scan = classify._scan
+
+    def scan_without_equations(sp, tasks, worker, jobs):
+        with monkeypatch.context() as m:
+            for name in ("twist_residuals", "curvature_residuals", "basis_associator", "build_extension"):
+                m.setattr(classify, name, _refuse)
+            return scan(sp, tasks, worker, jobs)
+
+    monkeypatch.setattr(classify, "_scan", scan_without_equations)
+    pooled = dumps_canonical(report_to_json(census(space(), jobs=2), GF3))
+    assert two_cpus.started == 2
+    assert pooled == serial
 
 
 # each has pairs that pass and pairs that fail the curvature-free equations
@@ -653,6 +868,9 @@ _GOLDEN_CENSUS_SPACES = {
     # each census takes about a second
     "F2-nil2-nil2": (_nil2(GF2), _nil2(GF2)),
     "F2-unit2-zero2": (trunc_poly2(GF2), zero_algebra(GF2, 2, "b")),
+    # 2^24 candidates, 472 cocycles in 85 classes, recorded by the probing
+    # solver and oracle; the census takes a few seconds
+    "F2-zero2-unit2": (zero_algebra(GF2, 2), trunc_poly2(GF2)),
 }
 
 
