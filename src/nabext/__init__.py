@@ -54,7 +54,6 @@ from .nonabelian import (
     check_cocycle,
     cocycle_from_mc,
     cocycle_to_mc,
-    curvature_defects,
     curvature_residuals,
     derivation_condition_defect,
     gauge_closed_form,
@@ -64,7 +63,6 @@ from .nonabelian import (
     mc_context,
     mc_residual,
     module_coboundary,
-    twist_defects,
     twist_residuals,
 )
 from .splitspace import MembershipError, embed_block_map, in_L, project_block_map

@@ -27,8 +27,8 @@ solution set of EQ1, EQ2 and EQ5.  A sample of indices is tested point by
 point instead.
 
 The extension route is the oracle: it reads only the twisted-product table
-that :func:`build_extension` lays out (probed once per space) and never
-consults an equation.  It solves by block pattern, the same three levels
+that :func:`build_extension` lays out, read off one symbolic call per space,
+and never consults an equation.  It solves by block pattern, the same three levels
 read off associativity: the BAA associators give the phi subspace; for each
 phi, the AAB, ABA and BAB associators give the affine psi-fibre; for each
 (phi, psi), the BBA, ABB and BBB associators give the affine chi-fibre (AAA
@@ -68,11 +68,9 @@ from .nonabelian import (
     associator_residual,
     build_extension,
     cocycle_to_mc,
-    curvature_defects,
     curvature_residuals,
     gauge_closed_form,
     is_valid_cocycle,
-    twist_defects,
     twist_residuals,
 )
 
@@ -328,26 +326,36 @@ class CandidateSpace:
         """The zero candidate's twisted product and, for each index digit,
         the slot of the structure-constant table that holds that digit.
 
-        Probed from :func:`build_extension` on the zero candidate and on each
-        unit candidate ``p**s``, so that function stays the only definition
-        of the twisted product: a candidate's table is the zero table with
-        its digits written into their slots.  Raises
-        :class:`CrossCheckError` unless each unit table differs from the zero
-        table in one slot of its own, where the zero table holds 0 and the
-        unit table 1.
+        Read off :func:`build_extension` on the zero candidate and on the
+        symbolic one, whose digits are variables, so that function stays
+        the only definition of the twisted product: a candidate's table is
+        the zero table with its digits written into their slots.  Raises
+        :class:`CrossCheckError` unless each digit stands alone, with
+        coefficient 1, in one slot of its own where the zero table holds 0,
+        and every other entry of the symbolic table is the zero table's.
         """
+        n = self.total_entries
         zero = build_extension(self.candidate(0))[0]
-        slots: List[int] = []
-        for s in range(self.total_entries):
-            unit = build_extension(self.candidate(self.p ** s))[0].table
-            moved = [k for k, (u, z) in enumerate(zip(unit, zero.table)) if u != z]
-            if len(moved) != 1 or unit[moved[0]] != 1 or zero.table[moved[0]] != 0 or moved[0] in slots:
+        symbolic = build_extension(self._decode(_symbolic_digits(n)))[0]
+        slots: Dict[int, int] = {}
+        for slot, (entry, constant) in enumerate(zip(symbolic.table, zero.table)):
+            terms = _terms(entry)
+            digit = min((k for m in terms for k in m), default=None)
+            if digit is None:
+                if terms != _terms(constant):
+                    raise CrossCheckError(
+                        f"slot {slot} of the twisted product holds {terms.get((), 0)},"
+                        f" not the zero table's {constant}"
+                    )
+            elif terms != {(digit,): 1} or constant != 0 or slots.setdefault(digit, slot) != slot:
                 raise CrossCheckError(
-                    f"index digit {s} is not a slot of its own in the twisted product"
-                    f" (the unit candidate moves slots {moved})"
+                    f"index digit {digit} is not alone, with coefficient 1, in a slot of its own"
+                    f" where the zero table holds 0 (slot {slot})"
                 )
-            slots.append(moved[0])
-        return zero, tuple(slots)
+        if len(slots) < n:
+            missing = min(set(range(n)) - slots.keys())
+            raise CrossCheckError(f"index digit {missing} has no slot in the twisted product")
+        return zero, tuple(slots[s] for s in range(n))
 
     @cached_property
     def cocycle_stages(self) -> Tuple[_Stage, _Stage, _Stage]:
@@ -358,12 +366,10 @@ class CandidateSpace:
         :func:`curvature_residuals`."""
         n_phi, n_psi, _ = self.entry_counts
         mid, end = n_phi + n_psi, self.total_entries
-        digits = _symbolic_digits(end)
-        phi, psi = self._map(0, digits[:n_phi]), self._map(1, digits[n_phi:mid])
-        chi = self._map(2, digits[mid:])
-        twist = list(twist_residuals(self.A, self.B, phi, psi))
+        c = self._decode(_symbolic_digits(end))
+        twist = list(twist_residuals(self.A, self.B, c.phi, c.psi))
         leibniz = [r for r in twist if r[3] == "phi_leibniz"]
-        curvature = curvature_residuals(self.A, self.B, phi, psi, chi)
+        curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
         return (
             _compile_stage(self, "cocycle route, phi stage", 0, n_phi, _labelled(leibniz)),
             _compile_stage(self, "cocycle route, psi stage", n_phi, mid, _labelled(twist)),
@@ -400,29 +406,30 @@ class CandidateSpace:
         dims, target = self.shapes[part]
         return MultilinearMap(self.A.field, dims, target, tuple(digits))
 
-    def twists(self, pair: int) -> Tuple[MultilinearMap, MultilinearMap]:
-        """Decode ``(phi, psi)`` from the low digits of a candidate index."""
+    def _decode(self, digits: Sequence) -> NabCocycle:
+        """The candidate whose index digits, least significant first, are
+        ``digits``, numbers or :class:`_Poly` variables: phi takes the low
+        digits, psi the middle ones and chi the high ones."""
         n_phi, n_psi, _ = self.entry_counts
-        digits = _digits(pair, self.p, n_phi + n_psi)
-        return self._map(0, digits[:n_phi]), self._map(1, digits[n_phi:])
+        parts = (digits[:n_phi], digits[n_phi : n_phi + n_psi], digits[n_phi + n_psi :])
+        return NabCocycle(self.A, self.B, *(self._map(k, part) for k, part in enumerate(parts)))
 
-    def curvature(self, chi: int) -> MultilinearMap:
-        """Decode ``chi`` from the high digits of a candidate index."""
-        return self._map(2, _digits(chi, self.p, self.entry_counts[2]))
+    def _index(self, digits: Sequence[int]) -> int:
+        """The candidate index whose base-p digits, least significant first,
+        are ``digits``."""
+        idx = 0
+        for d in reversed(digits):
+            idx = idx * self.p + d
+        return idx
 
     def candidate(self, index: int) -> NabCocycle:
         """Decode a candidate from its base-p digit expansion."""
         if not 0 <= index < self.total_candidates:
             raise IndexError(f"candidate index {index} out of range")
-        chi, pair = divmod(index, self.pair_count)
-        return NabCocycle(self.A, self.B, *self.twists(pair), self.curvature(chi))
+        return self._decode(_digits(index, self.p, self.total_entries))
 
     def index_of(self, c: NabCocycle) -> int:
-        digits = list(c.phi.coeffs) + list(c.psi.coeffs) + list(c.chi.coeffs)
-        idx = 0
-        for d in reversed(digits):
-            idx = idx * self.p + d
-        return idx
+        return self._index(c.phi.coeffs + c.psi.coeffs + c.chi.coeffs)
 
     def exhaustive_indices(self) -> range:
         if self.total_candidates > self.budget:
@@ -465,36 +472,29 @@ class CandidateSpace:
 # ---------------------------------------------------------------------------
 
 def _pointwise_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, NabCocycle]]:
-    """The cocycles among the indices of ``chunk``, each tested on its own:
-    the curvature-free equations first, and the curvature ones only when
-    those hold."""
-    A, B = space.A, space.B
-    hits = []
-    for i in chunk:
-        chi, pair = divmod(i, space.pair_count)
-        phi, psi = space.twists(pair)
-        if next(twist_defects(A, B, phi, psi), None) is None:
-            chi_map = space.curvature(chi)
-            if next(curvature_defects(A, B, phi, psi, chi_map), None) is None:
-                hits.append((i, NabCocycle(A, B, phi, psi, chi_map)))
-    return hits
+    """The cocycles among the indices of ``chunk``, each decoded and tested
+    on its own by :func:`is_valid_cocycle`."""
+    decoded = ((i, space.candidate(i)) for i in chunk)
+    return [(i, c) for i, c in decoded if is_valid_cocycle(c)]
+
+
+def _staged(stages: Sequence[_Stage], phis: Sequence[Vector]) -> Iterator[Vector]:
+    """The digits ``phi + psi + chi`` of every solution of the phi, psi and
+    chi ``stages`` over each ``phi`` of ``phis``: psi over the psi stage's
+    solutions with phi fixed, then chi over the chi stage's with phi and psi
+    fixed."""
+    _, psi_stage, chi_stage = stages
+    for phi in phis:
+        for psi in psi_stage.solutions(phi):
+            for chi in chi_stage.solutions(phi + psi):
+                yield phi + psi + chi
 
 
 def _fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, NabCocycle]]:
     """The cocycles over each ``phi`` of ``phis``: psi over the solutions of
     the curvature-free equations, then chi over the solutions of the
     curvature ones, each system read off :attr:`CandidateSpace.cocycle_stages`."""
-    A, B = space.A, space.B
-    _, psi_stage, chi_stage = space.cocycle_stages
-    hits = []
-    for phi_coeffs in phis:
-        phi = space._map(0, phi_coeffs)
-        for psi_coeffs in psi_stage.solutions(phi_coeffs):
-            psi = space._map(1, psi_coeffs)
-            for chi_coeffs in chi_stage.solutions(phi_coeffs + psi_coeffs):
-                c = NabCocycle(A, B, phi, psi, space._map(2, chi_coeffs))
-                hits.append((space.index_of(c), c))
-    return hits
+    return [(space._index(d), space._decode(d)) for d in _staged(space.cocycle_stages, phis)]
 
 
 def _rejection(
@@ -562,24 +562,19 @@ def _extension_fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> Lis
     basis triple; one that fails raises :class:`CrossCheckError` with its
     index and the triple."""
     zero, slots = space.extension_layout
-    _, psi_stage, chi_stage = space.extension_stages
-    weights = [space.p ** s for s in range(space.total_entries)]
     table = list(zero.table)
     hits = []
-    for phi in phis:
-        for psi in psi_stage.solutions(phi):
-            for chi in chi_stage.solutions(phi + psi):
-                digits = phi + psi + chi
-                for slot, digit in zip(slots, digits):
-                    table[slot] = digit
-                index = sum(d * w for d, w in zip(digits, weights))
-                witness = associativity_witness(zero.field, zero.dim, table)
-                if witness is not None:
-                    raise CrossCheckError(
-                        f"staged extension route: candidate {index} is not associative"
-                        f" at basis triple {witness}"
-                    )
-                hits.append((index, replace(zero, table=tuple(table))))
+    for digits in _staged(space.extension_stages, phis):
+        for slot, digit in zip(slots, digits):
+            table[slot] = digit
+        index = space._index(digits)
+        witness = associativity_witness(zero.field, zero.dim, table)
+        if witness is not None:
+            raise CrossCheckError(
+                f"staged extension route: candidate {index} is not associative"
+                f" at basis triple {witness}"
+            )
+        hits.append((index, replace(zero, table=tuple(table))))
     return hits
 
 
@@ -622,22 +617,13 @@ def enumerate_cocycles(
     :func:`is_valid_cocycle` accepts.
 
     An exhaustive run (``indices`` None; over the budget it raises
-    :class:`BudgetExceededError`) solves instead of sweeping.  The phi are
-    the nullspace of the ``phi_leibniz`` rows of :func:`twist_residuals`,
-    which never read psi; the workers take the phi points, and over each
-    one solve the rest of :func:`twist_residuals` for psi and then
-    :func:`curvature_residuals` for chi, each an affine system in its
-    unknown.  The three systems come from
-    :attr:`CandidateSpace.cocycle_stages`, one symbolic pass of each
-    generator per space, so a fibre costs one elimination and no generator
-    call.  A sample of indices is tested point by point with
-    :func:`twist_defects` and then :func:`curvature_defects`.
+    :class:`BudgetExceededError`) solves the phi, psi and chi systems of
+    :attr:`CandidateSpace.cocycle_stages` in turn, as the module docstring
+    describes: the workers take the phi points, and a fibre costs one
+    elimination and no generator call.  A sample of indices is tested point
+    by point with :func:`is_valid_cocycle`.
     """
     if indices is not None:
-        indices = list(indices)
-        for i in indices:
-            if not 0 <= i < space.total_candidates:
-                raise IndexError(f"candidate index {i} out of range")
         return _scan(space, indices, _pointwise_chunk, jobs)
     space.exhaustive_indices()  # the budget bounds an exhaustive run either way
     # the stages are read here, so that the workers inherit them
@@ -654,25 +640,20 @@ def enumerate_extensions(
     as ``(index, extension algebra)`` pairs, an algebra built for each hit
     only.
 
-    This is the extension-side route, the oracle of the cocycle route: it
-    reads only the twisted-product table, laid out by
-    :attr:`CandidateSpace.extension_layout` (the layout of
-    :func:`build_extension`), and never consults the cocycle equations.  An
-    exhaustive run (``indices`` None; over the budget it raises
-    :class:`BudgetExceededError`) solves by block pattern: the phi are the
-    affine solutions of the BAA associators, which read no other digit; the
-    workers take the phi points, and over each one solve the AAB, ABA and
-    BAB associators for psi and then the BBA, ABB and BBB associators for
-    chi, each affine in its unknown.  The three systems come from
-    :attr:`CandidateSpace.extension_stages`, one symbolic pass of the
-    associators per space, so a fibre costs one elimination and no
-    associator; every hit is then tested on all basis triples, numerically.
-    A sample of indices is swept instead: each candidate's table
-    is its digits scattered into the layout's slots, tested on every basis
-    triple, the one that rejected the previous candidate first.
+    This is the oracle of the cocycle route: it reads only the
+    twisted-product table of :attr:`CandidateSpace.extension_layout` and
+    never consults the cocycle equations.  An exhaustive run (``indices``
+    None; over the budget it raises :class:`BudgetExceededError`) solves the
+    block-pattern systems of :attr:`CandidateSpace.extension_stages` in
+    turn, as the module docstring describes: the workers take the phi
+    points, a fibre costs one elimination and no associator, and every hit
+    is then tested on all basis triples, numerically.  A sample of indices
+    is swept instead: each candidate's table is its digits scattered into
+    the layout's slots, tested on every basis triple, the one that rejected
+    the previous candidate first.
     """
     if indices is not None:
-        space.extension_layout  # probed here, so that the workers inherit it
+        space.extension_layout  # read here, so that the workers inherit it
         return _scan(space, indices, _associative_chunk, jobs)
     space.exhaustive_indices()  # the budget bounds an exhaustive run either way
     # the stages are read here, so that the workers inherit them

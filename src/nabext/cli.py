@@ -1,10 +1,9 @@
 """Command-line driver.
 
 Every verb is defined once, in the table ``_VERBS``: its name, help, arguments
-and handler.  A call whose first argument is a verb builds the top-level parser
-and that verb's subparser only; the whole tree is built only when no verb is
-named (no arguments, ``-h``, an unknown verb), since only then is the usage or
-help of every verb printed.  Each call builds its parsers afresh.
+and handler.  The parser tree is built once, at import, and every call parses
+with it: parsing never changes a parser, and usage and error text read
+``COLUMNS`` when they are printed, so a call leaves nothing behind.
 
 Exit codes: 0 success / check passed, 1 check failed (witness JSON on
 stdout), 2 input or usage error (message on stderr), 3 internal consistency
@@ -16,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra
-from .classify import BudgetExceededError, CandidateSpace, census
+from .classify import DEFAULT_BUDGET, BudgetExceededError, CandidateSpace, census
 from .cochains import circ, gerstenhaber_bracket, hochschild_delta
 from .exact_sequences import (
     BrokenExtensionError,
@@ -47,6 +46,7 @@ from .io_json import (
     matrix_from_entries,
     report_to_json,
     report_to_text,
+    require_dense_size,
     section_from_json,
 )
 from .nonabelian import (
@@ -132,6 +132,7 @@ def _cmd_check_assoc(args) -> int:
 def _cmd_hochschild_delta(args) -> int:
     alg = algebra_from_json(_read(args.algebra))
     m, split = map_from_json(_read(args.map), alg.field)
+    require_dense_size("the differential", m.target_dim, alg.dim, m.arity + 1)
     try:
         result = hochschild_delta(m, alg)
     except ValueError as exc:
@@ -144,6 +145,7 @@ def _cmd_bracket(args) -> int:
     field = _parse_field(args.field)
     f, split = map_from_json(_read(args.left), field)
     g, _ = map_from_json(_read(args.right), field)
+    require_dense_size("the bracket", f.target_dim, f.target_dim, f.arity + g.arity - 1)
     try:
         result = gerstenhaber_bracket(f, g)
     except ValueError as exc:
@@ -398,7 +400,7 @@ _VERBS = (
         _arg("--dimB", type=int, default=1),
         _arg("--a2", default="zero", help="kernel generator square: zero|idem"),
         _arg("--b2", default="idem", help="quotient generator square: zero|idem"),
-        _arg("--budget", type=int, default=2 ** 24),
+        _arg("--budget", type=int, default=DEFAULT_BUDGET),
         _arg("--jobs", type=int, default=1),
         _arg("--sample", type=int, default=0, help="sample this many candidates instead of sweeping"),
         _arg("--seed", type=int, default=0),
@@ -408,32 +410,28 @@ _VERBS = (
         _arg("cocycle"),
     )),
 )
-_VERB_BY_NAME = {verb.name: verb for verb in _VERBS}
 
 
-def _build_parser(verbs: Sequence[_Verb]) -> argparse.ArgumentParser:
-    """The top-level parser with a subparser for each of ``verbs``."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for every verb."""
     parser = argparse.ArgumentParser(
         prog="nabext",
         description="Exact computations with non-abelian extensions of associative algebras.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in verbs:
+    for verb in _VERBS:
         p = sub.add_parser(verb.name, help=verb.help)
         for flags, options in (*verb.arguments, _OUTPUT):
             p.add_argument(*flags, **options)
         p.set_defaults(handler=verb.handler)
-    if len(verbs) < len(_VERBS):
-        # the top parser reports unknown options given after the verb, with
-        # a usage line that must still list every verb
-        sub.metavar = "{" + ",".join(_VERB_BY_NAME) + "}"
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    verb = _VERB_BY_NAME.get(argv[0]) if argv else None
-    args = _build_parser((verb,) if verb else _VERBS).parse_args(argv)
+    args = _PARSER.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except (FormatError, BudgetExceededError, FieldError) as exc:

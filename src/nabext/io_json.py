@@ -24,6 +24,24 @@ class FormatError(ValueError):
     """Malformed or inconsistent input document."""
 
 
+#: The most coefficients a dense tensor of the command line may hold: a map,
+#: a matrix, an algebra's structure constants, or a computed result.
+MAX_DENSE_SIZE = 2 ** 20
+
+
+def require_dense_size(what: str, target_dim: int, source_dim: int, arity: int) -> None:
+    """Raise :class:`FormatError`, before anything is allocated, if a map of
+    ``arity`` slots of dimension ``source_dim`` into dimension
+    ``target_dim`` would hold more than :data:`MAX_DENSE_SIZE` coefficients
+    or slots.  A dimension of 2 or more to the power 21 is past the bound,
+    so the power stops there and no large number is formed."""
+    power = source_dim ** max(0, min(arity, MAX_DENSE_SIZE.bit_length()))
+    if arity > MAX_DENSE_SIZE or abs(target_dim * power) > MAX_DENSE_SIZE:
+        raise FormatError(
+            f"{what} would hold {target_dim} x {source_dim}^{arity} coefficients, more than {MAX_DENSE_SIZE}"
+        )
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -98,6 +116,7 @@ def algebra_from_json(obj) -> Algebra:
     basis = _expect(obj, "basis", list, "algebra")
     if len(basis) != dim or not all(isinstance(n, str) for n in basis):
         raise FormatError("algebra basis must list dim distinct names")
+    require_dense_size("algebra", dim, dim, 2)
     rows = _expect(obj, "products", list, "algebra")
     products: Dict[Tuple[int, int], Dict[int, object]] = {}
     for row in rows:
@@ -173,6 +192,7 @@ def map_from_json(obj, field: Field) -> Tuple[MultilinearMap, Optional[SplitSpac
     source_dim = _expect(obj, "source_dim", int, "map")
     target_dim = _expect(obj, "target_dim", int, "map")
     rows = _expect(obj, "entries", list, "map")
+    require_dense_size("map", target_dim, source_dim, arity)
     split = None
     if "split" in obj:
         sp = obj["split"]
@@ -228,6 +248,7 @@ def _matrix_to_entries(m: Matrix, field: Field) -> List[List]:
 def matrix_from_entries(rows, field: Field, n_rows: int, n_cols: int, what: str) -> Matrix:
     if not isinstance(rows, list):
         raise FormatError(f"{what} must be a list of [row, col, coeff] entries")
+    require_dense_size(what, n_rows, n_cols, 1)
     buf = [[field.zero] * n_cols for _ in range(n_rows)]
     for row in rows:
         if not isinstance(row, list) or len(row) != 3 or not all(

@@ -149,12 +149,12 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 # EQ3 and EQ4 (the triples with one B factor, and B.A.B) never read the
 # curvature; EQ1, EQ2 and EQ5 are affine in it.  Each group is one lazy
 # generator of residuals, every equation's discrepancy in a fixed order,
-# zeros included: the defect functions keep the nonzero ones, and the census
-# solver probes the generators at zero and at unit vectors to read off the
-# affine systems, so every equation is written out once.  Both generators
-# read the columns of the maps and the product rows once per call, and
-# evaluate every term as :func:`_from_columns`, a map applied to a vector
-# through its columns.
+# zeros included: :func:`check_cocycle` and :func:`is_valid_cocycle` keep the
+# nonzero ones, and the census solver runs each generator once per space on
+# symbolic digits to read off its affine systems, so every equation is
+# written out once.  Both generators read the columns of the maps and the
+# product rows once per call, and evaluate every term as
+# :func:`_from_columns`, a map applied to a vector through its columns.
 
 
 #: One equation at one basis triple and its discrepancy, zero or not:
@@ -213,34 +213,14 @@ def twist_residuals(
 
     for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
         row = left[i1][i2]
+        # (detail, left side, right side) of each identity
         checks = (
-            (
-                "psi_leibniz",
-                vec_sub(
-                    f,
-                    _from_columns(f, row, psi_b[j]),
-                    _from_columns(f, psi_a[i2][j], left[i1]),
-                ),
-            ),
-            (
-                "phi_leibniz",
-                vec_sub(
-                    f,
-                    _from_columns(f, row, phi_b[j]),
-                    _from_columns(f, phi_b[j][i1], right[i2]),
-                ),
-            ),
-            (
-                "cross_compat",
-                vec_sub(
-                    f,
-                    _from_columns(f, psi_a[i1][j], right[i2]),
-                    _from_columns(f, phi_b[j][i2], left[i1]),
-                ),
-            ),
+            ("psi_leibniz", _from_columns(f, row, psi_b[j]), _from_columns(f, psi_a[i2][j], left[i1])),
+            ("phi_leibniz", _from_columns(f, row, phi_b[j]), _from_columns(f, phi_b[j][i1], right[i2])),
+            ("cross_compat", _from_columns(f, psi_a[i1][j], right[i2]), _from_columns(f, phi_b[j][i2], left[i1])),
         )
-        for detail, disc in checks:
-            yield (ViolationKind.EQ4_DERIVATION, (i1, i2, j), disc, detail)
+        for detail, lhs, rhs in checks:
+            yield (ViolationKind.EQ4_DERIVATION, (i1, i2, j), vec_sub(f, lhs, rhs), detail)
 
 
 def curvature_residuals(
@@ -294,29 +274,14 @@ def curvature_residuals(
         yield (ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc, "")
 
 
-def _violations(residuals: Iterator[Residual]) -> Iterator[CocycleViolation]:
-    """The residuals with a nonzero discrepancy, as violations, lazily."""
-    return (CocycleViolation(*r) for r in residuals if not is_zero_vector(r[2]))
-
-
-def twist_defects(
-    A: Algebra, B: Algebra, phi: MultilinearMap, psi: MultilinearMap
-) -> Iterator[CocycleViolation]:
-    """Violations of the curvature-free equations, lazily: the nonzero
-    :func:`twist_residuals`, in their order."""
-    return _violations(twist_residuals(A, B, phi, psi))
-
-
-def curvature_defects(
-    A: Algebra,
-    B: Algebra,
-    phi: MultilinearMap,
-    psi: MultilinearMap,
-    chi: MultilinearMap,
-) -> Iterator[CocycleViolation]:
-    """Violations of the equations that read the curvature, lazily: the
-    nonzero :func:`curvature_residuals`, in their order."""
-    return _violations(curvature_residuals(A, B, phi, psi, chi))
+def _residuals(c: NabCocycle) -> Iterator[Residual]:
+    """Every equation's residual, lazily: :func:`twist_residuals`, then
+    :func:`curvature_residuals`, whose body runs only once the first group
+    is exhausted."""
+    return itertools.chain(
+        twist_residuals(c.A, c.B, c.phi, c.psi),
+        curvature_residuals(c.A, c.B, c.phi, c.psi, c.chi),
+    )
 
 
 _KIND_ORDER = {kind: pos for pos, kind in enumerate(ViolationKind)}
@@ -325,30 +290,24 @@ _KIND_ORDER = {kind: pos for pos, kind in enumerate(ViolationKind)}
 def check_cocycle(c: NabCocycle) -> List[CocycleViolation]:
     """All violations of the five cocycle equations; empty means valid.
 
-    Both groups of :func:`twist_defects` and :func:`curvature_defects` in
-    full, stably sorted by :class:`ViolationKind` order: equation by
-    equation, each in basis-triple order.
+    The nonzero residuals of both groups in full, stably sorted by
+    :class:`ViolationKind` order: equation by equation, each in basis-triple
+    order.
     """
     if not c.A.is_associative():
         raise ValueError("kernel algebra is not associative")
     if not c.B.is_associative():
         raise ValueError("quotient algebra is not associative")
-    found = [
-        *twist_defects(c.A, c.B, c.phi, c.psi),
-        *curvature_defects(c.A, c.B, c.phi, c.psi, c.chi),
-    ]
+    found = [CocycleViolation(*r) for r in _residuals(c) if not is_zero_vector(r[2])]
     return sorted(found, key=lambda v: _KIND_ORDER[v.which])
 
 
 def is_valid_cocycle(c: NabCocycle) -> bool:
     """Whether the five cocycle equations hold, stopping at the first
-    violation: the curvature-free group first, then the curvature group
-    (ambient associativity is the caller's job).  Equal to
-    ``check_cocycle(c) == []``."""
-    return (
-        next(twist_defects(c.A, c.B, c.phi, c.psi), None) is None
-        and next(curvature_defects(c.A, c.B, c.phi, c.psi, c.chi), None) is None
-    )
+    nonzero residual: the curvature group is evaluated only when the
+    curvature-free group holds (ambient associativity is the caller's job).
+    Equal to ``check_cocycle(c) == []``."""
+    return all(is_zero_vector(r[2]) for r in _residuals(c))
 
 
 def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:

@@ -259,15 +259,13 @@ def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch):
 
 
 def test_layout_probe_rejects_a_product_that_is_not_a_scatter(monkeypatch):
-    # a twisted product in which a unit digit moves two slots is refused
+    # a twisted product in which the chi digit lands in two slots is refused
     space = _space()
 
     def doubled(c):
         ext, split = build_extension(c)
-        if c.chi.coeffs[0] == 0:
-            return ext, split
         table = list(ext.table)
-        table[0] = 1 - table[0]
+        table[0] = table[0] + c.chi.coeffs[0]
         return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
 
     monkeypatch.setattr(classify, "build_extension", doubled)
@@ -275,11 +273,29 @@ def test_layout_probe_rejects_a_product_that_is_not_a_scatter(monkeypatch):
         space.extension_layout
 
 
+def test_layout_read_rejects_a_constant_slot_that_differs(monkeypatch):
+    # a twisted product whose digit-free slot 0 holds 1 once chi is not the
+    # number 0 (the symbolic chi is a variable, not 0) is refused
+    space = _space()
+
+    def shifted(c):
+        ext, split = build_extension(c)
+        if c.chi.coeffs[0] == 0:
+            return ext, split
+        table = list(ext.table)
+        table[0] = 1 - table[0]
+        return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
+
+    monkeypatch.setattr(classify, "build_extension", shifted)
+    with pytest.raises(CrossCheckError, match="slot 0 of the twisted product holds 1, not the zero table.s 0"):
+        space.extension_layout
+
+
 def test_census_work_guard(monkeypatch):
     # deterministic work counts instead of a timing: the oracle builds
-    # twisted products only to probe the layout (and census once per
-    # cocycle for its tables check), and the cocycle equations never apply
-    # a map to a vector
+    # twisted products only to read the layout, once on the zero candidate
+    # and once on the symbolic one (and census once per cocycle for its
+    # tables check), and the cocycle equations never apply a map to a vector
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
     assert space.total_candidates == 1024
     built = []
@@ -295,8 +311,8 @@ def test_census_work_guard(monkeypatch):
 
     monkeypatch.setattr(MultilinearMap, "apply", apply)
     report = census(space)
-    assert len(built) < space.total_entries + 1 + 2 * report.num_cocycles
-    equations = {"twist_residuals", "curvature_residuals", "twist_defects", "curvature_defects"}
+    assert len(built) <= 2 + report.num_cocycles
+    equations = {"twist_residuals", "curvature_residuals"}
     assert not equations & set(applied_from)
 
 

@@ -547,16 +547,20 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-    # malformed headers and entry lists: one error line, no traceback
+    # malformed headers and entry lists, and tensors too large to hold
+    # densely (2 x 2^70 coefficients, a 2 x (2^40 + 1) iota): one error
+    # line, no traceback, refused before anything of that size is allocated
     bad_maps = [
         {**id2_doc, "split": {"a_dim": -1, "b_dim": 3}},
         {**id2_doc, "split": {"a_dim": 0, "b_dim": 0}},
         {**id2_doc, "arity": -1},
+        {**id2_doc, "arity": 70},
     ]
     e_doc = algebra_to_json(trunc_poly2(QQ))
     bad_extensions = [
         {"E": e_doc, "iota": [[0, "x", "1"]], "p": [[0, 1, "1"]]},
         {"E": e_doc, "iota": [[0, 0]], "p": [[0, 1, "1"]]},
+        {"E": e_doc, "iota": [[0, 2 ** 40, "1"]], "p": [[0, 1, "1"]]},
     ]
     argvs = []
     for n, doc in enumerate(bad_maps):
@@ -568,6 +572,14 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     loop = Algebra.from_products(QQ, ["x", "y"], {(0, 0): {1: 1}, (1, 1): {0: 1}})
     twisted_quotient = _write(tmp_path, "loop.json", cocycle_to_json(NabCocycle.zero(zero_algebra(QQ, 1), loop)))
     argvs += [["mc-check", twisted_quotient], ["abelianize", twisted_quotient]]
+    # an algebra of dim 102 (102^3 structure constants), and inputs of
+    # allowed size whose result would be too large: the differential of a
+    # 2 x 2^19 cochain, the bracket of two 2 x 2^11 ones
+    big = {"field": "Q", "dim": 102, "basis": [f"e{i}" for i in range(102)], "products": []}
+    argvs.append(["check-assoc", _write(tmp_path, "big.json", big)])
+    top = _write(tmp_path, "arity19.json", {**id2_doc, "arity": 19, "entries": []})
+    arity11 = _write(tmp_path, "arity11.json", {**id2_doc, "arity": 11, "entries": []})
+    argvs += [["hochschild-delta", top, alg2], ["bracket", arity11, arity11, "--field", "Q"]]
     for argv in argvs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -16,6 +16,7 @@ from helpers import (
 from nabext import (
     Algebra,
     CandidateSpace,
+    CocycleViolation,
     MultilinearMap,
     NabCocycle,
     ViolationKind,
@@ -24,7 +25,7 @@ from nabext import (
     check_cocycle,
     cocycle_from_mc,
     cocycle_to_mc,
-    curvature_defects,
+    curvature_residuals,
     derivation_condition_defect,
     direct_sum_space,
     hochschild_delta,
@@ -34,7 +35,7 @@ from nabext import (
     mc_context,
     mc_residual,
     project_block_map,
-    twist_defects,
+    twist_residuals,
 )
 from nabext.fields import GF2, GF3, QQ
 
@@ -316,9 +317,10 @@ def test_mc_residual_requires_arity_two_and_membership():
 # ---------------------------------------------------------------------------
 # check_cocycle pinned: the violations of ~200 seeded F2/F3 candidates at dims
 # (1,1), (2,1), (1,2) and (2,2), recorded from the single-pass equation check
-# that preceded the split into twist_defects and curvature_defects; and the
-# derivation_condition_defect of the same candidates, recorded from the
-# pointwise check that preceded its route through hochschild_delta
+# that preceded the split of the equations into a curvature-free and a
+# curvature group; and the derivation_condition_defect of the same
+# candidates, recorded from the pointwise check that preceded its route
+# through hochschild_delta
 # ---------------------------------------------------------------------------
 
 GOLDEN_CHECK = Path(__file__).parent / "golden" / "check_cocycle_F2_F3.json"
@@ -376,14 +378,19 @@ def test_derivation_condition_matches_golden():
     assert 0 < sum(g["defect"] is None for g in golden) < len(golden)
 
 
+def _nonzero(residuals):
+    return [CocycleViolation(*r) for r in residuals if any(r[2])]
+
+
 def test_defect_groups_split_by_what_they_read():
-    # the curvature-free group reports EQ3/EQ4 only, the curvature group
-    # EQ1/EQ2/EQ5 only, and together they are check_cocycle's list
+    # the nonzero residuals of the curvature-free group are EQ3/EQ4 only,
+    # those of the curvature group EQ1/EQ2/EQ5 only, and together they are
+    # check_cocycle's list
     twist_kinds = {ViolationKind.EQ3_COMMUTE, ViolationKind.EQ4_DERIVATION}
     for *_, index, space in itertools.islice(_golden_cases(), 0, None, 5):
         c = space.candidate(index)
-        twist = list(twist_defects(c.A, c.B, c.phi, c.psi))
-        curvature = list(curvature_defects(c.A, c.B, c.phi, c.psi, c.chi))
+        twist = _nonzero(twist_residuals(c.A, c.B, c.phi, c.psi))
+        curvature = _nonzero(curvature_residuals(c.A, c.B, c.phi, c.psi, c.chi))
         assert {v.which for v in twist} <= twist_kinds
         assert not {v.which for v in curvature} & twist_kinds
         assert sorted(twist + curvature, key=lambda v: v.which.value) == check_cocycle(c)
