@@ -36,6 +36,15 @@ is the associativity of A).  Each hit is tested on every basis triple and
 only the hits become :class:`Algebra` values.  A sample of indices is swept
 instead: each index's digits are scattered into the table's slots, and the
 triple that rejected the previous candidate is tried first.
+
+The orbits come from the triple action :func:`apply_equivalence`, and each
+is checked against the closed-form gauge action on the Maurer-Cartan
+elements.  That action is read off one symbolic pass of
+:func:`gauge_closed_form` per space, over :class:`_Poly` with the element's
+slots and the parameter's entries as variables, and specialised per beta to
+an affine map of the element's coefficients; it is evaluated for every
+(cocycle, beta) pair.  A term of degree 2 in the element raises
+:class:`CrossCheckError`.
 """
 
 from __future__ import annotations
@@ -104,15 +113,17 @@ def _terms(x) -> Dict[Monomial, int]:
 
 
 class _Poly:
-    """A polynomial of degree at most 2 over F_p in a candidate's index
-    digits, ``{monomial: coefficient}``.
+    """A polynomial of degree at most 2 over F_p in numbered variables,
+    ``{monomial: coefficient}``: a candidate's index digits, or the slots of
+    a twist and the entries of a gauge parameter.
 
     It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
-    the zero tests of the kernels (``== 0``, ``!= 0``), so the residual
-    generators and :func:`basis_associator` run over it as written.  A
-    product above degree 2 raises :class:`CrossCheckError`: the solver
-    relies on the equations being at most quadratic in the digits.
+    the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
+    residual generators, :func:`basis_associator` and
+    :func:`gauge_closed_form` run over it as written.  A product above
+    degree 2 raises :class:`CrossCheckError`: the solver and the gauge
+    action rely on their formulas being at most quadratic.
     """
 
     __slots__ = ("terms",)
@@ -144,8 +155,8 @@ class _Poly:
                 m = tuple(sorted(m1 + m2))
                 if len(m) > 2:
                     raise CrossCheckError(
-                        f"a product of the index digits {m} has degree {len(m)};"
-                        " the equations are not of degree at most 2"
+                        f"a product of the variables {m} has degree {len(m)};"
+                        " the formula is not of degree at most 2"
                     )
                 terms[m] = terms.get(m, 0) + c1 * c2
         return _Poly(terms)
@@ -157,6 +168,11 @@ class _Poly:
 
     def __eq__(self, other) -> bool:
         return self.terms == _terms(other)
+
+    def __bool__(self) -> bool:
+        # nonzero exactly when some coefficient is, as a scalar: the
+        # kernels' ``if c`` and ``MultilinearMap.is_zero`` skip zero terms
+        return any(self.terms.values())
 
     __hash__ = None
 
@@ -273,6 +289,26 @@ def _symbolic_digits(count: int) -> List[_Poly]:
 
 
 @dataclass(frozen=True)
+class _AffineMap:
+    """``x -> constant + sum c * x[s] e_q`` over F_p: the image of a
+    coefficient tuple ``x`` is ``constant`` with ``c * x[s]`` added to slot
+    ``q`` for each ``(q, s, c)`` of ``terms``."""
+
+    p: int
+    constant: Tuple[int, ...]
+    terms: Tuple[Tuple[int, int, int], ...]
+
+    def __call__(self, x: Sequence[int]) -> Tuple[int, ...]:
+        out = list(self.constant)
+        for q, s, c in self.terms:
+            v = x[s]
+            if v:
+                out[q] += c * v
+        p = self.p
+        return tuple(v % p for v in out)
+
+
+@dataclass(frozen=True)
 class CandidateSpace:
     """All twist triples for a fixed pair of finite-field algebras."""
 
@@ -314,12 +350,6 @@ class CandidateSpace:
     @cached_property
     def total_candidates(self) -> int:
         return self.p ** self.total_entries
-
-    @cached_property
-    def pair_count(self) -> int:
-        """The (phi, psi) pairs: they are the low base-p digits of an index,
-        so ``index = pair + pair_count * chi``."""
-        return self.p ** (self.entry_counts[0] + self.entry_counts[1])
 
     @cached_property
     def extension_layout(self) -> Tuple[Algebra, Tuple[int, ...]]:
@@ -402,6 +432,63 @@ class CandidateSpace:
             for part, (lo, hi), triples in zip(("phi", "psi", "chi"), bounds, _stage_triples(self))
         )
 
+    @cached_property
+    def gauge_action(self) -> Tuple[_AffineMap, ...]:
+        """The closed-form gauge action, one :class:`_AffineMap` per beta of
+        :meth:`gauge_params`, in order, that sends the coefficients of a
+        twist-shaped element ``x`` to those of
+        ``gauge_closed_form(x, beta, base, split)``.
+
+        Read off one :func:`gauge_closed_form` call whose element has a
+        variable ``x[s]`` in each A-valued slot ``s`` off the AA block and
+        whose parameter has a variable in each entry, numbered after them;
+        each beta then writes its entries into the terms.  Raises
+        :class:`CrossCheckError`, naming the slot, if a term has degree 2 in
+        the element: the action must be affine in it."""
+        base, split = direct_sum_space(self.A, self.B)
+        dim, a, b = split.dim, split.a_dim, split.b_dim
+        n = dim ** 3  # the coefficients of an arity-2 map on the split space
+        coeffs = [0] * n
+        for k, i, j in itertools.product(split.a_indices, range(dim), range(dim)):
+            if i >= a or j >= a:
+                s = (k * dim + i) * dim + j
+                coeffs[s] = _Poly({(s,): 1})
+        x = MultilinearMap(self.A.field, (dim, dim), dim, tuple(coeffs))
+        beta = GaugeParam(tuple(tuple(_Poly({(n + i * b + j,): 1}) for j in range(b)) for i in range(a)))
+        # (q, s or None, the beta entries multiplied, c) per term c * monomial
+        # of the image's slot q
+        parsed = []
+        for q, value in enumerate(gauge_closed_form(x, beta, base, split).coeffs):
+            for mono, c in _terms(value).items():
+                xs = [k for k in mono if k < n]
+                if len(xs) > 1:
+                    raise CrossCheckError(
+                        f"closed-form gauge action: slot {q} of the image has the term"
+                        f" x[{xs[0]}]*x[{xs[1]}] of degree 2 in the element"
+                    )
+                parsed.append((q, xs[0] if xs else None, [k - n for k in mono if k >= n], c))
+        p = self.p
+        maps = []
+        for beta in self.gauge_params():
+            entries = [v for row in beta.matrix for v in row]
+            constant = [0] * n
+            linear: Dict[Tuple[int, int], int] = {}
+            for q, s, ys, c in parsed:
+                for t in ys:
+                    c *= entries[t]
+                if s is None:
+                    constant[q] += c
+                else:
+                    linear[q, s] = linear.get((q, s), 0) + c
+            maps.append(
+                _AffineMap(
+                    p,
+                    tuple(v % p for v in constant),
+                    tuple((q, s, c % p) for (q, s), c in linear.items() if c % p),
+                )
+            )
+        return tuple(maps)
+
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
         return MultilinearMap(self.A.field, dims, target, tuple(digits))
@@ -427,9 +514,6 @@ class CandidateSpace:
         if not 0 <= index < self.total_candidates:
             raise IndexError(f"candidate index {index} out of range")
         return self._decode(_digits(index, self.p, self.total_entries))
-
-    def index_of(self, c: NabCocycle) -> int:
-        return self._index(c.phi.coeffs + c.psi.coeffs + c.chi.coeffs)
 
     def exhaustive_indices(self) -> range:
         if self.total_candidates > self.budget:
@@ -713,7 +797,10 @@ def orbit_partition(
     an earlier orbit, when |orbit| * |stabilizer| is not p^(a*b), or when,
     for any cocycle, the closed-form gauge images of its Maurer-Cartan
     element (``mc_elements[index]``, the :func:`cocycle_to_mc` assembly)
-    under all ``beta`` are not exactly its orbit.
+    under all ``beta`` are not exactly its orbit.  Those images are read off
+    one symbolic pass of :func:`gauge_closed_form` per space
+    (:attr:`CandidateSpace.gauge_action`) and evaluated for every (cocycle,
+    beta) pair; :func:`apply_equivalence` stays the numeric route.
     """
     betas = space.gauge_params()
     group_order = space.p ** (space.A.dim * space.B.dim)
@@ -721,7 +808,7 @@ def orbit_partition(
     pos_by_key = {_key(c): pos for pos, (_, c) in enumerate(cocycles)}
     mc_by_pos = [mc_elements[i] for i, _ in cocycles]
     pos_by_mc = {x.coeffs: pos for pos, x in enumerate(mc_by_pos)}
-    base, split = direct_sum_space(space.A, space.B)
+    gauge = space.gauge_action
 
     # position -> the witnesses of its orbit, keyed by member position
     orbit_of: Dict[int, Dict[int, Tuple[GaugeParam, ...]]] = {}
@@ -750,10 +837,8 @@ def orbit_partition(
             for to in witnesses:
                 orbit_of[to] = witnesses
             found.append(witnesses)
-        images = {
-            pos_by_mc.get(gauge_closed_form(mc_by_pos[pos], beta, base, split).coeffs)
-            for beta in betas
-        }
+        x = mc_by_pos[pos].coeffs
+        images = {pos_by_mc.get(image(x)) for image in gauge}
         if images != orbit_of[pos].keys():
             raise CrossCheckError(
                 f"closed-form gauge orbit of cocycle {i} differs from its cocycle orbit"

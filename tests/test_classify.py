@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,7 +66,7 @@ def test_candidate_decoding_round_trip():
     seen = set()
     for idx in space.exhaustive_indices():
         c = space.candidate(idx)
-        assert space.index_of(c) == idx
+        assert space._index(c.phi.coeffs + c.psi.coeffs + c.chi.coeffs) == idx
         seen.add((c.phi.coeffs, c.psi.coeffs, c.chi.coeffs))
     assert len(seen) == 8
 
@@ -321,7 +322,7 @@ def test_solver_evaluates_fewer_twist_residuals_than_pairs(monkeypatch):
     # generator exactly once, symbolically, and every stage system off that
     # one pass; a pair sweep would visit each of the (phi, psi) pairs
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
-    assert space.pair_count == 256
+    assert space.p ** (space.entry_counts[0] + space.entry_counts[1]) == 256
     calls = {"twist_residuals": 0, "curvature_residuals": 0}
 
     def counted(name):
@@ -563,13 +564,15 @@ def _hand_picked(space):
     def fails_twists(pair):
         return any(v.which in twist_kinds for v in check_cocycle(space.candidate(pair)))
 
-    pairs = range(1, space.pair_count)
+    # the (phi, psi) pairs are the low base-p digits of an index
+    pair_count = space.p ** (space.entry_counts[0] + space.entry_counts[1])
+    pairs = range(1, pair_count)
     failing = [pair for pair in pairs if fails_twists(pair)][:2]
     passing = [pair for pair in pairs if not fails_twists(pair)][:2]
     assert failing and passing
-    chi_count = space.total_candidates // space.pair_count
+    chi_count = space.total_candidates // pair_count
     chis = sorted({0, chi_count // 2, chi_count - 1})
-    return sorted(pair + space.pair_count * chi for pair in [0] + failing + passing for chi in chis)
+    return sorted(pair + pair_count * chi for pair in [0] + failing + passing for chi in chis)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -837,6 +840,124 @@ def test_orbit_partition_rejects_a_gauge_orbit_mismatch(monkeypatch):
     _broken_action(monkeypatch, lambda c, beta: c)
     with pytest.raises(CrossCheckError, match="closed-form"):
         orbit_partition(space, cocycles, _mc(cocycles))
+
+
+def test_a_zero_symbolic_scalar_is_false():
+    # an empty _Poly is zero wherever a kernel tests a scalar: is_zero reads
+    # a map of them as zero, and the twist-shape check accepts a symbolic
+    # twist whose AA slots hold one
+    zero, x1 = classify._Poly({}), classify._Poly({(1,): 1})
+    assert not zero and not classify._Poly({(1,): 0}) and x1
+    assert MultilinearMap(GF2, (1, 1), 2, (zero, zero)).is_zero()
+    assert not MultilinearMap(GF2, (1, 1), 2, (zero, x1)).is_zero()
+    _, split = direct_sum_space(line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b"))
+    # dim 2: slot 0 is AA, slots 1-3 the other A-valued ones, 4-7 B-valued
+    twist = [zero] + [classify._Poly({(s,): 1}) for s in (1, 2, 3)] + [0] * 4
+    nonabelian._require_twist_shape(MultilinearMap(GF2, (2, 2), 2, tuple(twist)), split)
+    with pytest.raises(ValueError, match="twist shape"):
+        nonabelian._require_twist_shape(MultilinearMap(GF2, (2, 2), 2, (x1, *twist[1:])), split)
+
+
+@st.composite
+def _gauge_spaces(draw):
+    """A space over F2, F3 or F5 whose kernel A has nonzero products, both
+    ends helper algebras read through a random change of basis, and a
+    seeded random source."""
+    field = draw(st.sampled_from([GF2, GF3, _GF5]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kernels = (lambda f: line_algebra(f, "idem", "a"), trunc_poly2, left_unit2, _nil2, _diag2)
+    A = draw(st.sampled_from(kernels))(field)
+    quotients = [lambda f: line_algebra(f, "zero", "b"), lambda f: line_algebra(f, "idem", "b")]
+    if A.dim == 1:
+        quotients += [trunc_poly2, lambda f: zero_algebra(f, 2, "b"), left_unit2]
+    B = draw(st.sampled_from(quotients))(field)
+    ends = [read_through(alg, *rand_invertible(rng, field, alg.dim)) for alg in (A, B)]
+    return CandidateSpace(*ends), rng
+
+
+@settings(deadline=None, max_examples=30)
+@given(_gauge_spaces())
+def test_the_compiled_gauge_action_is_the_closed_form(case):
+    # every cocycle, and a few twists that are not, under every beta: the
+    # affine maps read off the one symbolic pass give gauge_closed_form
+    space, rng = case
+    base, split = direct_sum_space(space.A, space.B)
+    twists = [c for _, c in enumerate_cocycles(space)]
+    assert twists and any(space.A.table)
+    twists += [space.candidate(rng.randrange(space.total_candidates)) for _ in range(4)]
+    for c in twists:
+        x = cocycle_to_mc(c)
+        for beta, image in zip(space.gauge_params(), space.gauge_action, strict=True):
+            assert image(x.coeffs) == gauge_closed_form(x, beta, base, split).coeffs
+
+
+def test_census_compiles_the_gauge_action_once_per_space(monkeypatch):
+    # deterministic work count: however many cocycles, the orbit stage calls
+    # gauge_closed_form once per space, symbolically, and evaluates the
+    # result for every (cocycle, beta)
+    calls = []
+    monkeypatch.setattr(
+        classify, "gauge_closed_form", lambda *args: calls.append(args) or gauge_closed_form(*args)
+    )
+    cocycle_counts = []
+    for A, B in (
+        (line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b")),
+        (_nil2(GF2), line_algebra(GF2, "zero", "b")),
+        (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
+        (zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")),
+    ):
+        calls.clear()
+        cocycle_counts.append(census(CandidateSpace(A, B)).num_cocycles)
+        assert len(calls) == 1
+    assert cocycle_counts == [6, 8, 8, 88]
+
+
+@pytest.mark.parametrize(
+    "corruption,cocycle",
+    [("B-valued constant", 0), ("A-valued constant", 0), ("identity", 0), ("B-valued term", 1)],
+)
+def test_a_corrupted_compiled_image_trips_the_census(monkeypatch, corruption, cocycle):
+    # F3 zero/idem line has the orbits {0, 9, 18}, {1}, {3} and {4, 13, 22}.
+    # The map of beta = 1 goes wrong: a constant in a B-valued slot sends
+    # its images out of the list, one in the phi slot of e_b e_a -> a sends
+    # them to other cocycles or none, and the map of beta = 0 in its place
+    # misses the member that beta = 1 reaches in a free orbit.  A B-valued
+    # term in phi first moves cocycle 1, whose orbit the other parameters
+    # still cover: an image that leaves the list fails the check by itself
+    space = CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b"))
+    action = list(space.gauge_action)
+    # slot (k * 2 + i) * 2 + j holds the e_k coefficient of x(e_i, e_j)
+    if corruption == "identity":
+        action[1] = action[0]
+    elif corruption == "B-valued term":
+        action[1] = replace(action[1], terms=action[1].terms + ((4, 2, 1),))
+    else:
+        q = 4 if corruption == "B-valued constant" else 2
+        constant = list(action[1].constant)
+        constant[q] = (constant[q] + 1) % space.p
+        action[1] = replace(action[1], constant=tuple(constant))
+    monkeypatch.setitem(space.__dict__, "gauge_action", tuple(action))
+    with pytest.raises(CrossCheckError, match=f"closed-form gauge orbit of cocycle {cocycle} differs"):
+        census(space)
+
+
+def test_a_gauge_term_of_degree_two_in_the_element_is_refused(monkeypatch, capsys):
+    # a closed form with an added x[1] * x[3] in slot 3 is no longer affine
+    # in the element: the compiled action refuses it, naming the slot and
+    # the monomial, and the CLI exits 3
+    def squared(x, beta, base, split):
+        image = gauge_closed_form(x, beta, base, split)
+        f, coeffs = base.field, list(image.coeffs)
+        coeffs[3] = f.add(coeffs[3], f.mul(x.coeffs[1], x.coeffs[3]))
+        return replace(image, coeffs=tuple(coeffs))
+
+    monkeypatch.setattr(classify, "gauge_closed_form", squared)
+    message = r"closed-form gauge action: slot 3 of the image has the term x\[1\]\*x\[3\] of degree 2"
+    with pytest.raises(CrossCheckError, match=message):
+        census(_space())
+    assert main(["census", "--field", "F2", "--a2", "zero", "--b2", "idem"]) == 3
+    err = capsys.readouterr().err
+    assert "slot 3" in err and "x[1]*x[3]" in err and "Traceback" not in err
 
 
 GOLDEN = Path(__file__).parent / "golden"
