@@ -100,9 +100,6 @@ class Algebra:
     def zero_product(cls, field: Field, basis: Sequence[str]) -> "Algebra":
         return cls.from_products(field, basis, {})
 
-    def c(self, i: int, j: int, k: int) -> Scalar:
-        return self.table[(i * self.dim + j) * self.dim + k]
-
     def product_row(self, i: int, j: int) -> Vector:
         """The vector ``e_i * e_j``."""
         base = (i * self.dim + j) * self.dim

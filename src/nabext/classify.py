@@ -8,16 +8,19 @@ Candidates are indexed by writing all twist coefficients as base-p digits,
 so runs are deterministic and trivially splittable across workers.  The
 (phi, psi) coefficients are the low digits and chi the high ones.
 
+Each formula is evaluated once per space over :class:`_Poly`, a polynomial
+of degree at most 2 in numbered variables, and read by :func:`_read_affine`
+into rows ``r0 + M x`` affine in the unknowns, with ``r0`` and ``M`` sparse
+sums in the parameters (an :class:`_Affine`): eight reads per space, three
+stages per route, the extension layout and the gauge action.  A term of
+degree 2 in the unknowns, or one in a later variable, raises
+:class:`CrossCheckError`, so affinity is checked, not assumed.  No equation
+is written out here.
+
 The two routes of the census find the cocycles independently, and each
 solves in three stages, phi, then psi with phi fixed, then chi with phi and
-psi fixed; each stage is affine in its unknown once the earlier digits are
-fixed.  Each route reads its stage systems off one symbolic pass per space:
-its equations are evaluated once over :class:`_Poly`, a polynomial of
-degree at most 2 in the index digits, and each stage keeps the terms that
-give its affine system ``r0 + M x`` as sparse sums in the earlier digits.
-A term of degree 2 in a stage's unknowns, or one in a later stage's digit,
-raises :class:`CrossCheckError`, so affinity is checked, not assumed.  No
-equation is written out here.
+psi fixed: a stage's unknowns are its digits, its parameters the earlier
+ones, and its rows with them written in are what one elimination solves.
 
 The cocycle route reads the residual generators of
 :mod:`~nabext.nonabelian`: the phi form the nullspace of the psi-free
@@ -27,30 +30,29 @@ solution set of EQ1, EQ2 and EQ5.  A sample of indices is tested point by
 point instead.
 
 The extension route is the oracle: it reads only the twisted-product table
-that :func:`build_extension` lays out, read off one symbolic call per space,
-and never consults an equation.  It solves by block pattern, the same three levels
-read off associativity: the BAA associators give the phi subspace; for each
-phi, the AAB, ABA and BAB associators give the affine psi-fibre; for each
-(phi, psi), the BBA, ABB and BBB associators give the affine chi-fibre (AAA
-is the associativity of A).  Each hit is tested on every basis triple and
+that :func:`build_extension` lays out, read off one symbolic call per space
+with every digit an unknown, and never consults an equation.  It solves by
+block pattern, the same three levels read off associativity: the BAA
+associators give the phi subspace; for each phi, the AAB, ABA and BAB
+associators give the affine psi-fibre; for each (phi, psi), the BBA, ABB
+and BBB associators give the affine chi-fibre (AAA is the associativity of
+A).  Each hit is tested on every basis triple and
 only the hits become :class:`Algebra` values.  A sample of indices is swept
 instead: each index's digits are scattered into the table's slots, and the
 triple that rejected the previous candidate is tried first.
 
 The orbits come from the triple action :func:`apply_equivalence`, and each
 is checked against the closed-form gauge action on the Maurer-Cartan
-elements.  That action is read off one symbolic pass of
-:func:`gauge_closed_form` per space, over :class:`_Poly` with the element's
-slots and the parameter's entries as variables, and specialised per beta to
-an affine map of the element's coefficients; it is evaluated for every
-(cocycle, beta) pair.  A term of degree 2 in the element raises
-:class:`CrossCheckError`.
+elements.  That action is read off one symbolic :func:`gauge_closed_form`
+per space, the element's slots the unknowns, and specialised per beta to a
+sparse affine map evaluated for every (cocycle, beta) pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
@@ -100,10 +102,10 @@ def _digits(n: int, p: int, count: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# the equations as affine systems, read once per space
+# symbolic passes read as affine systems, once per space
 # ---------------------------------------------------------------------------
 
-#: A product of index digits: ``()``, ``(k,)`` or ``(k, l)`` with ``k <= l``.
+#: A product of variables: ``()``, ``(k,)`` or ``(k, l)`` with ``k <= l``.
 Monomial = Tuple[int, ...]
 
 
@@ -120,10 +122,11 @@ class _Poly:
     It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
     the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
-    residual generators, :func:`basis_associator` and
-    :func:`gauge_closed_form` run over it as written.  A product above
-    degree 2 raises :class:`CrossCheckError`: the solver and the gauge
-    action rely on their formulas being at most quadratic.
+    residual generators, :func:`basis_associator`, :func:`build_extension`
+    and :func:`gauge_closed_form` run over it as written, and
+    :func:`_read_affine` reads what they return.  A product above degree 2
+    raises :class:`CrossCheckError`: every read relies on its formula being
+    at most quadratic.
     """
 
     __slots__ = ("terms",)
@@ -178,14 +181,32 @@ class _Poly:
 
 
 @dataclass(frozen=True)
-class _Stage:
-    """One solver stage as an affine system: its unknowns are the index
-    digits ``lo`` to ``hi - 1``, the digits below ``lo`` are fixed and the
-    digits from ``hi`` on are not read.  The stage's residual components, one
-    row each, are ``r0 + M x`` in the unknowns ``x``, where ``r0`` and
-    ``M`` are polynomials in the fixed digits: ``terms`` maps each monomial
-    in the fixed digits to the ``(position, coefficient)`` pairs it adds to
-    the augmented matrix ``[M | -r0]``, flat and row by row."""
+class _AffineMap:
+    """``x -> constant + sum c * x[s] e_q`` over F_p: the image of a
+    coefficient tuple ``x`` is ``constant`` with ``c * x[s]`` added to slot
+    ``q`` for each ``(q, s, c)`` of ``terms``."""
+
+    p: int
+    constant: Tuple[int, ...]
+    terms: Tuple[Tuple[int, int, int], ...]
+
+    def __call__(self, x: Sequence[int]) -> Tuple[int, ...]:
+        out = list(self.constant)
+        for q, s, c in self.terms:
+            v = x[s]
+            if v:
+                out[q] += c * v
+        p = self.p
+        return tuple(v % p for v in out)
+
+
+@dataclass(frozen=True)
+class _Affine:
+    """Rows ``r0 + M x`` over F_p, affine in the unknowns ``x``, the
+    variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in the
+    parameters, the variables below ``lo``.  ``terms`` maps each monomial in
+    the parameters to the ``(position, coefficient)`` pairs it adds to the
+    augmented matrix ``[M | -r0]``, flat and row by row."""
 
     field: PrimeField
     lo: int
@@ -193,30 +214,47 @@ class _Stage:
     rows: int
     terms: Tuple[Tuple[Monomial, Tuple[Tuple[int, int], ...]], ...]
 
-    def system(self, digits: Sequence[int]) -> List[Vector]:
-        """The rows of ``[M | -r0]`` with ``digits`` (the digits below
-        ``lo``) written in: a sparse sum over the monomials whose digits
-        are all nonzero."""
-        width = self.hi - self.lo + 1
-        aug = [0] * (self.rows * width)
+    def _add_into(self, params: Sequence[int], acc):
+        """``acc`` with each term added at its position, weighted by its
+        monomial at ``params``: a sparse sum over the monomials whose
+        parameters are all nonzero, the one loop of both specialisations."""
         for mono, entries in self.terms:
             w = 1
             for k in mono:
-                w *= digits[k]
+                w *= params[k]
             if w:
                 for pos, c in entries:
-                    aug[pos] += w * c
+                    acc[pos] += w * c
+        return acc
+
+    def at(self, params: Sequence[int]) -> List[Vector]:
+        """The rows of ``[M | -r0]`` with ``params`` written in."""
+        width = self.hi - self.lo + 1
         p = self.field.p
-        aug = [v % p for v in aug]
+        aug = [v % p for v in self._add_into(params, [0] * (self.rows * width))]
         return [tuple(aug[r : r + width]) for r in range(0, len(aug), width)]
 
-    def solutions(self, digits: Sequence[int]) -> Iterator[Vector]:
-        """Every value of the unknowns that zeroes the stage with
-        ``digits`` fixed: one solution plus every combination of the
-        nullspace, both from one :func:`solution_space`.  An empty fibre
-        costs that one elimination."""
+    def map_at(self, params: Sequence[int]) -> _AffineMap:
+        """``x -> r0 + M x`` with ``params`` written in, kept sparse."""
+        width = self.hi - self.lo + 1
+        p = self.field.p
+        constant = [0] * self.rows
+        linear = []
+        for pos, v in self._add_into(params, defaultdict(int)).items():
+            q, s = divmod(pos, width)
+            if s == width - 1:
+                constant[q] = -v % p
+            elif v % p:
+                linear.append((q, s, v % p))
+        return _AffineMap(p, tuple(constant), tuple(linear))
+
+    def solutions(self, params: Sequence[int]) -> Iterator[Vector]:
+        """Every value of the unknowns that zeroes the rows with ``params``
+        written in: one solution plus every combination of the nullspace,
+        both from one :func:`solution_space`.  An empty fibre costs that one
+        elimination."""
         field = self.field
-        rows = self.system(digits)
+        rows = self.at(params)
         # a zero row or a repeated one constrains nothing, so elimination
         # sees only the distinct nonzero rows (the first row stays when all
         # are zero, so that the system keeps its width)
@@ -235,44 +273,33 @@ class _Stage:
             yield x
 
 
-def _compile_stage(
-    space: "CandidateSpace",
-    name: str,
-    lo: int,
-    hi: int,
-    residuals: Iterable[Tuple[str, Sequence]],
-) -> _Stage:
-    """The :class:`_Stage` of the unknowns ``lo`` to ``hi - 1`` read off
-    symbolic ``(label, discrepancy)`` residuals, in order.  Raises
-    :class:`CrossCheckError`, naming the stage, the residual and the
-    monomial, if a term has degree 2 in the unknowns or reads a digit from
-    ``hi`` on: the stage must be affine in its unknowns and decided before
-    the later digits are."""
-    names = [f"{part}[{k}]" for part, n in zip(("phi", "psi", "chi"), space.entry_counts) for k in range(n)]
+def _read_affine(
+    field: PrimeField, read: str, values: Iterable[Tuple[str, object]], lo: int, hi: int, names: List[str]
+) -> _Affine:
+    """The :class:`_Affine` of symbolic ``(label, value)`` rows, in order,
+    with the variables below ``lo`` as parameters and ``lo`` to ``hi - 1``
+    as unknowns.  Raises :class:`CrossCheckError`, naming the read, the
+    row's label and the monomial (each variable by its entry of ``names``),
+    if a term has degree 2 in the unknowns or reads a variable from ``hi``
+    on, a later stage's digit: the rows must be affine in the unknowns and
+    decided before the later variables are."""
     width = hi - lo + 1
-    by_fixed: Dict[Monomial, List[Tuple[int, int]]] = {}
-    row = 0
-    for label, disc in residuals:
-        for component, value in enumerate(disc):
-            for mono, c in _terms(value).items():
-                unknown = [k for k in mono if k >= lo]
-                if len(unknown) > 1 or any(k >= hi for k in unknown):
-                    why = (
-                        "in a later stage's digit"
-                        if unknown[-1] >= hi
-                        else "of degree 2 in the stage's unknowns"
-                    )
-                    raise CrossCheckError(
-                        f"{name}: residual {label}, component {component}, has the term"
-                        f" {'*'.join(names[k] for k in mono)} {why}"
-                    )
-                fixed = tuple(k for k in mono if k < lo)
-                if unknown:
-                    by_fixed.setdefault(fixed, []).append((row * width + unknown[0] - lo, c))
-                else:
-                    by_fixed.setdefault(fixed, []).append((row * width + width - 1, -c))
-            row += 1
-    return _Stage(space.A.field, lo, hi, row, tuple((m, tuple(e)) for m, e in by_fixed.items()))
+    by_param: Dict[Monomial, List[Tuple[int, int]]] = {}
+    rows = 0
+    for label, value in values:
+        for mono, c in _terms(value).items():
+            unknown = [k for k in mono if k >= lo]
+            if len(unknown) > 1 or any(k >= hi for k in unknown):
+                why = "in a later stage's digit" if unknown[-1] >= hi else "of degree 2 in the unknowns"
+                raise CrossCheckError(
+                    f"{read}: {label} has the term {'*'.join(names[k] for k in mono)} {why}"
+                )
+            # a monomial is sorted, so its parameters come first; a term
+            # free of unknowns goes to the column of -r0
+            column, c = (unknown[0] - lo, c) if unknown else (width - 1, -c)
+            by_param.setdefault(mono[: len(mono) - len(unknown)], []).append((rows * width + column, c))
+        rows += 1
+    return _Affine(field, lo, hi, rows, tuple((m, tuple(e)) for m, e in by_param.items()))
 
 
 def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
@@ -286,26 +313,6 @@ def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
 def _symbolic_digits(count: int) -> List[_Poly]:
     """The index digits ``0`` to ``count - 1`` as variables."""
     return [_Poly({(k,): 1}) for k in range(count)]
-
-
-@dataclass(frozen=True)
-class _AffineMap:
-    """``x -> constant + sum c * x[s] e_q`` over F_p: the image of a
-    coefficient tuple ``x`` is ``constant`` with ``c * x[s]`` added to slot
-    ``q`` for each ``(q, s, c)`` of ``terms``."""
-
-    p: int
-    constant: Tuple[int, ...]
-    terms: Tuple[Tuple[int, int, int], ...]
-
-    def __call__(self, x: Sequence[int]) -> Tuple[int, ...]:
-        out = list(self.constant)
-        for q, s, c in self.terms:
-            v = x[s]
-            if v:
-                out[q] += c * v
-        p = self.p
-        return tuple(v % p for v in out)
 
 
 @dataclass(frozen=True)
@@ -359,55 +366,78 @@ class CandidateSpace:
         Read off :func:`build_extension` on the zero candidate and on the
         symbolic one, whose digits are variables, so that function stays
         the only definition of the twisted product: a candidate's table is
-        the zero table with its digits written into their slots.  Raises
-        :class:`CrossCheckError` unless each digit stands alone, with
+        the zero table with its digits written into their slots.  The
+        symbolic table is one :func:`_read_affine` with every digit an
+        unknown, so a product of two digits in a slot is refused there.
+        Raises :class:`CrossCheckError` unless each digit stands alone, with
         coefficient 1, in one slot of its own where the zero table holds 0,
         and every other entry of the symbolic table is the zero table's.
         """
         n = self.total_entries
         zero = build_extension(self.candidate(0))[0]
         symbolic = build_extension(self._decode(_symbolic_digits(n)))[0]
+        values = ((f"slot {slot} of the twisted product", v) for slot, v in enumerate(symbolic.table))
+        layout = _read_affine(self.A.field, "extension layout", values, 0, n, self._digit_names())
+        layout = layout.map_at(())
+        # digit -> its slot and slot -> its digit, each at most one
         slots: Dict[int, int] = {}
-        for slot, (entry, constant) in enumerate(zip(symbolic.table, zero.table)):
-            terms = _terms(entry)
-            digit = min((k for m in terms for k in m), default=None)
-            if digit is None:
-                if terms != _terms(constant):
-                    raise CrossCheckError(
-                        f"slot {slot} of the twisted product holds {terms.get((), 0)},"
-                        f" not the zero table's {constant}"
-                    )
-            elif terms != {(digit,): 1} or constant != 0 or slots.setdefault(digit, slot) != slot:
+        digit_in: Dict[int, int] = {}
+        for slot, digit, c in layout.terms:
+            alone = c == 1 and not layout.constant[slot] and not zero.table[slot]
+            unique = slots.setdefault(digit, slot) == slot and digit_in.setdefault(slot, digit) == digit
+            if not (alone and unique):
                 raise CrossCheckError(
                     f"index digit {digit} is not alone, with coefficient 1, in a slot of its own"
                     f" where the zero table holds 0 (slot {slot})"
+                )
+        for slot, (held, constant) in enumerate(zip(layout.constant, zero.table)):
+            if slot not in digit_in and held != constant:
+                raise CrossCheckError(
+                    f"slot {slot} of the twisted product holds {held}, not the zero table's {constant}"
                 )
         if len(slots) < n:
             missing = min(set(range(n)) - slots.keys())
             raise CrossCheckError(f"index digit {missing} has no slot in the twisted product")
         return zero, tuple(slots[s] for s in range(n))
 
+    def _digit_names(self) -> List[str]:
+        """The index digits by name: ``phi[k]``, ``psi[k]`` and ``chi[k]``."""
+        parts = zip(("phi", "psi", "chi"), self.entry_counts)
+        return [f"{part}[{k}]" for part, n in parts for k in range(n)]
+
+    def _read_stages(
+        self, route: str, residuals: Sequence[Sequence[Tuple[str, Vector]]]
+    ) -> Tuple[_Affine, ...]:
+        """The phi, psi and chi stages of ``route``, one :func:`_read_affine`
+        each of its ``(label, discrepancy)`` residuals, a row per component:
+        a stage's own digits are its unknowns, the earlier ones its
+        parameters, and a later stage's digits are refused."""
+        n_phi, n_psi, _ = self.entry_counts
+        bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
+        names = self._digit_names()
+        stages = []
+        for part, (lo, hi), stage in zip(("phi", "psi", "chi"), bounds, residuals):
+            rows = (
+                (f"residual {label}, component {k},", v) for label, disc in stage for k, v in enumerate(disc)
+            )
+            stages.append(_read_affine(self.A.field, f"{route}, {part} stage", rows, lo, hi, names))
+        return tuple(stages)
+
     @cached_property
-    def cocycle_stages(self) -> Tuple[_Stage, _Stage, _Stage]:
+    def cocycle_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
         """The phi, psi and chi stages of the cocycle route, from one pass
         of :func:`twist_residuals` and one of :func:`curvature_residuals`
         with every digit a variable: phi from the ``phi_leibniz`` rows,
         psi from all of :func:`twist_residuals`, chi from
         :func:`curvature_residuals`."""
-        n_phi, n_psi, _ = self.entry_counts
-        mid, end = n_phi + n_psi, self.total_entries
-        c = self._decode(_symbolic_digits(end))
+        c = self._decode(_symbolic_digits(self.total_entries))
         twist = list(twist_residuals(self.A, self.B, c.phi, c.psi))
         leibniz = [r for r in twist if r[3] == "phi_leibniz"]
         curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
-        return (
-            _compile_stage(self, "cocycle route, phi stage", 0, n_phi, _labelled(leibniz)),
-            _compile_stage(self, "cocycle route, psi stage", n_phi, mid, _labelled(twist)),
-            _compile_stage(self, "cocycle route, chi stage", mid, end, _labelled(curvature)),
-        )
+        return self._read_stages("cocycle route", [_labelled(r) for r in (leibniz, twist, curvature)])
 
     @cached_property
-    def extension_stages(self) -> Tuple[_Stage, _Stage, _Stage]:
+    def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
         """The phi, psi and chi stages of the extension route, from one
         :func:`basis_associator` per triple of :func:`_stage_triples` on the
         :attr:`extension_layout` table with every slot holding its digit as
@@ -416,21 +446,12 @@ class CandidateSpace:
         table = list(zero.table)
         for slot, digit in zip(slots, _symbolic_digits(self.total_entries)):
             table[slot] = digit
-        n_phi, n_psi, _ = self.entry_counts
-        bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
-        return tuple(
-            _compile_stage(
-                self,
-                f"extension route, {part} stage",
-                lo,
-                hi,
-                [
-                    (f"associator at basis triple {t}", basis_associator(zero.field, zero.dim, table, *t))
-                    for t in triples
-                ],
-            )
-            for part, (lo, hi), triples in zip(("phi", "psi", "chi"), bounds, _stage_triples(self))
-        )
+        field, dim = zero.field, zero.dim
+        associators = [
+            [(f"associator at basis triple {t}", basis_associator(field, dim, table, *t)) for t in triples]
+            for triples in _stage_triples(self)
+        ]
+        return self._read_stages("extension route", associators)
 
     @cached_property
     def gauge_action(self) -> Tuple[_AffineMap, ...]:
@@ -439,55 +460,27 @@ class CandidateSpace:
         twist-shaped element ``x`` to those of
         ``gauge_closed_form(x, beta, base, split)``.
 
-        Read off one :func:`gauge_closed_form` call whose element has a
-        variable ``x[s]`` in each A-valued slot ``s`` off the AA block and
-        whose parameter has a variable in each entry, numbered after them;
-        each beta then writes its entries into the terms.  Raises
-        :class:`CrossCheckError`, naming the slot, if a term has degree 2 in
-        the element: the action must be affine in it."""
+        Read off one :func:`gauge_closed_form` call whose parameter has a
+        variable in each entry and whose element has one, ``x[s]``, numbered
+        after them, in each A-valued slot ``s`` off the AA block: one
+        :func:`_read_affine` with the entries as parameters and the slots as
+        unknowns, so a term of degree 2 in the element is refused, and
+        specialised by :meth:`_Affine.map_at` at each beta."""
         base, split = direct_sum_space(self.A, self.B)
         dim, a, b = split.dim, split.a_dim, split.b_dim
-        n = dim ** 3  # the coefficients of an arity-2 map on the split space
+        lo, n = a * b, dim ** 3  # n: the coefficients of an arity-2 map on the split space
         coeffs = [0] * n
         for k, i, j in itertools.product(split.a_indices, range(dim), range(dim)):
             if i >= a or j >= a:
                 s = (k * dim + i) * dim + j
-                coeffs[s] = _Poly({(s,): 1})
+                coeffs[s] = _Poly({(lo + s,): 1})
         x = MultilinearMap(self.A.field, (dim, dim), dim, tuple(coeffs))
-        beta = GaugeParam(tuple(tuple(_Poly({(n + i * b + j,): 1}) for j in range(b)) for i in range(a)))
-        # (q, s or None, the beta entries multiplied, c) per term c * monomial
-        # of the image's slot q
-        parsed = []
-        for q, value in enumerate(gauge_closed_form(x, beta, base, split).coeffs):
-            for mono, c in _terms(value).items():
-                xs = [k for k in mono if k < n]
-                if len(xs) > 1:
-                    raise CrossCheckError(
-                        f"closed-form gauge action: slot {q} of the image has the term"
-                        f" x[{xs[0]}]*x[{xs[1]}] of degree 2 in the element"
-                    )
-                parsed.append((q, xs[0] if xs else None, [k - n for k in mono if k >= n], c))
-        p = self.p
-        maps = []
-        for beta in self.gauge_params():
-            entries = [v for row in beta.matrix for v in row]
-            constant = [0] * n
-            linear: Dict[Tuple[int, int], int] = {}
-            for q, s, ys, c in parsed:
-                for t in ys:
-                    c *= entries[t]
-                if s is None:
-                    constant[q] += c
-                else:
-                    linear[q, s] = linear.get((q, s), 0) + c
-            maps.append(
-                _AffineMap(
-                    p,
-                    tuple(v % p for v in constant),
-                    tuple((q, s, c % p) for (q, s), c in linear.items() if c % p),
-                )
-            )
-        return tuple(maps)
+        beta = GaugeParam(tuple(tuple(_Poly({(i * b + j,): 1}) for j in range(b)) for i in range(a)))
+        image = enumerate(gauge_closed_form(x, beta, base, split).coeffs)
+        names = [f"beta[{i}][{j}]" for i in range(a) for j in range(b)] + [f"x[{s}]" for s in range(n)]
+        rows = ((f"slot {q} of the image", v) for q, v in image)
+        action = _read_affine(self.A.field, "closed-form gauge action", rows, lo, lo + n, names)
+        return tuple(action.map_at([v for row in beta.matrix for v in row]) for beta in self.gauge_params())
 
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
@@ -562,7 +555,7 @@ def _pointwise_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[
     return [(i, c) for i, c in decoded if is_valid_cocycle(c)]
 
 
-def _staged(stages: Sequence[_Stage], phis: Sequence[Vector]) -> Iterator[Vector]:
+def _staged(stages: Sequence[_Affine], phis: Sequence[Vector]) -> Iterator[Vector]:
     """The digits ``phi + psi + chi`` of every solution of the phi, psi and
     chi ``stages`` over each ``phi`` of ``phis``: psi over the psi stage's
     solutions with phi fixed, then chi over the chi stage's with phi and psi

@@ -171,9 +171,6 @@ class MultilinearMap:
 
     # -- access -----------------------------------------------------------
 
-    def entry(self, k: int, idxs: Sequence[int]) -> Scalar:
-        return self.coeffs[k * self.input_size + self._flat_index(idxs)]
-
     def column(self, idxs: Sequence[int]) -> Vector:
         """The value on a basis tuple, as a target vector: with the target
         index outermost it is every ``input_size``-th coefficient."""

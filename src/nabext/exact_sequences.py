@@ -271,13 +271,17 @@ def section_cocycle(ext: ExtensionPresentation, s: Section) -> NabCocycle:
         chi(b1, b2) = s(b1) s(b2) - s(b1 b2)
 
     ``theta`` is invertible for a verified extension and a section, so the
-    read always succeeds.  Raises ValueError when ``s`` is not a section.
+    read always succeeds: it is inverted once, one solve per basis vector of
+    E, and each product is read back through the inverse.  Raises
+    ValueError when ``s`` is not a section.
     """
     if not is_section(ext, s):
         raise ValueError("the supplied map is not a section of the projection")
     field = ext.E.field
     theta = tuple(i_row + s_row for i_row, s_row in zip(ext.iota, s.matrix))
-    read, _ = ext.E.transported(list(zip(*theta)), lambda w: solve(field, theta, w))
+    inverse_cols = [solve(field, theta, e) for e in identity_matrix(field, ext.E.dim)]
+    inverse = tuple(zip(*inverse_cols))
+    read, _ = ext.E.transported(list(zip(*theta)), lambda w: mat_vec(field, inverse, w))
     base, _ = direct_sum_space(ext.A, ext.B)
     return cocycle_from_mc(multiplication_map(read) - multiplication_map(base), ext.A, ext.B)
 

@@ -96,10 +96,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        # the bound first: trial division of a large prime would not end
+        if isinstance(self.p, int) and self.p > MAX_PRIME:
+            raise FieldError(f"{self.p} exceeds the supported bound {MAX_PRIME}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise FieldError(f"not a prime: {self.p!r}")
-        if self.p > MAX_PRIME:
-            raise FieldError(f"prime {self.p} exceeds supported bound {MAX_PRIME}")
 
     @property
     def characteristic(self) -> int:

@@ -53,11 +53,17 @@ def loads(text: str):
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not numbers, and ``2.5``
+    and ``2.0`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(obj, key: str, kind, what: str):
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"{what} is missing the {key!r} key")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise FormatError(f"{what}[{key!r}] has the wrong type")
     return value
 
@@ -75,8 +81,9 @@ def field_from_json(obj) -> Field:
         return Rationals()
     if isinstance(obj, dict) and "p" in obj:
         try:
-            return PrimeField(int(obj["p"]))
-        except (TypeError, ValueError, FieldError) as exc:
+            # no int(): it would read 2.5 as 2 (true is 1, no prime)
+            return PrimeField(obj["p"])
+        except FieldError as exc:
             raise FormatError(f"bad prime field spec {obj!r}: {exc}") from exc
     raise FormatError(f"field spec must be \"Q\" or {{\"p\": prime}}, got {obj!r}")
 
@@ -85,7 +92,7 @@ def _parse_scalar(field: Field, value, what: str):
     try:
         if isinstance(value, str):
             return field.parse(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return field.coerce(value)
     except FieldError as exc:
         raise FormatError(f"{what}: {exc}") from exc
@@ -123,13 +130,13 @@ def algebra_from_json(obj) -> Algebra:
         if not isinstance(row, list) or len(row) < 2:
             raise FormatError(f"product row {row!r} must be [i, j, [k, coeff], ...]")
         i, j, *pairs = row
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise FormatError(f"product row {row!r} must start with two indices")
         if not (0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"product row ({i},{j}) out of range for dim {dim}")
         entry = products.setdefault((i, j), {})
         for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], int):
+            if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):
                 raise FormatError(f"product coefficient {pair!r} must be [k, coeff]")
             k, coeff = pair
             if not 0 <= k < dim:
@@ -176,7 +183,7 @@ def _entries_from_json(
                 f"{what} entry {row!r} must be [k, {arity} indices, coeff]"
             )
         *idx, coeff = row
-        if not all(isinstance(v, int) for v in idx):
+        if not all(_is_int(v) for v in idx):
             raise FormatError(f"{what} entry {row!r} has non-integer indices")
         entries.append((*idx, _parse_scalar(field, coeff, what)))
     try:
@@ -251,9 +258,7 @@ def matrix_from_entries(rows, field: Field, n_rows: int, n_cols: int, what: str)
     require_dense_size(what, n_rows, n_cols, 1)
     buf = [[field.zero] * n_cols for _ in range(n_rows)]
     for row in rows:
-        if not isinstance(row, list) or len(row) != 3 or not all(
-            isinstance(v, int) for v in row[:2]
-        ):
+        if not isinstance(row, list) or len(row) != 3 or not all(_is_int(v) for v in row[:2]):
             raise FormatError(f"{what} entry {row!r} must be [row, col, coeff]")
         i, j, coeff = row
         if not (0 <= i < n_rows and 0 <= j < n_cols):
@@ -289,7 +294,7 @@ def _infer_dim(rows, axis: int, what: str) -> int:
     """One more than the largest index on ``axis`` among the ``[row, col,
     coeff]`` entries; the entries are checked in full later."""
     found = [r[axis] for r in rows if isinstance(r, list) and len(r) == 3]
-    if not found or not all(isinstance(i, int) for i in found):
+    if not found or not all(_is_int(i) for i in found):
         raise FormatError(
             f"cannot infer the {what} dimension: entries must be [row, col, coeff]"
             " with integer indices"

@@ -69,7 +69,10 @@ def _dot(field: Field, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
 
 
 def _eliminate(field: Field, rows: List[List[Scalar]]) -> List[int]:
-    """Reduce ``rows`` in place to row echelon form; return pivot columns."""
+    """Reduce ``rows`` in place to row echelon form; return pivot columns.
+
+    The pivot row is scaled at its nonzeros only, and the other rows are
+    updated on its support only: elsewhere the update would subtract 0."""
     if not rows:
         return []
     n_cols = len(rows[0])
@@ -80,15 +83,16 @@ def _eliminate(field: Field, rows: List[List[Scalar]]) -> List[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(rows[i], rows[r])
-                ]
+        row = rows[r]
+        inv = field.inv(row[c])
+        support = [j for j in range(c, n_cols) if row[j] != 0]
+        for j in support:
+            row[j] = field.mul(inv, row[j])
+        for i, other in enumerate(rows):
+            factor = other[c]
+            if i != r and factor != 0:
+                for j in support:
+                    other[j] = field.sub(other[j], field.mul(factor, row[j]))
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -141,8 +145,3 @@ def solve(field: Field, m: Matrix, b: Vector) -> Optional[Vector]:
     space = solution_space(field, m, b)
     return None if space is None else space[0]
 
-
-def nullspace(field: Field, m: Matrix) -> Tuple[Vector, ...]:
-    """A basis of the solutions of ``m x = 0``: the basis of
-    :func:`solution_space`."""
-    return solution_space(field, m, zero_vector(field, len(m)))[1]

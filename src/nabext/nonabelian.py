@@ -33,7 +33,7 @@ from .cochains import (
     multiplication_map,
 )
 from .fields import Field, FieldError, Scalar
-from .linalg import Vector, identity_matrix, is_zero_vector, mat_vec, vec_add, vec_neg, vec_sub
+from .linalg import Vector, identity_matrix, is_zero_vector, vec_add, vec_neg, vec_sub
 from .splitspace import embed_block_map, project_block_map, require_in_L
 
 
@@ -120,9 +120,6 @@ class GaugeParam:
     def column(self, j: int) -> Vector:
         """The image of the j-th B basis vector, as an A vector."""
         return tuple(row[j] for row in self.matrix)
-
-    def apply(self, field: Field, bvec: Vector) -> Vector:
-        return mat_vec(field, self.matrix, bvec)
 
     def as_map(self, field: Field) -> MultilinearMap:
         """The parameter as an arity-1 cochain B -> A: with the target index

@@ -136,7 +136,7 @@ def read_through(alg: Algebra, p, p_inv) -> Algebra:
     f, n = alg.field, alg.dim
     table = [f.zero] * n ** 3
     for i, j, r, s, t, k in itertools.product(range(n), repeat=6):
-        term = f.mul(f.mul(p[r][i], p[s][j]), f.mul(alg.c(r, s, t), p_inv[k][t]))
+        term = f.mul(f.mul(p[r][i], p[s][j]), f.mul(alg.product_row(r, s)[t], p_inv[k][t]))
         table[(i * n + j) * n + k] = f.add(table[(i * n + j) * n + k], term)
     return Algebra(f, n, alg.basis, tuple(table))
 

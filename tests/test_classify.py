@@ -46,7 +46,7 @@ from nabext.classify import worker_count
 from nabext.cli import main
 from nabext.io_json import dumps_canonical, report_to_json
 from nabext.fields import GF2, GF3, PrimeField
-from nabext.linalg import identity_matrix, vec_neg, vec_sub
+from nabext.linalg import identity_matrix, mat_vec, vec_neg, vec_sub
 
 
 def _mc(cocycles):
@@ -274,6 +274,24 @@ def test_layout_probe_rejects_a_product_that_is_not_a_scatter(monkeypatch):
         space.extension_layout
 
 
+def test_layout_read_rejects_a_product_of_two_digits_in_a_slot(monkeypatch):
+    # a twisted product whose slot 0 gains phi * chi is not affine in the
+    # digits: the one read of the symbolic table refuses it, naming the slot
+    # and the monomial
+    space = _space()
+
+    def multiplied(c):
+        ext, split = build_extension(c)
+        table = list(ext.table)
+        table[0] = table[0] + c.phi.coeffs[0] * c.chi.coeffs[0]
+        return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
+
+    monkeypatch.setattr(classify, "build_extension", multiplied)
+    message = r"extension layout: slot 0 of the twisted product has the term phi\[0\]\*chi\[0\] of degree 2"
+    with pytest.raises(CrossCheckError, match=message):
+        space.extension_layout
+
+
 def test_layout_read_rejects_a_constant_slot_that_differs(monkeypatch):
     # a twisted product whose digit-free slot 0 holds 1 once chi is not the
     # number 0 (the symbolic chi is a variable, not 0) is refused
@@ -468,12 +486,28 @@ def test_stage_systems_are_the_probes_of_their_generators(case):
     for route, stages in (("cocycle", space.cocycle_stages), ("extension", space.extension_stages)):
         for stage, ((lo, hi), system) in enumerate(zip(_bounds(space), stages)):
             fixed, later = digits[:lo], (0,) * (space.total_entries - hi)
-            rows = system.system(fixed)
+            rows = system.at(fixed)
             r0 = _stage_values(space, route, stage, fixed + (0,) * (hi - lo) + later)
             assert vec_neg(field, tuple(row[-1] for row in rows)) == r0
             for j, unit in enumerate(identity_matrix(field, hi - lo)):
                 column = vec_sub(field, _stage_values(space, route, stage, fixed + unit + later), r0)
                 assert tuple(row[j] for row in rows) == column
+
+
+@settings(deadline=None, max_examples=30)
+@given(_spaces_and_digits(), st.randoms(use_true_random=False))
+def test_both_specialisations_of_a_read_agree(case, rng):
+    # the sparse map of a stage at its earlier digits sends the unknowns x
+    # to r0 + M x, which the dense rows [M | -r0] give too
+    space, digits = case
+    field = space.A.field
+    for stages in (space.cocycle_stages, space.extension_stages):
+        for (lo, hi), stage in zip(_bounds(space), stages):
+            rows, image = stage.at(digits[:lo]), stage.map_at(digits[:lo])
+            x = tuple(field.random(rng) for _ in range(hi - lo))
+            linear = mat_vec(field, tuple(row[:-1] for row in rows), x)
+            dense = tuple(field.sub(v, row[-1]) for v, row in zip(linear, rows, strict=True))
+            assert image(x) == dense
 
 
 def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):

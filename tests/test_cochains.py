@@ -50,7 +50,7 @@ def _maps(field, dim, arity):
 def test_map_shape_and_entry_round_trip():
     m = MultilinearMap.from_entries(QQ, (2, 3), 2, [(1, 0, 2, "3/2"), (0, 1, 1, 2)])
     assert m.arity == 2 and m.degree == 1
-    assert m.entry(1, (0, 2)) == QQ.parse("3/2")
+    assert m.column((0, 2))[1] == QQ.parse("3/2")
     assert sorted(m.entries()) == sorted(
         MultilinearMap.from_entries(QQ, (2, 3), 2, list(m.entries())).entries()
     )
@@ -62,11 +62,12 @@ def test_map_shape_and_entry_round_trip():
     [((), 1), ((), 3), ((2,), 1), ((3,), 2), ((2, 3), 2), ((3, 1), 3), ((2, 1, 3), 2), ((2, 2, 2), 1)],
 )
 def test_column_is_the_entries_of_a_basis_tuple(field, source_dims, target):
-    # the strided slice of the coefficients against entry-by-entry lookup
+    # the strided slice of the coefficients against entry-by-entry lookup:
+    # the target index outermost, then the basis tuples in product order
     m = rand_map(random.Random(len(source_dims) * 10 + target), field, source_dims, target)
     assert m.input_size == math.prod(source_dims)
-    for idxs in itertools.product(*(range(d) for d in source_dims)):
-        assert m.column(idxs) == tuple(m.entry(k, idxs) for k in range(target))
+    for flat, idxs in enumerate(itertools.product(*(range(d) for d in source_dims))):
+        assert m.column(idxs) == tuple(m.coeffs[k * m.input_size + flat] for k in range(target))
 
 
 def test_map_apply_is_multilinear_evaluation():

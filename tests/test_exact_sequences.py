@@ -34,6 +34,7 @@ from nabext import (
     theta_from_gauge,
     verify_extension,
 )
+from nabext import exact_sequences
 from nabext.exact_sequences import BrokenExtensionError, block_presentation, is_section, resolved
 from nabext.fields import GF2, GF3, QQ
 from nabext.linalg import identity_matrix, mat_mul
@@ -185,6 +186,24 @@ def test_section_difference_over_q():
     assert apply_equivalence(c_shifted, beta) == cocycle_from_section(ext, s)
     # the opposite orientation fails here, so the search must try both
     assert apply_equivalence(c_shifted, beta.negate(QQ)) != cocycle_from_section(ext, s)
+
+
+def test_section_cocycle_inverts_theta_once(monkeypatch):
+    # deterministic work count: E read through theta = (iota | s) takes one
+    # solve per basis vector of E to invert theta, not one per basis pair
+    a, b = zero_algebra(GF3, 2), trunc_poly2(GF3)
+    c = NabCocycle.zero(a, b)
+    ext = resolved(canonical_presentation(c))
+    canonical = canonical_section(ext)
+    s = list(enumerate_sections(ext))[-1]
+    assert s != canonical
+    calls = []
+    real = exact_sequences.solve
+    monkeypatch.setattr(exact_sequences, "solve", lambda *args: calls.append(args) or real(*args))
+    extracted = exact_sequences.section_cocycle(ext, s)
+    assert 0 < len(calls) <= ext.E.dim
+    monkeypatch.undo()
+    assert apply_equivalence(extracted, section_difference(s, canonical, ext)) == c
 
 
 def test_identity_theta_on_equal_extensions():

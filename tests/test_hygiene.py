@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used there,
 every module-level private function or class is read somewhere in the
-package, every public re-export is read by the package or has a stated
-reason to stay, package modules are imported at module level and only by
-their public names, and no float enters the exact arithmetic.
+package, every public re-export and every public module-level function that
+is not re-exported is read by the package or has a stated reason to stay,
+package modules are imported at module level and only by their public
+names, and no float enters the exact arithmetic.
 
 Stdlib only: each ``src/nabext/*.py`` is parsed with ``ast``.  The package
 ``__init__.py`` is exempt from the import check, since its imports are the
@@ -144,6 +145,50 @@ def test_every_export_is_read_or_has_a_reason():
     assert not unread, f"exported, read by no package module and given no reason: {', '.join(unread)}"
     stale = sorted((UNREAD_EXPORTS.keys() - exports.keys()) | (UNREAD_EXPORTS.keys() & loaded))
     assert not stale, f"reasons for names that are not unread exports: {', '.join(stale)}"
+
+
+# Module-level public functions that the package neither re-exports nor
+# reads, and why each stays.
+UNREAD_FUNCTIONS = {
+    "gauge_to_json": "the write side of the gauge schema, read back by the round-trip tests",
+    "extension_to_json": "the write side of the extension schema, read back by the round-trip tests",
+    "section_to_json": "the write side of the section schema, read back by the round-trip tests",
+}
+
+
+def _public_functions(tree: ast.Module):
+    """(name, line) of every module-level public function."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+
+
+def test_every_unexported_function_is_read_or_has_a_reason():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    exports = dict(_exports(trees["__init__.py"]))
+    defined = {name for path in MODULES for name, _ in _public_functions(trees[path.name])}
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in MODULES
+        for name, line in _public_functions(trees[path.name])
+        if name not in exports and name not in read | UNREAD_FUNCTIONS.keys()
+    ]
+    assert not unread, f"not exported, read by no package module and given no reason: {', '.join(unread)}"
+    stale = sorted(UNREAD_FUNCTIONS.keys() - (defined - exports.keys() - read))
+    assert not stale, f"reasons for names that are not unread functions: {', '.join(stale)}"
+
+
+def test_public_function_scan_sees_module_level_functions_only():
+    tree = ast.parse(
+        "def api(): pass\n"
+        "def _private(): pass\n"
+        "class Kind:\n"
+        "    def method(self): pass\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+    )
+    assert [name for name, _ in _public_functions(tree)] == ["api", "outer"]
 
 
 def _package_imports(tree: ast.Module):

@@ -61,6 +61,11 @@ def test_field_spec_round_trip():
         field_from_json({"p": 4})
     with pytest.raises(FormatError):
         field_from_json("R")
+    # int() would read 2.5 as F2 and 3.9 as F3; true is no number, and a
+    # prime past the bound is refused before any trial division
+    for spec in ({"p": 2.5}, {"p": 3.9}, {"p": 3.0}, {"p": True}, {"p": "3"}, {"p": None}, {"p": 2 ** 61 - 1}):
+        with pytest.raises(FormatError, match="bad prime field spec"):
+            field_from_json(spec)
 
 
 def test_algebra_round_trip_rational_coefficients():
@@ -76,7 +81,7 @@ def test_algebra_round_trip_rational_coefficients():
             "products": [[0, 0, [0, "3/2"]]],
         }
     )
-    assert custom.c(0, 0, 0) == QQ.parse("3/2")
+    assert custom.product_row(0, 0)[0] == QQ.parse("3/2")
 
 
 def test_algebra_unlisted_products_are_zero():
@@ -99,6 +104,20 @@ def test_algebra_schema_violations():
         )
     with pytest.raises(FormatError):
         algebra_from_json({"field": {"p": 2}, "dim": 1, "basis": ["x"], "products": [[0, 0, [0, "1/2"]]]})
+    # a boolean is no number: not a dim, an index or a coefficient, and
+    # neither is a float index
+    ok = {"field": {"p": 2}, "dim": 1, "basis": ["x"], "products": [[0, 0, [0, "1"]]]}
+    assert algebra_from_json(ok).table == (1,)
+    for bad in (
+        {**ok, "dim": True},
+        {**ok, "products": [[0, 0, [0, True]]]},
+        {**ok, "products": [[0, 0, [0, 1.0]]]},
+        {**ok, "products": [[False, 0, [0, "1"]]]},
+        {**ok, "products": [[0, 0, [False, "1"]]]},
+        {**ok, "products": [[0, 0.0, [0, "1"]]]},
+    ):
+        with pytest.raises(FormatError):
+            algebra_from_json(bad)
 
 
 def test_map_round_trip_with_split_header():
@@ -577,6 +596,26 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     # 2 x 2^19 cochain, the bracket of two 2 x 2^11 ones
     big = {"field": "Q", "dim": 102, "basis": [f"e{i}" for i in range(102)], "products": []}
     argvs.append(["check-assoc", _write(tmp_path, "big.json", big)])
+    # a prime of 2.5 or 3.9, or a boolean where a number goes, is refused
+    # rather than read as F2, F3 or 1, and a prime past the bound before
+    # any trial division
+    argvs.append(["census", "--field", f"F{2 ** 61 - 1}"])
+    line = {"field": {"p": 2}, "dim": 1, "basis": ["x"], "products": []}
+    for n, doc in enumerate(
+        (
+            {**line, "field": {"p": 2.5}},
+            {**line, "field": {"p": 3.9}},
+            {**line, "field": {"p": True}},
+            {**line, "field": {"p": 2 ** 61 - 1}},
+            {**line, "dim": True},
+            {**line, "products": [[0, 0, [0, True]]]},
+        )
+    ):
+        path = _write(tmp_path, f"bool_or_float{n}.json", doc)
+        argvs += [["census", "--A", path, "--B", path], ["check-assoc", path]]
+    cocycle = cocycle_to_json(NabCocycle.zero(zero_algebra(GF2, 1), line_algebra(GF2, "idem", "b")))
+    for n, entries in enumerate(([[0, 0, 0, True]], [[True, 0, 0, "1"]], [[0, 0, 0.0, "1"]])):
+        argvs.append(["mc-check", _write(tmp_path, f"bool_entry{n}.json", {**cocycle, "chi": entries})])
     top = _write(tmp_path, "arity19.json", {**id2_doc, "arity": 19, "entries": []})
     arity11 = _write(tmp_path, "arity11.json", {**id2_doc, "arity": 11, "entries": []})
     argvs += [["hochschild-delta", top, alg2], ["bracket", arity11, arity11, "--field", "Q"]]

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nabext.fields import GF2, GF3, QQ
+from nabext.fields import GF2, GF3, QQ, PrimeField
 from nabext.linalg import (
     identity_matrix,
     mat_mul,
     mat_vec,
-    nullspace,
     rank,
     solution_space,
     solve,
@@ -88,8 +87,8 @@ def test_vector_helpers():
 def test_nullspace_of_a_rational_system():
     # x + y + z = 0 and y = 2z: one free column, z
     m = ((Fraction(1), Fraction(1), Fraction(1)), (Fraction(0), Fraction(1), Fraction(-2)))
-    assert nullspace(QQ, m) == ((Fraction(-3), Fraction(2), Fraction(1)),)
-    assert nullspace(QQ, identity_matrix(QQ, 2)) == ()
+    assert solution_space(QQ, m, (QQ.zero,) * 2)[1] == ((Fraction(-3), Fraction(2), Fraction(1)),)
+    assert solution_space(QQ, identity_matrix(QQ, 2), (QQ.zero,) * 2)[1] == ()
 
 
 @settings(deadline=None, max_examples=100)
@@ -102,10 +101,10 @@ def test_nullspace_spans_exactly_the_solutions(field, n_rows, n_cols, data):
     entries = st.sampled_from(list(field.elements()))
     m = tuple(tuple(data.draw(entries) for _ in range(n_cols)) for _ in range(n_rows))
     b = tuple(data.draw(entries) for _ in range(n_rows))
-    basis = nullspace(field, m)
-    assert len(basis) == n_cols - rank(field, m)
     zero = (field.zero,) * n_rows
-    assert solution_space(field, m, zero) == ((field.zero,) * n_cols, basis)
+    x0, basis = solution_space(field, m, zero)
+    assert x0 == (field.zero,) * n_cols
+    assert len(basis) == n_cols - rank(field, m)
 
     def span(x0, vectors):
         points = set()
@@ -129,6 +128,24 @@ def test_nullspace_spans_exactly_the_solutions(field, n_rows, n_cols, data):
         x0, affine_basis = solved
         assert affine_basis == basis and x0 == solve(field, m, b)
         assert span(x0, affine_basis) == brute
+
+
+def test_elimination_works_on_the_pivot_rows_support_only(monkeypatch):
+    # deterministic work count: x_(i-1) + 2 x_i = 1 over F3 for 8 unknowns.
+    # Each pivot row holds 2 nonzeros (the diagonal and the right-hand side)
+    # and the next row holds its column, so a pivot costs 2 products to
+    # scale and 2 to clear: 4 in all, not the 2 * 9 of a dense update of
+    # the two rows
+    n = 8
+    m = tuple(tuple(2 if j == i else 1 if j == i - 1 else 0 for j in range(n)) for i in range(n))
+    b = (1,) * n
+    products = []
+    real = PrimeField.mul
+    monkeypatch.setattr(PrimeField, "mul", lambda self, x, y: products.append((x, y)) or real(self, x, y))
+    x, basis = solution_space(GF3, m, b)
+    assert len(products) <= 4 * n
+    monkeypatch.undo()
+    assert mat_vec(GF3, m, x) == b and basis == ()
 
 
 def test_solution_space_rejects_a_mismatched_right_hand_side():

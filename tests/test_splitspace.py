@@ -288,7 +288,7 @@ def test_block_maps_round_trip_and_reassemble(case):
     small = project_block_map(f, split, pat, out)
     for k, idxs in itertools.product(range(small.target_dim), itertools.product(*map(range, small.source_dims))):
         full = tuple(r[i] for r, i in zip(slots, idxs))
-        assert small.entry(k, idxs) == f.entry(split.block_indices(out)[k], full)
+        assert small.column(idxs)[k] == f.column(full)[split.block_indices(out)[k]]
     # the embedded components over every (pattern, block) sum back to f
     total = MultilinearMap.zero(f.field, f.source_dims, f.target_dim)
     for p, o in itertools.product(_patterns(f.arity), "AB"):
