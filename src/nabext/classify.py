@@ -11,11 +11,11 @@ so runs are deterministic and trivially splittable across workers.  The
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
 of degree at most 2 in numbered variables, and read by :func:`_read_affine`
 into rows ``r0 + M x`` affine in the unknowns, with ``r0`` and ``M`` sparse
-sums in the parameters (an :class:`_Affine`): eight reads per space, three
-stages per route, the extension layout and the gauge action.  A term of
-degree 2 in the unknowns, or one in a later variable, raises
-:class:`CrossCheckError`, so affinity is checked, not assumed.  No equation
-is written out here.
+sums in the parameters (an :class:`_Affine`): nine reads per space, three
+stages per route, the extension layout, the gauge action and the section
+round trip.  A term of degree 2 in the unknowns, or one in a later variable,
+raises :class:`CrossCheckError`, so affinity is checked, not assumed.  No
+equation is written out here.
 
 The two routes of the census find the cocycles independently, and each
 solves in three stages, phi, then psi with phi fixed, then chi with phi and
@@ -46,6 +46,11 @@ is checked against the closed-form gauge action on the Maurer-Cartan
 elements.  That action is read off one symbolic :func:`gauge_closed_form`
 per space, the element's slots the unknowns, and specialised per beta to a
 sparse affine map evaluated for every (cocycle, beta) pair.
+
+The canonical section of every hit's extension must give back its twist
+triple.  That round trip is read off one symbolic
+:func:`cocycle_from_section` per space, on the layout's table with every
+digit a variable, and evaluated at each hit's digits.
 """
 
 from __future__ import annotations
@@ -60,7 +65,12 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from .algebra import Algebra, SplitSpace, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
-from .exact_sequences import block_presentation, canonical_section, cocycle_from_section
+from .exact_sequences import (
+    BrokenExtensionError,
+    block_presentation,
+    canonical_section,
+    cocycle_from_section,
+)
 from .fields import Field, PrimeField, Scalar
 from .linalg import (
     Vector,
@@ -122,11 +132,12 @@ class _Poly:
     It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
     the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
-    residual generators, :func:`basis_associator`, :func:`build_extension`
-    and :func:`gauge_closed_form` run over it as written, and
-    :func:`_read_affine` reads what they return.  A product above degree 2
-    raises :class:`CrossCheckError`: every read relies on its formula being
-    at most quadratic.
+    residual generators, :func:`basis_associator`, :func:`build_extension`,
+    :func:`gauge_closed_form` and :func:`cocycle_from_section` (its
+    :func:`verify_extension` and :func:`section_cocycle`) run over it as
+    written, and :func:`_read_affine` reads what they return.  A product
+    above degree 2 raises :class:`CrossCheckError`: every read relies on its
+    formula being at most quadratic.
     """
 
     __slots__ = ("terms",)
@@ -436,17 +447,23 @@ class CandidateSpace:
         curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
         return self._read_stages("cocycle route", [_labelled(r) for r in (leibniz, twist, curvature)])
 
-    @cached_property
-    def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
-        """The phi, psi and chi stages of the extension route, from one
-        :func:`basis_associator` per triple of :func:`_stage_triples` on the
-        :attr:`extension_layout` table with every slot holding its digit as
-        a variable."""
+    def _symbolic_extension(self) -> Algebra:
+        """The twisted product of the symbolic candidate: the
+        :attr:`extension_layout` zero table with every digit's slot holding
+        that digit as a :class:`_Poly` variable."""
         zero, slots = self.extension_layout
         table = list(zero.table)
         for slot, digit in zip(slots, _symbolic_digits(self.total_entries)):
             table[slot] = digit
-        field, dim = zero.field, zero.dim
+        return replace(zero, table=tuple(table))
+
+    @cached_property
+    def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
+        """The phi, psi and chi stages of the extension route, from one
+        :func:`basis_associator` per triple of :func:`_stage_triples` on
+        :meth:`_symbolic_extension`."""
+        E = self._symbolic_extension()
+        field, dim, table = E.field, E.dim, E.table
         associators = [
             [(f"associator at basis triple {t}", basis_associator(field, dim, table, *t)) for t in triples]
             for triples in _stage_triples(self)
@@ -481,6 +498,29 @@ class CandidateSpace:
         rows = ((f"slot {q} of the image", v) for q, v in image)
         action = _read_affine(self.A.field, "closed-form gauge action", rows, lo, lo + n, names)
         return tuple(action.map_at([v for row in beta.matrix for v in row]) for beta in self.gauge_params())
+
+    @cached_property
+    def section_roundtrip(self) -> _AffineMap:
+        """The map that sends a candidate's index digits to the coefficients
+        ``phi + psi + chi`` that the canonical section of its extension
+        recovers.
+
+        Read off one :func:`cocycle_from_section` on the block presentation
+        of :meth:`_symbolic_extension`, so :func:`verify_extension` and
+        :func:`section_cocycle` run once per space, and one
+        :func:`_read_affine` of the recovered coefficients with every digit
+        an unknown.  Raises :class:`CrossCheckError` when the symbolic
+        extension fails verification or a coefficient is not affine in the
+        digits."""
+        pres = block_presentation(self._symbolic_extension(), self.A, self.B)
+        try:
+            recovered = cocycle_from_section(pres, canonical_section(pres))
+        except BrokenExtensionError as exc:
+            raise CrossCheckError(f"section round trip: the symbolic extension fails: {exc}") from None
+        names = self._digit_names()
+        coeffs = recovered.phi.coeffs + recovered.psi.coeffs + recovered.chi.coeffs
+        values = ((f"recovered {names[k]}", v) for k, v in enumerate(coeffs))
+        return _read_affine(self.A.field, "section round trip", values, 0, len(names), names).map_at(())
 
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
@@ -867,7 +907,12 @@ def census(
     extension index sets coincide; every cocycle's assembled element
     satisfies the Maurer-Cartan equation; and, on an exhaustive run, the
     extension tables agree, the canonical section recovers every generating
-    triple, and the checks of :func:`orbit_partition` pass.
+    triple, and the checks of :func:`orbit_partition` pass.  The section
+    round trip is read off one symbolic pass per space
+    (:attr:`CandidateSpace.section_roundtrip`) and evaluated at each hit's
+    digits, read from its extension's table at the layout's slots;
+    :func:`section_cocycle` on a numeric extension stays the route of the
+    ``extract-cocycle`` verb.
     """
     cocycles = enumerate_cocycles(space, indices, jobs)
     extensions = enumerate_extensions(space, indices, jobs)
@@ -913,9 +958,10 @@ def census(
     if built_tables != listed_tables:
         raise CrossCheckError("extension structure-constant tables disagree")
 
+    slots = space.extension_layout[1]
+    roundtrip = space.section_roundtrip
     for (i, c), (_, ext_alg) in zip(cocycles, extensions):
-        pres = block_presentation(ext_alg, space.A, space.B)
-        if _key(cocycle_from_section(pres, canonical_section(pres))) != _key(c):
+        if roundtrip([ext_alg.table[slot] for slot in slots]) != c.phi.coeffs + c.psi.coeffs + c.chi.coeffs:
             raise CrossCheckError(f"canonical section does not recover candidate {i}")
 
     report.orbits = orbit_partition(space, cocycles, mc_elements)

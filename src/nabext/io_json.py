@@ -356,13 +356,15 @@ def report_to_json(report: ClassificationReport, field: Field) -> Dict:
 
 
 def report_to_text(report: ClassificationReport) -> str:
+    # a sample is not closed under equivalence, so its orbits are never split
+    classes = "not counted on a sample" if report.checks.get("sampled") else len(report.orbits)
     lines = [
         f"field                F{report.p}",
         f"dims (kernel, quot)  ({report.a_dim}, {report.b_dim})",
         f"candidates           {report.num_candidates}",
         f"valid cocycles       {report.num_cocycles}",
         f"associative products {report.num_extensions}",
-        f"equivalence classes  {len(report.orbits)}",
+        f"equivalence classes  {classes}",
     ]
     for orbit in report.orbits:
         members = ", ".join(str(m) for m in orbit.members)

@@ -21,6 +21,7 @@ from helpers import (
 )
 import nabext.algebra as algebra
 import nabext.classify as classify
+import nabext.exact_sequences as exact_sequences
 import nabext.nonabelian as nonabelian
 from nabext import (
     Algebra,
@@ -43,6 +44,7 @@ from nabext import (
     ViolationKind,
 )
 from nabext.classify import worker_count
+from nabext.exact_sequences import block_presentation, canonical_section, cocycle_from_section
 from nabext.cli import main
 from nabext.io_json import dumps_canonical, report_to_json
 from nabext.fields import GF2, GF3, PrimeField
@@ -925,6 +927,16 @@ def test_the_compiled_gauge_action_is_the_closed_form(case):
             assert image(x.coeffs) == gauge_closed_form(x, beta, base, split).coeffs
 
 
+def _work_count_spaces():
+    """The ends of four spaces with 6, 8, 8 and 88 cocycles."""
+    return (
+        (line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b")),
+        (_nil2(GF2), line_algebra(GF2, "zero", "b")),
+        (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
+        (zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")),
+    )
+
+
 def test_census_compiles_the_gauge_action_once_per_space(monkeypatch):
     # deterministic work count: however many cocycles, the orbit stage calls
     # gauge_closed_form once per space, symbolically, and evaluates the
@@ -934,12 +946,22 @@ def test_census_compiles_the_gauge_action_once_per_space(monkeypatch):
         classify, "gauge_closed_form", lambda *args: calls.append(args) or gauge_closed_form(*args)
     )
     cocycle_counts = []
-    for A, B in (
-        (line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b")),
-        (_nil2(GF2), line_algebra(GF2, "zero", "b")),
-        (line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")),
-        (zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")),
-    ):
+    for A, B in _work_count_spaces():
+        calls.clear()
+        cocycle_counts.append(census(CandidateSpace(A, B)).num_cocycles)
+        assert len(calls) == 1
+    assert cocycle_counts == [6, 8, 8, 88]
+
+
+def test_census_runs_the_section_round_trip_once_per_space(monkeypatch):
+    # deterministic work count: however many cocycles, the section stage
+    # calls cocycle_from_section once per space, symbolically
+    calls = []
+    monkeypatch.setattr(
+        classify, "cocycle_from_section", lambda *args: calls.append(args) or cocycle_from_section(*args)
+    )
+    cocycle_counts = []
+    for A, B in _work_count_spaces():
         calls.clear()
         cocycle_counts.append(census(CandidateSpace(A, B)).num_cocycles)
         assert len(calls) == 1
@@ -1060,6 +1082,88 @@ def test_sampled_census_has_no_orbit_stage():
     assert report.checks == {"sampled": True, "counts_match": True, "cocycles_satisfy_mc": True}
     assert set(report.cocycle_indices) <= set(indices)
     assert list(report.cocycle_indices) == [i for i in indices if is_valid_cocycle(space.candidate(i))]
+
+
+def _numeric_section_read(space, index):
+    """The coefficients ``phi + psi + chi`` that the canonical section of
+    candidate ``index``'s extension gives back, numerically."""
+    pres = block_presentation(build_extension(space.candidate(index))[0], space.A, space.B)
+    return sum(classify._key(cocycle_from_section(pres, canonical_section(pres))), ())
+
+
+@pytest.mark.parametrize("name", ["F2-nil2-zero1", "F2-zero1-diag2", "F3-zero1-idem1"])
+def test_the_compiled_section_read_is_the_numeric_one_on_every_candidate(name):
+    # hits and non-hits alike: the map read off the one symbolic pass gives
+    # what the numeric round trip gives on the candidate's extension
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    roundtrip = space.section_roundtrip
+    for i in range(space.total_candidates):
+        digits = classify._digits(i, space.p, space.total_entries)
+        assert roundtrip(digits) == _numeric_section_read(space, i)
+
+
+@st.composite
+def _section_spaces(draw):
+    """A space over F2 or F3 whose ends are helper algebras of dims 1-2, the
+    kernel read through a random change of basis, and a few candidate
+    indices."""
+    field = draw(st.sampled_from([GF2, GF3]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    A, B = (draw(st.sampled_from(_STAGE_BUILDERS + (_nil2, _diag2)))(field) for _ in range(2))
+    space = CandidateSpace(read_through(A, *rand_invertible(rng, field, A.dim)), B)
+    return space, [rng.randrange(space.total_candidates) for _ in range(4)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(_section_spaces())
+def test_the_compiled_section_read_is_the_numeric_one(case):
+    space, indices = case
+    for i in indices:
+        digits = classify._digits(i, space.p, space.total_entries)
+        assert space.section_roundtrip(digits) == _numeric_section_read(space, i)
+
+
+@pytest.mark.parametrize("corruption,candidate", [("constant", 0), ("swap", 1)])
+def test_a_corrupted_section_read_trips_the_census(monkeypatch, corruption, candidate):
+    # F3 zero/idem line has the cocycles 0, 1, 3, 4, 9, 13, 18 and 22.  A
+    # constant in the first slot fails every hit, the first at 0; the first
+    # two digits sent to each other's slots fail the first hit whose two
+    # digits differ, 1 = (1, 0, 0)
+    space = CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b"))
+    roundtrip = space.section_roundtrip
+    if corruption == "constant":
+        roundtrip = replace(roundtrip, constant=((roundtrip.constant[0] + 1) % space.p,) + roundtrip.constant[1:])
+    else:
+        (q0, s0, c0), (q1, s1, c1), *rest = roundtrip.terms
+        roundtrip = replace(roundtrip, terms=((q1, s0, c0), (q0, s1, c1), *rest))
+    monkeypatch.setitem(space.__dict__, "section_roundtrip", roundtrip)
+    with pytest.raises(CrossCheckError, match=f"canonical section does not recover candidate {candidate}$"):
+        census(space)
+
+
+def test_a_product_of_two_digits_in_the_section_read_is_refused(monkeypatch, capsys):
+    # the default CLI space, zero/idem lines over F2: a recovered phi
+    # coefficient with a product of the phi and psi digits is not affine
+    section_cocycle = exact_sequences.section_cocycle
+
+    def with_a_product(ext, s):
+        c = section_cocycle(ext, s)
+        coeffs = (c.phi.coeffs[0] + classify._Poly({(0, 1): 1}),) + c.phi.coeffs[1:]
+        return replace(c, phi=replace(c.phi, coeffs=coeffs))
+
+    monkeypatch.setattr(exact_sequences, "section_cocycle", with_a_product)
+    assert main(["census", "--field", "F2"]) == 3
+    assert capsys.readouterr().err == (
+        "internal inconsistency: section round trip: recovered phi[0] has the term"
+        " phi[0]*psi[0] of degree 2 in the unknowns\n"
+    )
+
+
+def test_a_symbolic_extension_that_fails_verification_trips_the_census(monkeypatch):
+    failed = exact_sequences.ExtensionDiagnostics(ok=False, failures=["iota is not injective"])
+    monkeypatch.setattr(exact_sequences, "verify_extension", lambda ext: failed)
+    with pytest.raises(CrossCheckError, match="section round trip: .*iota is not injective$"):
+        census(_space())
 
 
 def test_worker_count_clamp(monkeypatch):

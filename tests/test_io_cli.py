@@ -459,6 +459,15 @@ def test_cli_census_sampled(tmp_path, capsys):
     assert doc["num_cocycles"] == doc["num_extensions"]
 
 
+def test_cli_census_sampled_text_does_not_count_classes(capsys):
+    # a sample is not closed under equivalence, so no orbit is partitioned
+    assert main(["census", "--field", "F2", "--sample", "4", "--seed", "1", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "equivalence classes  not counted on a sample" in lines
+    assert not any(line.startswith("  class rep") for line in lines)
+    assert lines[-1] == "checks: cocycles_satisfy_mc=ok, counts_match=ok, sampled=ok"
+
+
 def test_cli_census_budget_error(capsys):
     args = ["census", "--field", "F2", "--budget", "4"]
     assert main(args) == 2
