@@ -274,10 +274,6 @@ def _census_space(args) -> CandidateSpace:
         if args.field and field != a.field:
             raise FormatError(f"--field {field} contradicts the algebra files, which are over {a.field}")
     else:
-        if args.dimA != 1 or args.dimB != 1:
-            raise FormatError(
-                "shorthand census supports --dimA 1 --dimB 1 only; pass --A/--B files for larger dims"
-            )
         if not isinstance(field, PrimeField):
             raise FormatError("census runs over prime fields; pass --field F<p>")
         a = _line_algebra(field, "a", args.a2)
@@ -396,8 +392,6 @@ _VERBS = (
         _arg("--B", help="quotient algebra file"),
         # F2 for the shorthand census; with --A/--B it must name their field
         _arg("--field"),
-        _arg("--dimA", type=int, default=1),
-        _arg("--dimB", type=int, default=1),
         _arg("--a2", default="zero", help="kernel generator square: zero|idem"),
         _arg("--b2", default="idem", help="quotient generator square: zero|idem"),
         _arg("--budget", type=int, default=DEFAULT_BUDGET),

@@ -11,8 +11,12 @@ is associative; invalid candidates stay representable so enumeration can
 filter them.
 
 The twisted product is ``base + x``, the blockwise product of
-:func:`~nabext.algebra.direct_sum_space` plus the twist, and
-:func:`build_extension` is its only layout on ``A (+) B``.
+:func:`~nabext.algebra.direct_sum_space` plus the twist.  Its layout on
+``A (+) B`` is stated once, by :func:`twist_slots`: the table slot of each
+coefficient of phi, psi and chi.  :func:`build_extension` writes the twist
+there, and the census scatters index digits through the same slots; the
+block projections of :mod:`~nabext.splitspace` read the twist back without
+them.
 """
 
 from __future__ import annotations
@@ -338,21 +342,30 @@ def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:
 # the twisted product
 # ---------------------------------------------------------------------------
 
-def build_extension(c: NabCocycle) -> Tuple[Algebra, SplitSpace]:
-    """The twisted product ``base + x`` on the split space A (+) B, and the
-    only code that places the twist there: the :func:`direct_sum_space`
-    table with the columns of phi, psi and chi written into its A-valued BA,
-    AB and BB slots.  No validity requirement: associativity of the result
-    is a theorem to test, not a precondition."""
-    base, split = direct_sum_space(c.A, c.B)
+def twist_slots(split: SplitSpace) -> Tuple[int, ...]:
+    """The table slot of every coefficient of phi, psi and chi, in that
+    order and as each map stores them, the target index outermost: the
+    A-valued BA, AB and BB slots of a product on ``split``, and the only
+    code that names them."""
     dim, a, b = split.dim, split.a_indices, split.b_indices
+    return tuple(
+        (i * dim + j) * dim + k
+        for first, second in ((b, a), (a, b), (b, b))
+        for k in a
+        for i, j in itertools.product(first, second)
+    )
+
+
+def build_extension(c: NabCocycle) -> Tuple[Algebra, SplitSpace]:
+    """The twisted product ``base + x`` on the split space A (+) B: the
+    :func:`direct_sum_space` table with the coefficients of phi, psi and chi
+    written at their :func:`twist_slots`.  No validity requirement:
+    associativity of the result is a theorem to test, not a precondition."""
+    base, split = direct_sum_space(c.A, c.B)
     table = list(base.table)
-    for twist, first, second in ((c.phi, b, a), (c.psi, a, b), (c.chi, b, b)):
-        # the column of the flat-th basis pair, as in MultilinearMap.column
-        for flat, (i, j) in enumerate(itertools.product(first, second)):
-            start = (i * dim + j) * dim
-            table[start : start + split.a_dim] = twist.coeffs[flat :: twist.input_size]
-    return Algebra(base.field, dim, base.basis, tuple(table)), split
+    for slot, v in zip(twist_slots(split), c.phi.coeffs + c.psi.coeffs + c.chi.coeffs):
+        table[slot] = v
+    return Algebra(base.field, split.dim, base.basis, tuple(table)), split
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from helpers import (
     read_through,
     trunc_poly2,
     trunc_poly3,
+    upper_triangular2,
     zero_algebra,
 )
 import nabext.algebra as algebra
@@ -261,62 +262,97 @@ def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch):
     assert build_extension(space.candidate(6))[0].associativity_witness() == (1, 1, 1)
 
 
-def test_layout_probe_rejects_a_product_that_is_not_a_scatter(monkeypatch):
-    # a twisted product in which the chi digit lands in two slots is refused
-    space = _space()
-
-    def doubled(c):
+def _patched(monkeypatch, edit):
+    """``classify.build_extension`` with slot 0 of each table replaced by
+    ``edit(cocycle, held)``."""
+    def built(c):
         ext, split = build_extension(c)
         table = list(ext.table)
-        table[0] = table[0] + c.chi.coeffs[0]
+        table[0] = edit(c, table[0])
         return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
 
-    monkeypatch.setattr(classify, "build_extension", doubled)
-    with pytest.raises(CrossCheckError, match="index digit 2"):
-        space.extension_layout
+    monkeypatch.setattr(classify, "build_extension", built)
 
 
-def test_layout_read_rejects_a_product_of_two_digits_in_a_slot(monkeypatch):
+def test_a_twist_written_twice_trips_the_census(monkeypatch):
+    # a twisted product in which the chi digit also lands in the AA slot 0:
+    # the extension route's psi stage reads chi, a later stage's digit
+    space = _space()
+    _patched(monkeypatch, lambda c, held: held + c.chi.coeffs[0])
+    with pytest.raises(CrossCheckError, match=r"psi stage: .* psi\[0\]\*chi\[0\] in a later stage's digit"):
+        census(space)
+
+
+def test_a_product_of_two_digits_in_a_slot_trips_the_census(monkeypatch):
     # a twisted product whose slot 0 gains phi * chi is not affine in the
-    # digits: the one read of the symbolic table refuses it, naming the slot
-    # and the monomial
+    # digits: an associator of the symbolic table has degree 3
     space = _space()
-
-    def multiplied(c):
-        ext, split = build_extension(c)
-        table = list(ext.table)
-        table[0] = table[0] + c.phi.coeffs[0] * c.chi.coeffs[0]
-        return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
-
-    monkeypatch.setattr(classify, "build_extension", multiplied)
-    message = r"extension layout: slot 0 of the twisted product has the term phi\[0\]\*chi\[0\] of degree 2"
-    with pytest.raises(CrossCheckError, match=message):
-        space.extension_layout
+    _patched(monkeypatch, lambda c, held: held + c.phi.coeffs[0] * c.chi.coeffs[0])
+    with pytest.raises(CrossCheckError, match="has degree 3"):
+        census(space)
 
 
-def test_layout_read_rejects_a_constant_slot_that_differs(monkeypatch):
+def test_a_constant_slot_that_differs_trips_the_census(monkeypatch):
     # a twisted product whose digit-free slot 0 holds 1 once chi is not the
-    # number 0 (the symbolic chi is a variable, not 0) is refused
+    # number 0 (the symbolic chi is a variable, not 0): the extension route
+    # solves another table than the numeric one, and the routes disagree
     space = _space()
+    _patched(monkeypatch, lambda c, held: held if c.chi.coeffs[0] == 0 else 1 - held)
+    with pytest.raises(CrossCheckError, match=r"cocycle/extension mismatch: valid-only \[1, 2, 4, 7\]"):
+        census(space)
 
-    def shifted(c):
-        ext, split = build_extension(c)
-        if c.chi.coeffs[0] == 0:
-            return ext, split
-        table = list(ext.table)
-        table[0] = 1 - table[0]
-        return Algebra(ext.field, ext.dim, ext.basis, tuple(table)), split
 
-    monkeypatch.setattr(classify, "build_extension", shifted)
-    with pytest.raises(CrossCheckError, match="slot 0 of the twisted product holds 1, not the zero table.s 0"):
-        space.extension_layout
+def test_twist_slots_are_the_a_valued_cross_slots():
+    # over every helper pair with dim A + dim B <= 5: one distinct slot per
+    # coefficient, each an A-valued BA, AB or BB slot that the direct sum
+    # leaves 0
+    builders = (
+        lambda f: line_algebra(f, "zero"),
+        lambda f: line_algebra(f, "idem"),
+        trunc_poly2,
+        lambda f: zero_algebra(f, 2),
+        left_unit2,
+        upper_triangular2,
+    )
+    for make_a, make_b in itertools.product(builders, repeat=2):
+        a, b = make_a(GF2), make_b(GF2)
+        if a.dim + b.dim > 5:
+            continue
+        base, split = direct_sum_space(a, b)
+        slots = nonabelian.twist_slots(split)
+        assert len(set(slots)) == len(slots) == CandidateSpace(a, b).total_entries
+        for slot in slots:
+            pair, k = divmod(slot, split.dim)
+            i, j = divmod(pair, split.dim)
+            assert split.block_of(i) + split.block_of(j) in ("BA", "AB", "BB")
+            assert split.block_of(k) == "A"
+            assert base.table[slot] == 0
+
+
+def test_a_table_of_another_hit_trips_the_census(monkeypatch):
+    # the extension route returns the right indices with two hits' algebras
+    # swapped: the per-index tables check names the first of them
+    space = _space()
+    real = classify.enumerate_extensions
+
+    def swapped(*args, **kwargs):
+        hits = real(*args, **kwargs)
+        (i, first), (j, second) = hits[1], hits[2]
+        hits[1:3] = [(i, second), (j, first)]
+        return hits
+
+    monkeypatch.setattr(classify, "enumerate_extensions", swapped)
+    index = [i for i, _ in real(space)][1]
+    with pytest.raises(CrossCheckError, match=f"table of candidate {index} is not build_extension's"):
+        census(space)
 
 
 def test_census_work_guard(monkeypatch):
-    # deterministic work counts instead of a timing: the oracle builds
-    # twisted products only to read the layout, once on the zero candidate
-    # and once on the symbolic one (and census once per cocycle for its
-    # tables check), and the cocycle equations never apply a map to a vector
+    # deterministic work counts instead of a timing: the census builds
+    # twisted products once on the zero candidate for the layout, once on
+    # the symbolic one for the extension stages and the section round trip,
+    # and once per cocycle for its tables check, and the cocycle equations
+    # never apply a map to a vector
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
     assert space.total_candidates == 1024
     built = []
@@ -332,7 +368,7 @@ def test_census_work_guard(monkeypatch):
 
     monkeypatch.setattr(MultilinearMap, "apply", apply)
     report = census(space)
-    assert len(built) <= 2 + report.num_cocycles
+    assert len(built) == 2 + report.num_cocycles
     equations = {"twist_residuals", "curvature_residuals"}
     assert not equations & set(applied_from)
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used there,
 every module-level private function or class is read somewhere in the
-package, every public re-export and every public module-level function that
-is not re-exported is read by the package or has a stated reason to stay,
+package, every public re-export, every public module-level function that is
+not re-exported and every public method is read by the package or has a
+stated reason to stay,
 package modules are imported at module level and only by their public
 names, and no float enters the exact arithmetic.
 
@@ -189,6 +190,56 @@ def test_public_function_scan_sees_module_level_functions_only():
         "    def inner(): pass\n"
     )
     assert [name for name, _ in _public_functions(tree)] == ["api", "outer"]
+
+
+# Public methods that no module of the package reads, and why each stays.
+UNREAD_METHODS = {
+    "MultilinearMap.from_function": "builds the tests' hand-written maps; the benchmark traces it as a layer",
+    "MultilinearMap.apply": "evaluation on vectors, the oracle the tests hold the flat cochain kernels to",
+    "Rationals.div": "division belongs to the field interface; tests/test_fields.py pins it",
+    "PrimeField.div": "division belongs to the field interface; tests/test_fields.py pins it",
+    "GaugeParam.negate": "the inverse gauge move, which the acceptance tests apply",
+}
+
+
+def _public_methods(tree: ast.Module):
+    """(``Class.method``, method, line) of every public method, property
+    included, of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+def test_every_public_method_is_read_or_has_a_reason():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = {
+        qualified: f"{path.name}: {qualified} (line {line})"
+        for path in MODULES
+        for qualified, name, line in _public_methods(trees[path.name])
+        if name not in read
+    }
+    missing = [where for qualified, where in unread.items() if qualified not in UNREAD_METHODS]
+    assert not missing, f"read by no package module and given no reason: {', '.join(missing)}"
+    stale = sorted(UNREAD_METHODS.keys() - unread.keys())
+    assert not stale, f"reasons for names that are not unread methods: {', '.join(stale)}"
+
+
+def test_public_method_scan_sees_methods_of_module_level_classes_only():
+    tree = ast.parse(
+        "class Kind:\n"
+        "    def method(self): pass\n"
+        "    @property\n"
+        "    def size(self): pass\n"
+        "    def _private(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "def api():\n"
+        "    class Local:\n"
+        "        def inner(self): pass\n"
+    )
+    assert [qualified for qualified, _, _ in _public_methods(tree)] == ["Kind.method", "Kind.size"]
 
 
 def _package_imports(tree: ast.Module):

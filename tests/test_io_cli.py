@@ -419,7 +419,7 @@ def test_cli_gauge_series_refuses_f2(hand_files, capsys):
 
 
 def test_cli_census_json_and_text(capsys):
-    args = ["census", "--field", "F2", "--dimA", "1", "--dimB", "1", "--a2", "zero", "--b2", "idem"]
+    args = ["census", "--field", "F2", "--a2", "zero", "--b2", "idem"]
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["num_candidates"] == 8
