@@ -11,8 +11,9 @@ so runs are deterministic and trivially splittable across workers.  The
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
 of degree at most 2 in numbered variables, and read by :func:`_read_affine`
 into rows ``r0 + M x`` affine in the unknowns, with ``r0`` and ``M`` sparse
-sums in the parameters (an :class:`_Affine`): eight reads per space, three
-stages per route, the gauge action and the section round trip.  A term of
+sums in the parameters (an :class:`_Affine`): ten reads per space, three
+stages per route, the gauge action, the section round trip, and the
+Maurer-Cartan element and its residual.  A term of
 degree 2 in the unknowns, or one in a later variable, raises
 :class:`CrossCheckError`, so affinity is checked, not assumed.  No equation
 is written out here.
@@ -53,6 +54,13 @@ triple.  That round trip is read off one symbolic
 and evaluated at each hit's digits.  The section reads the twist through
 the block projections, not through :func:`twist_slots`, so it checks that
 layout too.
+
+Every hit's assembled element must be a Maurer-Cartan element.  That check
+is read off one symbolic :func:`cocycle_to_mc` and one
+:func:`associator_residual` per space, and evaluated at each hit's digits:
+the element's coefficients, an affine map of the digits, are what the orbit
+stage acts on, and the residual's, each of degree at most 2 in the digits,
+must all vanish.
 """
 
 from __future__ import annotations
@@ -127,6 +135,16 @@ def _terms(x) -> Dict[Monomial, int]:
     return x.terms if isinstance(x, _Poly) else ({(): x} if x else {})
 
 
+def _canonical(terms: Dict[Monomial, int], p: int):
+    """``terms`` with every coefficient reduced into 1..p-1 and the zero ones
+    dropped: a :class:`_Poly`, or the plain ``int`` when no variable is left.
+    The one reduction of :class:`_Poly` arithmetic."""
+    out = {m: r for m, c in terms.items() if (r := c % p)}
+    if len(out) > 1 or (out and () not in out):
+        return _Poly(out, p)
+    return out.get((), 0)
+
+
 class _Poly:
     """A polynomial of degree at most 2 over F_p in numbered variables,
     ``{monomial: coefficient}``: a candidate's index digits, or the slots of
@@ -136,52 +154,75 @@ class _Poly:
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
     the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
     residual generators, :func:`basis_associator`, :func:`build_extension`,
+    :func:`cocycle_to_mc`, :func:`associator_residual`,
     :func:`gauge_closed_form` and :func:`cocycle_from_section` (its
     :func:`verify_extension` and :func:`section_cocycle`) run over it as
     written, and :func:`_read_affine` reads what they return.  A product
     above degree 2 raises :class:`CrossCheckError`: every read relies on its
     formula being at most quadratic.
+
+    Arithmetic keeps a canonical form (:func:`_canonical`): coefficients in
+    1..p-1, no zero term, and a result with no variable left is a plain
+    ``int``.  So ``% p`` hands the value back unchanged, a kernel's zero
+    tests cost no reduction, and once the variables of a sum cancel, the
+    rest of the formula runs on ints.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "p")
 
-    def __init__(self, terms: Dict[Monomial, int]):
+    def __init__(self, terms: Dict[Monomial, int], p: int):
         self.terms = terms
+        self.p = p
 
-    def __add__(self, other) -> "_Poly":
+    def __add__(self, other):
         terms = dict(self.terms)
-        for m, c in _terms(other).items():
-            terms[m] = terms.get(m, 0) + c
-        return _Poly(terms)
+        if isinstance(other, _Poly):
+            for m, c in other.terms.items():
+                terms[m] = terms.get(m, 0) + c
+        elif other:
+            terms[()] = terms.get((), 0) + other
+        else:
+            return self
+        return _canonical(terms, self.p)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "_Poly":
-        return _Poly({m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return _canonical({m: -c for m, c in self.terms.items()}, self.p)
 
-    def __sub__(self, other) -> "_Poly":
+    def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other) -> "_Poly":
+    def __rsub__(self, other):
         return -self + other
 
-    def __mul__(self, other) -> "_Poly":
+    def __mul__(self, other):
+        p = self.p
+        if not isinstance(other, _Poly):
+            # a scalar: no monomial loop
+            other %= p
+            if other == 1:
+                return self
+            return _canonical({m: c * other for m, c in self.terms.items()}, p) if other else 0
         terms: Dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in _terms(other).items():
-                m = tuple(sorted(m1 + m2))
+            for m2, c2 in other.terms.items():
+                # each monomial is sorted, so the product needs sorting only
+                # when both hold a variable
+                m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
                 if len(m) > 2:
                     raise CrossCheckError(
                         f"a product of the variables {m} has degree {len(m)};"
                         " the formula is not of degree at most 2"
                     )
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return _Poly(terms)
+        return _canonical(terms, p)
 
     __rmul__ = __mul__
 
     def __mod__(self, p: int) -> "_Poly":
-        return _Poly({m: c % p for m, c in self.terms.items() if c % p})
+        # canonical already
+        return self
 
     def __eq__(self, other) -> bool:
         return self.terms == _terms(other)
@@ -216,16 +257,20 @@ class _AffineMap:
 
 @dataclass(frozen=True)
 class _Affine:
-    """Rows ``r0 + M x`` over F_p, affine in the unknowns ``x``, the
-    variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in the
-    parameters, the variables below ``lo``.  ``terms`` maps each monomial in
-    the parameters to the ``(position, coefficient)`` pairs it adds to the
-    augmented matrix ``[M | -r0]``, flat and row by row."""
+    """``rows`` rows ``r0 + M x`` over F_p, affine in the unknowns ``x``,
+    the variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in
+    the parameters, the variables below ``lo``.  ``touched`` lists, in order,
+    the rows that some term reaches; the others are zero whatever the
+    parameters, so they are dropped once, at read time.  ``terms`` maps each
+    monomial in the parameters to the ``(position, coefficient)`` pairs it
+    adds to the augmented matrix ``[M | -r0]`` of the touched rows, flat and
+    row by row."""
 
     field: PrimeField
     lo: int
     hi: int
     rows: int
+    touched: Tuple[int, ...]
     terms: Tuple[Tuple[Monomial, Tuple[Tuple[int, int], ...]], ...]
 
     def _add_into(self, params: Sequence[int], acc):
@@ -242,10 +287,11 @@ class _Affine:
         return acc
 
     def at(self, params: Sequence[int]) -> List[Vector]:
-        """The rows of ``[M | -r0]`` with ``params`` written in."""
+        """The touched rows of ``[M | -r0]`` with ``params`` written in, or
+        one zero row, so that the width holds, when no row is touched."""
         width = self.hi - self.lo + 1
         p = self.field.p
-        aug = [v % p for v in self._add_into(params, [0] * (self.rows * width))]
+        aug = [v % p for v in self._add_into(params, [0] * (max(len(self.touched), 1) * width))]
         return [tuple(aug[r : r + width]) for r in range(0, len(aug), width)]
 
     def map_at(self, params: Sequence[int]) -> _AffineMap:
@@ -256,6 +302,7 @@ class _Affine:
         linear = []
         for pos, v in self._add_into(params, defaultdict(int)).items():
             q, s = divmod(pos, width)
+            q = self.touched[q]
             if s == width - 1:
                 constant[q] = -v % p
             elif v % p:
@@ -268,11 +315,9 @@ class _Affine:
         both from one :func:`solution_space`.  An empty fibre costs that one
         elimination."""
         field = self.field
-        rows = self.at(params)
-        # a zero row or a repeated one constrains nothing, so elimination
-        # sees only the distinct nonzero rows (the first row stays when all
-        # are zero, so that the system keeps its width)
-        rows = list(dict.fromkeys(row for row in rows if any(row))) or rows[:1]
+        # a repeated row constrains nothing more, so elimination sees each
+        # distinct row once
+        rows = list(dict.fromkeys(self.at(params)))
         solved = solution_space(
             field, tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)
         )
@@ -296,24 +341,33 @@ def _read_affine(
     row's label and the monomial (each variable by its entry of ``names``),
     if a term has degree 2 in the unknowns or reads a variable from ``hi``
     on, a later stage's digit: the rows must be affine in the unknowns and
-    decided before the later variables are."""
+    decided before the later variables are.  A row with no term is zero for
+    every parameter value, so only the rows with some term are kept, as
+    :attr:`_Affine.touched`."""
     width = hi - lo + 1
     by_param: Dict[Monomial, List[Tuple[int, int]]] = {}
     rows = 0
+    touched: List[int] = []
     for label, value in values:
-        for mono, c in _terms(value).items():
-            unknown = [k for k in mono if k >= lo]
-            if len(unknown) > 1 or any(k >= hi for k in unknown):
-                why = "in a later stage's digit" if unknown[-1] >= hi else "of degree 2 in the unknowns"
+        terms = _terms(value)
+        if terms:
+            start = len(touched) * width
+            touched.append(rows)
+        for mono, c in terms.items():
+            # a monomial is sorted, so its one unknown, if any, comes last;
+            # a term free of unknowns goes to the column of -r0
+            if not mono or mono[-1] < lo:
+                param, position, c = mono, start + width - 1, -c
+            elif mono[-1] < hi and (len(mono) == 1 or mono[-2] < lo):
+                param, position = mono[:-1], start + mono[-1] - lo
+            else:
+                why = "in a later stage's digit" if mono[-1] >= hi else "of degree 2 in the unknowns"
                 raise CrossCheckError(
                     f"{read}: {label} has the term {'*'.join(names[k] for k in mono)} {why}"
                 )
-            # a monomial is sorted, so its parameters come first; a term
-            # free of unknowns goes to the column of -r0
-            column, c = (unknown[0] - lo, c) if unknown else (width - 1, -c)
-            by_param.setdefault(mono[: len(mono) - len(unknown)], []).append((rows * width + column, c))
+            by_param.setdefault(param, []).append((position, c))
         rows += 1
-    return _Affine(field, lo, hi, rows, tuple((m, tuple(e)) for m, e in by_param.items()))
+    return _Affine(field, lo, hi, rows, tuple(touched), tuple((m, tuple(e)) for m, e in by_param.items()))
 
 
 def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
@@ -324,9 +378,9 @@ def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
     ]
 
 
-def _symbolic_digits(count: int) -> List[_Poly]:
-    """The index digits ``0`` to ``count - 1`` as variables."""
-    return [_Poly({(k,): 1}) for k in range(count)]
+def _symbolic_digits(count: int, p: int) -> List[_Poly]:
+    """The index digits ``0`` to ``count - 1`` as variables over F_p."""
+    return [_Poly({(k,): 1}, p) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -412,7 +466,7 @@ class CandidateSpace:
         with every digit a variable: phi from the ``phi_leibniz`` rows,
         psi from all of :func:`twist_residuals`, chi from
         :func:`curvature_residuals`."""
-        c = self._decode(_symbolic_digits(self.total_entries))
+        c = self._decode(_symbolic_digits(self.total_entries, self.p))
         twist = list(twist_residuals(self.A, self.B, c.phi, c.psi))
         leibniz = [r for r in twist if r[3] == "phi_leibniz"]
         curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
@@ -422,7 +476,7 @@ class CandidateSpace:
     def _symbolic_extension(self) -> Algebra:
         """The twisted product of the symbolic candidate, every digit a
         :class:`_Poly` variable in its slot."""
-        return build_extension(self._decode(_symbolic_digits(self.total_entries)))[0]
+        return build_extension(self._decode(_symbolic_digits(self.total_entries, self.p)))[0]
 
     @cached_property
     def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
@@ -451,15 +505,15 @@ class CandidateSpace:
         unknowns, so a term of degree 2 in the element is refused, and
         specialised by :meth:`_Affine.map_at` at each beta."""
         base, split = direct_sum_space(self.A, self.B)
-        dim, a, b = split.dim, split.a_dim, split.b_dim
+        dim, a, b, p = split.dim, split.a_dim, split.b_dim, self.p
         lo, n = a * b, dim ** 3  # n: the coefficients of an arity-2 map on the split space
         coeffs = [0] * n
         for k, i, j in itertools.product(split.a_indices, range(dim), range(dim)):
             if i >= a or j >= a:
                 s = (k * dim + i) * dim + j
-                coeffs[s] = _Poly({(lo + s,): 1})
+                coeffs[s] = _Poly({(lo + s,): 1}, p)
         x = MultilinearMap(self.A.field, (dim, dim), dim, tuple(coeffs))
-        beta = GaugeParam(tuple(tuple(_Poly({(i * b + j,): 1}) for j in range(b)) for i in range(a)))
+        beta = GaugeParam(tuple(tuple(_Poly({(i * b + j,): 1}, p) for j in range(b)) for i in range(a)))
         image = enumerate(gauge_closed_form(x, beta, base, split).coeffs)
         names = [f"beta[{i}][{j}]" for i in range(a) for j in range(b)] + [f"x[{s}]" for s in range(n)]
         rows = ((f"slot {q} of the image", v) for q, v in image)
@@ -488,6 +542,32 @@ class CandidateSpace:
         coeffs = recovered.phi.coeffs + recovered.psi.coeffs + recovered.chi.coeffs
         values = ((f"recovered {names[k]}", v) for k, v in enumerate(coeffs))
         return _read_affine(self.A.field, "section round trip", values, 0, len(names), names).map_at(())
+
+    @cached_property
+    def maurer_cartan(self) -> Tuple[_AffineMap, _Affine]:
+        """The Maurer-Cartan check of a candidate, from its index digits: the
+        map to the coefficients of its assembled element
+        ``x = cocycle_to_mc(c)``, and the rows of ``x o x - delta x``
+        (:func:`associator_residual`), which vanish exactly when ``x`` is a
+        Maurer-Cartan element.
+
+        Read off one :func:`cocycle_to_mc` on the symbolic candidate and one
+        :func:`associator_residual` on what it returns: the element with
+        every digit an unknown, specialised by :meth:`_Affine.map_at`, the
+        residual with every digit a parameter, so each of its rows is a
+        polynomial of degree at most 2 in the digits, evaluated by
+        :meth:`_Affine.at`."""
+        n = self.total_entries
+        base, split = direct_sum_space(self.A, self.B)
+        x = cocycle_to_mc(self._decode(_symbolic_digits(n, self.p)))
+        residual = associator_residual(x, base, split)
+        names = self._digit_names()
+        element = ((f"slot {q} of the element", v) for q, v in enumerate(x.coeffs))
+        rows = ((f"slot {q} of the residual", v) for q, v in enumerate(residual.coeffs))
+        return (
+            _read_affine(self.A.field, "Maurer-Cartan element", element, 0, n, names).map_at(()),
+            _read_affine(self.A.field, "Maurer-Cartan residual", rows, n, n, names),
+        )
 
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
@@ -881,7 +961,12 @@ def census(
     symbolic pass per space (:attr:`CandidateSpace.section_roundtrip`) and
     evaluated at each hit's digits, read from its extension's table at the
     layout's slots; :func:`section_cocycle` on a numeric extension stays the
-    route of the ``extract-cocycle`` verb.
+    route of the ``extract-cocycle`` verb.  The Maurer-Cartan check, on a
+    sample too, is read off one symbolic pass of :func:`cocycle_to_mc` and
+    :func:`associator_residual` per space (:attr:`CandidateSpace.maurer_cartan`),
+    compiled only once a hit is found, and evaluated at each hit's digits;
+    the numeric :func:`associator_residual` stays the route of the
+    ``mc-check`` verb.
     """
     cocycles = enumerate_cocycles(space, indices, jobs)
     extensions = enumerate_extensions(space, indices, jobs)
@@ -899,13 +984,17 @@ def census(
             f"associative-only {only_e}; the unstaged equations accept {unstaged}"
         )
 
-    base, split = direct_sum_space(space.A, space.B)
-    mc_elements = {i: cocycle_to_mc(c) for i, c in cocycles}
-    for i, x in mc_elements.items():
-        # the characteristic-free residual: equals the dgLa Maurer-Cartan
-        # residual over F_2 and tracks associativity over every field
-        if not associator_residual(x, base, split).is_zero():
-            raise CrossCheckError(f"cocycle {i} fails the Maurer-Cartan equation")
+    mc_elements = {}
+    if cocycles:
+        element, residual = space.maurer_cartan
+        field, dim = space.A.field, space.A.dim + space.B.dim
+        for i, c in cocycles:
+            digits = c.phi.coeffs + c.psi.coeffs + c.chi.coeffs
+            # the characteristic-free residual: equals the dgLa Maurer-Cartan
+            # residual over F_2 and tracks associativity over every field
+            if any(row[0] for row in residual.at(digits)):
+                raise CrossCheckError(f"cocycle {i} fails the Maurer-Cartan equation")
+            mc_elements[i] = MultilinearMap(field, (dim, dim), dim, element(digits))
 
     report = ClassificationReport(
         p=space.p,

@@ -287,9 +287,12 @@ def _census_space(args) -> CandidateSpace:
 def _cmd_census(args) -> int:
     if args.jobs < 1:
         raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
+    # a negative size is refused by sample_indices, which names the range
+    if args.sample == 0:
+        raise FormatError("--sample must be at least 1, got 0")
     space = _census_space(args)
     indices = None
-    if args.sample:
+    if args.sample is not None:
         try:
             indices = space.sample_indices(args.sample, args.seed)
         except ValueError as exc:
@@ -396,7 +399,7 @@ _VERBS = (
         _arg("--b2", default="idem", help="quotient generator square: zero|idem"),
         _arg("--budget", type=int, default=DEFAULT_BUDGET),
         _arg("--jobs", type=int, default=1),
-        _arg("--sample", type=int, default=0, help="sample this many candidates instead of sweeping"),
+        _arg("--sample", type=int, help="sample this many candidates instead of sweeping"),
         _arg("--seed", type=int, default=0),
         _arg("--format", choices=("json", "text"), default="json"),
     )),

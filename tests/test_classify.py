@@ -498,7 +498,7 @@ def test_symbolic_equations_evaluate_to_the_numeric_ones(case):
     # evaluated at random digits, give what they give on the numbers
     space, digits = case
     A, B = space.A, space.B
-    symbolic = classify._symbolic_digits(space.total_entries)
+    symbolic = classify._symbolic_digits(space.total_entries, space.p)
     evaluated = lambda values: tuple(_evaluated(v, digits, space.p) for v in values)
     (phi, psi, chi), (phi_x, psi_x, chi_x) = _twists(space, symbolic), _twists(space, digits)
     assert evaluated(_stack(nonabelian.twist_residuals(A, B, phi, psi))) == _stack(
@@ -513,30 +513,44 @@ def test_symbolic_equations_evaluate_to_the_numeric_ones(case):
         )
 
 
+def _on_touched(system, values):
+    """The entries of ``values`` at the rows that ``system`` keeps, after
+    checking that every row it drops is zero there."""
+    assert len(values) == system.rows
+    assert all(v == 0 for q, v in enumerate(values) if q not in system.touched)
+    return tuple(values[q] for q in system.touched)
+
+
 @settings(deadline=None, max_examples=60)
 @given(_spaces_and_digits())
 def test_stage_systems_are_the_probes_of_their_generators(case):
     # each stage at random earlier digits: r0 is the generator with the
     # unknowns and later digits at zero, and column j is the generator at
-    # the j-th unit vector minus r0
+    # the j-th unit vector minus r0, on the touched rows; the generator is
+    # zero on every other row, and a system that touches none keeps one
+    # zero row
     space, digits = case
     field = space.A.field
     for route, stages in (("cocycle", space.cocycle_stages), ("extension", space.extension_stages)):
         for stage, ((lo, hi), system) in enumerate(zip(_bounds(space), stages)):
             fixed, later = digits[:lo], (0,) * (space.total_entries - hi)
             rows = system.at(fixed)
+            if not system.touched:
+                assert rows == [(0,) * (hi - lo + 1)]
+                rows = []
             r0 = _stage_values(space, route, stage, fixed + (0,) * (hi - lo) + later)
-            assert vec_neg(field, tuple(row[-1] for row in rows)) == r0
+            assert vec_neg(field, tuple(row[-1] for row in rows)) == _on_touched(system, r0)
             for j, unit in enumerate(identity_matrix(field, hi - lo)):
                 column = vec_sub(field, _stage_values(space, route, stage, fixed + unit + later), r0)
-                assert tuple(row[j] for row in rows) == column
+                assert tuple(row[j] for row in rows) == _on_touched(system, column)
 
 
 @settings(deadline=None, max_examples=30)
 @given(_spaces_and_digits(), st.randoms(use_true_random=False))
 def test_both_specialisations_of_a_read_agree(case, rng):
     # the sparse map of a stage at its earlier digits sends the unknowns x
-    # to r0 + M x, which the dense rows [M | -r0] give too
+    # to r0 + M x, which the dense rows [M | -r0] give too on the touched
+    # rows, and to zero on the others
     space, digits = case
     field = space.A.field
     for stages in (space.cocycle_stages, space.extension_stages):
@@ -545,7 +559,7 @@ def test_both_specialisations_of_a_read_agree(case, rng):
             x = tuple(field.random(rng) for _ in range(hi - lo))
             linear = mat_vec(field, tuple(row[:-1] for row in rows), x)
             dense = tuple(field.sub(v, row[-1]) for v, row in zip(linear, rows, strict=True))
-            assert image(x) == dense
+            assert _on_touched(stage, image(x)) == dense[: len(stage.touched)]
 
 
 def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):
@@ -918,13 +932,13 @@ def test_a_zero_symbolic_scalar_is_false():
     # an empty _Poly is zero wherever a kernel tests a scalar: is_zero reads
     # a map of them as zero, and the twist-shape check accepts a symbolic
     # twist whose AA slots hold one
-    zero, x1 = classify._Poly({}), classify._Poly({(1,): 1})
-    assert not zero and not classify._Poly({(1,): 0}) and x1
+    zero, x1 = classify._Poly({}, 2), classify._Poly({(1,): 1}, 2)
+    assert not zero and not classify._Poly({(1,): 0}, 2) and x1
     assert MultilinearMap(GF2, (1, 1), 2, (zero, zero)).is_zero()
     assert not MultilinearMap(GF2, (1, 1), 2, (zero, x1)).is_zero()
     _, split = direct_sum_space(line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b"))
     # dim 2: slot 0 is AA, slots 1-3 the other A-valued ones, 4-7 B-valued
-    twist = [zero] + [classify._Poly({(s,): 1}) for s in (1, 2, 3)] + [0] * 4
+    twist = [zero] + [classify._Poly({(s,): 1}, 2) for s in (1, 2, 3)] + [0] * 4
     nonabelian._require_twist_shape(MultilinearMap(GF2, (2, 2), 2, tuple(twist)), split)
     with pytest.raises(ValueError, match="twist shape"):
         nonabelian._require_twist_shape(MultilinearMap(GF2, (2, 2), 2, (x1, *twist[1:])), split)
@@ -1184,7 +1198,7 @@ def test_a_product_of_two_digits_in_the_section_read_is_refused(monkeypatch, cap
 
     def with_a_product(ext, s):
         c = section_cocycle(ext, s)
-        coeffs = (c.phi.coeffs[0] + classify._Poly({(0, 1): 1}),) + c.phi.coeffs[1:]
+        coeffs = (c.phi.coeffs[0] + classify._Poly({(0, 1): 1}, 2),) + c.phi.coeffs[1:]
         return replace(c, phi=replace(c.phi, coeffs=coeffs))
 
     monkeypatch.setattr(exact_sequences, "section_cocycle", with_a_product)
@@ -1219,3 +1233,186 @@ def test_candidate_space_requires_associative_ends():
     bad = Algebra.from_products(GF2, ["e0", "e1"], {(0, 0): {1: 1}, (1, 0): {0: 1}})
     with pytest.raises(ValueError):
         CandidateSpace(bad, line_algebra(GF2, "idem", "b"))
+
+
+def _compiled_mc(space, digits):
+    """The Maurer-Cartan element's coefficients and the residual
+    ``x o x - delta x`` of the candidate with index digits ``digits``, both
+    read off :attr:`CandidateSpace.maurer_cartan`: the residual is zero on
+    every row its read drops, and minus its ``[-r0]`` on the touched ones."""
+    element, residual = space.maurer_cartan
+    values = [0] * residual.rows
+    for q, (v,) in zip(residual.touched, residual.at(digits)):
+        values[q] = -v % space.p
+    return element(digits), tuple(values)
+
+
+def _numeric_mc(space, index):
+    x = cocycle_to_mc(space.candidate(index))
+    base, split = direct_sum_space(space.A, space.B)
+    return x.coeffs, nonabelian.associator_residual(x, base, split).coeffs
+
+
+@pytest.mark.parametrize("name", ["F2-nil2-zero1", "F2-zero1-diag2", "F3-zero1-idem1"])
+def test_the_compiled_mc_check_is_the_numeric_one_on_every_candidate(name):
+    # hits and non-hits alike: the element and the residual read off the
+    # one symbolic pass are, coefficient by coefficient, cocycle_to_mc and
+    # associator_residual on the candidate
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    for i in range(space.total_candidates):
+        digits = classify._digits(i, space.p, space.total_entries)
+        assert _compiled_mc(space, digits) == _numeric_mc(space, i)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_section_spaces())
+def test_the_compiled_mc_check_is_the_numeric_one(case):
+    space, indices = case
+    for i in indices:
+        assert _compiled_mc(space, classify._digits(i, space.p, space.total_entries)) == _numeric_mc(space, i)
+
+
+@st.composite
+def _polys(draw):
+    """A prime, two operands reduced from raw terms in three variables (the
+    first a canonical ``_Poly``, the second one or an ``int``, often minus
+    the first plus a constant, so that a sum collapses), whether both are
+    linear, and digits to evaluate at."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    linear = draw(st.booleans())
+    monomials = [(), (0,), (1,), (2,)] + ([] if linear else [(0, 0), (0, 1), (1, 2), (2, 2)])
+    coefficient = st.integers(-2 * p, 2 * p)
+    raw = lambda: draw(st.dictionaries(st.sampled_from(monomials), coefficient, max_size=5))
+    # the first holds a variable, so it is a _Poly
+    first = {**raw(), draw(st.sampled_from(monomials[1:])): draw(st.integers(1, p - 1))}
+    first = classify._canonical(first, p)
+    second = classify._canonical(raw(), p)
+    if draw(st.booleans()):
+        second = draw(coefficient) - first
+    digits = tuple(draw(st.integers(0, p - 1)) for _ in range(3))
+    return p, first, second, linear, digits
+
+
+def _is_canonical(value, p):
+    if isinstance(value, int):
+        return 0 <= value < p
+    terms = value.terms
+    return (
+        value.p == p
+        and all(0 < c < p for c in terms.values())
+        and any(terms)  # some monomial holds a variable
+        and value % p is value
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_polys())
+def test_poly_arithmetic_is_the_field_arithmetic_at_every_point(case):
+    # evaluating P op Q at the digits is applying the F_p op to P and Q
+    # evaluated there, for either order of the operands; every result is
+    # canonical, a _Poly with coefficients in 1..p-1 and a variable, or the
+    # plain int it collapses to
+    p, P, Q, linear, digits = case
+    at = lambda value: _evaluated(value, digits, p)
+    assert isinstance(P, classify._Poly) and _is_canonical(P, p) and _is_canonical(Q, p)
+    ops = [(lambda a, b: a + b), (lambda a, b: a - b)] + ([lambda a, b: a * b] if linear else [])
+    for op in ops:
+        for a, b in ((P, Q), (Q, P)):
+            result = op(a, b)
+            assert _is_canonical(result, p)
+            assert at(result) == op(at(a), at(b)) % p
+    assert _is_canonical(-P, p) and at(-P) == -at(P) % p
+    assert P * 0 == 0 and isinstance(P * 0, int) and P * (p + 1) is P
+
+
+def test_a_product_of_degree_three_is_refused():
+    x0, x1 = classify._symbolic_digits(2, 3)
+    message = r"^a product of the variables \(0, 0, 1\) has degree 3; the formula is not of degree at most 2$"
+    with pytest.raises(CrossCheckError, match=message):
+        (x0 * x0) * x1
+    with pytest.raises(CrossCheckError, match=message):
+        x1 * (x0 * x0 + 1)
+
+
+def _with_a_constant_residual(space):
+    """The space's Maurer-Cartan read with 1 planted in its first touched
+    residual row, which then fails at every candidate."""
+    element, residual = space.maurer_cartan
+    return element, replace(residual, terms=residual.terms + (((), ((0, 1),)),))
+
+
+def test_a_constant_in_the_residual_read_trips_the_census(monkeypatch):
+    space = CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b"))
+    monkeypatch.setitem(space.__dict__, "maurer_cartan", _with_a_constant_residual(space))
+    with pytest.raises(CrossCheckError, match="^cocycle 0 fails the Maurer-Cartan equation$"):
+        census(space)
+
+
+def test_a_constant_in_the_residual_trips_the_cli_census(monkeypatch, capsys):
+    # associator_residual with 1 added to its first slot: the compiled read
+    # carries it, and the census of the default space exits 3 at cocycle 0
+    def planted(x, base, split):
+        r = nonabelian.associator_residual(x, base, split)
+        return replace(r, coeffs=(r.field.add(r.coeffs[0], 1),) + r.coeffs[1:])
+
+    monkeypatch.setattr(classify, "associator_residual", planted)
+    assert main(["census", "--field", "F2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal inconsistency: cocycle 0 fails the Maurer-Cartan equation\n"
+
+
+def test_a_sample_of_cocycles_runs_the_mc_check(monkeypatch):
+    # F2 zero line/diag(2): 256 candidates, 24 cocycles.  A sample of every
+    # cocycle and as many other candidates finds exactly the cocycles, and
+    # checks each against the compiled residual, so a planted constant
+    # trips it there too
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES["F2-zero1-diag2"])
+    exhaustive = census(space).cocycle_indices
+    assert (space.total_candidates, len(exhaustive)) == (256, 24)
+    others = [i for i in range(space.total_candidates) if i not in exhaustive][:: 9][: len(exhaustive)]
+    indices = sorted(exhaustive + tuple(others))
+    fresh = CandidateSpace(space.A, space.B)
+    report = census(fresh, indices=indices)
+    assert report.cocycle_indices == exhaustive
+    assert report.checks == {"sampled": True, "counts_match": True, "cocycles_satisfy_mc": True}
+    monkeypatch.setitem(fresh.__dict__, "maurer_cartan", _with_a_constant_residual(fresh))
+    with pytest.raises(CrossCheckError, match="^cocycle 0 fails the Maurer-Cartan equation$"):
+        census(fresh, indices=indices)
+
+
+def _counted(monkeypatch, names):
+    """Call counts of the ``nonabelian`` functions ``names``, wherever a
+    ``nabext`` module calls them from: each is wrapped in every module
+    namespace that holds it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(nonabelian, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("nabext.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_census_work_counts_are_exact(monkeypatch):
+    # an exhaustive census checks the Maurer-Cartan equation off one
+    # symbolic cocycle_to_mc and associator_residual per space, and builds
+    # the extension of each cocycle once, for its tables check, plus three
+    # per space: the zero candidate's for the layout, the symbolic one for
+    # the stages and the section round trip, and the one inside the
+    # symbolic cocycle_to_mc.  A sample without a cocycle compiles no MC
+    # check and builds only the layout's extension
+    calls = _counted(monkeypatch, ("associator_residual", "cocycle_to_mc", "build_extension"))
+    for A, B in _work_count_spaces():
+        calls.update(dict.fromkeys(calls, 0))
+        report = census(CandidateSpace(A, B))
+        assert calls == {"associator_residual": 1, "cocycle_to_mc": 1, "build_extension": 3 + report.num_cocycles}
+        calls.update(dict.fromkeys(calls, 0))
+        rejected = [i for i in range(report.num_candidates) if i not in report.cocycle_indices][:5]
+        assert census(CandidateSpace(A, B), indices=rejected).num_cocycles == 0
+        assert calls == {"associator_residual": 0, "cocycle_to_mc": 0, "build_extension": 1}

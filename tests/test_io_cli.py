@@ -512,6 +512,7 @@ def test_cli_census_field_must_match_the_algebra_files(tmp_path, capsys):
         (["--jobs", "-2"], "--jobs"),
         (["--budget", "0"], "budget"),
         (["--budget", "-1", "--sample", "2"], "budget"),
+        (["--sample", "0"], "--sample must be at least 1"),
     ],
 )
 def test_cli_census_rejects_bad_numbers(extra, needle, capsys):
@@ -609,6 +610,8 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     # rather than read as F2, F3 or 1, and a prime past the bound before
     # any trial division
     argvs.append(["census", "--field", f"F{2 ** 61 - 1}"])
+    # a sample of no candidates is refused, not run as the exhaustive census
+    argvs.append(["census", "--sample", "0", "--format", "text"])
     line = {"field": {"p": 2}, "dim": 1, "basis": ["x"], "products": []}
     for n, doc in enumerate(
         (
