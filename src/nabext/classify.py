@@ -27,8 +27,10 @@ The cocycle route reads the residual generators of
 :mod:`~nabext.nonabelian`: the phi form the nullspace of the psi-free
 ``phi_leibniz`` rows of EQ4; for each phi, psi ranges over the affine
 solution set of EQ3 and EQ4; for each (phi, psi), chi ranges over the affine
-solution set of EQ1, EQ2 and EQ5.  A sample of indices is tested point by
-point instead.
+solution set of EQ1, EQ2 and EQ5.  A sample of indices is tested on the
+compiled rows instead, row by row: each index's digits are written into the
+psi-stage rows, then the chi-stage rows, and the first nonzero row rejects
+it.  :func:`is_valid_cocycle` stays the diagnostic oracle.
 
 The extension route is the oracle: it reads only the twisted-product table
 that :func:`build_extension` writes through :func:`twist_slots`, built once
@@ -264,7 +266,8 @@ class _Affine:
     parameters, so they are dropped once, at read time.  ``terms`` maps each
     monomial in the parameters to the ``(position, coefficient)`` pairs it
     adds to the augmented matrix ``[M | -r0]`` of the touched rows, flat and
-    row by row."""
+    row by row.  :meth:`at` and :meth:`map_at` write the parameters in;
+    :meth:`vanishes_at` writes in the unknowns too."""
 
     field: PrimeField
     lo: int
@@ -308,6 +311,40 @@ class _Affine:
             elif v % p:
                 linear.append((q, s, v % p))
         return _AffineMap(p, tuple(constant), tuple(linear))
+
+    # cached: regrouped once, then read at every digit vector
+    @cached_property
+    def _row_terms(self) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+        """:attr:`terms` regrouped by touched row, in order: each term as
+        ``(k, l, c)``, the digits ``k`` and ``l`` times ``c``, where ``-1``
+        stands for the constant 1, so a row is ``sum c * d[k] * d[l]``."""
+        width = self.hi - self.lo + 1
+        rows: List[List[Tuple[int, int, int]]] = [[] for _ in self.touched]
+        for mono, entries in self.terms:
+            for pos, c in entries:
+                r, col = divmod(pos, width)
+                # the last column holds -r0; any other, the unknown lo + col
+                if col == width - 1:
+                    full, c = mono, -c
+                else:
+                    full = mono + (self.lo + col,)
+                k, l = (*full, -1, -1)[:2]
+                rows[r].append((k, l, c))
+        return tuple(tuple(row) for row in rows)
+
+    def vanishes_at(self, digits: Sequence[int]) -> bool:
+        """Whether every row is zero with both the parameters and the
+        unknowns read off ``digits``, a full digit vector: the touched rows
+        are evaluated in order, and the first nonzero one ends the test."""
+        p = self.field.p
+        d = (*digits, 1)
+        for row in self._row_terms:
+            s = 0
+            for k, l, c in row:
+                s += c * d[k] * d[l]
+            if s % p:
+                return False
+        return True
 
     def solutions(self, params: Sequence[int]) -> Iterator[Vector]:
         """Every value of the unknowns that zeroes the rows with ``params``
@@ -636,10 +673,22 @@ class CandidateSpace:
 # ---------------------------------------------------------------------------
 
 def _pointwise_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, NabCocycle]]:
-    """The cocycles among the indices of ``chunk``, each decoded and tested
-    on its own by :func:`is_valid_cocycle`."""
-    decoded = ((i, space.candidate(i)) for i in chunk)
-    return [(i, c) for i, c in decoded if is_valid_cocycle(c)]
+    """The cocycles among the indices of ``chunk``: each index's digits are
+    tested row by row on the psi-stage rows of
+    :attr:`CandidateSpace.cocycle_stages` (every :func:`twist_residuals`
+    row), then on the chi-stage rows (every :func:`curvature_residuals`
+    row), which together are the equations of :func:`is_valid_cocycle`, and
+    only the hits are decoded."""
+    _, psi_stage, chi_stage = space.cocycle_stages
+    p, n, total = space.p, space.total_entries, space.total_candidates
+    hits = []
+    for i in chunk:
+        if not 0 <= i < total:
+            raise IndexError(f"candidate index {i} out of range")
+        digits = _digits(i, p, n)
+        if psi_stage.vanishes_at(digits) and chi_stage.vanishes_at(digits):
+            hits.append((i, space._decode(digits)))
+    return hits
 
 
 def _staged(stages: Sequence[_Affine], phis: Sequence[Vector]) -> Iterator[Vector]:
@@ -785,10 +834,13 @@ def enumerate_cocycles(
     :class:`BudgetExceededError`) solves the phi, psi and chi systems of
     :attr:`CandidateSpace.cocycle_stages` in turn, as the module docstring
     describes: the workers take the phi points, and a fibre costs one
-    elimination and no generator call.  A sample of indices is tested point
-    by point with :func:`is_valid_cocycle`.
+    elimination and no generator call.  A sample of indices is tested on the
+    compiled rows of the same stages, row by row, each index stopping at its
+    first nonzero row; :func:`is_valid_cocycle` stays the diagnostic oracle
+    of :func:`census`.
     """
     if indices is not None:
+        space.cocycle_stages  # read here, so that the workers inherit them
         return _scan(space, indices, _pointwise_chunk, jobs)
     space.exhaustive_indices()  # the budget bounds an exhaustive run either way
     # the stages are read here, so that the workers inherit them
@@ -949,7 +1001,11 @@ def census(
     """Run the whole pipeline with every cross-check armed.
 
     ``indices`` restricts the run to a sample of candidates; a sample is not
-    closed under equivalence, so its report lists no orbits.
+    closed under equivalence, so its report lists no orbits.  The cocycle
+    route tests a sample on the compiled rows of
+    :attr:`CandidateSpace.cocycle_stages`, row by row; when the routes
+    disagree, :func:`is_valid_cocycle` is the oracle that the mismatch
+    message quotes.
 
     Raises :class:`CrossCheckError` (with the offending candidate index in
     the message) if any of the following fail: the cocycle and associative-
@@ -976,8 +1032,8 @@ def census(
     if cocycle_idx != extension_idx:
         only_c = sorted(set(cocycle_idx) - set(extension_idx))[:5]
         only_e = sorted(set(extension_idx) - set(cocycle_idx))[:5]
-        # the unstaged equations tell a fault of the solver or the pointwise
-        # test from a disagreement between the equations and associativity
+        # the unstaged equations tell a fault of the solver or the compiled
+        # row test from a disagreement between the equations and associativity
         unstaged = [i for i in only_c + only_e if is_valid_cocycle(space.candidate(i))]
         raise CrossCheckError(
             f"cocycle/extension mismatch: valid-only {only_c}, "

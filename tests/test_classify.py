@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import random
 import sys
@@ -138,6 +139,14 @@ def test_budget_enforcement():
     assert len(space.sample_indices(4, seed=0)) == 4
     with pytest.raises(BudgetExceededError):
         space.sample_indices(5, seed=0)
+
+
+def test_an_over_budget_cocycle_route_raises_before_compiling(monkeypatch):
+    monkeypatch.setattr(classify, "twist_residuals", _refuse)
+    space = _space(budget=4)
+    with pytest.raises(BudgetExceededError):
+        enumerate_cocycles(space)
+    assert "cocycle_stages" not in space.__dict__
 
 
 def test_sampling_is_deterministic_and_in_range():
@@ -560,6 +569,11 @@ def test_both_specialisations_of_a_read_agree(case, rng):
             linear = mat_vec(field, tuple(row[:-1] for row in rows), x)
             dense = tuple(field.sub(v, row[-1]) for v, row in zip(linear, rows, strict=True))
             assert _on_touched(stage, image(x)) == dense[: len(stage.touched)]
+            # the row test at the full digit vector: false at a nonzero
+            # image, true at a solution of the stage
+            assert stage.vanishes_at(digits[:lo] + x + digits[hi:]) == (not any(image(x)))
+            for y in itertools.islice(stage.solutions(digits[:lo]), 1):
+                assert not any(image(y)) and stage.vanishes_at(digits[:lo] + y + digits[hi:])
 
 
 def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):
@@ -717,12 +731,14 @@ def test_solver_matches_the_extension_sweep(space):
 
 
 def test_staged_scan_rejects_out_of_range_indices():
+    # the low digits of total_candidates are those of the zero cocycle, so
+    # a sampled scan that read them without a range check would keep a hit
     space = _space()
     for bad in (-1, space.total_candidates):
-        with pytest.raises(IndexError):
-            enumerate_cocycles(space, [0, bad])
-        with pytest.raises(IndexError):
-            enumerate_extensions(space, [0, bad])
+        for indices in ([0, bad], [bad]):
+            for route in (enumerate_cocycles, enumerate_extensions):
+                with pytest.raises(IndexError, match=f"^candidate index {bad} out of range$"):
+                    route(space, indices)
 
 
 def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):
@@ -1134,6 +1150,85 @@ def test_sampled_census_has_no_orbit_stage():
     assert list(report.cocycle_indices) == [i for i in indices if is_valid_cocycle(space.candidate(i))]
 
 
+def _unstaged_hits(space, indices):
+    """The ``(index, candidate)`` pairs that :func:`is_valid_cocycle`
+    accepts among ``indices``."""
+    decoded = ((i, space.candidate(i)) for i in indices)
+    return [(i, c) for i, c in decoded if is_valid_cocycle(c)]
+
+
+def _golden_cocycles(name):
+    return tuple(json.loads((GOLDEN / "census" / f"{name}.json").read_text())["cocycle_indices"])
+
+
+def test_the_row_test_is_the_unstaged_oracle_on_every_candidate_of_the_benchmark_spaces():
+    # every index of the eleven exhaustive benchmark spaces, tested as a
+    # sample on the compiled rows, gets is_valid_cocycle's verdict
+    total = 0
+    for A, B in list(_GOLDEN_CENSUS_SPACES.values())[:11]:
+        space = CandidateSpace(A, B)
+        every = space.exhaustive_indices()
+        assert enumerate_cocycles(space, every) == _unstaged_hits(space, every)
+        total += len(every)
+    assert total == 5950
+
+
+def test_the_row_test_is_the_unstaged_oracle_on_a_sixteen_million_candidate_space():
+    # F2 zero(2)/k[t]/t^2: every golden cocycle and 2,000 sampled indices
+    name = "F2-zero2-unit2"
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    indices = sorted(set(_golden_cocycles(name) + space.sample_indices(2000, seed=3)))
+    hits = enumerate_cocycles(space, indices)
+    assert hits == _unstaged_hits(space, indices)
+    assert len(hits) >= 472
+
+
+def _sample_with_cocycles():
+    """F2 zero(2)/k[t]/t^2 and a sample of 100 of its candidates, ten of
+    them golden cocycles."""
+    name = "F2-zero2-unit2"
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    cocycles = _golden_cocycles(name)[::47][:10]
+    others = [i for i in space.sample_indices(100, seed=11) if i not in cocycles][:90]
+    return space, sorted(cocycles + tuple(others))
+
+
+def test_a_pooled_sample_is_the_serial_one(two_cpus, monkeypatch):
+    # 100 indices: both routes hand them to a 2-worker pool, whose workers
+    # get the compiled rows with the pickled space and evaluate no equation
+    space, indices = _sample_with_cocycles()
+    serial = census(space, indices=indices)
+    assert (len(indices), serial.num_cocycles, two_cpus.started) == (100, 10, 0)
+    scan = classify._scan
+
+    def scan_without_equations(sp, tasks, worker, jobs):
+        with monkeypatch.context() as m:
+            for name in ("twist_residuals", "curvature_residuals", "is_valid_cocycle", "build_extension"):
+                m.setattr(classify, name, _refuse)
+            return scan(sp, tasks, worker, jobs)
+
+    monkeypatch.setattr(classify, "_scan", scan_without_equations)
+    pooled = census(CandidateSpace(space.A, space.B), jobs=2, indices=indices)
+    assert two_cpus.started == 2
+    assert dumps_canonical(report_to_json(pooled, GF2)) == dumps_canonical(report_to_json(serial, GF2))
+
+
+def test_a_constant_row_in_the_cocycle_stages_trips_a_sampled_census(monkeypatch):
+    # 1 planted as the constant of the first psi-stage row rejects every
+    # candidate on the compiled rows: the extension route keeps the sampled
+    # cocycles, and the message says the unstaged equations accept them
+    space, indices = _sample_with_cocycles()
+    phi_stage, psi_stage, chi_stage = space.cocycle_stages
+    constant = ((), ((psi_stage.hi - psi_stage.lo, 1),))
+    planted = (phi_stage, replace(psi_stage, terms=psi_stage.terms + (constant,)), chi_stage)
+    monkeypatch.setitem(space.__dict__, "cocycle_stages", planted)
+    first = ", ".join(map(str, sorted(set(indices) & set(_golden_cocycles("F2-zero2-unit2")))[:5]))
+    message = rf"^cocycle/extension mismatch: valid-only \[\], associative-only \[{first}\]"
+    message += rf"; the unstaged equations accept \[{first}\]$"
+    with pytest.raises(CrossCheckError, match=message):
+        census(space, indices=indices)
+
+
 def _numeric_section_read(space, index):
     """The coefficients ``phi + psi + chi`` that the canonical section of
     candidate ``index``'s extension gives back, numerically."""
@@ -1405,14 +1500,35 @@ def test_census_work_counts_are_exact(monkeypatch):
     # the extension of each cocycle once, for its tables check, plus three
     # per space: the zero candidate's for the layout, the symbolic one for
     # the stages and the section round trip, and the one inside the
-    # symbolic cocycle_to_mc.  A sample without a cocycle compiles no MC
-    # check and builds only the layout's extension
-    calls = _counted(monkeypatch, ("associator_residual", "cocycle_to_mc", "build_extension"))
+    # symbolic cocycle_to_mc.  Exhaustive or sampled, the cocycle route
+    # reads the equations off one symbolic pass of each residual generator
+    # and never calls is_valid_cocycle while the routes agree.  A sample
+    # without a cocycle compiles no MC check and builds only the layout's
+    # extension; one with cocycles adds the symbolic cocycle_to_mc's
+    names = (
+        "associator_residual",
+        "cocycle_to_mc",
+        "build_extension",
+        "twist_residuals",
+        "curvature_residuals",
+        "is_valid_cocycle",
+    )
+    calls = _counted(monkeypatch, names)
+    equations = {"twist_residuals": 1, "curvature_residuals": 1, "is_valid_cocycle": 0}
     for A, B in _work_count_spaces():
         calls.update(dict.fromkeys(calls, 0))
         report = census(CandidateSpace(A, B))
-        assert calls == {"associator_residual": 1, "cocycle_to_mc": 1, "build_extension": 3 + report.num_cocycles}
+        assert calls == {
+            "associator_residual": 1,
+            "cocycle_to_mc": 1,
+            "build_extension": 3 + report.num_cocycles,
+            **equations,
+        }
         calls.update(dict.fromkeys(calls, 0))
         rejected = [i for i in range(report.num_candidates) if i not in report.cocycle_indices][:5]
         assert census(CandidateSpace(A, B), indices=rejected).num_cocycles == 0
-        assert calls == {"associator_residual": 0, "cocycle_to_mc": 0, "build_extension": 1}
+        assert calls == {"associator_residual": 0, "cocycle_to_mc": 0, "build_extension": 1, **equations}
+        calls.update(dict.fromkeys(calls, 0))
+        mixed = sorted(rejected + list(report.cocycle_indices))
+        assert census(CandidateSpace(A, B), indices=mixed).cocycle_indices == report.cocycle_indices
+        assert calls == {"associator_residual": 1, "cocycle_to_mc": 1, "build_extension": 2, **equations}
