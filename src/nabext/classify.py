@@ -70,7 +70,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -807,13 +806,17 @@ def _scan(space, tasks, worker, jobs) -> List[Tuple]:
     """The ``(index, hit)`` pairs ``worker`` keeps, in index order.
 
     A pool starts only for 64 tasks or more (candidate indices for a
-    sampled run, phi points for an exhaustive one).
+    sampled run, phi points for an exhaustive one).  The pool module, and
+    :mod:`multiprocessing` with it, is imported only when a pool starts, so
+    a serial run and every other verb do not pay for that import.
     """
     tasks = list(tasks)
     chunks = _chunks(tasks, worker_count(jobs, len(tasks)))
     if len(chunks) <= 1 or len(tasks) < 64:
         out = worker(space, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         out = []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(worker, itertools.repeat(space), chunks):

@@ -76,8 +76,11 @@ def _read(path: str):
 
 def _emit(text: str, output: Optional[str]):
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -290,11 +293,13 @@ def _cmd_census(args) -> int:
     # a negative size is refused by sample_indices, which names the range
     if args.sample == 0:
         raise FormatError("--sample must be at least 1, got 0")
+    if args.seed is not None and args.sample is None:
+        raise FormatError("--seed needs --sample")
     space = _census_space(args)
     indices = None
     if args.sample is not None:
         try:
-            indices = space.sample_indices(args.sample, args.seed)
+            indices = space.sample_indices(args.sample, args.seed or 0)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
     report = census(space, jobs=args.jobs, indices=indices)
@@ -400,7 +405,7 @@ _VERBS = (
         _arg("--budget", type=int, default=DEFAULT_BUDGET),
         _arg("--jobs", type=int, default=1),
         _arg("--sample", type=int, help="sample this many candidates instead of sweeping"),
-        _arg("--seed", type=int, default=0),
+        _arg("--seed", type=int),
         _arg("--format", choices=("json", "text"), default="json"),
     )),
     _Verb("abelianize", "specialize a zero-kernel-product cocycle", _cmd_abelianize, (

@@ -141,7 +141,10 @@ def algebra_from_json(obj) -> Algebra:
             k, coeff = pair
             if not 0 <= k < dim:
                 raise FormatError(f"output index {k} out of range for dim {dim}")
-            entry[k] = _parse_scalar(field, coeff, f"product ({i},{j})")
+            value = _parse_scalar(field, coeff, f"product ({i},{j})")
+            if k in entry:
+                raise FormatError(f"product ({i},{j}) gives output index {k} twice")
+            entry[k] = value
     try:
         return Algebra.from_products(field, basis, products)
     except ValueError as exc:
@@ -177,6 +180,7 @@ def _entries_from_json(
         raise FormatError(f"{what} entries must be a list")
     arity = len(source_dims)
     entries = []
+    seen = set()
     for row in rows:
         if not isinstance(row, list) or len(row) != arity + 2:
             raise FormatError(
@@ -185,7 +189,12 @@ def _entries_from_json(
         *idx, coeff = row
         if not all(_is_int(v) for v in idx):
             raise FormatError(f"{what} entry {row!r} has non-integer indices")
-        entries.append((*idx, _parse_scalar(field, coeff, what)))
+        value = _parse_scalar(field, coeff, what)
+        slot = tuple(idx)
+        if slot in seen:
+            raise FormatError(f"{what} entry {idx} is given twice")
+        seen.add(slot)
+        entries.append((*slot, value))
     try:
         return MultilinearMap.from_entries(field, source_dims, target_dim, entries)
     except ValueError as exc:
@@ -257,13 +266,18 @@ def matrix_from_entries(rows, field: Field, n_rows: int, n_cols: int, what: str)
         raise FormatError(f"{what} must be a list of [row, col, coeff] entries")
     require_dense_size(what, n_rows, n_cols, 1)
     buf = [[field.zero] * n_cols for _ in range(n_rows)]
+    seen = set()
     for row in rows:
         if not isinstance(row, list) or len(row) != 3 or not all(_is_int(v) for v in row[:2]):
             raise FormatError(f"{what} entry {row!r} must be [row, col, coeff]")
         i, j, coeff = row
         if not (0 <= i < n_rows and 0 <= j < n_cols):
             raise FormatError(f"{what} entry ({i},{j}) out of range {n_rows}x{n_cols}")
-        buf[i][j] = _parse_scalar(field, coeff, what)
+        value = _parse_scalar(field, coeff, what)
+        if (i, j) in seen:
+            raise FormatError(f"{what} entry ({i},{j}) is given twice")
+        seen.add((i, j))
+        buf[i][j] = value
     return tuple(tuple(r) for r in buf)
 
 

@@ -171,9 +171,11 @@ class _CountedPool(ProcessPoolExecutor):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs, whatever the host has, and a count of the pools started."""
+    """Two CPUs, whatever the host has, and a count of the pools started.
+    The pool class is patched in :mod:`concurrent.futures`, where the import
+    inside ``_scan`` reads it when a pool starts."""
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr("nabext.classify.ProcessPoolExecutor", _CountedPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _CountedPool)
     monkeypatch.setattr(_CountedPool, "started", 0)
     return _CountedPool
 

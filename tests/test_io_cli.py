@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from helpers import (
     trunc_poly2,
     zero_algebra,
 )
+import nabext
 from nabext import (
     Algebra,
     GaugeParam,
@@ -513,6 +517,7 @@ def test_cli_census_field_must_match_the_algebra_files(tmp_path, capsys):
         (["--budget", "0"], "budget"),
         (["--budget", "-1", "--sample", "2"], "budget"),
         (["--sample", "0"], "--sample must be at least 1"),
+        (["--seed", "3"], "--seed needs --sample"),
     ],
 )
 def test_cli_census_rejects_bad_numbers(extra, needle, capsys):
@@ -521,6 +526,13 @@ def test_cli_census_rejects_bad_numbers(extra, needle, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert needle in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_census_sample_without_seed_uses_seed_0(capsys):
+    assert main(["census", "--sample", "4"]) == 0
+    unseeded = capsys.readouterr().out
+    assert main(["census", "--sample", "4", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
 
 
 def test_cli_abelianize(hand_files, capsys):
@@ -628,6 +640,18 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     cocycle = cocycle_to_json(NabCocycle.zero(zero_algebra(GF2, 1), line_algebra(GF2, "idem", "b")))
     for n, entries in enumerate(([[0, 0, 0, True]], [[True, 0, 0, "1"]], [[0, 0, 0.0, "1"]])):
         argvs.append(["mc-check", _write(tmp_path, f"bool_entry{n}.json", {**cocycle, "chi": entries})])
+    # a slot given twice, where the last value used to win: a beta of 1
+    # then -1 gauged by -1
+    q_doc = cocycle_to_json(line_cocycle(zero_algebra(QQ, 1), line_algebra(QQ, "idem", "b"), 1, 1, 1))
+    q_cocycle = _write(tmp_path, "q_cocycle.json", q_doc)
+    argvs.append(["gauge", q_cocycle, _write(tmp_path, "beta_twice.json", {"beta": [[0, 0, "1"], [0, 0, "-1"]]})])
+    for n, doc in enumerate(
+        (
+            {**q_doc, "chi": q_doc["chi"] * 2},
+            {**q_doc, "B": {**q_doc["B"], "products": q_doc["B"]["products"] * 2}},
+        )
+    ):
+        argvs.append(["mc-check", _write(tmp_path, f"slot_twice{n}.json", doc)])
     top = _write(tmp_path, "arity19.json", {**id2_doc, "arity": 19, "entries": []})
     arity11 = _write(tmp_path, "arity11.json", {**id2_doc, "arity": 11, "entries": []})
     argvs += [["hochschild-delta", top, alg2], ["bracket", arity11, arity11, "--field", "Q"]]
@@ -635,3 +659,71 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_cli_unwritable_output_exits_2(hand_files, capsys):
+    # exit 1 is mc-check's "invalid" verdict, so a failed write must not
+    # end in a traceback, which also exits 1
+    tmp = hand_files["tmp"]
+    for output in (str(tmp / "missing" / "x.json"), str(tmp)):
+        for key in ("valid", "invalid"):
+            assert main(["mc-check", hand_files[key], "--output", output]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {output}: ")
+            assert captured.err.count("\n") == 1
+
+
+def test_a_repeated_slot_is_refused():
+    line = {"field": "Q", "dim": 2, "basis": ["x", "y"]}
+    # two rows for one (i, j) with different outputs stay legal
+    split = algebra_from_json({**line, "products": [[0, 0, [0, "1"]], [0, 0, [1, "2"]]]})
+    joined = algebra_from_json({**line, "products": [[0, 0, [0, "1"], [1, "2"]]]})
+    assert split.table == joined.table
+    for products in ([[0, 0, [1, "1"], [1, "1"]]], [[0, 0, [1, "1"]], [0, 0, [1, "-1"]]]):
+        with pytest.raises(FormatError, match=r"^product \(0,0\) gives output index 1 twice$"):
+            algebra_from_json({**line, "products": products})
+
+    a, b = zero_algebra(QQ, 1), line_algebra(QQ, "idem", "b")
+    doc = cocycle_to_json(NabCocycle.zero(a, b))
+    for key in ("phi", "psi", "chi"):
+        with pytest.raises(FormatError, match=rf"^{key} entry \[0, 0, 0\] is given twice$"):
+            cocycle_from_json({**doc, key: [[0, 0, 0, "1"], [0, 0, 0, "2"]]})
+    entries = [[0, 1, "1"], [0, 1, "1"]]
+    with pytest.raises(FormatError, match=r"^map entry \[0, 1\] is given twice$"):
+        map_from_json({"arity": 1, "source_dim": 2, "target_dim": 2, "entries": entries}, QQ)
+    with pytest.raises(FormatError, match=r"^beta entry \(0,0\) is given twice$"):
+        gauge_from_json({"beta": [[0, 0, "1"], [0, 0, "-1"]]}, QQ, 1, 1)
+    with pytest.raises(FormatError, match=r"^section entry \(1,0\) is given twice$"):
+        section_from_json({"s": [[1, 0, "1"], [1, 0, "1"]]}, QQ, 2, 1)
+    ext = extension_to_json(canonical_presentation(NabCocycle.zero(a, b)))
+    for key in ("iota", "p"):
+        with pytest.raises(FormatError, match=rf"^{key} entry \(\d,\d\) is given twice$"):
+            extension_from_json({**ext, key: ext[key] + ext[key][:1]})
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import nabext, nabext.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [nabext.cli.main(["census", "--jobs", "1"]), nabext.cli.main(["mc-check", sys.argv[1]])]
+pool_modules = ("multiprocessing", "concurrent.futures.process")
+loaded = [name for name in pool_modules if name in sys.modules]
+# the names are the ones a pool loads
+from concurrent.futures import ProcessPoolExecutor
+print(json.dumps([codes, loaded, [name for name in pool_modules if name in sys.modules]]))
+"""
+
+
+def test_a_serial_call_does_not_import_the_process_pool(hand_files):
+    # a fresh interpreter, so no other test has loaded the pool's modules
+    src = str(Path(nabext.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, hand_files["valid"]],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    codes, loaded, after_pool = json.loads(done.stdout)
+    assert codes == [0, 0]
+    assert loaded == []
+    assert after_pool == ["multiprocessing", "concurrent.futures.process"]
