@@ -9,14 +9,12 @@ so runs are deterministic and trivially splittable across workers.  The
 (phi, psi) coefficients are the low digits and chi the high ones.
 
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
-of degree at most 2 in numbered variables, and read by :func:`_read_affine`
-into rows ``r0 + M x`` affine in the unknowns, with ``r0`` and ``M`` sparse
-sums in the parameters (an :class:`_Affine`): ten reads per space, three
-stages per route, the gauge action, the section round trip, and the
-Maurer-Cartan element and its residual.  A term of
-degree 2 in the unknowns, or one in a later variable, raises
-:class:`CrossCheckError`, so affinity is checked, not assumed.  No equation
-is written out here.
+of degree at most 2 in numbered variables.  The stages are read by
+:func:`_read_affine` into rows ``r0 + M x`` affine in the unknowns, with
+``r0`` and ``M`` sparse sums in the parameters (an :class:`_Affine`): six
+reads per space, three stages per route.  A term of degree 2 in the
+unknowns, or one in a later variable, raises :class:`CrossCheckError`, so
+affinity is checked, not assumed.  No equation is written out here.
 
 The two routes of the census find the cocycles independently, and each
 solves in three stages, phi, then psi with phi fixed, then chi with phi and
@@ -44,35 +42,26 @@ A).  Each hit is tested on every basis triple and only the hits become
 index's digits are scattered into the same slots, and the triple that
 rejected the previous candidate is tried first.
 
-The orbits come from the triple action :func:`apply_equivalence`, and each
-is checked against the closed-form gauge action on the Maurer-Cartan
-elements.  That action is read off one symbolic :func:`gauge_closed_form`
-per space, the element's slots the unknowns, and specialised per beta to a
-sparse affine map evaluated for every (cocycle, beta) pair.
-
-The canonical section of every hit's extension must give back its twist
-triple.  That round trip is read off one symbolic
-:func:`cocycle_from_section` per space, on the symbolic twisted product,
-and evaluated at each hit's digits.  The section reads the twist through
-the block projections, not through :func:`twist_slots`, so it checks that
-layout too.
-
-Every hit's assembled element must be a Maurer-Cartan element.  That check
-is read off one symbolic :func:`cocycle_to_mc` and one
-:func:`associator_residual` per space, and evaluated at each hit's digits:
-the element's coefficients, an affine map of the digits, are what the orbit
-stage acts on, and the residual's, each of degree at most 2 in the digits,
-must all vanish.
+The orbits come from the triple action :func:`apply_equivalence`.  The
+paper's correspondence rests on three identities between a triple, its
+Maurer-Cartan element, its extension and its gauge moves, and
+:meth:`CandidateSpace.check_identities` compares both sides of each as
+polynomials, once per space, with the digits and the gauge parameter's
+entries as variables: the Maurer-Cartan residual is the associator of the
+twisted product, the canonical section gives the triple back, and the
+closed-form gauge action on the element is :func:`apply_equivalence`.  An
+identity of polynomials holds at every candidate and every beta, so it
+holds at every hit, where the extension route has already tested
+associativity numerically.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, SplitSpace, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
@@ -148,19 +137,21 @@ def _canonical(terms: Dict[Monomial, int], p: int):
 
 class _Poly:
     """A polynomial of degree at most 2 over F_p in numbered variables,
-    ``{monomial: coefficient}``: a candidate's index digits, or the slots of
-    a twist and the entries of a gauge parameter.
+    ``{monomial: coefficient}``: a candidate's index digits, and the entries
+    of a gauge parameter.
 
     It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
     the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
     residual generators, :func:`basis_associator`, :func:`build_extension`,
     :func:`cocycle_to_mc`, :func:`associator_residual`,
-    :func:`gauge_closed_form` and :func:`cocycle_from_section` (its
-    :func:`verify_extension` and :func:`section_cocycle`) run over it as
-    written, and :func:`_read_affine` reads what they return.  A product
-    above degree 2 raises :class:`CrossCheckError`: every read relies on its
-    formula being at most quadratic.
+    :func:`gauge_closed_form`, :func:`apply_equivalence` and
+    :func:`cocycle_from_section` (its :func:`verify_extension` and
+    :func:`section_cocycle`) run over it as written.  :func:`_read_affine`
+    reads the stages they return, and
+    :meth:`CandidateSpace.check_identities` compares the identities.  A
+    product above degree 2 raises :class:`CrossCheckError`: every read and
+    identity relies on its formula being at most quadratic.
 
     Arithmetic keeps a canonical form (:func:`_canonical`): coefficients in
     1..p-1, no zero term, and a result with no variable left is a plain
@@ -237,79 +228,39 @@ class _Poly:
 
 
 @dataclass(frozen=True)
-class _AffineMap:
-    """``x -> constant + sum c * x[s] e_q`` over F_p: the image of a
-    coefficient tuple ``x`` is ``constant`` with ``c * x[s]`` added to slot
-    ``q`` for each ``(q, s, c)`` of ``terms``."""
-
-    p: int
-    constant: Tuple[int, ...]
-    terms: Tuple[Tuple[int, int, int], ...]
-
-    def __call__(self, x: Sequence[int]) -> Tuple[int, ...]:
-        out = list(self.constant)
-        for q, s, c in self.terms:
-            v = x[s]
-            if v:
-                out[q] += c * v
-        p = self.p
-        return tuple(v % p for v in out)
-
-
-@dataclass(frozen=True)
 class _Affine:
-    """``rows`` rows ``r0 + M x`` over F_p, affine in the unknowns ``x``,
-    the variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in
-    the parameters, the variables below ``lo``.  ``touched`` lists, in order,
+    """Rows ``r0 + M x`` over F_p, affine in the unknowns ``x``, the
+    variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in the
+    parameters, the variables below ``lo``.  ``touched`` lists, in order,
     the rows that some term reaches; the others are zero whatever the
     parameters, so they are dropped once, at read time.  ``terms`` maps each
     monomial in the parameters to the ``(position, coefficient)`` pairs it
     adds to the augmented matrix ``[M | -r0]`` of the touched rows, flat and
-    row by row.  :meth:`at` and :meth:`map_at` write the parameters in;
+    row by row.  :meth:`at` and :meth:`solutions` write the parameters in;
     :meth:`vanishes_at` writes in the unknowns too."""
 
     field: PrimeField
     lo: int
     hi: int
-    rows: int
     touched: Tuple[int, ...]
     terms: Tuple[Tuple[Monomial, Tuple[Tuple[int, int], ...]], ...]
 
-    def _add_into(self, params: Sequence[int], acc):
-        """``acc`` with each term added at its position, weighted by its
-        monomial at ``params``: a sparse sum over the monomials whose
-        parameters are all nonzero, the one loop of both specialisations."""
+    def at(self, params: Sequence[int]) -> List[Vector]:
+        """The touched rows of ``[M | -r0]`` with ``params`` written in, or
+        one zero row, so that the width holds, when no row is touched: a
+        sparse sum over the monomials whose parameters are all nonzero."""
+        width = self.hi - self.lo + 1
+        aug = [0] * (max(len(self.touched), 1) * width)
         for mono, entries in self.terms:
             w = 1
             for k in mono:
                 w *= params[k]
             if w:
                 for pos, c in entries:
-                    acc[pos] += w * c
-        return acc
-
-    def at(self, params: Sequence[int]) -> List[Vector]:
-        """The touched rows of ``[M | -r0]`` with ``params`` written in, or
-        one zero row, so that the width holds, when no row is touched."""
-        width = self.hi - self.lo + 1
+                    aug[pos] += w * c
         p = self.field.p
-        aug = [v % p for v in self._add_into(params, [0] * (max(len(self.touched), 1) * width))]
+        aug = [v % p for v in aug]
         return [tuple(aug[r : r + width]) for r in range(0, len(aug), width)]
-
-    def map_at(self, params: Sequence[int]) -> _AffineMap:
-        """``x -> r0 + M x`` with ``params`` written in, kept sparse."""
-        width = self.hi - self.lo + 1
-        p = self.field.p
-        constant = [0] * self.rows
-        linear = []
-        for pos, v in self._add_into(params, defaultdict(int)).items():
-            q, s = divmod(pos, width)
-            q = self.touched[q]
-            if s == width - 1:
-                constant[q] = -v % p
-            elif v % p:
-                linear.append((q, s, v % p))
-        return _AffineMap(p, tuple(constant), tuple(linear))
 
     # cached: regrouped once, then read at every digit vector
     @cached_property
@@ -382,13 +333,12 @@ def _read_affine(
     :attr:`_Affine.touched`."""
     width = hi - lo + 1
     by_param: Dict[Monomial, List[Tuple[int, int]]] = {}
-    rows = 0
     touched: List[int] = []
-    for label, value in values:
+    for row, (label, value) in enumerate(values):
         terms = _terms(value)
         if terms:
             start = len(touched) * width
-            touched.append(rows)
+            touched.append(row)
         for mono, c in terms.items():
             # a monomial is sorted, so its one unknown, if any, comes last;
             # a term free of unknowns goes to the column of -r0
@@ -402,8 +352,7 @@ def _read_affine(
                     f"{read}: {label} has the term {'*'.join(names[k] for k in mono)} {why}"
                 )
             by_param.setdefault(param, []).append((position, c))
-        rows += 1
-    return _Affine(field, lo, hi, rows, tuple(touched), tuple((m, tuple(e)) for m, e in by_param.items()))
+    return _Affine(field, lo, hi, tuple(touched), tuple((m, tuple(e)) for m, e in by_param.items()))
 
 
 def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
@@ -514,96 +463,87 @@ class CandidateSpace:
         :class:`_Poly` variable in its slot."""
         return build_extension(self._decode(_symbolic_digits(self.total_entries, self.p)))[0]
 
+    # cached: the extension stages and the Maurer-Cartan identity read it
+    @cached_property
+    def _symbolic_associators(self) -> Dict[Tuple[int, int, int], Vector]:
+        """:func:`basis_associator` of :attr:`_symbolic_extension` at every
+        basis triple, in order."""
+        E = self._symbolic_extension
+        triples = itertools.product(range(E.dim), repeat=3)
+        return {t: basis_associator(E.field, E.dim, E.table, *t) for t in triples}
+
     @cached_property
     def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
-        """The phi, psi and chi stages of the extension route, from one
-        :func:`basis_associator` per triple of :func:`_stage_triples` on
-        :attr:`_symbolic_extension`."""
-        E = self._symbolic_extension
-        field, dim, table = E.field, E.dim, E.table
-        associators = [
-            [(f"associator at basis triple {t}", basis_associator(field, dim, table, *t)) for t in triples]
+        """The phi, psi and chi stages of the extension route, from the
+        :attr:`_symbolic_associators` of the triples of :func:`_stage_triples`."""
+        rows = [
+            [(f"associator at basis triple {t}", self._symbolic_associators[t]) for t in triples]
             for triples in _stage_triples(self)
         ]
-        return self._read_stages("extension route", associators)
+        return self._read_stages("extension route", rows)
 
-    @cached_property
-    def gauge_action(self) -> Tuple[_AffineMap, ...]:
-        """The closed-form gauge action, one :class:`_AffineMap` per beta of
-        :meth:`gauge_params`, in order, that sends the coefficients of a
-        twist-shaped element ``x`` to those of
-        ``gauge_closed_form(x, beta, base, split)``.
-
-        Read off one :func:`gauge_closed_form` call whose parameter has a
-        variable in each entry and whose element has one, ``x[s]``, numbered
-        after them, in each A-valued slot ``s`` off the AA block: one
-        :func:`_read_affine` with the entries as parameters and the slots as
-        unknowns, so a term of degree 2 in the element is refused, and
-        specialised by :meth:`_Affine.map_at` at each beta."""
+    def _identity_sides(self) -> Iterator[Tuple[str, Sequence, Sequence, Callable[[int], str]]]:
+        """The identities of :meth:`check_identities` in turn, each as its
+        failure message, its two sides slot by slot and the name of slot
+        ``q``: the digits are the variables ``0`` to ``n - 1``, and beta's
+        entries, row by row, the ``a * b`` after them."""
+        n, a, b = self.total_entries, self.A.dim, self.B.dim
+        variables = _symbolic_digits(n + a * b, self.p)
+        c = self._decode(variables[:n])
+        beta = GaugeParam(tuple(tuple(variables[n + i * b : n + (i + 1) * b]) for i in range(a)))
         base, split = direct_sum_space(self.A, self.B)
-        dim, a, b, p = split.dim, split.a_dim, split.b_dim, self.p
-        lo, n = a * b, dim ** 3  # n: the coefficients of an arity-2 map on the split space
-        coeffs = [0] * n
-        for k, i, j in itertools.product(split.a_indices, range(dim), range(dim)):
-            if i >= a or j >= a:
-                s = (k * dim + i) * dim + j
-                coeffs[s] = _Poly({(lo + s,): 1}, p)
-        x = MultilinearMap(self.A.field, (dim, dim), dim, tuple(coeffs))
-        beta = GaugeParam(tuple(tuple(_Poly({(i * b + j,): 1}, p) for j in range(b)) for i in range(a)))
-        image = enumerate(gauge_closed_form(x, beta, base, split).coeffs)
-        names = [f"beta[{i}][{j}]" for i in range(a) for j in range(b)] + [f"x[{s}]" for s in range(n)]
-        rows = ((f"slot {q} of the image", v) for q, v in image)
-        action = _read_affine(self.A.field, "closed-form gauge action", rows, lo, lo + n, names)
-        return tuple(action.map_at([v for row in beta.matrix for v in row]) for beta in self.gauge_params())
-
-    @cached_property
-    def section_roundtrip(self) -> _AffineMap:
-        """The map that sends a candidate's index digits to the coefficients
-        ``phi + psi + chi`` that the canonical section of its extension
-        recovers.
-
-        Read off one :func:`cocycle_from_section` on the block presentation
-        of :attr:`_symbolic_extension`, so :func:`verify_extension` and
-        :func:`section_cocycle` run once per space, and one
-        :func:`_read_affine` of the recovered coefficients with every digit
-        an unknown.  Raises :class:`CrossCheckError` when the symbolic
-        extension fails verification or a coefficient is not affine in the
-        digits."""
+        x = cocycle_to_mc(c)
+        triples = list(self._symbolic_associators.items())
+        yield (
+            "Maurer-Cartan identity: associator_residual differs from the twisted product's associator",
+            associator_residual(x, base, split).coeffs,
+            # the residual is stored target-outermost: a block of triples per component
+            [v[k] for k in range(split.dim) for _, v in triples],
+            lambda q: f"basis triple {triples[q % len(triples)][0]}, component {q // len(triples)}",
+        )
         pres = block_presentation(self._symbolic_extension, self.A, self.B)
         try:
             recovered = cocycle_from_section(pres, canonical_section(pres))
         except BrokenExtensionError as exc:
-            raise CrossCheckError(f"section round trip: the symbolic extension fails: {exc}") from None
-        names = self._digit_names()
-        coeffs = recovered.phi.coeffs + recovered.psi.coeffs + recovered.chi.coeffs
-        values = ((f"recovered {names[k]}", v) for k, v in enumerate(coeffs))
-        return _read_affine(self.A.field, "section round trip", values, 0, len(names), names).map_at(())
-
-    @cached_property
-    def maurer_cartan(self) -> Tuple[_AffineMap, _Affine]:
-        """The Maurer-Cartan check of a candidate, from its index digits: the
-        map to the coefficients of its assembled element
-        ``x = cocycle_to_mc(c)``, and the rows of ``x o x - delta x``
-        (:func:`associator_residual`), which vanish exactly when ``x`` is a
-        Maurer-Cartan element.
-
-        Read off one :func:`cocycle_to_mc` on the symbolic candidate and one
-        :func:`associator_residual` on what it returns: the element with
-        every digit an unknown, specialised by :meth:`_Affine.map_at`, the
-        residual with every digit a parameter, so each of its rows is a
-        polynomial of degree at most 2 in the digits, evaluated by
-        :meth:`_Affine.at`."""
-        n = self.total_entries
-        base, split = direct_sum_space(self.A, self.B)
-        x = cocycle_to_mc(self._decode(_symbolic_digits(n, self.p)))
-        residual = associator_residual(x, base, split)
-        names = self._digit_names()
-        element = ((f"slot {q} of the element", v) for q, v in enumerate(x.coeffs))
-        rows = ((f"slot {q} of the residual", v) for q, v in enumerate(residual.coeffs))
-        return (
-            _read_affine(self.A.field, "Maurer-Cartan element", element, 0, n, names).map_at(()),
-            _read_affine(self.A.field, "Maurer-Cartan residual", rows, n, n, names),
+            raise CrossCheckError(f"section identity: the symbolic extension fails: {exc}") from None
+        yield (
+            "section identity: the canonical section's triple differs from the candidate",
+            sum(_key(recovered), ()),
+            variables[:n],
+            self._digit_names().__getitem__,
         )
+        yield (
+            "gauge identity: gauge_closed_form differs from apply_equivalence",
+            gauge_closed_form(x, beta, base, split).coeffs,
+            cocycle_to_mc(apply_equivalence(c, beta)).coeffs,
+            "slot {} of the element".format,
+        )
+
+    def check_identities(self) -> None:
+        """Check, as polynomials, the three identities that tie a twist
+        triple ``c`` to its Maurer-Cartan element ``x = cocycle_to_mc(c)``,
+        its extension and its gauge moves:
+
+        1. ``associator_residual(x)`` is the associator of the twisted
+           product, :attr:`_symbolic_extension`, at every basis triple;
+        2. :func:`cocycle_from_section` on the canonical section of that
+           product's :func:`block_presentation` gives ``c`` back (it reads
+           the twist through the block projections, not through
+           :func:`twist_slots`, so it checks that layout too);
+        3. ``gauge_closed_form(x, beta)`` is
+           ``cocycle_to_mc(apply_equivalence(c, beta))``.
+
+        Each side is a :class:`_Poly` of degree at most 2 in the digits and
+        the entries of beta (:meth:`_identity_sides`), so one pass checks
+        every candidate under every beta.  Raises :class:`CrossCheckError`
+        naming the identity and the first slot where its two sides differ,
+        or when the symbolic extension fails verification."""
+        for what, left, right, where in self._identity_sides():
+            # both sides are canonical, reduced ints or _Poly, so equal
+            # values compare equal
+            for q, (u, v) in enumerate(zip(left, right, strict=True)):
+                if u != v:
+                    raise CrossCheckError(f"{what} at {where(q)}")
 
     def _map(self, part: int, digits: Sequence[int]) -> MultilinearMap:
         dims, target = self.shapes[part]
@@ -915,11 +855,7 @@ def _key(c: NabCocycle):
     return (c.phi.coeffs, c.psi.coeffs, c.chi.coeffs)
 
 
-def orbit_partition(
-    space: CandidateSpace,
-    cocycles: Sequence[Tuple[int, NabCocycle]],
-    mc_elements: Mapping[int, MultilinearMap],
-) -> List[Orbit]:
+def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocycle]]) -> List[Orbit]:
     """Partition an equivalence-closed cocycle list into gauge orbits.
 
     Equivalence is the action of the additive group Hom(B, A) of gauge
@@ -931,21 +867,15 @@ def orbit_partition(
     reaches it.
 
     Raises :class:`CrossCheckError` when an image leaves the list or lands in
-    an earlier orbit, when |orbit| * |stabilizer| is not p^(a*b), or when,
-    for any cocycle, the closed-form gauge images of its Maurer-Cartan
-    element (``mc_elements[index]``, the :func:`cocycle_to_mc` assembly)
-    under all ``beta`` are not exactly its orbit.  Those images are read off
-    one symbolic pass of :func:`gauge_closed_form` per space
-    (:attr:`CandidateSpace.gauge_action`) and evaluated for every (cocycle,
-    beta) pair; :func:`apply_equivalence` stays the numeric route.
+    an earlier orbit, or when |orbit| * |stabilizer| is not p^(a*b).  That
+    the closed-form gauge action on the Maurer-Cartan elements gives the
+    same orbits is checked by :func:`census`, once per space, as the gauge
+    identity of :meth:`CandidateSpace.check_identities`.
     """
     betas = space.gauge_params()
     group_order = space.p ** (space.A.dim * space.B.dim)
     cocycles = sorted(cocycles, key=lambda item: item[0])
     pos_by_key = {_key(c): pos for pos, (_, c) in enumerate(cocycles)}
-    mc_by_pos = [mc_elements[i] for i, _ in cocycles]
-    pos_by_mc = {x.coeffs: pos for pos, x in enumerate(mc_by_pos)}
-    gauge = space.gauge_action
 
     # position -> the witnesses of its orbit, keyed by member position
     orbit_of: Dict[int, Dict[int, Tuple[GaugeParam, ...]]] = {}
@@ -974,12 +904,6 @@ def orbit_partition(
             for to in witnesses:
                 orbit_of[to] = witnesses
             found.append(witnesses)
-        x = mc_by_pos[pos].coeffs
-        images = {pos_by_mc.get(image(x)) for image in gauge}
-        if images != orbit_of[pos].keys():
-            raise CrossCheckError(
-                f"closed-form gauge orbit of cocycle {i} differs from its cocycle orbit"
-            )
 
     orbits = []
     for witnesses in found:
@@ -1010,22 +934,24 @@ def census(
     disagree, :func:`is_valid_cocycle` is the oracle that the mismatch
     message quotes.
 
-    Raises :class:`CrossCheckError` (with the offending candidate index in
-    the message) if any of the following fail: the cocycle and associative-
-    extension index sets coincide; every cocycle's assembled element
-    satisfies the Maurer-Cartan equation; and, on an exhaustive run, each
-    hit's extension table is :func:`build_extension`'s for its index, the
-    canonical section recovers every generating triple, and the checks of
-    :func:`orbit_partition` pass.  The section round trip is read off one
-    symbolic pass per space (:attr:`CandidateSpace.section_roundtrip`) and
-    evaluated at each hit's digits, read from its extension's table at the
-    layout's slots; :func:`section_cocycle` on a numeric extension stays the
-    route of the ``extract-cocycle`` verb.  The Maurer-Cartan check, on a
-    sample too, is read off one symbolic pass of :func:`cocycle_to_mc` and
-    :func:`associator_residual` per space (:attr:`CandidateSpace.maurer_cartan`),
-    compiled only once a hit is found, and evaluated at each hit's digits;
-    the numeric :func:`associator_residual` stays the route of the
-    ``mc-check`` verb.
+    A failed check raises :class:`CrossCheckError`.  The ``checks`` of a
+    returned report say what held:
+
+    - ``counts_match``: both routes found the same indices;
+    - ``cocycles_satisfy_mc``: the Maurer-Cartan identity of
+      :meth:`CandidateSpace.check_identities`, which runs once a hit is
+      found, on a sample too, and the extension route's numeric
+      associativity test of every hit;
+    - ``sampled``: a sample, whose report leaves out the keys below;
+    - ``tables_match``: each hit's extension table is
+      :func:`build_extension`'s;
+    - ``section_roundtrip``: the section identity;
+    - ``partitions_agree``: the checks of :func:`orbit_partition`, whose
+      orbits the gauge identity makes those of the closed-form action on
+      the Maurer-Cartan elements.
+
+    The numeric :func:`associator_residual`, :func:`gauge_closed_form` and
+    :func:`section_cocycle` stay the routes of the CLI verbs.
     """
     cocycles = enumerate_cocycles(space, indices, jobs)
     extensions = enumerate_extensions(space, indices, jobs)
@@ -1043,17 +969,8 @@ def census(
             f"associative-only {only_e}; the unstaged equations accept {unstaged}"
         )
 
-    mc_elements = {}
     if cocycles:
-        element, residual = space.maurer_cartan
-        field, dim = space.A.field, space.A.dim + space.B.dim
-        for i, c in cocycles:
-            digits = c.phi.coeffs + c.psi.coeffs + c.chi.coeffs
-            # the characteristic-free residual: equals the dgLa Maurer-Cartan
-            # residual over F_2 and tracks associativity over every field
-            if any(row[0] for row in residual.at(digits)):
-                raise CrossCheckError(f"cocycle {i} fails the Maurer-Cartan equation")
-            mc_elements[i] = MultilinearMap(field, (dim, dim), dim, element(digits))
+        space.check_identities()
 
     report = ClassificationReport(
         p=space.p,
@@ -1070,14 +987,10 @@ def census(
         report.checks["sampled"] = True
         return report
 
-    slots = space.extension_layout[1]
-    roundtrip = space.section_roundtrip
     for (i, c), (_, E) in zip(cocycles, extensions):
         if build_extension(c)[0].table != E.table:
             raise CrossCheckError(f"the extension route's table of candidate {i} is not build_extension's")
-        if roundtrip([E.table[slot] for slot in slots]) != c.phi.coeffs + c.psi.coeffs + c.chi.coeffs:
-            raise CrossCheckError(f"canonical section does not recover candidate {i}")
 
-    report.orbits = orbit_partition(space, cocycles, mc_elements)
+    report.orbits = orbit_partition(space, cocycles)
     report.checks.update(tables_match=True, section_roundtrip=True, partitions_agree=True)
     return report

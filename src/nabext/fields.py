@@ -71,9 +71,13 @@ class Rationals:
         return Fraction(n)
 
     def parse(self, text: str) -> Fraction:
-        """Parse ``"3/2"``, ``"-1"`` and friends into an exact rational."""
+        """Parse ``"3/2"``, ``"-1"`` and friends into an exact rational; not
+        exponent notation, which ``Fraction("1e10000000")`` takes seconds on."""
+        text = str(text)
+        if "e" in text or "E" in text:
+            raise FieldError(f"not a rational scalar: {text!r} (exponent notation is not accepted)")
         try:
-            return Fraction(str(text))
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational scalar: {text!r}") from exc
 

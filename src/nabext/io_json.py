@@ -49,7 +49,8 @@ def dumps_canonical(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # also a plain ValueError: an integer past the int-string digit limit
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 

@@ -23,6 +23,22 @@ def test_rationals_parse_and_format_round_trip():
         QQ.parse("1/0")
 
 
+def test_rationals_refuse_exponent_notation():
+    # Fraction reads "1e10000000" as a ten-million-digit integer, which
+    # takes seconds; a small exponent shows the refusal without the wait
+    for text in ["1e3", "1E3", "-2.5e-1", "3e0/2", "1/2e1"]:
+        with pytest.raises(FieldError, match="exponent notation"):
+            QQ.parse(text)
+    assert [QQ.parse(t) for t in ["3/2", "-5/3", "7", "-1", "0"]] == [
+        Fraction(3, 2), Fraction(-5, 3), Fraction(7), Fraction(-1), Fraction(0)
+    ]
+    assert QQ.parse(7) == 7
+    rng = random.Random(5)
+    for _ in range(50):
+        value = QQ.random(rng) * rng.choice((1, 10 ** 12, Fraction(1, 10 ** 12)))
+        assert QQ.parse(QQ.format(value)) == value
+
+
 def test_rational_division_by_zero():
     with pytest.raises(FieldError):
         QQ.inv(Fraction(0))

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used there,
 every module-level private function or class is read somewhere in the
-package, every public re-export, every public module-level function that is
+package, every field of a dataclass is read as an attribute, every public
+re-export, every public module-level function that is
 not re-exported and every public method is read by the package or has a
 stated reason to stay,
 package modules are imported at module level and only by their public
@@ -240,6 +241,71 @@ def test_public_method_scan_sees_methods_of_module_level_classes_only():
         "        def inner(self): pass\n"
     )
     assert [qualified for qualified, _, _ in _public_methods(tree)] == ["Kind.method", "Kind.size"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(``Class.field``, field, line) of every field of a module-level
+    dataclass: its annotated class attributes, ``ClassVar`` ones left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if "ClassVar" not in ast.unparse(item.annotation):
+                        yield f"{node.name}.{item.target.id}", item.target.id, item.lineno
+
+
+def _attribute_reads(tree: ast.Module):
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads as an attribute is bookkeeping that the
+    # package writes and never uses
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    read = set().union(*(_attribute_reads(tree) for tree in trees.values()))
+    unread = [
+        f"{path.name}: {qualified} (line {line})"
+        for path in MODULES
+        for qualified, name, line in _dataclass_fields(trees[path.name])
+        if name not in read
+    ]
+    assert not unread, f"dataclass fields no package module reads: {', '.join(unread)}"
+
+
+def test_dataclass_field_scan_sees_fields_read_as_attributes_only():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "@dataclass(frozen=True)\n"
+        "class Kept:\n"
+        "    used: int\n"
+        "    written: int\n"
+        "    named: int = 0\n"
+        "    LIMIT: ClassVar[int] = 3\n"
+        "    def method(self):\n"
+        "        return self.used\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    size: int = field(default=1)\n"
+        "class NotData:\n"
+        "    hidden: int\n"
+        "def api(k):\n"
+        "    k.written = 1\n"
+        "    named = 2\n"
+        "    return Plain(size=named).size\n"
+    )
+    fields = [qualified for qualified, _, _ in _dataclass_fields(tree)]
+    assert fields == ["Kept.used", "Kept.written", "Kept.named", "Plain.size"]
+    read = _attribute_reads(tree)
+    assert [q for q, name, _ in _dataclass_fields(tree) if name not in read] == ["Kept.written", "Kept.named"]
 
 
 def _package_imports(tree: ast.Module):

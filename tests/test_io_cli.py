@@ -184,6 +184,10 @@ def test_canonical_dump_is_deterministic():
 def test_loads_rejects_bad_json():
     with pytest.raises(FormatError):
         loads("{not json")
+    # past the interpreter's int-string digit limit, json.loads raises a
+    # plain ValueError, not a JSONDecodeError
+    with pytest.raises(FormatError, match="^not valid JSON: .*digits"):
+        loads("[" + "1" * 5000 + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +663,22 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_cli_refuses_a_huge_integer_and_exponent_notation(tmp_path, capsys):
+    # a bare 5,000-digit chi coefficient, and "1e3" over Q: one error line
+    # and exit 2, not a traceback's exit 1 (mc-check's "invalid") or a
+    # Fraction expanding the exponent
+    doc = cocycle_to_json(line_cocycle(zero_algebra(QQ, 1), line_algebra(QQ, "idem", "b"), 1, 1, 1))
+    huge = tmp_path / "huge.json"
+    huge.write_text(dumps_canonical({**doc, "chi": [[0, 0, 0, "HUGE"]]}).replace('"HUGE"', "1" * 5000))
+    exponent = _write(tmp_path, "exponent.json", {**doc, "chi": [[0, 0, 0, "1e3"]]})
+    for path, needle in ((str(huge), "not valid JSON"), (exponent, "exponent notation")):
+        assert main(["mc-check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_unwritable_output_exits_2(hand_files, capsys):
