@@ -16,31 +16,27 @@ reads per space, three stages per route.  A term of degree 2 in the
 unknowns, or one in a later variable, raises :class:`CrossCheckError`, so
 affinity is checked, not assumed.  No equation is written out here.
 
-The two routes of the census find the cocycles independently, and each
-solves in three stages, phi, then psi with phi fixed, then chi with phi and
-psi fixed: a stage's unknowns are its digits, its parameters the earlier
-ones, and its rows with them written in are what one elimination solves.
+The two routes of the census find the cocycles independently and have one
+shape: three stages, phi, then psi with phi fixed, then chi with phi and
+psi fixed, that split the route's test between them.  A stage's unknowns
+are its digits, its parameters the earlier ones, and its rows with them
+written in are what one elimination solves.  An exhaustive run solves the
+stages in turn (:func:`_fibre_chunk`); a sample of indices is tested on
+them row by row, each index's digits written into the phi, psi and chi
+rows in turn and stopped at the first nonzero row (:func:`_sample_chunk`).
 
 The cocycle route reads the residual generators of
-:mod:`~nabext.nonabelian`: the phi form the nullspace of the psi-free
-``phi_leibniz`` rows of EQ4; for each phi, psi ranges over the affine
-solution set of EQ3 and EQ4; for each (phi, psi), chi ranges over the affine
-solution set of EQ1, EQ2 and EQ5.  A sample of indices is tested on the
-compiled rows instead, row by row: each index's digits are written into the
-psi-stage rows, then the chi-stage rows, and the first nonzero row rejects
-it.  :func:`is_valid_cocycle` stays the diagnostic oracle.
+:mod:`~nabext.nonabelian`: the phi stage is the psi-free ``phi_leibniz``
+rows of EQ4, the psi stage the other rows of EQ3 and EQ4, the chi stage
+EQ1, EQ2 and EQ5.  :func:`is_valid_cocycle` stays the diagnostic oracle.
 
 The extension route is the oracle: it reads only the twisted-product table
 that :func:`build_extension` writes through :func:`twist_slots`, built once
-per space with every digit a variable, and never consults an equation.  It
-solves by block pattern, the same three levels read off associativity: the
-BAA associators give the phi subspace; for each phi, the AAB, ABA and BAB
-associators give the affine psi-fibre; for each (phi, psi), the BBA, ABB
-and BBB associators give the affine chi-fibre (AAA is the associativity of
-A).  Each hit is tested on every basis triple and only the hits become
-:class:`Algebra` values.  A sample of indices is swept instead: each
-index's digits are scattered into the same slots, and the triple that
-rejected the previous candidate is tried first.
+per space with every digit a variable, and never consults an equation.  Its
+stages are the associators by block pattern: BAA for phi; AAB, ABA and BAB
+for psi; BBA, ABB and BBB for chi (AAA is the associativity of A).  Each
+hit is then tested on every basis triple, numerically, and only the hits
+become :class:`Algebra` values.
 
 The orbits come from the triple action :func:`apply_equivalence`.  The
 paper's correspondence rests on three identities between a triple, its
@@ -71,10 +67,9 @@ from .exact_sequences import (
     canonical_section,
     cocycle_from_section,
 )
-from .fields import Field, PrimeField, Scalar
+from .fields import PrimeField
 from .linalg import (
     Vector,
-    is_zero_vector,
     solution_space,
     vec_add,
     vec_scale,
@@ -449,13 +444,14 @@ class CandidateSpace:
         """The phi, psi and chi stages of the cocycle route, from one pass
         of :func:`twist_residuals` and one of :func:`curvature_residuals`
         with every digit a variable: phi from the ``phi_leibniz`` rows,
-        psi from all of :func:`twist_residuals`, chi from
+        psi from the other :func:`twist_residuals` rows, chi from
         :func:`curvature_residuals`."""
         c = self._decode(_symbolic_digits(self.total_entries, self.p))
         twist = list(twist_residuals(self.A, self.B, c.phi, c.psi))
         leibniz = [r for r in twist if r[3] == "phi_leibniz"]
+        others = [r for r in twist if r[3] != "phi_leibniz"]
         curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
-        return self._read_stages("cocycle route", [_labelled(r) for r in (leibniz, twist, curvature)])
+        return self._read_stages("cocycle route", [_labelled(r) for r in (leibniz, others, curvature)])
 
     @cached_property
     def _symbolic_extension(self) -> Algebra:
@@ -611,77 +607,37 @@ class CandidateSpace:
 # scanning (parallelizable, deterministic)
 # ---------------------------------------------------------------------------
 
-def _pointwise_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, NabCocycle]]:
-    """The cocycles among the indices of ``chunk``: each index's digits are
-    tested row by row on the psi-stage rows of
-    :attr:`CandidateSpace.cocycle_stages` (every :func:`twist_residuals`
-    row), then on the chi-stage rows (every :func:`curvature_residuals`
-    row), which together are the equations of :func:`is_valid_cocycle`, and
-    only the hits are decoded."""
-    _, psi_stage, chi_stage = space.cocycle_stages
+def _sample_chunk(
+    space: CandidateSpace, stages: Sequence[_Affine], chunk: Sequence[int]
+) -> List[Tuple[int, List[int]]]:
+    """The ``(index, digits)`` of each index of ``chunk`` whose digits zero
+    the rows of the phi, psi and chi ``stages``, tested in turn, row by row:
+    the first nonzero row rejects the index."""
     p, n, total = space.p, space.total_entries, space.total_candidates
     hits = []
     for i in chunk:
         if not 0 <= i < total:
             raise IndexError(f"candidate index {i} out of range")
         digits = _digits(i, p, n)
-        if psi_stage.vanishes_at(digits) and chi_stage.vanishes_at(digits):
-            hits.append((i, space._decode(digits)))
+        if all(stage.vanishes_at(digits) for stage in stages):
+            hits.append((i, digits))
     return hits
 
 
-def _staged(stages: Sequence[_Affine], phis: Sequence[Vector]) -> Iterator[Vector]:
-    """The digits ``phi + psi + chi`` of every solution of the phi, psi and
-    chi ``stages`` over each ``phi`` of ``phis``: psi over the psi stage's
+def _fibre_chunk(
+    space: CandidateSpace, stages: Sequence[_Affine], phis: Sequence[Vector]
+) -> List[Tuple[int, Vector]]:
+    """The ``(index, digits)`` of every solution of the phi, psi and chi
+    ``stages`` over each ``phi`` of ``phis``: psi over the psi stage's
     solutions with phi fixed, then chi over the chi stage's with phi and psi
     fixed."""
     _, psi_stage, chi_stage = stages
+    hits = []
     for phi in phis:
         for psi in psi_stage.solutions(phi):
             for chi in chi_stage.solutions(phi + psi):
-                yield phi + psi + chi
-
-
-def _fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, NabCocycle]]:
-    """The cocycles over each ``phi`` of ``phis``: psi over the solutions of
-    the curvature-free equations, then chi over the solutions of the
-    curvature ones, each system read off :attr:`CandidateSpace.cocycle_stages`."""
-    return [(space._index(d), space._decode(d)) for d in _staged(space.cocycle_stages, phis)]
-
-
-def _rejection(
-    field: Field, dim: int, table: Sequence[Scalar], last: Optional[Tuple[int, int, int]]
-) -> Optional[Tuple[int, int, int]]:
-    """A basis triple with nonzero associator, or None when the table is
-    associative: ``last`` is tried first, then every triple in order.  A
-    nonzero associator proves non-associativity, so trying ``last`` first
-    never changes the verdict."""
-    if last is not None and not is_zero_vector(basis_associator(field, dim, table, *last)):
-        return last
-    return associativity_witness(field, dim, table)
-
-
-def _associative_chunk(space: CandidateSpace, chunk: Sequence[int]) -> List[Tuple[int, Algebra]]:
-    """The candidates of ``chunk`` whose twisted product is associative:
-    each index's digits are written into their slots of the zero table, and
-    the triple that rejected the previous candidate is tried first (on the
-    32 sampling seeds of 100 candidates each that the benchmark records for
-    F2 zero(2)/k[t]/t^2, it rejects 1,727 of the 3,200)."""
-    zero, slots = space.extension_layout
-    field, dim, p, n = zero.field, zero.dim, space.p, space.total_entries
-    table = list(zero.table)
-    last = None
-    hits = []
-    for i in chunk:
-        if not 0 <= i < space.total_candidates:
-            raise IndexError(f"candidate index {i} out of range")
-        for slot, digit in zip(slots, _digits(i, p, n)):
-            table[slot] = digit
-        witness = _rejection(field, dim, table, last)
-        if witness is None:
-            hits.append((i, replace(zero, table=tuple(table))))
-        else:
-            last = witness
+                digits = phi + psi + chi
+                hits.append((space._index(digits), digits))
     return hits
 
 
@@ -706,31 +662,6 @@ def _stage_triples(space: CandidateSpace) -> Tuple[Tuple[Tuple[int, int, int], .
     return tuple(tuple(triples) for triples in stages)
 
 
-def _extension_fibre_chunk(space: CandidateSpace, phis: Sequence[Vector]) -> List[Tuple[int, Algebra]]:
-    """The candidates over each ``phi`` of ``phis`` whose twisted product is
-    associative: psi over the affine solutions of the psi-stage associators
-    with phi fixed, then chi over those of the chi-stage associators with
-    phi and psi fixed, each system read off
-    :attr:`CandidateSpace.extension_stages`.  Each hit is tested on every
-    basis triple; one that fails raises :class:`CrossCheckError` with its
-    index and the triple."""
-    zero, slots = space.extension_layout
-    table = list(zero.table)
-    hits = []
-    for digits in _staged(space.extension_stages, phis):
-        for slot, digit in zip(slots, digits):
-            table[slot] = digit
-        index = space._index(digits)
-        witness = associativity_witness(zero.field, zero.dim, table)
-        if witness is not None:
-            raise CrossCheckError(
-                f"staged extension route: candidate {index} is not associative"
-                f" at basis triple {witness}"
-            )
-        hits.append((index, replace(zero, table=tuple(table))))
-    return hits
-
-
 def _chunks(tasks: Sequence, parts: int) -> List[List]:
     n = max(1, -(-len(tasks) // parts))
     return [list(tasks[i : i + n]) for i in range(0, len(tasks), n)]
@@ -742,8 +673,9 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def _scan(space, tasks, worker, jobs) -> List[Tuple]:
-    """The ``(index, hit)`` pairs ``worker`` keeps, in index order.
+def _scan(space, stages, tasks, worker, jobs) -> List[Tuple]:
+    """The ``(index, digits)`` pairs that ``worker`` keeps of ``tasks`` with
+    the ``stages``, in index order.
 
     A pool starts only for 64 tasks or more (candidate indices for a
     sampled run, phi points for an exhaustive one).  The pool module, and
@@ -753,15 +685,35 @@ def _scan(space, tasks, worker, jobs) -> List[Tuple]:
     tasks = list(tasks)
     chunks = _chunks(tasks, worker_count(jobs, len(tasks)))
     if len(chunks) <= 1 or len(tasks) < 64:
-        out = worker(space, tasks)
+        out = worker(space, stages, tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         out = []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(worker, itertools.repeat(space), chunks):
+            for part in pool.map(worker, itertools.repeat(space), itertools.repeat(stages), chunks):
                 out.extend(part)
     return sorted(out, key=lambda hit: hit[0])
+
+
+def _solve(
+    space: CandidateSpace,
+    read: Callable[[], Sequence[_Affine]],
+    indices: Optional[Iterable[int]],
+    jobs: int,
+) -> List[Tuple[int, Sequence[int]]]:
+    """The ``(index, digits)`` of every candidate that all three stages
+    ``read()`` returns accept, in index order: the stages solved in turn on
+    an exhaustive run (``indices`` None; over the budget it raises
+    :class:`BudgetExceededError` before anything compiles), and tested row
+    by row on a sample.  The stages are read before a pool starts, so that
+    no worker compiles them."""
+    if indices is None:
+        space.exhaustive_indices()
+        stages = read()
+        return _scan(space, stages, stages[0].solutions(()), _fibre_chunk, jobs)
+    stages = read()
+    return _scan(space, stages, indices, _sample_chunk, jobs)
 
 
 def enumerate_cocycles(
@@ -773,22 +725,12 @@ def enumerate_cocycles(
     ``(index, cocycle)`` pairs: exactly the indices that
     :func:`is_valid_cocycle` accepts.
 
-    An exhaustive run (``indices`` None; over the budget it raises
-    :class:`BudgetExceededError`) solves the phi, psi and chi systems of
-    :attr:`CandidateSpace.cocycle_stages` in turn, as the module docstring
-    describes: the workers take the phi points, and a fibre costs one
-    elimination and no generator call.  A sample of indices is tested on the
-    compiled rows of the same stages, row by row, each index stopping at its
-    first nonzero row; :func:`is_valid_cocycle` stays the diagnostic oracle
-    of :func:`census`.
+    The stages are :attr:`CandidateSpace.cocycle_stages`, solved on an
+    exhaustive run (``indices`` None) and tested row by row on a sample, as
+    the module docstring describes; a fibre costs one elimination and no
+    generator call, and only the hits are decoded.
     """
-    if indices is not None:
-        space.cocycle_stages  # read here, so that the workers inherit them
-        return _scan(space, indices, _pointwise_chunk, jobs)
-    space.exhaustive_indices()  # the budget bounds an exhaustive run either way
-    # the stages are read here, so that the workers inherit them
-    phis = list(space.cocycle_stages[0].solutions(()))
-    return _scan(space, phis, _fibre_chunk, jobs)
+    return [(i, space._decode(d)) for i, d in _solve(space, lambda: space.cocycle_stages, indices, jobs)]
 
 
 def enumerate_extensions(
@@ -800,26 +742,31 @@ def enumerate_extensions(
     as ``(index, extension algebra)`` pairs, an algebra built for each hit
     only.
 
-    This is the oracle of the cocycle route: it reads only the
-    twisted-product table that :func:`build_extension` writes through
-    :func:`twist_slots` (:attr:`CandidateSpace.extension_layout`) and never
-    consults the cocycle equations.  An exhaustive run (``indices`` None;
-    over the budget it raises :class:`BudgetExceededError`) solves the
-    block-pattern systems of :attr:`CandidateSpace.extension_stages` in
-    turn, as the module docstring describes: the workers take the phi
-    points, a fibre costs one elimination and no associator, and every hit
-    is then tested on all basis triples, numerically.  A sample of indices
-    is swept instead: each candidate's table is its digits scattered into
-    the layout's slots, tested on every basis triple, the one that rejected
-    the previous candidate first.
+    This is the oracle of the cocycle route: its stages,
+    :attr:`CandidateSpace.extension_stages`, are read off the twisted-product
+    table and never off the cocycle equations.  They are solved on an
+    exhaustive run (``indices`` None) and tested row by row on a sample, as
+    the module docstring describes.  Each hit's digits are then written into
+    their slots of :attr:`CandidateSpace.extension_layout`, the table that
+    :func:`build_extension` writes, and tested on every basis triple,
+    numerically; a hit that fails raises :class:`CrossCheckError` with its
+    index and the triple.
     """
-    space.extension_layout  # read here, so that the workers inherit it
-    if indices is not None:
-        return _scan(space, indices, _associative_chunk, jobs)
-    space.exhaustive_indices()  # the budget bounds an exhaustive run either way
-    # the stages are read here, so that the workers inherit them
-    phis = list(space.extension_stages[0].solutions(()))
-    return _scan(space, phis, _extension_fibre_chunk, jobs)
+    hits = _solve(space, lambda: space.extension_stages, indices, jobs)
+    zero, slots = space.extension_layout
+    table = list(zero.table)
+    out = []
+    for index, digits in hits:
+        for slot, digit in zip(slots, digits):
+            table[slot] = digit
+        witness = associativity_witness(zero.field, zero.dim, table)
+        if witness is not None:
+            raise CrossCheckError(
+                f"staged extension route: candidate {index} is not associative"
+                f" at basis triple {witness}"
+            )
+        out.append((index, replace(zero, table=tuple(table))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -928,11 +875,10 @@ def census(
     """Run the whole pipeline with every cross-check armed.
 
     ``indices`` restricts the run to a sample of candidates; a sample is not
-    closed under equivalence, so its report lists no orbits.  The cocycle
-    route tests a sample on the compiled rows of
-    :attr:`CandidateSpace.cocycle_stages`, row by row; when the routes
-    disagree, :func:`is_valid_cocycle` is the oracle that the mismatch
-    message quotes.
+    closed under equivalence, so its report lists no orbits.  Both routes
+    solve their stages on an exhaustive run and test a sample on them row by
+    row; when the routes disagree, :func:`is_valid_cocycle` is the oracle
+    that the mismatch message quotes.
 
     A failed check raises :class:`CrossCheckError`.  The ``checks`` of a
     returned report say what held:

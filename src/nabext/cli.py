@@ -7,8 +7,9 @@ with it: parsing never changes a parser, and usage and error text read
 
 Exit codes: 0 success / check passed, 1 check failed (witness JSON on
 stdout), 2 input or usage error (message on stderr), 3 internal consistency
-failure (must never happen; it would mean the cocycle equations and the
-Maurer-Cartan test disagreed on one input).
+failure (must never happen; message on stderr): a cross-check failed, such
+as mc-check's cocycle equations and Maurer-Cartan test disagreeing on one
+input, or the census's two routes finding different cocycles.
 """
 
 from __future__ import annotations

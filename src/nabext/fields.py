@@ -42,6 +42,9 @@ class Rationals:
     one: ClassVar[Fraction] = Fraction(1)
 
     def coerce(self, value) -> Fraction:
+        if isinstance(value, str):
+            # parse refuses exponent notation, which Fraction can stall on
+            return self.parse(value)
         try:
             return Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

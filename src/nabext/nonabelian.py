@@ -160,9 +160,9 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 
 #: One equation at one basis triple and its discrepancy, zero or not:
 #: ``(which, witness, discrepancy, detail)``, the fields of
-#: :class:`CocycleViolation` in order.  A plain tuple: a sampled census
-#: makes one per equation and candidate tested, and a named tuple costs a
-#: Python-level constructor call each.
+#: :class:`CocycleViolation` in order.  A plain tuple: :func:`check_cocycle`
+#: and :func:`is_valid_cocycle` make one per equation they evaluate, and a
+#: named tuple costs a Python-level constructor call each.
 Residual = Tuple[ViolationKind, Tuple[int, ...], Vector, str]
 
 

@@ -202,14 +202,14 @@ def test_staged_extension_route_hands_out_phi_points_to_a_pool(two_cpus, monkeyp
     handed = []
     scan = classify._scan
 
-    def counted(sp, tasks, worker, jobs):
+    def counted(sp, stages, tasks, worker, jobs):
         tasks = list(tasks)
         handed.append((worker.__name__, len(tasks)))
-        return scan(sp, tasks, worker, jobs)
+        return scan(sp, stages, tasks, worker, jobs)
 
     monkeypatch.setattr(classify, "_scan", counted)
     staged = enumerate_extensions(space, jobs=2)
-    assert handed == [("_extension_fibre_chunk", 81)] and two_cpus.started == 1
+    assert handed == [("_fibre_chunk", 81)] and two_cpus.started == 1
     assert staged == enumerate_extensions(space, space.exhaustive_indices())
 
 
@@ -255,18 +255,20 @@ def test_a_swapped_layout_trips_the_census():
 
 def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch):
     # a^2 = 0, b^2 = b: the BBB associator is chi (psi - phi) a, so it is
-    # the only chi-stage triple that rejects candidate 6 (phi 0, psi 1,
-    # chi 1); a chi stage without it lets that candidate through, and the
-    # full check of the hit names the candidate and the triple
+    # the only chi-stage triple that rejects candidates 5 (phi 1, psi 0,
+    # chi 1) and 6 (phi 0, psi 1, chi 1); a chi stage without it lets both
+    # through, and the full check of the hits, in index order, names the
+    # first and the triple
     space = _space()
     phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
     assert chi_triples[-1] == (1, 1, 1)
     monkeypatch.setattr(
         classify, "_stage_triples", lambda sp: (phi_triples, psi_triples, chi_triples[:-1])
     )
-    with pytest.raises(CrossCheckError, match=r"candidate 6 is not associative at basis triple \(1, 1, 1\)"):
+    with pytest.raises(CrossCheckError, match=r"candidate 5 is not associative at basis triple \(1, 1, 1\)"):
         census(space)
-    assert build_extension(space.candidate(6))[0].associativity_witness() == (1, 1, 1)
+    for i in (5, 6):
+        assert build_extension(space.candidate(i))[0].associativity_witness() == (1, 1, 1)
 
 
 def _patched(monkeypatch, edit):
@@ -471,7 +473,7 @@ def _stage_values(space, route, stage, digits):
     if stage == 2:
         return _stack(nonabelian.curvature_residuals(space.A, space.B, phi, psi, chi))
     twist = nonabelian.twist_residuals(space.A, space.B, phi, psi)
-    return _stack(r for r in twist if stage == 1 or r[3] == "phi_leibniz")
+    return _stack(r for r in twist if (r[3] == "phi_leibniz") == (stage == 0))
 
 
 _GF5 = PrimeField(5)
@@ -630,11 +632,11 @@ def test_pool_census_reads_the_stage_systems_of_the_parent(two_cpus, monkeypatch
     assert two_cpus.started == 0
     scan = classify._scan
 
-    def scan_without_equations(sp, tasks, worker, jobs):
+    def scan_without_equations(sp, stages, tasks, worker, jobs):
         with monkeypatch.context() as m:
             for name in ("twist_residuals", "curvature_residuals", "basis_associator", "build_extension"):
                 m.setattr(classify, name, _refuse)
-            return scan(sp, tasks, worker, jobs)
+            return scan(sp, stages, tasks, worker, jobs)
 
     monkeypatch.setattr(classify, "_scan", scan_without_equations)
     pooled = dumps_canonical(report_to_json(census(space(), jobs=2), GF3))
@@ -740,16 +742,18 @@ def test_staged_scan_rejects_out_of_range_indices():
 
 
 def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):
-    # a solver worker that drops a hit trips the cross-check, and the
-    # message says the unstaged equations accept the lost candidate
+    # a solver worker that drops a hit of the cocycle route trips the
+    # cross-check, and the message says the unstaged equations accept the
+    # lost candidate
     space = _space()
     lost = enumerate_cocycles(space)[-1][0]
     solve_fibres = classify._fibre_chunk
-    monkeypatch.setattr(
-        classify,
-        "_fibre_chunk",
-        lambda sp, phis: [hit for hit in solve_fibres(sp, phis) if hit[0] != lost],
-    )
+
+    def dropping(sp, stages, phis):
+        hits = solve_fibres(sp, stages, phis)
+        return [hit for hit in hits if hit[0] != lost or stages is not sp.cocycle_stages]
+
+    monkeypatch.setattr(classify, "_fibre_chunk", dropping)
     with pytest.raises(CrossCheckError, match=rf"associative-only \[{lost}\]; the unstaged equations accept \[{lost}\]"):
         census(space)
 
@@ -1100,18 +1104,28 @@ def _unstaged_hits(space, indices):
     return [(i, c) for i, c in decoded if is_valid_cocycle(c)]
 
 
+def _associative_hits(space, indices):
+    """The ``(index, extension)`` pairs among ``indices`` whose
+    :func:`build_extension` algebra is associative."""
+    built = ((i, build_extension(space.candidate(i))[0]) for i in indices)
+    return [(i, ext) for i, ext in built if ext.is_associative()]
+
+
 def _golden_cocycles(name):
     return tuple(json.loads((GOLDEN / "census" / f"{name}.json").read_text())["cocycle_indices"])
 
 
 def test_the_row_test_is_the_unstaged_oracle_on_every_candidate_of_the_benchmark_spaces():
     # every index of the eleven exhaustive benchmark spaces, tested as a
-    # sample on the compiled rows, gets is_valid_cocycle's verdict
+    # sample on the compiled rows, gets is_valid_cocycle's verdict on the
+    # cocycle stages and build_extension's associativity on the extension
+    # stages, each hit with build_extension's algebra
     total = 0
     for A, B in list(_GOLDEN_CENSUS_SPACES.values())[:11]:
         space = CandidateSpace(A, B)
         every = space.exhaustive_indices()
         assert enumerate_cocycles(space, every) == _unstaged_hits(space, every)
+        assert enumerate_extensions(space, every) == _associative_hits(space, every)
         total += len(every)
     assert total == 5950
 
@@ -1124,6 +1138,7 @@ def test_the_row_test_is_the_unstaged_oracle_on_a_sixteen_million_candidate_spac
     hits = enumerate_cocycles(space, indices)
     assert hits == _unstaged_hits(space, indices)
     assert len(hits) >= 472
+    assert enumerate_extensions(space, indices) == _associative_hits(space, indices)
 
 
 def _sample_with_cocycles():
@@ -1144,11 +1159,11 @@ def test_a_pooled_sample_is_the_serial_one(two_cpus, monkeypatch):
     assert (len(indices), serial.num_cocycles, two_cpus.started) == (100, 10, 0)
     scan = classify._scan
 
-    def scan_without_equations(sp, tasks, worker, jobs):
+    def scan_without_equations(sp, stages, tasks, worker, jobs):
         with monkeypatch.context() as m:
             for name in ("twist_residuals", "curvature_residuals", "is_valid_cocycle", "build_extension"):
                 m.setattr(classify, name, _refuse)
-            return scan(sp, tasks, worker, jobs)
+            return scan(sp, stages, tasks, worker, jobs)
 
     monkeypatch.setattr(classify, "_scan", scan_without_equations)
     pooled = census(CandidateSpace(space.A, space.B), jobs=2, indices=indices)
@@ -1170,6 +1185,49 @@ def test_a_constant_row_in_the_cocycle_stages_trips_a_sampled_census(monkeypatch
     message += rf"; the unstaged equations accept \[{first}\]$"
     with pytest.raises(CrossCheckError, match=message):
         census(space, indices=indices)
+
+
+def test_a_constant_row_in_the_extension_stages_trips_a_sampled_census(monkeypatch, capsys):
+    # 1 planted as the constant of the first chi-stage row of the extension
+    # route rejects every candidate on its rows: the cocycle route keeps the
+    # sampled cocycles, the message says the unstaged equations accept them,
+    # and the CLI exits 3
+    read = CandidateSpace._read_stages
+
+    def planted(space, route, residuals):
+        phi_stage, psi_stage, chi_stage = read(space, route, residuals)
+        if route == "extension route":
+            constant = ((), ((chi_stage.hi - chi_stage.lo, 1),))
+            chi_stage = replace(chi_stage, terms=chi_stage.terms + (constant,))
+        return phi_stage, psi_stage, chi_stage
+
+    monkeypatch.setattr(CandidateSpace, "_read_stages", planted)
+    space, indices = _sample_with_cocycles()
+    first = ", ".join(map(str, sorted(set(indices) & set(_golden_cocycles("F2-zero2-unit2")))[:5]))
+    message = rf"^cocycle/extension mismatch: valid-only \[{first}\], associative-only \[\]"
+    message += rf"; the unstaged equations accept \[{first}\]$"
+    with pytest.raises(CrossCheckError, match=message):
+        census(space, indices=indices)
+    assert main(["census", "--field", "F2", "--a2", "zero", "--b2", "idem", "--sample", "8", "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "cocycle/extension mismatch" in err and "Traceback" not in err
+
+
+def test_a_stage_that_accepts_every_candidate_trips_the_numeric_hit_test():
+    # a^2 = 0, b^2 = b: only the chi stage of the extension route has rows,
+    # so with none it accepts every sampled candidate, and the numeric test
+    # of the hits names the first candidate whose twisted product is not
+    # associative, and the triple
+    space = _space()
+    phi_stage, psi_stage, chi_stage = space.extension_stages
+    assert not phi_stage.touched and not psi_stage.touched
+    object.__setattr__(space, "extension_stages", (phi_stage, psi_stage, replace(chi_stage, touched=(), terms=())))
+    every = space.exhaustive_indices()
+    first = next(i for i in every if not build_extension(space.candidate(i))[0].is_associative())
+    witness = build_extension(space.candidate(first))[0].associativity_witness()
+    message = rf"^staged extension route: candidate {first} is not associative at basis triple {re.escape(str(witness))}$"
+    with pytest.raises(CrossCheckError, match=message):
+        enumerate_extensions(space, every)
 
 
 def _symbolic_sides(space, sides, identity, values):
@@ -1576,7 +1634,8 @@ def test_census_work_counts_are_exact(monkeypatch):
     # Exhaustive or sampled, the cocycle route reads the equations off one
     # symbolic pass of each residual generator and never calls
     # is_valid_cocycle while the routes agree.  A sample without a cocycle
-    # checks no identity and builds only the layout's extension
+    # checks no identity and builds two extensions, the layout's and the
+    # symbolic one for the extension stages
     names = (
         "associator_residual",
         "gauge_closed_form",
@@ -1607,7 +1666,7 @@ def test_census_work_counts_are_exact(monkeypatch):
         assert calls == {
             **dict.fromkeys(identities, 0),
             "apply_equivalence": 0,
-            "build_extension": 1,
+            "build_extension": 2,
             **equations,
         }
         calls.update(dict.fromkeys(calls, 0))

@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from nabext import Algebra
 from nabext.fields import GF2, GF3, MAX_PRIME, FieldError, PrimeField, QQ, Rationals
 
 
@@ -37,6 +38,20 @@ def test_rationals_refuse_exponent_notation():
     for _ in range(50):
         value = QQ.random(rng) * rng.choice((1, 10 ** 12, Fraction(1, 10 ** 12)))
         assert QQ.parse(QQ.format(value)) == value
+
+
+def test_rational_coerce_refuses_exponent_notation():
+    # a string handed to coerce, as Algebra.from_products and
+    # MultilinearMap.from_entries do with a caller's coefficients, is parsed,
+    # so exponent notation is refused rather than expanded
+    for text in ["1e3", "-2.5e-1"]:
+        with pytest.raises(FieldError, match="exponent notation"):
+            QQ.coerce(text)
+    with pytest.raises(FieldError, match="exponent notation"):
+        Algebra.from_products(QQ, ["x"], {(0, 0): {0: "1e3"}})
+    assert [QQ.coerce(v) for v in ("3/2", 7, Fraction(-5, 3))] == [Fraction(3, 2), Fraction(7), Fraction(-5, 3)]
+    with pytest.raises(FieldError):
+        QQ.coerce("three halves")
 
 
 def test_rational_division_by_zero():

@@ -304,7 +304,7 @@ def test_cli_mc_check_rational_input(tmp_path, capsys):
 def test_cli_build_extension_and_extract_round_trip(hand_files, tmp_path, capsys):
     out = str(tmp_path / "ext_alg.json")
     assert main(["build-extension", hand_files["valid"], "--output", out]) == 0
-    built = json.loads(open(out).read())
+    built = json.loads(Path(out).read_text())
     assert built["split"] == {"a_dim": 1, "b_dim": 1}
 
     # wrap into an extension document with canonical maps and extract back
