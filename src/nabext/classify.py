@@ -79,6 +79,7 @@ from .nonabelian import (
     GaugeParam,
     NabCocycle,
     Residual,
+    ViolationKind,
     all_gauge_params,
     apply_equivalence,
     associator_residual,
@@ -98,15 +99,6 @@ class BudgetExceededError(ValueError):
     """The requested sweep is larger than the configured budget."""
 
 
-def _digits(n: int, p: int, count: int) -> List[int]:
-    """The ``count`` lowest base-p digits of ``n``, least significant first."""
-    out = []
-    for _ in range(count):
-        n, d = divmod(n, p)
-        out.append(d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # symbolic passes read as affine systems, once per space
 # ---------------------------------------------------------------------------
@@ -123,7 +115,9 @@ def _terms(x) -> Dict[Monomial, int]:
 def _canonical(terms: Dict[Monomial, int], p: int):
     """``terms`` with every coefficient reduced into 1..p-1 and the zero ones
     dropped: a :class:`_Poly`, or the plain ``int`` when no variable is left.
-    The one reduction of :class:`_Poly` arithmetic."""
+    The reduction of a scalar multiple and of a general product, and of a
+    raw dict of terms; sums, negation and the product of two variables keep
+    the canonical form without it."""
     out = {m: r for m, c in terms.items() if (r := c % p)}
     if len(out) > 1 or (out and () not in out):
         return _Poly(out, p)
@@ -148,11 +142,18 @@ class _Poly:
     product above degree 2 raises :class:`CrossCheckError`: every read and
     identity relies on its formula being at most quadratic.
 
-    Arithmetic keeps a canonical form (:func:`_canonical`): coefficients in
-    1..p-1, no zero term, and a result with no variable left is a plain
-    ``int``.  So ``% p`` hands the value back unchanged, a kernel's zero
-    tests cost no reduction, and once the variables of a sum cancel, the
-    rest of the formula runs on ints.
+    Arithmetic keeps a canonical form: coefficients in 1..p-1, no zero
+    term, and a result with no variable left is a plain ``int``.  So ``% p``
+    hands the value back unchanged, a kernel's zero tests cost no reduction,
+    and once the variables of a sum cancel, the rest of the formula runs on
+    ints.  Each operation touches only the monomials it changes: a sum
+    copies the left terms and reduces only the right operand's monomials
+    into them, dropping those that cancel; negation maps each coefficient
+    ``c`` to ``-c % p``, nonzero for a nonzero ``c``; and the product of two
+    variables ``c1 x_k`` and ``c2 x_l`` is the one term ``c1 c2 x_k x_l``,
+    its monomial sorted and its coefficient reduced, nonzero as p is prime.
+    A scalar multiple and any other product are reduced by
+    :func:`_canonical`.
     """
 
     __slots__ = ("terms", "p")
@@ -162,20 +163,29 @@ class _Poly:
         self.p = p
 
     def __add__(self, other):
-        terms = dict(self.terms)
         if isinstance(other, _Poly):
-            for m, c in other.terms.items():
-                terms[m] = terms.get(m, 0) + c
+            added = other.terms.items()
         elif other:
-            terms[()] = terms.get((), 0) + other
+            added = (((), other),)
         else:
             return self
-        return _canonical(terms, self.p)
+        p = self.p
+        terms = dict(self.terms)
+        for m, c in added:
+            r = (terms.get(m, 0) + c) % p
+            if r:
+                terms[m] = r
+            else:
+                terms.pop(m, None)
+        if len(terms) > 1 or (terms and () not in terms):
+            return _Poly(terms, p)
+        return terms.get((), 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical({m: -c for m, c in self.terms.items()}, self.p)
+        p = self.p
+        return _Poly({m: -c % p for m, c in self.terms.items()}, p)
 
     def __sub__(self, other):
         return self + -other
@@ -191,6 +201,14 @@ class _Poly:
             if other == 1:
                 return self
             return _canonical({m: c * other for m, c in self.terms.items()}, p) if other else 0
+        if len(self.terms) == 1 == len(other.terms):
+            ((m1, c1),) = self.terms.items()
+            ((m2, c2),) = other.terms.items()
+            if len(m1) == 1 == len(m2):
+                # two variables: one sorted monomial, whose coefficient is
+                # nonzero as p is prime
+                k, l = m1[0], m2[0]
+                return _Poly({(k, l) if k <= l else (l, k): c1 * c2 % p}, p)
         terms: Dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -212,7 +230,11 @@ class _Poly:
         return self
 
     def __eq__(self, other) -> bool:
-        return self.terms == _terms(other)
+        if isinstance(other, _Poly):
+            return self.terms == other.terms
+        # a scalar, as in the kernels' ``c != 0``: a canonical _Poly holds a
+        # variable, so only the empty one equals a scalar, zero
+        return not (other or self.terms)
 
     def __bool__(self) -> bool:
         # nonzero exactly when some coefficient is, as a scalar: the
@@ -314,48 +336,54 @@ class _Affine:
             yield x
 
 
+def _row_label(kind: Optional[ViolationKind], witness: Tuple[int, ...], detail: str, k: int) -> str:
+    """The name of component ``k`` of a stage residual ``(kind, witness,
+    disc, detail)``: one of the generator's, or, with ``kind`` None, the
+    associator at the basis triple ``witness``."""
+    if kind is None:
+        return f"residual associator at basis triple {witness}, component {k},"
+    return f"residual {kind.value}{' ' + detail if detail else ''} at {witness}, component {k},"
+
+
 def _read_affine(
-    field: PrimeField, read: str, values: Iterable[Tuple[str, object]], lo: int, hi: int, names: List[str]
+    field: PrimeField, read: str, residuals: Iterable[Residual], lo: int, hi: int, names: List[str]
 ) -> _Affine:
-    """The :class:`_Affine` of symbolic ``(label, value)`` rows, in order,
-    with the variables below ``lo`` as parameters and ``lo`` to ``hi - 1``
-    as unknowns.  Raises :class:`CrossCheckError`, naming the read, the
-    row's label and the monomial (each variable by its entry of ``names``),
-    if a term has degree 2 in the unknowns or reads a variable from ``hi``
-    on, a later stage's digit: the rows must be affine in the unknowns and
-    decided before the later variables are.  A row with no term is zero for
-    every parameter value, so only the rows with some term are kept, as
-    :attr:`_Affine.touched`."""
+    """The :class:`_Affine` of symbolic residuals ``(kind, witness, disc,
+    detail)``, a row per component of each ``disc``, in order, with the
+    variables below ``lo`` as parameters and ``lo`` to ``hi - 1`` as
+    unknowns.  Raises :class:`CrossCheckError`, naming the read, the row
+    (:func:`_row_label`, formatted only then) and the monomial (each
+    variable by its entry of ``names``), if a term has degree 2 in the
+    unknowns or reads a variable from ``hi`` on, a later stage's digit: the
+    rows must be affine in the unknowns and decided before the later
+    variables are.  A row with no term is zero for every parameter value,
+    so only the rows with some term are kept, as :attr:`_Affine.touched`."""
     width = hi - lo + 1
     by_param: Dict[Monomial, List[Tuple[int, int]]] = {}
     touched: List[int] = []
-    for row, (label, value) in enumerate(values):
-        terms = _terms(value)
-        if terms:
-            start = len(touched) * width
-            touched.append(row)
-        for mono, c in terms.items():
-            # a monomial is sorted, so its one unknown, if any, comes last;
-            # a term free of unknowns goes to the column of -r0
-            if not mono or mono[-1] < lo:
-                param, position, c = mono, start + width - 1, -c
-            elif mono[-1] < hi and (len(mono) == 1 or mono[-2] < lo):
-                param, position = mono[:-1], start + mono[-1] - lo
-            else:
-                why = "in a later stage's digit" if mono[-1] >= hi else "of degree 2 in the unknowns"
-                raise CrossCheckError(
-                    f"{read}: {label} has the term {'*'.join(names[k] for k in mono)} {why}"
-                )
-            by_param.setdefault(param, []).append((position, c))
+    row = -1
+    for kind, witness, disc, detail in residuals:
+        for k, value in enumerate(disc):
+            row += 1
+            terms = _terms(value)
+            if terms:
+                start = len(touched) * width
+                touched.append(row)
+            for mono, c in terms.items():
+                # a monomial is sorted, so its one unknown, if any, comes
+                # last; a term free of unknowns goes to the column of -r0
+                if not mono or mono[-1] < lo:
+                    param, position, c = mono, start + width - 1, -c
+                elif mono[-1] < hi and (len(mono) == 1 or mono[-2] < lo):
+                    param, position = mono[:-1], start + mono[-1] - lo
+                else:
+                    why = "in a later stage's digit" if mono[-1] >= hi else "of degree 2 in the unknowns"
+                    raise CrossCheckError(
+                        f"{read}: {_row_label(kind, witness, detail, k)} has the term"
+                        f" {'*'.join(names[v] for v in mono)} {why}"
+                    )
+                by_param.setdefault(param, []).append((position, c))
     return _Affine(field, lo, hi, tuple(touched), tuple((m, tuple(e)) for m, e in by_param.items()))
-
-
-def _labelled(residuals: Iterable[Residual]) -> List[Tuple[str, Vector]]:
-    """Each residual's discrepancy, named by its kind and basis triple."""
-    return [
-        (f"{kind.value}{' ' + detail if detail else ''} at {witness}", disc)
-        for kind, witness, disc, detail in residuals
-    ]
 
 
 def _symbolic_digits(count: int, p: int) -> List[_Poly]:
@@ -421,23 +449,18 @@ class CandidateSpace:
         parts = zip(("phi", "psi", "chi"), self.entry_counts)
         return [f"{part}[{k}]" for part, n in parts for k in range(n)]
 
-    def _read_stages(
-        self, route: str, residuals: Sequence[Sequence[Tuple[str, Vector]]]
-    ) -> Tuple[_Affine, ...]:
+    def _read_stages(self, route: str, residuals: Sequence[Iterable[Residual]]) -> Tuple[_Affine, ...]:
         """The phi, psi and chi stages of ``route``, one :func:`_read_affine`
-        each of its ``(label, discrepancy)`` residuals, a row per component:
-        a stage's own digits are its unknowns, the earlier ones its
-        parameters, and a later stage's digits are refused."""
+        each of its residuals, a row per component: a stage's own digits
+        are its unknowns, the earlier ones its parameters, and a later
+        stage's digits are refused."""
         n_phi, n_psi, _ = self.entry_counts
         bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
         names = self._digit_names()
-        stages = []
-        for part, (lo, hi), stage in zip(("phi", "psi", "chi"), bounds, residuals):
-            rows = (
-                (f"residual {label}, component {k},", v) for label, disc in stage for k, v in enumerate(disc)
-            )
-            stages.append(_read_affine(self.A.field, f"{route}, {part} stage", rows, lo, hi, names))
-        return tuple(stages)
+        return tuple(
+            _read_affine(self.A.field, f"{route}, {part} stage", stage, lo, hi, names)
+            for part, (lo, hi), stage in zip(("phi", "psi", "chi"), bounds, residuals)
+        )
 
     @cached_property
     def cocycle_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
@@ -451,7 +474,7 @@ class CandidateSpace:
         leibniz = [r for r in twist if r[3] == "phi_leibniz"]
         others = [r for r in twist if r[3] != "phi_leibniz"]
         curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
-        return self._read_stages("cocycle route", [_labelled(r) for r in (leibniz, others, curvature)])
+        return self._read_stages("cocycle route", (leibniz, others, curvature))
 
     @cached_property
     def _symbolic_extension(self) -> Algebra:
@@ -472,11 +495,9 @@ class CandidateSpace:
     def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
         """The phi, psi and chi stages of the extension route, from the
         :attr:`_symbolic_associators` of the triples of :func:`_stage_triples`."""
-        rows = [
-            [(f"associator at basis triple {t}", self._symbolic_associators[t]) for t in triples]
-            for triples in _stage_triples(self)
-        ]
-        return self._read_stages("extension route", rows)
+        associators = self._symbolic_associators
+        residuals = [[(None, t, associators[t], "") for t in triples] for triples in _stage_triples(self)]
+        return self._read_stages("extension route", residuals)
 
     def _identity_sides(self) -> Iterator[Tuple[str, Sequence, Sequence, Callable[[int], str]]]:
         """The identities of :meth:`check_identities` in turn, each as its
@@ -561,11 +582,23 @@ class CandidateSpace:
             idx = idx * self.p + d
         return idx
 
+    # cached: every sampled index is expanded over them
+    @cached_property
+    def _place_values(self) -> Tuple[int, ...]:
+        """The place value ``p**k`` of each index digit ``k``."""
+        return tuple(self.p ** k for k in range(self.total_entries))
+
+    def _digits(self, index: int) -> List[int]:
+        """The base-p digits of ``index``, least significant first, one per
+        twist coefficient."""
+        p = self.p
+        return [index // q % p for q in self._place_values]
+
     def candidate(self, index: int) -> NabCocycle:
         """Decode a candidate from its base-p digit expansion."""
         if not 0 <= index < self.total_candidates:
             raise IndexError(f"candidate index {index} out of range")
-        return self._decode(_digits(index, self.p, self.total_entries))
+        return self._decode(self._digits(index))
 
     def exhaustive_indices(self) -> range:
         if self.total_candidates > self.budget:
@@ -612,13 +645,15 @@ def _sample_chunk(
 ) -> List[Tuple[int, List[int]]]:
     """The ``(index, digits)`` of each index of ``chunk`` whose digits zero
     the rows of the phi, psi and chi ``stages``, tested in turn, row by row:
-    the first nonzero row rejects the index."""
-    p, n, total = space.p, space.total_entries, space.total_candidates
+    the first nonzero row rejects the index.  Each index is range-checked
+    and expanded once, by :meth:`CandidateSpace._digits`, for all three
+    stages."""
+    total = space.total_candidates
     hits = []
     for i in chunk:
         if not 0 <= i < total:
             raise IndexError(f"candidate index {i} out of range")
-        digits = _digits(i, p, n)
+        digits = space._digits(i)
         if all(stage.vanishes_at(digits) for stage in stages):
             hits.append((i, digits))
     return hits

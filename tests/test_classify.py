@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -617,6 +618,54 @@ def test_a_stage_that_reads_a_later_digit_is_refused(monkeypatch):
         census(space)
 
 
+def _squared_in(real, stage, detail):
+    """The twist residual generator ``real`` with the square of the first
+    digit of ``stage`` (0 for phi, 1 for psi) added to the last component of
+    its first residual whose detail is ``detail``."""
+
+    def planted(A, B, phi, psi):
+        x = (phi, psi)[stage].coeffs[0]
+        done = False
+        for kind, witness, disc, found in real(A, B, phi, psi):
+            if found == detail and not done:
+                disc, done = disc[:-1] + (A.field.add(disc[-1], A.field.mul(x, x)),), True
+            yield kind, witness, disc, found
+
+    return planted
+
+
+@pytest.mark.parametrize("route,stage", [("cocycle", "phi"), ("cocycle", "psi"), ("extension", "phi")])
+def test_a_refused_term_names_its_row(monkeypatch, route, stage):
+    # the row label of a refusal, byte for byte: a phi or psi square planted
+    # in a twist residual with a detail and one without, and a psi triple
+    # moved into the extension route's phi stage, on F2 zero(2)/idem line,
+    # whose residuals have two components
+    space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
+    if route == "extension":
+        phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
+        moved = (phi_triples + psi_triples[-1:], psi_triples[:-1], chi_triples)
+        monkeypatch.setattr(classify, "_stage_triples", lambda sp: moved)
+        message = (
+            "extension route, phi stage: residual associator at basis triple (2, 1, 2),"
+            " component 0, has the term phi[1]*psi[0] in a later stage's digit"
+        )
+    elif stage == "phi":
+        monkeypatch.setattr(classify, "twist_residuals", _squared_in(nonabelian.twist_residuals, 0, "phi_leibniz"))
+        message = (
+            "cocycle route, phi stage: residual eq4_derivation phi_leibniz at (0, 0, 0),"
+            " component 1, has the term phi[0]*phi[0] of degree 2 in the unknowns"
+        )
+    else:
+        monkeypatch.setattr(classify, "twist_residuals", _squared_in(nonabelian.twist_residuals, 1, ""))
+        message = (
+            "cocycle route, psi stage: residual eq3_commute at (0, 0, 0),"
+            " component 1, has the term psi[0]*psi[0] of degree 2 in the unknowns"
+        )
+    with pytest.raises(CrossCheckError) as refused:
+        census(space)
+    assert str(refused.value) == message
+
+
 def _refuse(*args):
     raise AssertionError("a worker evaluated the equations again")
 
@@ -980,35 +1029,37 @@ def _work_count_spaces():
     )
 
 
-def test_census_compiles_the_gauge_action_once_per_space(monkeypatch):
-    # deterministic work count: however many cocycles, the census calls
-    # gauge_closed_form once per space, symbolically, for the gauge identity
-    calls = []
-    monkeypatch.setattr(
-        classify, "gauge_closed_form", lambda *args: calls.append(args) or gauge_closed_form(*args)
-    )
-    cocycle_counts = []
-    for A, B in _work_count_spaces():
+def _once_in_the_parent(monkeypatch, two_cpus, name, real):
+    """Patch ``name`` in :mod:`nabext.classify` with ``real`` counted and
+    refused outside this process, then census F3 zero(2)/idem line, whose
+    routes hand 81 phi points to a scan, at ``jobs`` 1 and 2: the second
+    starts a pool, and either calls ``name`` once, in the parent."""
+    parent, calls = os.getpid(), []
+
+    def counted(*args):
+        if os.getpid() != parent:
+            raise AssertionError(f"a worker called {name}")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify, name, counted)
+    space = CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
+    for jobs, pools in ((1, 0), (2, 2)):
         calls.clear()
-        cocycle_counts.append(census(CandidateSpace(A, B)).num_cocycles)
-        assert len(calls) == 1
-    assert cocycle_counts == [6, 8, 8, 88]
+        assert census(CandidateSpace(space.A, space.B), jobs=jobs).num_cocycles == 284
+        assert len(calls) == 1 and two_cpus.started == pools
 
 
-def test_census_runs_the_section_round_trip_once_per_space(monkeypatch):
-    # deterministic work count: however many cocycles, the census calls
-    # cocycle_from_section once per space, symbolically, for the section
-    # identity
-    calls = []
-    monkeypatch.setattr(
-        classify, "cocycle_from_section", lambda *args: calls.append(args) or cocycle_from_section(*args)
-    )
-    cocycle_counts = []
-    for A, B in _work_count_spaces():
-        calls.clear()
-        cocycle_counts.append(census(CandidateSpace(A, B)).num_cocycles)
-        assert len(calls) == 1
-    assert cocycle_counts == [6, 8, 8, 88]
+def test_census_compiles_the_gauge_action_once_per_space(monkeypatch, two_cpus):
+    # the gauge identity reads gauge_closed_form off the once-per-space
+    # symbolic pass, in the parent, whatever --jobs
+    _once_in_the_parent(monkeypatch, two_cpus, "gauge_closed_form", gauge_closed_form)
+
+
+def test_census_runs_the_section_round_trip_once_per_space(monkeypatch, two_cpus):
+    # the section identity reads cocycle_from_section off the
+    # once-per-space symbolic pass, in the parent, whatever --jobs
+    _once_in_the_parent(monkeypatch, two_cpus, "cocycle_from_section", cocycle_from_section)
 
 
 def test_a_gauge_term_of_degree_two_in_the_element_is_refused(monkeypatch, capsys):
@@ -1267,7 +1318,7 @@ def _on_every_candidate(name, identity):
     n_beta = space.A.dim * space.B.dim
     beta = nonabelian.GaugeParam.zero(space.A.field, space.A.dim, space.B.dim)
     for i in range(space.total_candidates):
-        digits = classify._digits(i, space.p, space.total_entries)
+        digits = space._digits(i)
         numeric = _numeric_sides(space, digits, beta, identity)
         assert _symbolic_sides(space, sides, identity, digits + [0] * n_beta) == numeric
         assert numeric[0] == numeric[1]
@@ -1275,8 +1326,9 @@ def _on_every_candidate(name, identity):
 
 @pytest.mark.parametrize("name", ["F2-nil2-zero1", "F2-zero1-diag2", "F3-zero1-idem1"])
 def test_the_compiled_section_read_is_the_numeric_one_on_every_candidate(name):
-    # the section identity's symbolic sides are the numeric round trip on
-    # the candidate's extension and its digits
+    # "compiled" is the once-per-space symbolic pass: the section
+    # identity's sides, read once over _Poly, evaluated at every candidate's
+    # digits, are the numeric round trip on its extension and its digits
     _on_every_candidate(name, "section")
 
 
@@ -1316,6 +1368,8 @@ def _at_random_points(case, identity):
 @settings(deadline=None, max_examples=30)
 @given(_identity_cases())
 def test_the_compiled_section_read_is_the_numeric_one(case):
+    # the section identity's sides from the once-per-space symbolic pass,
+    # at random digits and beta, are the numeric round trip
     for symbolic, numeric in _at_random_points(case, "section"):
         assert symbolic == numeric and numeric[0] == numeric[1]
 
@@ -1323,8 +1377,9 @@ def test_the_compiled_section_read_is_the_numeric_one(case):
 @settings(deadline=None, max_examples=30)
 @given(_identity_cases())
 def test_the_compiled_gauge_action_is_the_closed_form(case):
-    # the gauge identity's sides at random digits and beta are
-    # gauge_closed_form on the element and cocycle_to_mc of apply_equivalence
+    # the gauge identity's sides from the once-per-space symbolic pass, at
+    # random digits and beta, are gauge_closed_form on the element and
+    # cocycle_to_mc of apply_equivalence
     for symbolic, numeric in _at_random_points(case, "gauge"):
         assert symbolic == numeric and numeric[0] == numeric[1]
 
@@ -1332,6 +1387,9 @@ def test_the_compiled_gauge_action_is_the_closed_form(case):
 @settings(deadline=None, max_examples=30)
 @given(_identity_cases())
 def test_the_compiled_mc_check_is_the_numeric_one(case):
+    # the Maurer-Cartan identity's sides from the once-per-space symbolic
+    # pass, at random digits and beta, are associator_residual and the
+    # associators of build_extension
     for symbolic, numeric in _at_random_points(case, "Maurer-Cartan"):
         assert symbolic == numeric and numeric[0] == numeric[1]
 
@@ -1405,7 +1463,8 @@ def test_candidate_space_requires_associative_ends():
 
 @pytest.mark.parametrize("name", ["F2-nil2-zero1", "F2-zero1-diag2", "F3-zero1-idem1"])
 def test_the_compiled_mc_check_is_the_numeric_one_on_every_candidate(name):
-    # the Maurer-Cartan identity's symbolic sides are associator_residual
+    # the Maurer-Cartan identity's sides from the once-per-space symbolic
+    # pass, evaluated at every candidate's digits, are associator_residual
     # of cocycle_to_mc and the associators of build_extension, coefficient
     # by coefficient
     _on_every_candidate(name, "Maurer-Cartan")
@@ -1417,7 +1476,7 @@ def _polys(draw):
     first a canonical ``_Poly``, the second one or an ``int``, often minus
     the first plus a constant, so that a sum collapses), whether both are
     linear, and digits to evaluate at."""
-    p = draw(st.sampled_from([2, 3, 5]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     linear = draw(st.booleans())
     monomials = [(), (0,), (1,), (2,)] + ([] if linear else [(0, 0), (0, 1), (1, 2), (2, 2)])
     coefficient = st.integers(-2 * p, 2 * p)
@@ -1450,10 +1509,11 @@ def test_poly_arithmetic_is_the_field_arithmetic_at_every_point(case):
     # evaluating P op Q at the digits is applying the F_p op to P and Q
     # evaluated there, for either order of the operands; every result is
     # canonical, a _Poly with coefficients in 1..p-1 and a variable, or the
-    # plain int it collapses to
+    # plain int it collapses to; and no operation changes an operand's terms
     p, P, Q, linear, digits = case
     at = lambda value: _evaluated(value, digits, p)
     assert isinstance(P, classify._Poly) and _is_canonical(P, p) and _is_canonical(Q, p)
+    before = (dict(P.terms), dict(classify._terms(Q)))
     ops = [(lambda a, b: a + b), (lambda a, b: a - b)] + ([lambda a, b: a * b] if linear else [])
     for op in ops:
         for a, b in ((P, Q), (Q, P)):
@@ -1462,15 +1522,74 @@ def test_poly_arithmetic_is_the_field_arithmetic_at_every_point(case):
             assert at(result) == op(at(a), at(b)) % p
     assert _is_canonical(-P, p) and at(-P) == -at(P) % p
     assert P * 0 == 0 and isinstance(P * 0, int) and P * (p + 1) is P
+    assert (dict(P.terms), dict(classify._terms(Q))) == before
+
+
+def _untouched(op, *operands):
+    """``op`` applied to ``operands``, after checking that it leaves the
+    terms of each :class:`_Poly` among them as they were."""
+    before = [dict(v.terms) for v in operands if isinstance(v, classify._Poly)]
+    result = op(*operands)
+    assert [dict(v.terms) for v in operands if isinstance(v, classify._Poly)] == before
+    return result
+
+
+def test_poly_products_and_sums_build_the_canonical_terms():
+    # the products of two variables and the sums that merge only the right
+    # operand's monomials give the canonical terms directly: a squared
+    # variable, variables in either order, coefficient products that wrap
+    # mod 7, a sum that cancels one monomial, and sums that collapse to an
+    # int or to 0
+    x0, x1, x2 = classify._symbolic_digits(3, 7)
+    mul, add, sub = (lambda a, b: a * b), (lambda a, b: a + b), (lambda a, b: a - b)
+    assert _untouched(mul, 3 * x0, 5 * x0).terms == {(0, 0): 1}
+    assert _untouched(mul, 4 * x1, 2 * x0).terms == {(0, 1): 1}
+    assert _untouched(mul, x0, 6 * x1).terms == {(0, 1): 6}
+    assert _untouched(mul, 6 * x2, 6 * x1).terms == {(1, 2): 1}
+    q = _untouched(add, x0 * x1, 3 * x2)
+    assert q.terms == {(0, 1): 1, (2,): 3}
+    assert _untouched(add, q, 4 * x2).terms == {(0, 1): 1}
+    assert _untouched(add, x0 + 3, 6 * x0) == 3 and isinstance(x0 + 3 + 6 * x0, int)
+    assert _untouched(sub, q, x0 * x1 + 3 * x2) == 0 and isinstance(q - (x0 * x1 + 3 * x2), int)
+    assert _untouched(add, x0 + 3, 6 * x0 + 4) == 0
+    assert _untouched(sub, 5, x2).terms == {(2,): 6, (): 5}
+    assert _untouched(lambda a: -a, q).terms == {(0, 1): 6, (2,): 4}
+    # a scalar times a poly of degree 2, in either order
+    r = 2 * x0 * x1 + 3 * x2 + 1
+    assert _untouched(mul, 4, r).terms == _untouched(mul, r, 4).terms == {(0, 1): 1, (2,): 5, (): 4}
+    assert _untouched(mul, r, 7) == 0 and _untouched(mul, 1, r) is r
+    # a product with a constant term takes the general loop
+    assert _untouched(mul, x0 + 1, x1 + 2).terms == {(0, 1): 1, (0,): 2, (1,): 1, (): 2}
 
 
 def test_a_product_of_degree_three_is_refused():
-    x0, x1 = classify._symbolic_digits(2, 3)
+    x0, x1, x2 = classify._symbolic_digits(3, 3)
     message = r"^a product of the variables \(0, 0, 1\) has degree 3; the formula is not of degree at most 2$"
     with pytest.raises(CrossCheckError, match=message):
         (x0 * x0) * x1
     with pytest.raises(CrossCheckError, match=message):
         x1 * (x0 * x0 + 1)
+    message = r"^a product of the variables \(0, 1, 2\) has degree 3; the formula is not of degree at most 2$"
+    with pytest.raises(CrossCheckError, match=message):
+        (x0 * x1) * x2
+
+
+@pytest.mark.parametrize("name", ["F2-unit2-idem1", "F2-zero2-unit2", "F3-zero1-idem1"])
+def test_every_symbolic_stage_value_is_canonical(name):
+    # a zero coefficient left in a stage value would make its row touched:
+    # every component of the residual generators and of the symbolic
+    # associators is a reduced int or a canonical _Poly
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    c = space._decode(classify._symbolic_digits(space.total_entries, space.p))
+    residuals = [
+        *nonabelian.twist_residuals(space.A, space.B, c.phi, c.psi),
+        *nonabelian.curvature_residuals(space.A, space.B, c.phi, c.psi, c.chi),
+    ]
+    values = [v for _, _, disc, _ in residuals for v in disc]
+    values += [v for disc in space._symbolic_associators.values() for v in disc]
+    assert len(values) >= len(residuals) + (space.A.dim + space.B.dim) ** 4
+    assert all(_is_canonical(v, space.p) for v in values)
+    assert any(isinstance(v, classify._Poly) for v in values)
 
 
 def _planted_residual(x, base, split):
