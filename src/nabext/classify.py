@@ -38,24 +38,23 @@ for psi; BBA, ABB and BBB for chi (AAA is the associativity of A).  Each
 hit is then tested on every basis triple, numerically, and only the hits
 become :class:`Algebra` values.
 
-The orbits come from the triple action :func:`apply_equivalence`.  The
-paper's correspondence rests on three identities between a triple, its
-Maurer-Cartan element, its extension and its gauge moves, and
-:meth:`CandidateSpace.check_identities` compares both sides of each as
-polynomials, once per space, with the digits and the gauge parameter's
-entries as variables: the Maurer-Cartan residual is the associator of the
-twisted product, the canonical section gives the triple back, and the
-closed-form gauge action on the element is :func:`apply_equivalence`.  An
-identity of polynomials holds at every candidate and every beta, so it
-holds at every hit, where the extension route has already tested
-associativity numerically.
+The orbits come from the triple action :func:`apply_equivalence`.
+:meth:`CandidateSpace.check_identities` compares, once per space, both
+sides of four identities between a triple, its Maurer-Cartan element, its
+extension and its gauge moves as polynomials in the digits and the gauge
+parameter's entries: the Maurer-Cartan residual is the associator of the
+twisted product, the canonical section gives the triple back, the
+closed-form gauge action on the element is :func:`apply_equivalence`, and
+the twisted product's table is the layout's.  An identity of polynomials
+holds at every candidate and every beta, so at every hit, where the
+extension route has already tested associativity numerically.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -535,9 +534,19 @@ class CandidateSpace:
             cocycle_to_mc(apply_equivalence(c, beta)).coeffs,
             "slot {} of the element".format,
         )
+        zero, slots = self.extension_layout
+        laid_out = list(zero.table)
+        for slot, digit in zip(slots, variables[:n]):
+            laid_out[slot] = digit
+        yield (
+            "layout identity: the twisted product's table differs from the layout's",
+            self._symbolic_extension.table,
+            laid_out,
+            "slot {} of the table".format,
+        )
 
     def check_identities(self) -> None:
-        """Check, as polynomials, the three identities that tie a twist
+        """Check, as polynomials, the four identities that tie a twist
         triple ``c`` to its Maurer-Cartan element ``x = cocycle_to_mc(c)``,
         its extension and its gauge moves:
 
@@ -548,7 +557,10 @@ class CandidateSpace:
            the twist through the block projections, not through
            :func:`twist_slots`, so it checks that layout too);
         3. ``gauge_closed_form(x, beta)`` is
-           ``cocycle_to_mc(apply_equivalence(c, beta))``.
+           ``cocycle_to_mc(apply_equivalence(c, beta))``;
+        4. the twisted product's table is :attr:`extension_layout`'s zero
+           table with digit ``k`` written at slot ``k`` of the layout, the
+           table that :func:`enumerate_extensions` builds for each hit.
 
         Each side is a :class:`_Poly` of degree at most 2 in the digits and
         the entries of beta (:meth:`_identity_sides`), so one pass checks
@@ -822,15 +834,17 @@ class Orbit:
 
 @dataclass
 class ClassificationReport:
+    """What :func:`census` found: the cocycles' indices, in order, and their
+    gauge orbits, ``None`` on a sample, which is not closed under
+    equivalence."""
+
     p: int
     a_dim: int
     b_dim: int
     num_candidates: int
     num_cocycles: int
     cocycle_indices: Tuple[int, ...]
-    num_extensions: int
-    orbits: List[Orbit]
-    checks: Dict[str, bool] = dc_field(default_factory=dict)
+    orbits: Optional[List[Orbit]]
 
 
 def _key(c: NabCocycle):
@@ -905,35 +919,35 @@ def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocy
 # ---------------------------------------------------------------------------
 
 def census(
-    space: CandidateSpace, jobs: int = 1, indices: Optional[Sequence[int]] = None
+    space: CandidateSpace, jobs: int = 1, indices: Optional[Iterable[int]] = None
 ) -> ClassificationReport:
     """Run the whole pipeline with every cross-check armed.
 
-    ``indices`` restricts the run to a sample of candidates; a sample is not
-    closed under equivalence, so its report lists no orbits.  Both routes
+    ``indices`` restricts the run to a sample of distinct candidates, read
+    once; a repeated index raises :class:`ValueError`.  A sample is not
+    closed under equivalence, so its report has no orbits.  Both routes
     solve their stages on an exhaustive run and test a sample on them row by
     row; when the routes disagree, :func:`is_valid_cocycle` is the oracle
     that the mismatch message quotes.
 
-    A failed check raises :class:`CrossCheckError`.  The ``checks`` of a
-    returned report say what held:
+    A failed check raises :class:`CrossCheckError`, so a returned report has
+    passed all of these:
 
-    - ``counts_match``: both routes found the same indices;
-    - ``cocycles_satisfy_mc``: the Maurer-Cartan identity of
-      :meth:`CandidateSpace.check_identities`, which runs once a hit is
-      found, on a sample too, and the extension route's numeric
-      associativity test of every hit;
-    - ``sampled``: a sample, whose report leaves out the keys below;
-    - ``tables_match``: each hit's extension table is
-      :func:`build_extension`'s;
-    - ``section_roundtrip``: the section identity;
-    - ``partitions_agree``: the checks of :func:`orbit_partition`, whose
+    - both routes found the same indices;
+    - the extension route's numeric associativity test of every hit;
+    - once a hit is found, on a sample too, the four identities of
+      :meth:`CandidateSpace.check_identities`;
+    - on an exhaustive run, the checks of :func:`orbit_partition`, whose
       orbits the gauge identity makes those of the closed-form action on
       the Maurer-Cartan elements.
 
     The numeric :func:`associator_residual`, :func:`gauge_closed_form` and
     :func:`section_cocycle` stay the routes of the CLI verbs.
     """
+    if indices is not None:
+        indices = tuple(indices)
+        if len(set(indices)) != len(indices):
+            raise ValueError("census indices must be distinct")
     cocycles = enumerate_cocycles(space, indices, jobs)
     extensions = enumerate_extensions(space, indices, jobs)
 
@@ -953,25 +967,12 @@ def census(
     if cocycles:
         space.check_identities()
 
-    report = ClassificationReport(
+    return ClassificationReport(
         p=space.p,
         a_dim=space.A.dim,
         b_dim=space.B.dim,
         num_candidates=space.total_candidates,
         num_cocycles=len(cocycles),
         cocycle_indices=tuple(cocycle_idx),
-        num_extensions=len(extensions),
-        orbits=[],
-        checks={"counts_match": True, "cocycles_satisfy_mc": True},
+        orbits=orbit_partition(space, cocycles) if indices is None else None,
     )
-    if indices is not None:
-        report.checks["sampled"] = True
-        return report
-
-    for (i, c), (_, E) in zip(cocycles, extensions):
-        if build_extension(c)[0].table != E.table:
-            raise CrossCheckError(f"the extension route's table of candidate {i} is not build_extension's")
-
-    report.orbits = orbit_partition(space, cocycles)
-    report.checks.update(tables_match=True, section_roundtrip=True, partitions_agree=True)
-    return report

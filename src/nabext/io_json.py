@@ -363,28 +363,23 @@ def report_to_json(report: ClassificationReport, field: Field) -> Dict:
         "num_candidates": report.num_candidates,
         "num_cocycles": report.num_cocycles,
         "cocycle_indices": list(report.cocycle_indices),
-        "num_extensions": report.num_extensions,
-        "num_classes": len(report.orbits),
-        "orbits": [_orbit_to_json(o, field) for o in report.orbits],
-        "checks": dict(sorted(report.checks.items())),
+        # a sample has no orbits: it counts no class and lists none
+        "num_classes": None if report.orbits is None else len(report.orbits),
+        "orbits": [_orbit_to_json(o, field) for o in report.orbits or ()],
     }
 
 
 def report_to_text(report: ClassificationReport) -> str:
     # a sample is not closed under equivalence, so its orbits are never split
-    classes = "not counted on a sample" if report.checks.get("sampled") else len(report.orbits)
+    classes = "not counted on a sample" if report.orbits is None else len(report.orbits)
     lines = [
         f"field                F{report.p}",
         f"dims (kernel, quot)  ({report.a_dim}, {report.b_dim})",
         f"candidates           {report.num_candidates}",
         f"valid cocycles       {report.num_cocycles}",
-        f"associative products {report.num_extensions}",
         f"equivalence classes  {classes}",
     ]
-    for orbit in report.orbits:
+    for orbit in report.orbits or ():
         members = ", ".join(str(m) for m in orbit.members)
         lines.append(f"  class rep {orbit.representative}: members [{members}]")
-    lines.append(
-        "checks: " + ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in sorted(report.checks.items()))
-    )
     return "\n".join(lines) + "\n"

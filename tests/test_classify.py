@@ -254,6 +254,20 @@ def test_a_swapped_layout_trips_the_census():
         census(space)
 
 
+def test_a_swapped_layout_fails_the_layout_identity():
+    # the same fault, seen by the identity itself: the symbolic twisted
+    # product's table is no longer the layout's, first at the lower of the
+    # two swapped slots
+    space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
+    space.check_identities()
+    zero, slots = space.extension_layout
+    swapped = (slots[-1],) + slots[1:-1] + (slots[0],)
+    object.__setattr__(space, "extension_layout", (zero, swapped))
+    first = min(slots[0], slots[-1])
+    with pytest.raises(CrossCheckError, match=rf"^layout identity: .* at slot {first} of the table$"):
+        space.check_identities()
+
+
 def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch):
     # a^2 = 0, b^2 = b: the BBB associator is chi (psi - phi) a, so it is
     # the only chi-stage triple that rejects candidates 5 (phi 1, psi 0,
@@ -340,30 +354,12 @@ def test_twist_slots_are_the_a_valued_cross_slots():
             assert base.table[slot] == 0
 
 
-def test_a_table_of_another_hit_trips_the_census(monkeypatch):
-    # the extension route returns the right indices with two hits' algebras
-    # swapped: the per-index tables check names the first of them
-    space = _space()
-    real = classify.enumerate_extensions
-
-    def swapped(*args, **kwargs):
-        hits = real(*args, **kwargs)
-        (i, first), (j, second) = hits[1], hits[2]
-        hits[1:3] = [(i, second), (j, first)]
-        return hits
-
-    monkeypatch.setattr(classify, "enumerate_extensions", swapped)
-    index = [i for i, _ in real(space)][1]
-    with pytest.raises(CrossCheckError, match=f"table of candidate {index} is not build_extension's"):
-        census(space)
-
-
 def test_census_work_guard(monkeypatch):
     # deterministic work counts instead of a timing: the census builds
-    # twisted products once on the zero candidate for the layout, once on
-    # the symbolic one for the extension stages and the section round trip,
-    # and once per cocycle for its tables check, and the cocycle equations
-    # never apply a map to a vector
+    # twisted products in classify only twice, whatever the number of
+    # cocycles, once on the zero candidate for the layout and once on the
+    # symbolic one for the extension stages and the identities, and the
+    # cocycle equations never apply a map to a vector
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
     assert space.total_candidates == 1024
     built = []
@@ -379,7 +375,7 @@ def test_census_work_guard(monkeypatch):
 
     monkeypatch.setattr(MultilinearMap, "apply", apply)
     report = census(space)
-    assert len(built) == 2 + report.num_cocycles
+    assert report.num_cocycles == 4 and len(built) == 2
     equations = {"twist_residuals", "curvature_residuals"}
     assert not equations & set(applied_from)
 
@@ -866,9 +862,7 @@ def test_census_one_one_full_report():
     report = census(_space())
     assert report.num_candidates == 8
     assert report.num_cocycles == 6
-    assert report.num_extensions == 6
     assert len(report.orbits) == 4
-    assert all(report.checks.values())
 
 
 @pytest.mark.parametrize(
@@ -899,8 +893,7 @@ def test_census_two_one_dimensional_kernel():
     space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
     report = census(space)
     assert report.num_candidates == 1024
-    assert report.num_cocycles == report.num_extensions == 88
-    assert all(report.checks.values())
+    assert report.num_cocycles == 88
 
 
 def test_partition_stability_under_candidate_shuffling():
@@ -924,8 +917,7 @@ def test_gf3_line_census():
     space = CandidateSpace(a, b)
     report = census(space)
     assert report.num_candidates == 27
-    assert report.num_cocycles == report.num_extensions
-    assert all(report.checks.values())
+    assert report.num_cocycles == len(report.cocycle_indices) > 0
 
 
 @pytest.mark.parametrize(
@@ -1138,12 +1130,43 @@ def test_census_reports_of_the_benchmark_spaces_match_golden(name):
     assert text == (GOLDEN / "census" / f"{name}.json").read_text()
 
 
+_REPORT_KEYS = {"p", "a_dim", "b_dim", "num_candidates", "num_cocycles", "cocycle_indices", "num_classes", "orbits"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("census_*.json")) + sorted((GOLDEN / "census").glob("*.json")), ids=lambda p: p.name
+)
+def test_every_golden_census_report_is_consistent(path):
+    # the reports' own invariants: the exact keys, the counts, and orbits
+    # that partition the cocycles, each led by its least member
+    doc = json.loads(path.read_text())
+    assert set(doc) == _REPORT_KEYS
+    assert doc["num_cocycles"] == len(doc["cocycle_indices"]) > 0
+    assert doc["num_classes"] == len(doc["orbits"]) > 0
+    members = [m for orbit in doc["orbits"] for m in orbit["members"]]
+    assert sorted(members) == doc["cocycle_indices"] == sorted(set(doc["cocycle_indices"]))
+    for orbit in doc["orbits"]:
+        assert set(orbit) == {"representative", "members", "witnesses"}
+        assert orbit["representative"] == min(orbit["members"])
+
+
+def test_census_reads_the_indices_once():
+    # zero/idem lines over F2: of 1, 3 and 5, the cocycles are 1 and 3; an
+    # iterator is read once, for both routes
+    assert census(_space(), indices=iter([1, 3, 5])).cocycle_indices == (1, 3)
+    assert census(_space(), indices=(5, 3, 1)).cocycle_indices == (1, 3)
+
+
+def test_census_refuses_a_repeated_index():
+    with pytest.raises(ValueError, match="census indices must be distinct"):
+        census(_space(), indices=[3, 3, 1, 7, 7])
+
+
 def test_sampled_census_has_no_orbit_stage():
     space = CandidateSpace(zero_algebra(GF2, 2), trunc_poly2(GF2))
     indices = space.sample_indices(50, seed=1)
     report = census(space, indices=indices)
-    assert report.orbits == []
-    assert report.checks == {"sampled": True, "counts_match": True, "cocycles_satisfy_mc": True}
+    assert report.orbits is None
     assert set(report.cocycle_indices) <= set(indices)
     assert list(report.cocycle_indices) == [i for i in indices if is_valid_cocycle(space.candidate(i))]
 
@@ -1633,7 +1656,7 @@ def test_a_sample_of_cocycles_runs_the_mc_check(monkeypatch):
     indices = sorted(exhaustive + tuple(others))
     report = census(CandidateSpace(space.A, space.B), indices=indices)
     assert report.cocycle_indices == exhaustive
-    assert report.checks == {"sampled": True, "counts_match": True, "cocycles_satisfy_mc": True}
+    assert report.orbits is None
     monkeypatch.setattr(classify, "associator_residual", _planted_residual)
     with pytest.raises(CrossCheckError, match=f"^{re.escape(_MC_MESSAGE)}$"):
         census(CandidateSpace(space.A, space.B), indices=indices)
@@ -1658,6 +1681,15 @@ def _break(monkeypatch, broken):
 
         monkeypatch.setattr(exact_sequences, "section_cocycle", swapped)
         return "section identity: the canonical section's triple differs from the candidate at phi[0]"
+    if broken == "twist_slots":
+        # the phi and psi slots swapped: every hit's table is still
+        # associative, so only the layout identity sees the fault
+        def swapped_slots(split):
+            phi, psi, *rest = nonabelian.twist_slots(split)
+            return (psi, phi, *rest)
+
+        monkeypatch.setattr(classify, "twist_slots", swapped_slots)
+        return "layout identity: the twisted product's table differs from the layout's at slot 2 of the table"
     if broken == "apply_equivalence":
         # an action that fixes everything: the closed form moves chi by
         # beta(b b), in slot 3
@@ -1677,7 +1709,9 @@ def _break(monkeypatch, broken):
 
 
 @pytest.mark.parametrize("run", ["exhaustive", "sample"])
-@pytest.mark.parametrize("broken", ["associator_residual", "section_cocycle", "apply_equivalence", "gauge_closed_form"])
+@pytest.mark.parametrize(
+    "broken", ["associator_residual", "section_cocycle", "apply_equivalence", "gauge_closed_form", "twist_slots"]
+)
 def test_a_broken_identity_trips_the_census(monkeypatch, capsys, broken, run):
     # each identity broken by one patch makes the census raise, on an
     # exhaustive run and on a sample with hits, and nabext census exit 3
@@ -1747,14 +1781,14 @@ def test_census_work_counts_are_exact(monkeypatch):
     # hit is found: one associator_residual, gauge_closed_form and
     # cocycle_from_section, one apply_equivalence besides the orbit
     # stage's |Hom(B, A)| per orbit, and two cocycle_to_mc, each of which
-    # builds an extension.  An exhaustive census also builds each cocycle's
-    # extension once, for its tables check, the zero candidate's for the
-    # layout and the symbolic one for the stages and the identities.
-    # Exhaustive or sampled, the cocycle route reads the equations off one
-    # symbolic pass of each residual generator and never calls
-    # is_valid_cocycle while the routes agree.  A sample without a cocycle
-    # checks no identity and builds two extensions, the layout's and the
-    # symbolic one for the extension stages
+    # builds an extension.  A census with a hit, exhaustive or sampled,
+    # builds exactly four extensions, whatever the number of cocycles: those
+    # two, the zero candidate's for the layout and the symbolic one for the
+    # stages and the identities.  Exhaustive or sampled, the cocycle route
+    # reads the equations off one symbolic pass of each residual generator
+    # and never calls is_valid_cocycle while the routes agree.  A sample
+    # without a cocycle checks no identity and builds two extensions, the
+    # layout's and the symbolic one for the extension stages
     names = (
         "associator_residual",
         "gauge_closed_form",
@@ -1776,7 +1810,7 @@ def test_census_work_counts_are_exact(monkeypatch):
         assert calls == {
             **identities,
             "apply_equivalence": 1 + len(report.orbits) * space.p ** (A.dim * B.dim),
-            "build_extension": 4 + report.num_cocycles,
+            "build_extension": 4,
             **equations,
         }
         calls.update(dict.fromkeys(calls, 0))
