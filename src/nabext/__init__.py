@@ -11,7 +11,6 @@ from .classify import (
     Orbit,
     census,
     enumerate_cocycles,
-    enumerate_extensions,
     orbit_partition,
 )
 from .cochains import (

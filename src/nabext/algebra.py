@@ -41,11 +41,6 @@ class SplitSpace:
     def b_indices(self) -> range:
         return range(self.a_dim, self.dim)
 
-    def block_of(self, index: int) -> str:
-        if not 0 <= index < self.dim:
-            raise IndexError(f"index {index} outside space of dimension {self.dim}")
-        return "A" if index < self.a_dim else "B"
-
     def block_indices(self, block: str) -> range:
         if block == "A":
             return self.a_indices

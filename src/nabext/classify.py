@@ -11,32 +11,32 @@ so runs are deterministic and trivially splittable across workers.  The
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
 of degree at most 2 in numbered variables.  The stages are read by
 :func:`_read_affine` into rows ``r0 + M x`` affine in the unknowns, with
-``r0`` and ``M`` sparse sums in the parameters (an :class:`_Affine`): six
-reads per space, three stages per route.  A term of degree 2 in the
-unknowns, or one in a later variable, raises :class:`CrossCheckError`, so
-affinity is checked, not assumed.  No equation is written out here.
+``r0`` and ``M`` sparse sums in the parameters (an :class:`_Affine`): three
+reads per space.  A term of degree 2 in the unknowns, or one in a later
+variable, raises :class:`CrossCheckError`, so affinity is checked, not
+assumed.  No equation is written out here.
 
-The two routes of the census find the cocycles independently and have one
-shape: three stages, phi, then psi with phi fixed, then chi with phi and
-psi fixed, that split the route's test between them.  A stage's unknowns
-are its digits, its parameters the earlier ones, and its rows with them
-written in are what one elimination solves.  An exhaustive run solves the
-stages in turn (:func:`_fibre_chunk`); a sample of indices is tested on
-them row by row, each index's digits written into the phi, psi and chi
-rows in turn and stopped at the first nonzero row (:func:`_sample_chunk`).
-
+The census solves once, and a route identity stands in for a second solve.
 The cocycle route reads the residual generators of
-:mod:`~nabext.nonabelian`: the phi stage is the psi-free ``phi_leibniz``
-rows of EQ4, the psi stage the other rows of EQ3 and EQ4, the chi stage
-EQ1, EQ2 and EQ5.  :func:`is_valid_cocycle` stays the diagnostic oracle.
+:mod:`~nabext.nonabelian` into three stages, phi, then psi with phi fixed,
+then chi with phi and psi fixed: the phi stage is the psi-free
+``phi_leibniz`` rows of EQ4, the psi stage the other rows of EQ3 and EQ4,
+the chi stage EQ1, EQ2 and EQ5.  A stage's unknowns are its digits, its
+parameters the earlier ones, and its rows with them written in are what one
+elimination solves.  An exhaustive run solves the stages in turn
+(:func:`_fibre_chunk`); a sample of indices is tested on them row by row,
+each index's digits written into the phi, psi and chi rows in turn and
+stopped at the first nonzero row (:func:`_sample_chunk`).
 
-The extension route is the oracle: it reads only the twisted-product table
-that :func:`build_extension` writes through :func:`twist_slots`, built once
-per space with every digit a variable, and never consults an equation.  Its
-stages are the associators by block pattern: BAA for phi; AAB, ABA and BAB
-for psi; BBA, ABB and BBB for chi (AAA is the associativity of A).  Each
-hit is then tested on every basis triple, numerically, and only the hits
-become :class:`Algebra` values.
+The route identity, :meth:`CandidateSpace.check_route_identity`, checks once
+per space that those rows, rebuilt as polynomials in the digits, are the
+associators of the twisted product that :func:`build_extension` writes, up
+to sign.  That is the paper's starting point: the cocycle equations are
+associativity of the twisted product.  Equal rows have equal zero sets, so
+the stages accept exactly the candidates whose twisted product is
+associative, at every candidate, not only at those a run visits.  Each hit
+is then tested on every basis triple, numerically
+(:func:`enumerate_extensions`).
 
 The orbits come from the triple action :func:`apply_equivalence`.
 :meth:`CandidateSpace.check_identities` compares, once per space, both
@@ -46,8 +46,7 @@ parameter's entries: the Maurer-Cartan residual is the associator of the
 twisted product, the canonical section gives the triple back, the
 closed-form gauge action on the element is :func:`apply_equivalence`, and
 the twisted product's table is the layout's.  An identity of polynomials
-holds at every candidate and every beta, so at every hit, where the
-extension route has already tested associativity numerically.
+holds at every candidate and every beta, so at every hit.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, SplitSpace, associativity_witness, basis_associator, direct_sum_space
+from .algebra import Algebra, associativity_witness, basis_associator, direct_sum_space
 from .cochains import MultilinearMap
 from .exact_sequences import (
     BrokenExtensionError,
@@ -105,6 +104,9 @@ class BudgetExceededError(ValueError):
 #: A product of variables: ``()``, ``(k,)`` or ``(k, l)`` with ``k <= l``.
 Monomial = Tuple[int, ...]
 
+#: The stages of the cocycle route, in the order they are solved.
+_STAGES = ("phi", "psi", "chi")
+
 
 def _terms(x) -> Dict[Monomial, int]:
     """The ``{monomial: coefficient}`` of a :class:`_Poly` or a scalar."""
@@ -121,6 +123,34 @@ def _canonical(terms: Dict[Monomial, int], p: int):
     if len(out) > 1 or (out and () not in out):
         return _Poly(out, p)
     return out.get((), 0)
+
+
+def _signed_sum(sign: int):
+    """The :class:`_Poly` operation ``self + sign * other``, ``sign`` 1 for
+    a sum and -1 for a difference: the left terms copied, and only the
+    right operand's monomials reduced into them, those that cancel
+    dropped."""
+
+    def op(self, other):
+        if isinstance(other, _Poly):
+            items = other.terms.items()
+        elif other:
+            items = (((), other),)
+        else:
+            return self
+        p = self.p
+        terms = dict(self.terms)
+        for m, c in items:
+            r = (terms.get(m, 0) + sign * c) % p
+            if r:
+                terms[m] = r
+            else:
+                terms.pop(m, None)
+        if len(terms) > 1 or (terms and () not in terms):
+            return _Poly(terms, p)
+        return terms.get((), 0)
+
+    return op
 
 
 class _Poly:
@@ -145,14 +175,15 @@ class _Poly:
     term, and a result with no variable left is a plain ``int``.  So ``% p``
     hands the value back unchanged, a kernel's zero tests cost no reduction,
     and once the variables of a sum cancel, the rest of the formula runs on
-    ints.  Each operation touches only the monomials it changes: a sum
-    copies the left terms and reduces only the right operand's monomials
-    into them, dropping those that cancel; negation maps each coefficient
-    ``c`` to ``-c % p``, nonzero for a nonzero ``c``; and the product of two
-    variables ``c1 x_k`` and ``c2 x_l`` is the one term ``c1 c2 x_k x_l``,
-    its monomial sorted and its coefficient reduced, nonzero as p is prime.
-    A scalar multiple and any other product are reduced by
-    :func:`_canonical`.
+    ints.  Each operation touches only the monomials it changes: a sum or
+    a difference copies the left terms and reduces only the right operand's
+    monomials into them, dropping those that cancel; negation maps each
+    coefficient ``c`` to ``-c % p``, nonzero for a nonzero ``c``, and a
+    scalar minus a poly is that negation with the constant term moved; and
+    the product of two variables ``c1 x_k`` and ``c2 x_l`` is the one term
+    ``c1 c2 x_k x_l``, its monomial sorted and its coefficient reduced,
+    nonzero as p is prime.  A scalar multiple and any other product are
+    reduced by :func:`_canonical`.
     """
 
     __slots__ = ("terms", "p")
@@ -161,36 +192,25 @@ class _Poly:
         self.terms = terms
         self.p = p
 
-    def __add__(self, other):
-        if isinstance(other, _Poly):
-            added = other.terms.items()
-        elif other:
-            added = (((), other),)
-        else:
-            return self
-        p = self.p
-        terms = dict(self.terms)
-        for m, c in added:
-            r = (terms.get(m, 0) + c) % p
-            if r:
-                terms[m] = r
-            else:
-                terms.pop(m, None)
-        if len(terms) > 1 or (terms and () not in terms):
-            return _Poly(terms, p)
-        return terms.get((), 0)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _signed_sum(1)
+    __sub__ = _signed_sum(-1)
 
     def __neg__(self):
         p = self.p
         return _Poly({m: -c % p for m, c in self.terms.items()}, p)
 
-    def __sub__(self, other):
-        return self + -other
-
     def __rsub__(self, other):
-        return -self + other
+        # ``other`` is a scalar: each term negated, then the constant term
+        # moved by it
+        p = self.p
+        terms = {m: -c % p for m, c in self.terms.items()}
+        if other:
+            r = (terms.get((), 0) + other) % p
+            if r:
+                terms[()] = r
+            else:
+                terms.pop((), None)
+        return _Poly(terms, p)
 
     def __mul__(self, other):
         p = self.p
@@ -335,12 +355,9 @@ class _Affine:
             yield x
 
 
-def _row_label(kind: Optional[ViolationKind], witness: Tuple[int, ...], detail: str, k: int) -> str:
+def _row_label(kind: ViolationKind, witness: Tuple[int, ...], detail: str, k: int) -> str:
     """The name of component ``k`` of a stage residual ``(kind, witness,
-    disc, detail)``: one of the generator's, or, with ``kind`` None, the
-    associator at the basis triple ``witness``."""
-    if kind is None:
-        return f"residual associator at basis triple {witness}, component {k},"
+    disc, detail)``."""
     return f"residual {kind.value}{' ' + detail if detail else ''} at {witness}, component {k},"
 
 
@@ -445,35 +462,34 @@ class CandidateSpace:
 
     def _digit_names(self) -> List[str]:
         """The index digits by name: ``phi[k]``, ``psi[k]`` and ``chi[k]``."""
-        parts = zip(("phi", "psi", "chi"), self.entry_counts)
+        parts = zip(_STAGES, self.entry_counts)
         return [f"{part}[{k}]" for part, n in parts for k in range(n)]
 
-    def _read_stages(self, route: str, residuals: Sequence[Iterable[Residual]]) -> Tuple[_Affine, ...]:
-        """The phi, psi and chi stages of ``route``, one :func:`_read_affine`
-        each of its residuals, a row per component: a stage's own digits
-        are its unknowns, the earlier ones its parameters, and a later
-        stage's digits are refused."""
-        n_phi, n_psi, _ = self.entry_counts
-        bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
-        names = self._digit_names()
-        return tuple(
-            _read_affine(self.A.field, f"{route}, {part} stage", stage, lo, hi, names)
-            for part, (lo, hi), stage in zip(("phi", "psi", "chi"), bounds, residuals)
-        )
-
-    @cached_property
-    def cocycle_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
-        """The phi, psi and chi stages of the cocycle route, from one pass
-        of :func:`twist_residuals` and one of :func:`curvature_residuals`
-        with every digit a variable: phi from the ``phi_leibniz`` rows,
-        psi from the other :func:`twist_residuals` rows, chi from
+    def _stage_residuals(self) -> Tuple[Iterable[Residual], ...]:
+        """The residuals of the phi, psi and chi stages of the cocycle route,
+        from one pass of :func:`twist_residuals` and one of
+        :func:`curvature_residuals` with every digit a variable: phi the
+        ``phi_leibniz`` rows, psi the other :func:`twist_residuals` rows, chi
         :func:`curvature_residuals`."""
         c = self._decode(_symbolic_digits(self.total_entries, self.p))
         twist = list(twist_residuals(self.A, self.B, c.phi, c.psi))
         leibniz = [r for r in twist if r[3] == "phi_leibniz"]
         others = [r for r in twist if r[3] != "phi_leibniz"]
-        curvature = curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
-        return self._read_stages("cocycle route", (leibniz, others, curvature))
+        return leibniz, others, curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
+
+    @cached_property
+    def cocycle_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
+        """The phi, psi and chi stages of the cocycle route, one
+        :func:`_read_affine` each of :meth:`_stage_residuals`, a row per
+        component: a stage's own digits are its unknowns, the earlier ones
+        its parameters, and a later stage's digits are refused."""
+        n_phi, n_psi, _ = self.entry_counts
+        bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
+        names = self._digit_names()
+        return tuple(
+            _read_affine(self.A.field, f"cocycle route, {part} stage", stage, lo, hi, names)
+            for part, (lo, hi), stage in zip(_STAGES, bounds, self._stage_residuals())
+        )
 
     @cached_property
     def _symbolic_extension(self) -> Algebra:
@@ -481,7 +497,7 @@ class CandidateSpace:
         :class:`_Poly` variable in its slot."""
         return build_extension(self._decode(_symbolic_digits(self.total_entries, self.p)))[0]
 
-    # cached: the extension stages and the Maurer-Cartan identity read it
+    # cached: the route identity and the Maurer-Cartan identity read it
     @cached_property
     def _symbolic_associators(self) -> Dict[Tuple[int, int, int], Vector]:
         """:func:`basis_associator` of :attr:`_symbolic_extension` at every
@@ -490,13 +506,64 @@ class CandidateSpace:
         triples = itertools.product(range(E.dim), repeat=3)
         return {t: basis_associator(E.field, E.dim, E.table, *t) for t in triples}
 
-    @cached_property
-    def extension_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
-        """The phi, psi and chi stages of the extension route, from the
-        :attr:`_symbolic_associators` of the triples of :func:`_stage_triples`."""
-        associators = self._symbolic_associators
-        residuals = [[(None, t, associators[t], "") for t in triples] for triples in _stage_triples(self)]
-        return self._read_stages("extension route", residuals)
+    def check_route_identity(self) -> None:
+        """Check that the rows of :attr:`cocycle_stages` are the associators
+        of the twisted product: the nonzero rows of the three stages, each
+        rebuilt from :attr:`_Affine._row_terms` as a polynomial in the
+        digits, and the nonzero components of :attr:`_symbolic_associators`
+        at every basis triple are one set of polynomials, each taken up to
+        sign.  An AAA component is the int 0, as A is associative.
+
+        Rebuilding the rows from the read, not from the generators, checks
+        the read along with the equations.  Equal sets have equal zero sets,
+        so the stages accept exactly the candidates whose twisted product is
+        associative, at every candidate.  Raises :class:`CrossCheckError`
+        naming the first row of either side that the other lacks: a stage
+        row by its residual's kind, witness and component, or an associator
+        by its basis triple and component."""
+        # a polynomial is the frozenset of its (monomial, coefficient) terms,
+        # coefficients in 1..p-1; an associator is kept with both signs
+        p = self.p
+        associators = []
+        signed = set()
+        for t, disc in self._symbolic_associators.items():
+            for k, value in enumerate(disc):
+                terms = _terms(value).items()
+                if terms:
+                    plus = frozenset((m, c % p) for m, c in terms)
+                    minus = frozenset((m, -c % p) for m, c in terms)
+                    associators.append((plus, minus, t, k))
+                    signed |= {plus, minus}
+        rows = set()
+        for part, stage in enumerate(self.cocycle_stages):
+            for row, row_terms in zip(stage.touched, stage._row_terms):
+                poly: Dict[Monomial, int] = {}
+                for k, l, c in row_terms:
+                    m = (k, l) if l >= 0 else (k,) if k >= 0 else ()
+                    poly[m] = poly.get(m, 0) + c
+                key = frozenset((m, r) for m, c in poly.items() if (r := c % p))
+                if key and key not in signed:
+                    raise CrossCheckError(
+                        f"route identity: {self._stage_row_label(part, row)} of the cocycle route's"
+                        f" {_STAGES[part]} stage is no associator of the twisted product, up to sign"
+                    )
+                rows.add(key)
+        for plus, minus, t, k in associators:
+            if plus not in rows and minus not in rows:
+                raise CrossCheckError(
+                    f"route identity: the associator at basis triple {t}, component {k},"
+                    " is no row of the cocycle route, up to sign"
+                )
+
+    def _stage_row_label(self, part: int, row: int) -> str:
+        """The :func:`_row_label` of row ``row`` of stage ``part``, counted
+        over every component of its residuals, zeros included: the
+        generators are evaluated again, so a label costs nothing until a
+        check fails."""
+        for kind, witness, disc, detail in self._stage_residuals()[part]:
+            if row < len(disc):
+                return _row_label(kind, witness, detail, row)
+            row -= len(disc)
 
     def _identity_sides(self) -> Iterator[Tuple[str, Sequence, Sequence, Callable[[int], str]]]:
         """The identities of :meth:`check_identities` in turn, each as its
@@ -622,9 +689,13 @@ class CandidateSpace:
 
     def sample_indices(self, count: int, seed: int) -> Tuple[int, ...]:
         """Deterministic uniform sample without replacement (sorted).  The
-        budget bounds a sample as it bounds an exhaustive run."""
+        budget bounds a sample as it bounds an exhaustive run.  A negative
+        seed is refused: :class:`random.Random` seeds with an int's absolute
+        value, so it would draw the sample of its positive twin."""
         import random
 
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative; a sample's seed is at least 0")
         if not 0 <= count <= self.total_candidates:
             raise ValueError(
                 f"sample size {count} is not between 0 and the"
@@ -688,27 +759,6 @@ def _fibre_chunk(
     return hits
 
 
-# the block pattern of a basis triple -> the stage that solves it: 0 for
-# phi, 1 for psi, 2 for chi.  AAA is the associativity of A.
-_STAGE_OF_PATTERN = {"BAA": 0, "AAB": 1, "ABA": 1, "BAB": 1, "BBA": 2, "ABB": 2, "BBB": 2}
-
-
-def _stage_triples(space: CandidateSpace) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
-    """The basis triples of A (+) B that decide phi, psi and chi in turn,
-    grouped by block pattern.  A triple's associator reads the twisted
-    product only through its blocks: a BAA associator is linear in phi and
-    reads nothing else; an AAB, ABA or BAB one is affine in psi once phi is
-    fixed and reads no chi; a BBA, ABB or BBB one is affine in chi once phi
-    and psi are fixed."""
-    split = SplitSpace(space.A.dim, space.B.dim)
-    stages: Tuple[List[Tuple[int, int, int]], ...] = ([], [], [])
-    for triple in itertools.product(range(split.dim), repeat=3):
-        stage = _STAGE_OF_PATTERN.get("".join(split.block_of(i) for i in triple))
-        if stage is not None:
-            stages[stage].append(triple)
-    return tuple(tuple(triples) for triples in stages)
-
-
 def _chunks(tasks: Sequence, parts: int) -> List[List]:
     n = max(1, -(-len(tasks) // parts))
     return [list(tasks[i : i + n]) for i in range(0, len(tasks), n)]
@@ -743,26 +793,6 @@ def _scan(space, stages, tasks, worker, jobs) -> List[Tuple]:
     return sorted(out, key=lambda hit: hit[0])
 
 
-def _solve(
-    space: CandidateSpace,
-    read: Callable[[], Sequence[_Affine]],
-    indices: Optional[Iterable[int]],
-    jobs: int,
-) -> List[Tuple[int, Sequence[int]]]:
-    """The ``(index, digits)`` of every candidate that all three stages
-    ``read()`` returns accept, in index order: the stages solved in turn on
-    an exhaustive run (``indices`` None; over the budget it raises
-    :class:`BudgetExceededError` before anything compiles), and tested row
-    by row on a sample.  The stages are read before a pool starts, so that
-    no worker compiles them."""
-    if indices is None:
-        space.exhaustive_indices()
-        stages = read()
-        return _scan(space, stages, stages[0].solutions(()), _fibre_chunk, jobs)
-    stages = read()
-    return _scan(space, stages, indices, _sample_chunk, jobs)
-
-
 def enumerate_cocycles(
     space: CandidateSpace,
     indices: Optional[Iterable[int]] = None,
@@ -772,45 +802,48 @@ def enumerate_cocycles(
     ``(index, cocycle)`` pairs: exactly the indices that
     :func:`is_valid_cocycle` accepts.
 
-    The stages are :attr:`CandidateSpace.cocycle_stages`, solved on an
-    exhaustive run (``indices`` None) and tested row by row on a sample, as
-    the module docstring describes; a fibre costs one elimination and no
-    generator call, and only the hits are decoded.
+    The stages are :attr:`CandidateSpace.cocycle_stages`, solved in turn on
+    an exhaustive run (``indices`` None; over the budget it raises
+    :class:`BudgetExceededError` before anything compiles) and tested row by
+    row on a sample, as the module docstring describes; a fibre costs one
+    elimination and no generator call, and only the hits are decoded.  The
+    stages are read before a pool starts, so that no worker compiles them.
+    The census adds the route identity, which makes these exactly the
+    candidates whose twisted product is associative.
     """
-    return [(i, space._decode(d)) for i, d in _solve(space, lambda: space.cocycle_stages, indices, jobs)]
+    if indices is None:
+        space.exhaustive_indices()
+        stages = space.cocycle_stages
+        hits = _scan(space, stages, stages[0].solutions(()), _fibre_chunk, jobs)
+    else:
+        hits = _scan(space, space.cocycle_stages, indices, _sample_chunk, jobs)
+    return [(i, space._decode(d)) for i, d in hits]
 
 
 def enumerate_extensions(
-    space: CandidateSpace,
-    indices: Optional[Iterable[int]] = None,
-    jobs: int = 1,
+    space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocycle]]
 ) -> List[Tuple[int, Algebra]]:
-    """All candidates whose twisted product is associative, in index order,
-    as ``(index, extension algebra)`` pairs, an algebra built for each hit
-    only.
-
-    This is the oracle of the cocycle route: its stages,
-    :attr:`CandidateSpace.extension_stages`, are read off the twisted-product
-    table and never off the cocycle equations.  They are solved on an
-    exhaustive run (``indices`` None) and tested row by row on a sample, as
-    the module docstring describes.  Each hit's digits are then written into
-    their slots of :attr:`CandidateSpace.extension_layout`, the table that
-    :func:`build_extension` writes, and tested on every basis triple,
-    numerically; a hit that fails raises :class:`CrossCheckError` with its
-    index and the triple.
-    """
-    hits = _solve(space, lambda: space.extension_stages, indices, jobs)
+    """The extension algebra of each ``(index, cocycle)`` of ``cocycles``,
+    in their order, tested numerically: the cocycle's digits are written
+    into their slots of :attr:`CandidateSpace.extension_layout`, the table
+    that :func:`build_extension` writes, and the table is tested on every
+    basis triple.  A table that is not associative raises
+    :class:`CrossCheckError` with the index, the triple and the verdict of
+    the unstaged equations, :func:`is_valid_cocycle`, which tells a solver
+    that kept a non-cocycle (they reject it) from equations that disagree
+    with associativity (they accept it)."""
     zero, slots = space.extension_layout
     table = list(zero.table)
     out = []
-    for index, digits in hits:
-        for slot, digit in zip(slots, digits):
+    for index, c in cocycles:
+        for slot, digit in zip(slots, c.phi.coeffs + c.psi.coeffs + c.chi.coeffs):
             table[slot] = digit
         witness = associativity_witness(zero.field, zero.dim, table)
         if witness is not None:
+            verdict = "accept" if is_valid_cocycle(c) else "reject"
             raise CrossCheckError(
-                f"staged extension route: candidate {index} is not associative"
-                f" at basis triple {witness}"
+                f"numeric hit test: cocycle {index} is not associative at basis triple {witness};"
+                f" the unstaged equations {verdict} it"
             )
         out.append((index, replace(zero, table=tuple(table))))
     return out
@@ -925,16 +958,19 @@ def census(
 
     ``indices`` restricts the run to a sample of distinct candidates, read
     once; a repeated index raises :class:`ValueError`.  A sample is not
-    closed under equivalence, so its report has no orbits.  Both routes
-    solve their stages on an exhaustive run and test a sample on them row by
-    row; when the routes disagree, :func:`is_valid_cocycle` is the oracle
-    that the mismatch message quotes.
+    closed under equivalence, so its report has no orbits.  The cocycle
+    route is solved once: its stages are solved on an exhaustive run and a
+    sample is tested on them row by row, after the budget check and the
+    route identity.
 
     A failed check raises :class:`CrossCheckError`, so a returned report has
     passed all of these:
 
-    - both routes found the same indices;
-    - the extension route's numeric associativity test of every hit;
+    - on every run, hit or no hit, the route identity of
+      :meth:`CandidateSpace.check_route_identity`: the rows that the run
+      solves are the twisted product's associators, up to sign;
+    - the numeric associativity test of every hit,
+      :func:`enumerate_extensions`;
     - once a hit is found, on a sample too, the four identities of
       :meth:`CandidateSpace.check_identities`;
     - on an exhaustive run, the checks of :func:`orbit_partition`, whose
@@ -944,27 +980,17 @@ def census(
     The numeric :func:`associator_residual`, :func:`gauge_closed_form` and
     :func:`section_cocycle` stay the routes of the CLI verbs.
     """
-    if indices is not None:
+    if indices is None:
+        # the budget, before the route identity compiles anything
+        space.exhaustive_indices()
+    else:
         indices = tuple(indices)
         if len(set(indices)) != len(indices):
             raise ValueError("census indices must be distinct")
+    space.check_route_identity()
     cocycles = enumerate_cocycles(space, indices, jobs)
-    extensions = enumerate_extensions(space, indices, jobs)
-
-    cocycle_idx = [i for i, _ in cocycles]
-    extension_idx = [i for i, _ in extensions]
-    if cocycle_idx != extension_idx:
-        only_c = sorted(set(cocycle_idx) - set(extension_idx))[:5]
-        only_e = sorted(set(extension_idx) - set(cocycle_idx))[:5]
-        # the unstaged equations tell a fault of the solver or the compiled
-        # row test from a disagreement between the equations and associativity
-        unstaged = [i for i in only_c + only_e if is_valid_cocycle(space.candidate(i))]
-        raise CrossCheckError(
-            f"cocycle/extension mismatch: valid-only {only_c}, "
-            f"associative-only {only_e}; the unstaged equations accept {unstaged}"
-        )
-
     if cocycles:
+        enumerate_extensions(space, cocycles)
         space.check_identities()
 
     return ClassificationReport(
@@ -973,6 +999,6 @@ def census(
         b_dim=space.B.dim,
         num_candidates=space.total_candidates,
         num_cocycles=len(cocycles),
-        cocycle_indices=tuple(cocycle_idx),
+        cocycle_indices=tuple(i for i, _ in cocycles),
         orbits=orbit_partition(space, cocycles) if indices is None else None,
     )

@@ -9,7 +9,8 @@ Exit codes: 0 success / check passed, 1 check failed (witness JSON on
 stdout), 2 input or usage error (message on stderr), 3 internal consistency
 failure (must never happen; message on stderr): a cross-check failed, such
 as mc-check's cocycle equations and Maurer-Cartan test disagreeing on one
-input, or the census's two routes finding different cocycles.
+input, or the census's cocycle rows differing from the twisted product's
+associators.
 """
 
 from __future__ import annotations

@@ -146,9 +146,12 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 # cocycle equations
 # ---------------------------------------------------------------------------
 
-# The five equations are the associator components of the twisted product.
-# EQ3 and EQ4 (the triples with one B factor, and B.A.B) never read the
-# curvature; EQ1, EQ2 and EQ5 are affine in it.  Each group is one lazy
+# The five equations are the associator components of the twisted product:
+# the census checks it once per space, as the route identity of
+# ``classify.CandidateSpace.check_route_identity``, which compares the rows
+# it solves with the symbolic associators, up to sign.  EQ3 and EQ4 (the
+# triples with one B factor, and B.A.B) never read the curvature; EQ1, EQ2
+# and EQ5 are affine in it.  Each group is one lazy
 # generator of residuals, every equation's discrepancy in a fixed order,
 # zeros included: :func:`check_cocycle` and :func:`is_valid_cocycle` keep the
 # nonzero ones, and the census solver runs each generator once per space on

@@ -201,7 +201,7 @@ def test_direct_sum_blocks_and_split():
     assert total.multiply(eb, eb) == eb
     assert is_zero_vector(total.multiply(ea, eb))
     assert is_zero_vector(total.multiply(eb, ea))
-    assert split.block_of(0) == "A" and split.block_of(1) == "B"
+    assert list(split.a_indices) == [0] and list(split.b_indices) == [1]
 
 
 def test_direct_sum_requires_common_field():

@@ -40,14 +40,13 @@ from nabext import (
     cocycle_to_mc,
     direct_sum_space,
     enumerate_cocycles,
-    enumerate_extensions,
     gauge_closed_form,
     is_mc,
     is_valid_cocycle,
     orbit_partition,
     ViolationKind,
 )
-from nabext.classify import worker_count
+from nabext.classify import enumerate_extensions, worker_count
 from nabext.exact_sequences import block_presentation, canonical_section, cocycle_from_section
 from nabext.cli import main
 from nabext.io_json import dumps_canonical, report_to_json
@@ -107,16 +106,19 @@ def test_every_enumerated_cocycle_is_maurer_cartan():
 
 
 def test_extension_route_agrees_with_cocycle_route():
+    # the solved cocycles are the candidates whose build_extension algebra
+    # is associative, each swept one by one, and every hit passes the
+    # numeric test
     for a2, b2 in itertools.product(("zero", "idem"), repeat=2):
         space = _space(a2, b2)
-        assert [i for i, _ in enumerate_cocycles(space)] == [
-            i for i, _ in enumerate_extensions(space)
-        ]
+        cocycles = enumerate_cocycles(space)
+        swept = _associative_hits(space, space.exhaustive_indices())
+        assert enumerate_extensions(space, cocycles) == swept
 
 
 def test_extension_enumeration_members():
     space = _space()
-    exts = enumerate_extensions(space)
+    exts = enumerate_extensions(space, enumerate_cocycles(space))
     assert all(e.is_associative() for _, e in exts)
     tables = {e.table for _, e in exts}
     built = {build_extension(c)[0].table for _, c in enumerate_cocycles(space)}
@@ -143,7 +145,9 @@ def test_an_over_budget_cocycle_route_raises_before_compiling(monkeypatch):
     space = _space(budget=4)
     with pytest.raises(BudgetExceededError):
         enumerate_cocycles(space)
-    assert "cocycle_stages" not in space.__dict__
+    with pytest.raises(BudgetExceededError):
+        census(space)
+    assert "cocycle_stages" not in space.__dict__ and "_symbolic_associators" not in space.__dict__
 
 
 def test_sampling_is_deterministic_and_in_range():
@@ -180,14 +184,14 @@ def two_cpus(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scans_return_the_decoded_hits(two_cpus, jobs):
     # A = zero(2) satisfies phi(b, a1 a2) = phi(b, a1) a2 for every phi, so
-    # the solver hands out all 3^4 = 81 phi and the oracle 3^10 indices:
-    # both routes have at least 64 tasks, so with two jobs each scan splits
-    # over a 2-worker pool
+    # the solver hands out all 3^4 = 81 phi: at least 64 tasks, so with two
+    # jobs the scan splits over a 2-worker pool.  The numeric test of the
+    # hits runs in the parent
     space = CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
     assert space.entry_counts[0] == 4 and space.total_candidates == 3 ** 10
     cocycles = enumerate_cocycles(space, jobs=jobs)
-    extensions = enumerate_extensions(space, jobs=jobs)
-    assert two_cpus.started == (2 if jobs == 2 else 0)
+    extensions = enumerate_extensions(space, cocycles)
+    assert two_cpus.started == (1 if jobs == 2 else 0)
     assert cocycles and [i for i, _ in cocycles] == [i for i, _ in extensions]
     for i, c in cocycles:
         assert c == space.candidate(i)
@@ -195,11 +199,12 @@ def test_scans_return_the_decoded_hits(two_cpus, jobs):
         assert ext == build_extension(space.candidate(i))[0]
 
 
-def test_staged_extension_route_hands_out_phi_points_to_a_pool(two_cpus, monkeypatch):
-    # A = zero(2) makes every BAA associator vanish, so the staged oracle
-    # hands out all 3^4 = 81 phi points: with two jobs a 2-worker pool
-    # takes them, and the hits are the sweep's
+def test_census_hands_out_phi_points_to_one_pool(two_cpus, monkeypatch):
+    # A = zero(2) leaves the phi stage without a row, so the census hands
+    # out all 3^4 = 81 phi points to one scan: with two jobs a 2-worker pool
+    # takes them, and the hits are those of the row test of every index
     space = CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
+    swept = tuple(i for i, _ in enumerate_cocycles(space, space.exhaustive_indices()))
     handed = []
     scan = classify._scan
 
@@ -209,9 +214,9 @@ def test_staged_extension_route_hands_out_phi_points_to_a_pool(two_cpus, monkeyp
         return scan(sp, stages, tasks, worker, jobs)
 
     monkeypatch.setattr(classify, "_scan", counted)
-    staged = enumerate_extensions(space, jobs=2)
+    report = census(CandidateSpace(space.A, space.B), jobs=2)
     assert handed == [("_fibre_chunk", 81)] and two_cpus.started == 1
-    assert staged == enumerate_extensions(space, space.exhaustive_indices())
+    assert report.cocycle_indices == swept and len(swept) == 284
 
 
 def _diag2(field):
@@ -231,11 +236,12 @@ _SCATTER_SPACES = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(_SCATTER_SPACES))
 def test_scattered_tables_are_build_extension_tables(two_cpus, name, jobs):
-    # every index, swept one by one: the sweep keeps exactly the associative
-    # twisted products, and each hit is build_extension's algebra
+    # every index, tested one by one on the rows: the row test keeps
+    # exactly the associative twisted products, and each hit's scattered
+    # table is build_extension's algebra
     space = CandidateSpace(*_SCATTER_SPACES[name])
     built = {i: build_extension(space.candidate(i))[0] for i in space.exhaustive_indices()}
-    hits = enumerate_extensions(space, space.exhaustive_indices(), jobs=jobs)
+    hits = enumerate_extensions(space, enumerate_cocycles(space, space.exhaustive_indices(), jobs=jobs))
     assert two_cpus.started == (1 if jobs == 2 and space.total_candidates >= 64 else 0)
     for i, ext in hits:
         assert ext == built[i]
@@ -268,22 +274,74 @@ def test_a_swapped_layout_fails_the_layout_identity():
         space.check_identities()
 
 
-def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch):
+def test_a_stage_that_drops_a_triple_trips_the_census(monkeypatch, capsys):
     # a^2 = 0, b^2 = b: the BBB associator is chi (psi - phi) a, so it is
-    # the only chi-stage triple that rejects candidates 5 (phi 1, psi 0,
-    # chi 1) and 6 (phi 0, psi 1, chi 1); a chi stage without it lets both
-    # through, and the full check of the hits, in index order, names the
-    # first and the triple
+    # the only triple that rejects candidates 5 (phi 1, psi 0, chi 1) and 6
+    # (phi 0, psi 1, chi 1).  Symbolic associators without it no longer
+    # hold the EQ5 row chi (phi + psi), and the route identity names that
+    # row before the scan, on an exhaustive run and on a sample, and
+    # nabext census exits 3
     space = _space()
-    phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
-    assert chi_triples[-1] == (1, 1, 1)
-    monkeypatch.setattr(
-        classify, "_stage_triples", lambda sp: (phi_triples, psi_triples, chi_triples[:-1])
-    )
-    with pytest.raises(CrossCheckError, match=r"candidate 5 is not associative at basis triple \(1, 1, 1\)"):
-        census(space)
+    assert classify._terms(space._symbolic_associators[(1, 1, 1)][0]) == {(0, 2): 1, (1, 2): 1}
     for i in (5, 6):
         assert build_extension(space.candidate(i))[0].associativity_witness() == (1, 1, 1)
+
+    def dropped(space, associators):
+        return {t: v for t, v in associators.items() if t != (1, 1, 1)}
+
+    _edit_cached(monkeypatch, "_symbolic_associators", dropped)
+    message = (
+        "route identity: residual eq5_chi_cocycle at (0, 0, 0), component 0, of the cocycle"
+        " route's chi stage is no associator of the twisted product, up to sign"
+    )
+    _trips_before_the_scan(monkeypatch, capsys, message, _space(), None, ["--field", "F2"])
+    argv = ["--field", "F2", "--sample", "4", "--seed", "1"]
+    _trips_before_the_scan(monkeypatch, capsys, message, _space(), [5, 6], argv)
+
+
+def _signed_rows(space):
+    """The nonzero cocycle-stage rows and the nonzero symbolic associators
+    of ``space``, each a set of sorted ``(monomial, coefficient)`` terms,
+    signs kept."""
+    p = space.p
+    associators = set()
+    for disc in space._symbolic_associators.values():
+        associators |= {tuple(sorted(classify._terms(v).items())) for v in disc if v != 0}
+    rows = set()
+    for stage in space.cocycle_stages:
+        for row in stage._row_terms:
+            poly = {}
+            for k, l, c in row:
+                m = tuple(v for v in (k, l) if v >= 0)
+                poly[m] = (poly.get(m, 0) + c) % p
+            rows.add(tuple(sorted((m, c) for m, c in poly.items() if c)))
+    return rows, associators
+
+
+def test_the_route_identity_holds_on_every_small_pair():
+    # every pair of the helper algebras with dim A + dim B <= 5, over F2, F3
+    # and F5: the cocycle rows are the twisted product's associators, up to
+    # sign.  Over F3 the sign matters: on the zero/idem lines a row is the
+    # negative of an associator and not the associator itself
+    builders = (
+        lambda f: line_algebra(f, "zero"),
+        lambda f: line_algebra(f, "idem"),
+        trunc_poly2,
+        trunc_poly3,
+        lambda f: zero_algebra(f, 2),
+        left_unit2,
+        upper_triangular2,
+    )
+    checked = 0
+    for field in (GF2, GF3, _GF5):
+        for make_a, make_b in itertools.product(builders, repeat=2):
+            a, b = make_a(field), make_b(field)
+            if a.dim + b.dim <= 5:
+                CandidateSpace(a, b).check_route_identity()
+                checked += 1
+    assert checked == 135
+    rows, associators = _signed_rows(CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")))
+    assert len(rows) == len(associators) == 3 and len(rows - associators) == 1
 
 
 def _patched(monkeypatch, edit):
@@ -298,12 +356,19 @@ def _patched(monkeypatch, edit):
     monkeypatch.setattr(classify, "build_extension", built)
 
 
+_EQ1_UNMATCHED = (
+    "route identity: residual eq1_left_twist at (0, 0, 0), component 0, of the cocycle route's"
+    " chi stage is no associator of the twisted product, up to sign"
+)
+
+
 def test_a_twist_written_twice_trips_the_census(monkeypatch):
     # a twisted product in which the chi digit also lands in the AA slot 0:
-    # the extension route's psi stage reads chi, a later stage's digit
+    # its associators are no longer the cocycle rows, and the route
+    # identity names the first row it lacks
     space = _space()
     _patched(monkeypatch, lambda c, held: held + c.chi.coeffs[0])
-    with pytest.raises(CrossCheckError, match=r"psi stage: .* psi\[0\]\*chi\[0\] in a later stage's digit"):
+    with pytest.raises(CrossCheckError, match=f"^{re.escape(_EQ1_UNMATCHED)}$"):
         census(space)
 
 
@@ -319,11 +384,12 @@ def test_a_product_of_two_digits_in_a_slot_trips_the_census(monkeypatch):
 
 def test_a_constant_slot_that_differs_trips_the_census(monkeypatch):
     # a twisted product whose digit-free slot 0 holds 1 once chi is not the
-    # number 0 (the symbolic chi is a variable, not 0): the extension route
-    # solves another table than the numeric one, and the routes disagree
+    # number 0 (the symbolic chi is a variable, not 0): the symbolic table
+    # is another than the numeric one, and its associators are no longer
+    # the cocycle rows
     space = _space()
     _patched(monkeypatch, lambda c, held: held if c.chi.coeffs[0] == 0 else 1 - held)
-    with pytest.raises(CrossCheckError, match=r"cocycle/extension mismatch: valid-only \[1, 2, 4, 7\]"):
+    with pytest.raises(CrossCheckError, match=f"^{re.escape(_EQ1_UNMATCHED)}$"):
         census(space)
 
 
@@ -344,13 +410,14 @@ def test_twist_slots_are_the_a_valued_cross_slots():
         if a.dim + b.dim > 5:
             continue
         base, split = direct_sum_space(a, b)
+        block = lambda i: "A" if i in split.a_indices else "B"
         slots = nonabelian.twist_slots(split)
         assert len(set(slots)) == len(slots) == CandidateSpace(a, b).total_entries
         for slot in slots:
             pair, k = divmod(slot, split.dim)
             i, j = divmod(pair, split.dim)
-            assert split.block_of(i) + split.block_of(j) in ("BA", "AB", "BB")
-            assert split.block_of(k) == "A"
+            assert block(i) + block(j) in ("BA", "AB", "BB")
+            assert block(k) == "A"
             assert base.table[slot] == 0
 
 
@@ -404,16 +471,16 @@ def test_solver_evaluates_fewer_twist_residuals_than_pairs(monkeypatch):
         monkeypatch.setattr(nonabelian, name, counted(name))
     hits = enumerate_cocycles(space)
     assert calls == {"twist_residuals": 1, "curvature_residuals": 1}
-    assert [i for i, _ in hits] == [i for i, _ in enumerate_extensions(space)]
+    assert [i for i, _ in hits] == [i for i, _ in _associative_hits(space, space.exhaustive_indices())]
     assert len({c.phi.coeffs for _, c in hits}) > 1
 
 
 def test_oracle_evaluates_numeric_associators_only_to_check_its_hits(monkeypatch):
-    # deterministic work count: the staged oracle reads its stage systems
-    # off one symbolic pass, so the only associators it evaluates on numbers
-    # are the full checks of its hits, at most dim^3 per hit
+    # deterministic work count: the route identity reads the associators
+    # off one symbolic pass, so the only associators the census evaluates
+    # on numbers are the full checks of its hits, at most dim^3 per hit
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
-    space.extension_stages
+    space.check_route_identity()
     numeric = []
     real = algebra.basis_associator
 
@@ -423,7 +490,7 @@ def test_oracle_evaluates_numeric_associators_only_to_check_its_hits(monkeypatch
 
     monkeypatch.setattr(classify, "basis_associator", counted)
     monkeypatch.setattr(algebra, "basis_associator", counted)
-    hits = enumerate_extensions(space)
+    hits = enumerate_extensions(space, enumerate_cocycles(space))
     dim = space.A.dim + space.B.dim
     assert hits and 0 < len(numeric) <= dim ** 3 * len(hits)
 
@@ -461,11 +528,9 @@ def _associators(space, table, triples):
     return tuple(v for t in triples for v in algebra.basis_associator(zero.field, zero.dim, table, *t))
 
 
-def _stage_values(space, route, stage, digits):
-    """What the probes of a stage read: the generator's residuals, or the
-    stage associators of the scattered table, at the digits ``digits``."""
-    if route == "extension":
-        return _associators(space, _scattered(space, digits), classify._stage_triples(space)[stage])
+def _stage_values(space, stage, digits):
+    """What the probes of a stage read: the generator's residuals at the
+    digits ``digits``."""
     phi, psi, chi = _twists(space, digits)
     if stage == 2:
         return _stack(nonabelian.curvature_residuals(space.A, space.B, phi, psi, chi))
@@ -514,10 +579,10 @@ def test_symbolic_equations_evaluate_to_the_numeric_ones(case):
     assert evaluated(_stack(nonabelian.curvature_residuals(A, B, phi, psi, chi))) == _stack(
         nonabelian.curvature_residuals(A, B, phi_x, psi_x, chi_x)
     )
-    for triples in classify._stage_triples(space):
-        assert evaluated(_associators(space, _scattered(space, symbolic), triples)) == _associators(
-            space, _scattered(space, digits), triples
-        )
+    triples = list(itertools.product(range(space.A.dim + space.B.dim), repeat=3))
+    assert evaluated(_associators(space, _scattered(space, symbolic), triples)) == _associators(
+        space, _scattered(space, digits), triples
+    )
 
 
 def _on_touched(system, values):
@@ -537,18 +602,17 @@ def test_stage_systems_are_the_probes_of_their_generators(case):
     # zero row
     space, digits = case
     field = space.A.field
-    for route, stages in (("cocycle", space.cocycle_stages), ("extension", space.extension_stages)):
-        for stage, ((lo, hi), system) in enumerate(zip(_bounds(space), stages)):
-            fixed, later = digits[:lo], (0,) * (space.total_entries - hi)
-            rows = system.at(fixed)
-            if not system.touched:
-                assert rows == [(0,) * (hi - lo + 1)]
-                rows = []
-            r0 = _stage_values(space, route, stage, fixed + (0,) * (hi - lo) + later)
-            assert vec_neg(field, tuple(row[-1] for row in rows)) == _on_touched(system, r0)
-            for j, unit in enumerate(identity_matrix(field, hi - lo)):
-                column = vec_sub(field, _stage_values(space, route, stage, fixed + unit + later), r0)
-                assert tuple(row[j] for row in rows) == _on_touched(system, column)
+    for stage, ((lo, hi), system) in enumerate(zip(_bounds(space), space.cocycle_stages)):
+        fixed, later = digits[:lo], (0,) * (space.total_entries - hi)
+        rows = system.at(fixed)
+        if not system.touched:
+            assert rows == [(0,) * (hi - lo + 1)]
+            rows = []
+        r0 = _stage_values(space, stage, fixed + (0,) * (hi - lo) + later)
+        assert vec_neg(field, tuple(row[-1] for row in rows)) == _on_touched(system, r0)
+        for j, unit in enumerate(identity_matrix(field, hi - lo)):
+            column = vec_sub(field, _stage_values(space, stage, fixed + unit + later), r0)
+            assert tuple(row[j] for row in rows) == _on_touched(system, column)
 
 
 @settings(deadline=None, max_examples=30)
@@ -559,18 +623,17 @@ def test_both_specialisations_of_a_read_agree(case, rng):
     # where that image is nonzero, and true at a solution of the stage
     space, digits = case
     field = space.A.field
-    for stages in (space.cocycle_stages, space.extension_stages):
-        for (lo, hi), stage in zip(_bounds(space), stages):
-            rows = stage.at(digits[:lo])
+    for (lo, hi), stage in zip(_bounds(space), space.cocycle_stages):
+        rows = stage.at(digits[:lo])
 
-            def image(x):
-                linear = mat_vec(field, tuple(row[:-1] for row in rows), x)
-                return tuple(field.sub(v, row[-1]) for v, row in zip(linear, rows, strict=True))
+        def image(x):
+            linear = mat_vec(field, tuple(row[:-1] for row in rows), x)
+            return tuple(field.sub(v, row[-1]) for v, row in zip(linear, rows, strict=True))
 
-            x = tuple(field.random(rng) for _ in range(hi - lo))
-            assert stage.vanishes_at(digits[:lo] + x + digits[hi:]) == (not any(image(x)))
-            for y in itertools.islice(stage.solutions(digits[:lo]), 1):
-                assert not any(image(y)) and stage.vanishes_at(digits[:lo] + y + digits[hi:])
+        x = tuple(field.random(rng) for _ in range(hi - lo))
+        assert stage.vanishes_at(digits[:lo] + x + digits[hi:]) == (not any(image(x)))
+        for y in itertools.islice(stage.solutions(digits[:lo]), 1):
+            assert not any(image(y)) and stage.vanishes_at(digits[:lo] + y + digits[hi:])
 
 
 def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):
@@ -599,30 +662,33 @@ def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, caps
 
 
 def test_a_stage_that_reads_a_later_digit_is_refused(monkeypatch):
-    # the BBB triple, whose associator chi (psi - phi) a reads chi, moved
-    # into the psi stage
-    space = _space()
-    phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
-    monkeypatch.setattr(
-        classify, "_stage_triples", lambda sp: (phi_triples, psi_triples + chi_triples[-1:], chi_triples)
-    )
+    # the last curvature residual, the EQ5 row chi (phi + psi), moved into
+    # the psi stage
+    real = CandidateSpace._stage_residuals
+
+    def moved(space):
+        leibniz, others, curvature = real(space)
+        curvature = list(curvature)
+        return leibniz, others + curvature[-1:], curvature[:-1]
+
+    monkeypatch.setattr(CandidateSpace, "_stage_residuals", moved)
     message = (
-        r"extension route, psi stage: residual associator at basis triple \(1, 1, 1\),"
-        r" component 0, has the term (phi|psi)\[0\]\*chi\[0\] in a later stage's digit"
+        r"cocycle route, psi stage: residual eq5_chi_cocycle at \(0, 0, 0\),"
+        r" component 0, has the term phi\[0\]\*chi\[0\] in a later stage's digit"
     )
     with pytest.raises(CrossCheckError, match=message):
-        census(space)
+        census(_space())
 
 
 def _squared_in(real, stage, detail):
-    """The twist residual generator ``real`` with the square of the first
-    digit of ``stage`` (0 for phi, 1 for psi) added to the last component of
-    its first residual whose detail is ``detail``."""
+    """The residual generator ``real`` with the square of the first digit of
+    ``stage`` (0 for phi, 1 for psi, 2 for chi) added to the last component
+    of its first residual whose detail is ``detail``."""
 
-    def planted(A, B, phi, psi):
-        x = (phi, psi)[stage].coeffs[0]
+    def planted(A, B, *twists):
+        x = twists[stage].coeffs[0]
         done = False
-        for kind, witness, disc, found in real(A, B, phi, psi):
+        for kind, witness, disc, found in real(A, B, *twists):
             if found == detail and not done:
                 disc, done = disc[:-1] + (A.field.add(disc[-1], A.field.mul(x, x)),), True
             yield kind, witness, disc, found
@@ -630,20 +696,18 @@ def _squared_in(real, stage, detail):
     return planted
 
 
-@pytest.mark.parametrize("route,stage", [("cocycle", "phi"), ("cocycle", "psi"), ("extension", "phi")])
+@pytest.mark.parametrize("route,stage", [("cocycle", "phi"), ("cocycle", "psi"), ("cocycle", "chi")])
 def test_a_refused_term_names_its_row(monkeypatch, route, stage):
-    # the row label of a refusal, byte for byte: a phi or psi square planted
-    # in a twist residual with a detail and one without, and a psi triple
-    # moved into the extension route's phi stage, on F2 zero(2)/idem line,
-    # whose residuals have two components
+    # the row label of a refusal, byte for byte: a phi, psi or chi square
+    # planted in a twist residual with a detail, one without, and a
+    # curvature residual, on F2 zero(2)/idem line, whose residuals have two
+    # components
     space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
-    if route == "extension":
-        phi_triples, psi_triples, chi_triples = classify._stage_triples(space)
-        moved = (phi_triples + psi_triples[-1:], psi_triples[:-1], chi_triples)
-        monkeypatch.setattr(classify, "_stage_triples", lambda sp: moved)
+    if stage == "chi":
+        monkeypatch.setattr(classify, "curvature_residuals", _squared_in(nonabelian.curvature_residuals, 2, ""))
         message = (
-            "extension route, phi stage: residual associator at basis triple (2, 1, 2),"
-            " component 0, has the term phi[1]*psi[0] in a later stage's digit"
+            "cocycle route, chi stage: residual eq1_left_twist at (0, 0, 0),"
+            " component 1, has the term chi[0]*chi[0] of degree 2 in the unknowns"
         )
     elif stage == "phi":
         monkeypatch.setattr(classify, "twist_residuals", _squared_in(nonabelian.twist_residuals, 0, "phi_leibniz"))
@@ -667,7 +731,7 @@ def _refuse(*args):
 
 
 def test_pool_census_reads_the_stage_systems_of_the_parent(two_cpus, monkeypatch):
-    # F3 zero(2)/idem line: both routes hand 81 phi points to a 2-worker
+    # F3 zero(2)/idem line: the census hands 81 phi points to a 2-worker
     # pool.  The workers get the stage systems with the pickled space: one
     # that read an equation or the layout again would fail
     def space():
@@ -685,7 +749,7 @@ def test_pool_census_reads_the_stage_systems_of_the_parent(two_cpus, monkeypatch
 
     monkeypatch.setattr(classify, "_scan", scan_without_equations)
     pooled = dumps_canonical(report_to_json(census(space(), jobs=2), GF3))
-    assert two_cpus.started == 2
+    assert two_cpus.started == 1
     assert pooled == serial
 
 
@@ -762,17 +826,15 @@ def _small_spaces(draw):
 @settings(deadline=None, max_examples=60)
 @given(_small_spaces())
 def test_solver_matches_the_extension_sweep(space):
-    # three routes: the solved cocycles, the extensions solved by block
-    # pattern and the per-index sweep keep the same indices; each solved
-    # cocycle is the decoded candidate of its index, and each staged hit
-    # is build_extension's algebra
+    # the solved cocycles are the row test's hits among every index, and
+    # the route identity makes those rows the associators of the twisted
+    # product; each solved cocycle is the decoded candidate of its index,
+    # and each hit's scattered table is build_extension's algebra
     cocycles = enumerate_cocycles(space)
-    staged = enumerate_extensions(space)
-    swept = enumerate_extensions(space, space.exhaustive_indices())
-    assert [i for i, _ in cocycles] == [i for i, _ in staged]
-    assert staged == swept
+    assert cocycles == enumerate_cocycles(space, space.exhaustive_indices())
+    space.check_route_identity()
     assert all(c == space.candidate(i) for i, c in cocycles)
-    assert all(ext == build_extension(space.candidate(i))[0] for i, ext in staged)
+    assert all(ext == build_extension(space.candidate(i))[0] for i, ext in enumerate_extensions(space, cocycles))
 
 
 def test_staged_scan_rejects_out_of_range_indices():
@@ -781,25 +843,29 @@ def test_staged_scan_rejects_out_of_range_indices():
     space = _space()
     for bad in (-1, space.total_candidates):
         for indices in ([0, bad], [bad]):
-            for route in (enumerate_cocycles, enumerate_extensions):
+            for route in (enumerate_cocycles, lambda sp, idx: census(sp, indices=idx)):
                 with pytest.raises(IndexError, match=f"^candidate index {bad} out of range$"):
                     route(space, indices)
 
 
 def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):
-    # a solver worker that drops a hit of the cocycle route trips the
-    # cross-check, and the message says the unstaged equations accept the
-    # lost candidate
+    # a solver worker that keeps a candidate whose twisted product is not
+    # associative trips the numeric test of the hits, and the message says
+    # that the unstaged equations reject it: the solver is at fault
     space = _space()
-    lost = enumerate_cocycles(space)[-1][0]
+    extra = 5
+    assert extra not in census(_space()).cocycle_indices
     solve_fibres = classify._fibre_chunk
 
-    def dropping(sp, stages, phis):
-        hits = solve_fibres(sp, stages, phis)
-        return [hit for hit in hits if hit[0] != lost or stages is not sp.cocycle_stages]
+    def adding(sp, stages, phis):
+        return solve_fibres(sp, stages, phis) + [(extra, sp._digits(extra))]
 
-    monkeypatch.setattr(classify, "_fibre_chunk", dropping)
-    with pytest.raises(CrossCheckError, match=rf"associative-only \[{lost}\]; the unstaged equations accept \[{lost}\]"):
+    monkeypatch.setattr(classify, "_fibre_chunk", adding)
+    message = (
+        rf"^numeric hit test: cocycle {extra} is not associative at basis triple \(1, 1, 1\);"
+        r" the unstaged equations reject it$"
+    )
+    with pytest.raises(CrossCheckError, match=message):
         census(space)
 
 
@@ -1023,8 +1089,8 @@ def _work_count_spaces():
 
 def _once_in_the_parent(monkeypatch, two_cpus, name, real):
     """Patch ``name`` in :mod:`nabext.classify` with ``real`` counted and
-    refused outside this process, then census F3 zero(2)/idem line, whose
-    routes hand 81 phi points to a scan, at ``jobs`` 1 and 2: the second
+    refused outside this process, then census F3 zero(2)/idem line, which
+    hands 81 phi points to a scan, at ``jobs`` 1 and 2: the second
     starts a pool, and either calls ``name`` once, in the parent."""
     parent, calls = os.getpid(), []
 
@@ -1036,7 +1102,7 @@ def _once_in_the_parent(monkeypatch, two_cpus, name, real):
 
     monkeypatch.setattr(classify, name, counted)
     space = CandidateSpace(zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b"))
-    for jobs, pools in ((1, 0), (2, 2)):
+    for jobs, pools in ((1, 0), (2, 1)):
         calls.clear()
         assert census(CandidateSpace(space.A, space.B), jobs=jobs).num_cocycles == 284
         assert len(calls) == 1 and two_cpus.started == pools
@@ -1152,7 +1218,7 @@ def test_every_golden_census_report_is_consistent(path):
 
 def test_census_reads_the_indices_once():
     # zero/idem lines over F2: of 1, 3 and 5, the cocycles are 1 and 3; an
-    # iterator is read once, for both routes
+    # iterator is read once, before the route identity and the scan
     assert census(_space(), indices=iter([1, 3, 5])).cocycle_indices == (1, 3)
     assert census(_space(), indices=(5, 3, 1)).cocycle_indices == (1, 3)
 
@@ -1191,15 +1257,16 @@ def _golden_cocycles(name):
 
 def test_the_row_test_is_the_unstaged_oracle_on_every_candidate_of_the_benchmark_spaces():
     # every index of the eleven exhaustive benchmark spaces, tested as a
-    # sample on the compiled rows, gets is_valid_cocycle's verdict on the
-    # cocycle stages and build_extension's associativity on the extension
-    # stages, each hit with build_extension's algebra
+    # sample on the compiled rows, gets is_valid_cocycle's verdict and
+    # build_extension's associativity, each hit with build_extension's
+    # algebra
     total = 0
     for A, B in list(_GOLDEN_CENSUS_SPACES.values())[:11]:
         space = CandidateSpace(A, B)
         every = space.exhaustive_indices()
-        assert enumerate_cocycles(space, every) == _unstaged_hits(space, every)
-        assert enumerate_extensions(space, every) == _associative_hits(space, every)
+        hits = enumerate_cocycles(space, every)
+        assert hits == _unstaged_hits(space, every)
+        assert enumerate_extensions(space, hits) == _associative_hits(space, every)
         total += len(every)
     assert total == 5950
 
@@ -1212,7 +1279,7 @@ def test_the_row_test_is_the_unstaged_oracle_on_a_sixteen_million_candidate_spac
     hits = enumerate_cocycles(space, indices)
     assert hits == _unstaged_hits(space, indices)
     assert len(hits) >= 472
-    assert enumerate_extensions(space, indices) == _associative_hits(space, indices)
+    assert enumerate_extensions(space, hits) == _associative_hits(space, indices)
 
 
 def _sample_with_cocycles():
@@ -1226,7 +1293,7 @@ def _sample_with_cocycles():
 
 
 def test_a_pooled_sample_is_the_serial_one(two_cpus, monkeypatch):
-    # 100 indices: both routes hand them to a 2-worker pool, whose workers
+    # 100 indices: the census hands them to a 2-worker pool, whose workers
     # get the compiled rows with the pickled space and evaluate no equation
     space, indices = _sample_with_cocycles()
     serial = census(space, indices=indices)
@@ -1241,67 +1308,93 @@ def test_a_pooled_sample_is_the_serial_one(two_cpus, monkeypatch):
 
     monkeypatch.setattr(classify, "_scan", scan_without_equations)
     pooled = census(CandidateSpace(space.A, space.B), jobs=2, indices=indices)
-    assert two_cpus.started == 2
+    assert two_cpus.started == 1
     assert dumps_canonical(report_to_json(pooled, GF2)) == dumps_canonical(report_to_json(serial, GF2))
 
 
-def test_a_constant_row_in_the_cocycle_stages_trips_a_sampled_census(monkeypatch):
-    # 1 planted as the constant of the first psi-stage row rejects every
-    # candidate on the compiled rows: the extension route keeps the sampled
-    # cocycles, and the message says the unstaged equations accept them
-    space, indices = _sample_with_cocycles()
-    phi_stage, psi_stage, chi_stage = space.cocycle_stages
-    constant = ((), ((psi_stage.hi - psi_stage.lo, 1),))
-    planted = (phi_stage, replace(psi_stage, terms=psi_stage.terms + (constant,)), chi_stage)
-    monkeypatch.setitem(space.__dict__, "cocycle_stages", planted)
-    first = ", ".join(map(str, sorted(set(indices) & set(_golden_cocycles("F2-zero2-unit2")))[:5]))
-    message = rf"^cocycle/extension mismatch: valid-only \[\], associative-only \[{first}\]"
-    message += rf"; the unstaged equations accept \[{first}\]$"
-    with pytest.raises(CrossCheckError, match=message):
+def _edit_cached(monkeypatch, name, edit):
+    """Replace the cached property ``name`` of :class:`CandidateSpace` by one
+    whose value is ``edit(space, value)`` of the real one's, so that every
+    space, the CLI's too, reads the edited value."""
+    real = vars(CandidateSpace)[name].func
+    edited = functools.cached_property(lambda space: edit(space, real(space)))
+    edited.__set_name__(CandidateSpace, name)
+    monkeypatch.setattr(CandidateSpace, name, edited)
+
+
+def _plant_in_chi_stage(space, stages):
+    """The cocycle stages with 1 planted in the constant of the first
+    chi-stage row."""
+    phi_stage, psi_stage, chi_stage = stages
+    constant = ((), ((chi_stage.hi - chi_stage.lo, 1),))
+    return phi_stage, psi_stage, replace(chi_stage, terms=chi_stage.terms + (constant,))
+
+
+def _trips_before_the_scan(monkeypatch, capsys, message, space, indices, argv):
+    """``census(space, indices=indices)`` raises ``message`` and
+    ``nabext census`` with ``argv`` exits 3 with that one line, neither
+    reaching the scan."""
+    monkeypatch.setattr(classify, "_scan", _refuse)
+    with pytest.raises(CrossCheckError, match=f"^{re.escape(message)}$"):
         census(space, indices=indices)
+    assert main(["census", *argv]) == 3
+    assert capsys.readouterr() == ("", f"internal inconsistency: {message}\n")
 
 
-def test_a_constant_row_in_the_extension_stages_trips_a_sampled_census(monkeypatch, capsys):
-    # 1 planted as the constant of the first chi-stage row of the extension
-    # route rejects every candidate on its rows: the cocycle route keeps the
-    # sampled cocycles, the message says the unstaged equations accept them,
-    # and the CLI exits 3
-    read = CandidateSpace._read_stages
-
-    def planted(space, route, residuals):
-        phi_stage, psi_stage, chi_stage = read(space, route, residuals)
-        if route == "extension route":
-            constant = ((), ((chi_stage.hi - chi_stage.lo, 1),))
-            chi_stage = replace(chi_stage, terms=chi_stage.terms + (constant,))
-        return phi_stage, psi_stage, chi_stage
-
-    monkeypatch.setattr(CandidateSpace, "_read_stages", planted)
+def test_a_constant_row_in_the_cocycle_stages_trips_a_sampled_census(monkeypatch, capsys):
+    # 1 planted as the constant of the first chi-stage row: the rows are no
+    # longer the associators, so the route identity names the row, before
+    # the scan, on a sample with cocycles, on an exhaustive run, and in
+    # nabext census, which exits 3
+    _edit_cached(monkeypatch, "cocycle_stages", _plant_in_chi_stage)
     space, indices = _sample_with_cocycles()
-    first = ", ".join(map(str, sorted(set(indices) & set(_golden_cocycles("F2-zero2-unit2")))[:5]))
-    message = rf"^cocycle/extension mismatch: valid-only \[{first}\], associative-only \[\]"
-    message += rf"; the unstaged equations accept \[{first}\]$"
-    with pytest.raises(CrossCheckError, match=message):
-        census(space, indices=indices)
-    assert main(["census", "--field", "F2", "--a2", "zero", "--b2", "idem", "--sample", "8", "--seed", "0"]) == 3
-    err = capsys.readouterr().err
-    assert "cocycle/extension mismatch" in err and "Traceback" not in err
+    argv = ["--field", "F2", "--sample", "4", "--seed", "1"]
+    _trips_before_the_scan(monkeypatch, capsys, _EQ1_UNMATCHED, space, indices, argv)
+    _trips_before_the_scan(monkeypatch, capsys, _EQ1_UNMATCHED, _space(), None, ["--field", "F2"])
+
+
+def _planted_associator(field, dim, table, *triple):
+    """:func:`basis_associator` with 1 added to component 0 at the AAA
+    triple ``(0, 0, 0)``."""
+    value = algebra.basis_associator(field, dim, table, *triple)
+    if triple == (0, 0, 0):
+        value = (field.add(value[0], 1),) + tuple(value[1:])
+    return value
+
+
+def test_a_constant_in_an_associator_trips_a_sampled_census(monkeypatch, capsys):
+    # 1 planted in one component of the symbolic associators: the route
+    # identity names the associator that is no cocycle row, before the
+    # scan, on a sample with cocycles and on an exhaustive run, and
+    # nabext census exits 3
+    monkeypatch.setattr(classify, "basis_associator", _planted_associator)
+    message = "route identity: the associator at basis triple (0, 0, 0), component 0, is no row of the cocycle route, up to sign"
+    space, indices = _sample_with_cocycles()
+    argv = ["--field", "F2", "--a2", "zero", "--b2", "idem", "--sample", "8", "--seed", "0"]
+    _trips_before_the_scan(monkeypatch, capsys, message, space, indices, argv)
+    _trips_before_the_scan(monkeypatch, capsys, message, _space(), None, ["--field", "F2"])
 
 
 def test_a_stage_that_accepts_every_candidate_trips_the_numeric_hit_test():
-    # a^2 = 0, b^2 = b: only the chi stage of the extension route has rows,
-    # so with none it accepts every sampled candidate, and the numeric test
-    # of the hits names the first candidate whose twisted product is not
-    # associative, and the triple
+    # a^2 = 0, b^2 = b: only the chi stage has rows, so with none it accepts
+    # every sampled candidate, and the numeric test of the hits names the
+    # first candidate whose twisted product is not associative, the triple,
+    # and the verdict of the unstaged equations, which reject it
     space = _space()
-    phi_stage, psi_stage, chi_stage = space.extension_stages
+    phi_stage, psi_stage, chi_stage = space.cocycle_stages
     assert not phi_stage.touched and not psi_stage.touched
-    object.__setattr__(space, "extension_stages", (phi_stage, psi_stage, replace(chi_stage, touched=(), terms=())))
+    object.__setattr__(space, "cocycle_stages", (phi_stage, psi_stage, replace(chi_stage, touched=(), terms=())))
     every = space.exhaustive_indices()
+    hits = enumerate_cocycles(space, every)
+    assert len(hits) == len(every)
     first = next(i for i in every if not build_extension(space.candidate(i))[0].is_associative())
     witness = build_extension(space.candidate(first))[0].associativity_witness()
-    message = rf"^staged extension route: candidate {first} is not associative at basis triple {re.escape(str(witness))}$"
+    message = (
+        rf"^numeric hit test: cocycle {first} is not associative at basis triple {re.escape(str(witness))};"
+        r" the unstaged equations reject it$"
+    )
     with pytest.raises(CrossCheckError, match=message):
-        enumerate_extensions(space, every)
+        enumerate_extensions(space, hits)
 
 
 def _symbolic_sides(space, sides, identity, values):
@@ -1497,8 +1590,9 @@ def test_the_compiled_mc_check_is_the_numeric_one_on_every_candidate(name):
 def _polys(draw):
     """A prime, two operands reduced from raw terms in three variables (the
     first a canonical ``_Poly``, the second one or an ``int``, often minus
-    the first plus a constant, so that a sum collapses), whether both are
-    linear, and digits to evaluate at."""
+    the first plus a constant, so that a sum collapses), a scalar, reduced
+    or not and often a multiple of p, whether both are linear, and digits
+    to evaluate at."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     linear = draw(st.booleans())
     monomials = [(), (0,), (1,), (2,)] + ([] if linear else [(0, 0), (0, 1), (1, 2), (2, 2)])
@@ -1511,7 +1605,8 @@ def _polys(draw):
     if draw(st.booleans()):
         second = draw(coefficient) - first
     digits = tuple(draw(st.integers(0, p - 1)) for _ in range(3))
-    return p, first, second, linear, digits
+    scalar = draw(st.one_of(coefficient, st.sampled_from([0, p, -p])))
+    return p, first, second, scalar, linear, digits
 
 
 def _is_canonical(value, p):
@@ -1530,16 +1625,17 @@ def _is_canonical(value, p):
 @given(_polys())
 def test_poly_arithmetic_is_the_field_arithmetic_at_every_point(case):
     # evaluating P op Q at the digits is applying the F_p op to P and Q
-    # evaluated there, for either order of the operands; every result is
-    # canonical, a _Poly with coefficients in 1..p-1 and a variable, or the
-    # plain int it collapses to; and no operation changes an operand's terms
-    p, P, Q, linear, digits = case
+    # evaluated there, for either order of the operands, and so with a
+    # scalar k for Q; every result is canonical, a _Poly with coefficients
+    # in 1..p-1 and a variable, or the plain int it collapses to; and no
+    # operation changes an operand's terms
+    p, P, Q, k, linear, digits = case
     at = lambda value: _evaluated(value, digits, p)
     assert isinstance(P, classify._Poly) and _is_canonical(P, p) and _is_canonical(Q, p)
     before = (dict(P.terms), dict(classify._terms(Q)))
     ops = [(lambda a, b: a + b), (lambda a, b: a - b)] + ([lambda a, b: a * b] if linear else [])
     for op in ops:
-        for a, b in ((P, Q), (Q, P)):
+        for a, b in ((P, Q), (Q, P), (P, k), (k, P)):
             result = op(a, b)
             assert _is_canonical(result, p)
             assert at(result) == op(at(a), at(b)) % p
@@ -1784,11 +1880,14 @@ def test_census_work_counts_are_exact(monkeypatch):
     # builds an extension.  A census with a hit, exhaustive or sampled,
     # builds exactly four extensions, whatever the number of cocycles: those
     # two, the zero candidate's for the layout and the symbolic one for the
-    # stages and the identities.  Exhaustive or sampled, the cocycle route
-    # reads the equations off one symbolic pass of each residual generator
-    # and never calls is_valid_cocycle while the routes agree.  A sample
-    # without a cocycle checks no identity and builds two extensions, the
-    # layout's and the symbolic one for the extension stages
+    # route identity and the identities.  Every census scans once, reads the
+    # equations off one symbolic pass of each residual generator and never
+    # calls is_valid_cocycle while the hits pass the numeric test.  A sample
+    # without a cocycle checks only the route identity and builds one
+    # extension, the symbolic one
+    scans = []
+    real_scan = classify._scan
+    monkeypatch.setattr(classify, "_scan", lambda *args: scans.append(args[3]) or real_scan(*args))
     names = (
         "associator_residual",
         "gauge_closed_form",
@@ -1805,6 +1904,7 @@ def test_census_work_counts_are_exact(monkeypatch):
     identities = {"associator_residual": 1, "gauge_closed_form": 1, "cocycle_from_section": 1, "cocycle_to_mc": 2}
     for A, B in _work_count_spaces():
         calls.update(dict.fromkeys(calls, 0))
+        scans.clear()
         space = CandidateSpace(A, B)
         report = census(space)
         assert calls == {
@@ -1813,16 +1913,21 @@ def test_census_work_counts_are_exact(monkeypatch):
             "build_extension": 4,
             **equations,
         }
+        assert scans == [classify._fibre_chunk]
         calls.update(dict.fromkeys(calls, 0))
+        scans.clear()
         rejected = [i for i in range(report.num_candidates) if i not in report.cocycle_indices][:5]
         assert census(CandidateSpace(A, B), indices=rejected).num_cocycles == 0
         assert calls == {
             **dict.fromkeys(identities, 0),
             "apply_equivalence": 0,
-            "build_extension": 2,
+            "build_extension": 1,
             **equations,
         }
+        assert scans == [classify._sample_chunk]
         calls.update(dict.fromkeys(calls, 0))
+        scans.clear()
         mixed = sorted(rejected + list(report.cocycle_indices))
         assert census(CandidateSpace(A, B), indices=mixed).cocycle_indices == report.cocycle_indices
         assert calls == {**identities, "apply_equivalence": 1, "build_extension": 4, **equations}
+        assert scans == [classify._sample_chunk]

@@ -522,6 +522,7 @@ def test_cli_census_field_must_match_the_algebra_files(tmp_path, capsys):
         (["--budget", "-1", "--sample", "2"], "budget"),
         (["--sample", "0"], "--sample must be at least 1"),
         (["--seed", "3"], "--seed needs --sample"),
+        (["--sample", "5", "--seed", "-7"], "seed -7 is negative"),
     ],
 )
 def test_cli_census_rejects_bad_numbers(extra, needle, capsys):
