@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .fields import Field, FieldError, Scalar
 from .linalg import Vector, basis_vector, is_zero_vector, vec_sub, zero_vector
@@ -176,41 +176,36 @@ class Algebra:
         return all(v == 0 for v in self.table)
 
 
-def basis_associator(
-    field: Field, dim: int, table: Sequence[Scalar], i: int, j: int, k: int
-) -> Vector:
-    """``(e_i e_j) e_k - e_i (e_j e_k)`` read straight off a flat
-    structure-constant table (the :class:`Algebra` layout):
-    ``sum_m c_ij^m row(m, k) - sum_m c_jk^m row(i, m)``."""
-    out = [field.zero] * dim
-    ij, jk = (i * dim + j) * dim, (j * dim + k) * dim
-    for m in range(dim):
-        c = table[ij + m]
-        if c != 0:
-            row = (m * dim + k) * dim
-            for t in range(dim):
-                v = table[row + t]
-                if v != 0:
-                    out[t] = field.add(out[t], field.mul(c, v))
-        c = table[jk + m]
-        if c != 0:
-            row = (i * dim + m) * dim
-            for t in range(dim):
-                v = table[row + t]
-                if v != 0:
-                    out[t] = field.sub(out[t], field.mul(c, v))
-    return tuple(out)
+def basis_associators(
+    field: Field, dim: int, table: Sequence[Scalar]
+) -> Iterator[Tuple[Tuple[int, int, int], Vector]]:
+    """Every basis triple ``(i, j, k)``, in ``itertools.product`` order,
+    with its associator ``(e_i e_j) e_k - e_i (e_j e_k)``, read straight
+    off a flat structure-constant table (the :class:`Algebra` layout):
+    ``sum_m c_ij^m row(m, k) - sum_m c_jk^m row(i, m)``.  The nonzero
+    ``(t, c_ij^t)`` of each basis product are listed once, so each triple
+    walks only those."""
+    rows = [[(t, c) for t, c in enumerate(table[q : q + dim]) if c != 0] for q in range(0, dim ** 3, dim)]
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        out = [field.zero] * dim
+        for m, c in rows[i * dim + j]:
+            for t, v in rows[m * dim + k]:
+                out[t] = field.add(out[t], field.mul(c, v))
+        for m, c in rows[j * dim + k]:
+            for t, v in rows[i * dim + m]:
+                out[t] = field.sub(out[t], field.mul(c, v))
+        yield (i, j, k), tuple(out)
 
 
 def associativity_witness(
     field: Field, dim: int, table: Sequence[Scalar]
 ) -> Optional[Tuple[int, int, int]]:
-    """First basis triple, in ``itertools.product`` order, whose
-    :func:`basis_associator` is nonzero, or None: the table is associative
-    exactly when it returns None, by multilinearity."""
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        if not is_zero_vector(basis_associator(field, dim, table, i, j, k)):
-            return (i, j, k)
+    """First basis triple, in ``itertools.product`` order, whose associator
+    (:func:`basis_associators`) is nonzero, or None: the table is
+    associative exactly when it returns None, by multilinearity."""
+    for triple, value in basis_associators(field, dim, table):
+        if not is_zero_vector(value):
+            return triple
     return None
 
 

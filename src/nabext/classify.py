@@ -10,9 +10,9 @@ so runs are deterministic and trivially splittable across workers.  The
 
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
 of degree at most 2 in numbered variables.  The stages are read by
-:func:`_read_affine` into rows ``r0 + M x`` affine in the unknowns, with
-``r0`` and ``M`` sparse sums in the parameters (an :class:`_Affine`): three
-reads per space.  A term of degree 2 in the unknowns, or one in a later
+:func:`_read_affine`, each row once, as its terms: rows ``r0 + M x`` affine
+in the unknowns, ``r0`` and ``M`` polynomials in the parameters (an
+:class:`_Affine`).  A term of degree 2 in the unknowns, or one in a later
 variable, raises :class:`CrossCheckError`, so affinity is checked, not
 assumed.  No equation is written out here.
 
@@ -29,13 +29,14 @@ each index's digits written into the phi, psi and chi rows in turn and
 stopped at the first nonzero row (:func:`_sample_chunk`).
 
 The route identity, :meth:`CandidateSpace.check_route_identity`, checks once
-per space that those rows, rebuilt as polynomials in the digits, are the
+per space that those rows, read as polynomials in the digits, are the
 associators of the twisted product that :func:`build_extension` writes, up
-to sign.  That is the paper's starting point: the cocycle equations are
-associativity of the twisted product.  Equal rows have equal zero sets, so
-the stages accept exactly the candidates whose twisted product is
-associative, at every candidate, not only at those a run visits.  Each hit
-is then tested on every basis triple, numerically
+to sign: one key per polynomial, its terms signed so that the coefficient
+of its least monomial is at most p/2.  That is the paper's starting point:
+the cocycle equations are associativity of the twisted product.  Equal rows
+have equal zero sets, so the stages accept exactly the candidates whose
+twisted product is associative, at every candidate, not only at those a run
+visits.  Each hit is then tested on every basis triple, numerically
 (:func:`enumerate_extensions`).
 
 The orbits come from the triple action :func:`apply_equivalence`.
@@ -55,9 +56,9 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, associativity_witness, basis_associator, direct_sum_space
+from .algebra import Algebra, associativity_witness, basis_associators, direct_sum_space
 from .cochains import MultilinearMap
 from .exact_sequences import (
     BrokenExtensionError,
@@ -161,7 +162,7 @@ class _Poly:
     It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
     the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
-    residual generators, :func:`basis_associator`, :func:`build_extension`,
+    residual generators, :func:`basis_associators`, :func:`build_extension`,
     :func:`cocycle_to_mc`, :func:`associator_residual`,
     :func:`gauge_closed_form`, :func:`apply_equivalence` and
     :func:`cocycle_from_section` (its :func:`verify_extension` and
@@ -269,17 +270,36 @@ class _Affine:
     variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in the
     parameters, the variables below ``lo``.  ``touched`` lists, in order,
     the rows that some term reaches; the others are zero whatever the
-    parameters, so they are dropped once, at read time.  ``terms`` maps each
-    monomial in the parameters to the ``(position, coefficient)`` pairs it
-    adds to the augmented matrix ``[M | -r0]`` of the touched rows, flat and
-    row by row.  :meth:`at` and :meth:`solutions` write the parameters in;
-    :meth:`vanishes_at` writes in the unknowns too."""
+    parameters, so they are dropped once, at read time.  ``rows`` holds
+    each touched row as its terms ``(k, l, c)``, ``c`` times the variables
+    ``k <= l``, where ``-1`` pads the monomial on the left and stands for
+    the constant 1; an unknown, if any, is ``l``.  :meth:`vanishes_at` and
+    the route identity read them so; :meth:`at` and :meth:`solutions` read
+    :attr:`by_param`, derived from them once a run solves."""
 
     field: PrimeField
     lo: int
     hi: int
     touched: Tuple[int, ...]
-    terms: Tuple[Tuple[Monomial, Tuple[Tuple[int, int], ...]], ...]
+    rows: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+
+    # cached: derived in the parent before a pool starts, pickled with it
+    @cached_property
+    def by_param(self) -> Tuple[Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]], ...]:
+        """Each parameter monomial, as its padded variables ``(k, l)``, with
+        the ``(position, coefficient)`` pairs it adds to ``[M | -r0]``."""
+        lo, width = self.lo, self.hi - self.lo + 1
+        grouped: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for r, row in enumerate(self.rows):
+            start = r * width
+            for k, l, c in row:
+                if l >= lo:
+                    # c times the unknown l, in its column, with the parameter k
+                    grouped.setdefault((-1, k), []).append((start + l - lo, c))
+                else:
+                    # free of unknowns: -c in the column of -r0
+                    grouped.setdefault((k, l), []).append((start + width - 1, -c))
+        return tuple((m, tuple(e)) for m, e in grouped.items())
 
     def at(self, params: Sequence[int]) -> List[Vector]:
         """The touched rows of ``[M | -r0]`` with ``params`` written in, or
@@ -287,10 +307,9 @@ class _Affine:
         sparse sum over the monomials whose parameters are all nonzero."""
         width = self.hi - self.lo + 1
         aug = [0] * (max(len(self.touched), 1) * width)
-        for mono, entries in self.terms:
-            w = 1
-            for k in mono:
-                w *= params[k]
+        q = (*params, 1)
+        for (k, l), entries in self.by_param:
+            w = q[k] * q[l]
             if w:
                 for pos, c in entries:
                     aug[pos] += w * c
@@ -298,33 +317,13 @@ class _Affine:
         aug = [v % p for v in aug]
         return [tuple(aug[r : r + width]) for r in range(0, len(aug), width)]
 
-    # cached: regrouped once, then read at every digit vector
-    @cached_property
-    def _row_terms(self) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
-        """:attr:`terms` regrouped by touched row, in order: each term as
-        ``(k, l, c)``, the digits ``k`` and ``l`` times ``c``, where ``-1``
-        stands for the constant 1, so a row is ``sum c * d[k] * d[l]``."""
-        width = self.hi - self.lo + 1
-        rows: List[List[Tuple[int, int, int]]] = [[] for _ in self.touched]
-        for mono, entries in self.terms:
-            for pos, c in entries:
-                r, col = divmod(pos, width)
-                # the last column holds -r0; any other, the unknown lo + col
-                if col == width - 1:
-                    full, c = mono, -c
-                else:
-                    full = mono + (self.lo + col,)
-                k, l = (*full, -1, -1)[:2]
-                rows[r].append((k, l, c))
-        return tuple(tuple(row) for row in rows)
-
-    def vanishes_at(self, digits: Sequence[int]) -> bool:
+    def vanishes_at(self, d: Sequence[int]) -> bool:
         """Whether every row is zero with both the parameters and the
-        unknowns read off ``digits``, a full digit vector: the touched rows
-        are evaluated in order, and the first nonzero one ends the test."""
+        unknowns read off ``d``, a full digit vector with the constant 1
+        appended: the touched rows are evaluated in order, and the first
+        nonzero one ends the test."""
         p = self.field.p
-        d = (*digits, 1)
-        for row in self._row_terms:
+        for row in self.rows:
             s = 0
             for k, l, c in row:
                 s += c * d[k] * d[l]
@@ -367,39 +366,46 @@ def _read_affine(
     """The :class:`_Affine` of symbolic residuals ``(kind, witness, disc,
     detail)``, a row per component of each ``disc``, in order, with the
     variables below ``lo`` as parameters and ``lo`` to ``hi - 1`` as
-    unknowns.  Raises :class:`CrossCheckError`, naming the read, the row
+    unknowns, each row written once, as its ``(k, l, c)`` terms.  Raises
+    :class:`CrossCheckError`, naming the read, the row
     (:func:`_row_label`, formatted only then) and the monomial (each
     variable by its entry of ``names``), if a term has degree 2 in the
     unknowns or reads a variable from ``hi`` on, a later stage's digit: the
     rows must be affine in the unknowns and decided before the later
     variables are.  A row with no term is zero for every parameter value,
     so only the rows with some term are kept, as :attr:`_Affine.touched`."""
-    width = hi - lo + 1
-    by_param: Dict[Monomial, List[Tuple[int, int]]] = {}
+    rows: List[Tuple[Tuple[int, int, int], ...]] = []
     touched: List[int] = []
     row = -1
     for kind, witness, disc, detail in residuals:
         for k, value in enumerate(disc):
             row += 1
-            terms = _terms(value)
-            if terms:
-                start = len(touched) * width
-                touched.append(row)
-            for mono, c in terms.items():
-                # a monomial is sorted, so its one unknown, if any, comes
-                # last; a term free of unknowns goes to the column of -r0
-                if not mono or mono[-1] < lo:
-                    param, position, c = mono, start + width - 1, -c
-                elif mono[-1] < hi and (len(mono) == 1 or mono[-2] < lo):
-                    param, position = mono[:-1], start + mono[-1] - lo
-                else:
-                    why = "in a later stage's digit" if mono[-1] >= hi else "of degree 2 in the unknowns"
+            terms = []
+            for mono, c in _terms(value).items():
+                # a monomial is sorted, so its one unknown, if any, is last
+                term = (-1, -1, *mono, c)[-3:]
+                if term[1] >= hi or term[0] >= lo:
+                    why = "in a later stage's digit" if term[1] >= hi else "of degree 2 in the unknowns"
                     raise CrossCheckError(
                         f"{read}: {_row_label(kind, witness, detail, k)} has the term"
                         f" {'*'.join(names[v] for v in mono)} {why}"
                     )
-                by_param.setdefault(param, []).append((position, c))
-    return _Affine(field, lo, hi, tuple(touched), tuple((m, tuple(e)) for m, e in by_param.items()))
+                terms.append(term)
+            if terms:
+                touched.append(row)
+                rows.append(tuple(terms))
+    return _Affine(field, lo, hi, tuple(touched), tuple(rows))
+
+
+def _signed_key(terms: Iterable[Tuple[Monomial, int]], p: int) -> FrozenSet[Tuple[Monomial, int]]:
+    """A nonzero polynomial P over F_p up to sign, from its canonical terms
+    ``(monomial, coefficient)``: the terms of whichever of P and -P has the
+    coefficient of its least monomial at most p/2, which no other multiple
+    of P shares."""
+    terms = list(terms)
+    if 2 * min(terms)[1] > p:
+        return frozenset((m, p - c) for m, c in terms)
+    return frozenset(terms)
 
 
 def _symbolic_digits(count: int, p: int) -> List[_Poly]:
@@ -500,56 +506,45 @@ class CandidateSpace:
     # cached: the route identity and the Maurer-Cartan identity read it
     @cached_property
     def _symbolic_associators(self) -> Dict[Tuple[int, int, int], Vector]:
-        """:func:`basis_associator` of :attr:`_symbolic_extension` at every
-        basis triple, in order."""
+        """:func:`basis_associators` of :attr:`_symbolic_extension`, by triple."""
         E = self._symbolic_extension
-        triples = itertools.product(range(E.dim), repeat=3)
-        return {t: basis_associator(E.field, E.dim, E.table, *t) for t in triples}
+        return dict(basis_associators(E.field, E.dim, E.table))
 
     def check_route_identity(self) -> None:
         """Check that the rows of :attr:`cocycle_stages` are the associators
-        of the twisted product: the nonzero rows of the three stages, each
-        rebuilt from :attr:`_Affine._row_terms` as a polynomial in the
-        digits, and the nonzero components of :attr:`_symbolic_associators`
-        at every basis triple are one set of polynomials, each taken up to
-        sign.  An AAA component is the int 0, as A is associative.
+        of the twisted product: the rows of the three stages, each keyed
+        straight off its ``(k, l, c)`` terms, and the nonzero components of
+        :attr:`_symbolic_associators` at every basis triple are one set of
+        polynomials, each keyed once by :func:`_signed_key`, so up to sign,
+        not up to a scalar.  An AAA component is the int 0, as A is
+        associative.
 
-        Rebuilding the rows from the read, not from the generators, checks
+        Reading the rows as the read wrote them, not the generators, checks
         the read along with the equations.  Equal sets have equal zero sets,
         so the stages accept exactly the candidates whose twisted product is
         associative, at every candidate.  Raises :class:`CrossCheckError`
         naming the first row of either side that the other lacks: a stage
         row by its residual's kind, witness and component, or an associator
         by its basis triple and component."""
-        # a polynomial is the frozenset of its (monomial, coefficient) terms,
-        # coefficients in 1..p-1; an associator is kept with both signs
         p = self.p
-        associators = []
-        signed = set()
+        # key -> the first (triple, component) whose associator has it
+        associators: Dict[FrozenSet[Tuple[Monomial, int]], Tuple[Tuple[int, int, int], int]] = {}
         for t, disc in self._symbolic_associators.items():
             for k, value in enumerate(disc):
-                terms = _terms(value).items()
-                if terms:
-                    plus = frozenset((m, c % p) for m, c in terms)
-                    minus = frozenset((m, -c % p) for m, c in terms)
-                    associators.append((plus, minus, t, k))
-                    signed |= {plus, minus}
+                if value:
+                    associators.setdefault(_signed_key(_terms(value).items(), p), (t, k))
         rows = set()
         for part, stage in enumerate(self.cocycle_stages):
-            for row, row_terms in zip(stage.touched, stage._row_terms):
-                poly: Dict[Monomial, int] = {}
-                for k, l, c in row_terms:
-                    m = (k, l) if l >= 0 else (k,) if k >= 0 else ()
-                    poly[m] = poly.get(m, 0) + c
-                key = frozenset((m, r) for m, c in poly.items() if (r := c % p))
-                if key and key not in signed:
+            for row, terms in zip(stage.touched, stage.rows):
+                key = _signed_key((((k, l) if k >= 0 else (l,) if l >= 0 else (), c) for k, l, c in terms), p)
+                if key not in associators:
                     raise CrossCheckError(
                         f"route identity: {self._stage_row_label(part, row)} of the cocycle route's"
                         f" {_STAGES[part]} stage is no associator of the twisted product, up to sign"
                     )
                 rows.add(key)
-        for plus, minus, t, k in associators:
-            if plus not in rows and minus not in rows:
+        for key, (t, k) in associators.items():
+            if key not in rows:
                 raise CrossCheckError(
                     f"route identity: the associator at basis triple {t}, component {k},"
                     " is no row of the cocycle route, up to sign"
@@ -675,8 +670,7 @@ class CandidateSpace:
 
     def candidate(self, index: int) -> NabCocycle:
         """Decode a candidate from its base-p digit expansion."""
-        if not 0 <= index < self.total_candidates:
-            raise IndexError(f"candidate index {index} out of range")
+        _check_range(self, (index,))
         return self._decode(self._digits(index))
 
     def exhaustive_indices(self) -> range:
@@ -726,19 +720,15 @@ class CandidateSpace:
 def _sample_chunk(
     space: CandidateSpace, stages: Sequence[_Affine], chunk: Sequence[int]
 ) -> List[Tuple[int, List[int]]]:
-    """The ``(index, digits)`` of each index of ``chunk`` whose digits zero
-    the rows of the phi, psi and chi ``stages``, tested in turn, row by row:
-    the first nonzero row rejects the index.  Each index is range-checked
-    and expanded once, by :meth:`CandidateSpace._digits`, for all three
-    stages."""
-    total = space.total_candidates
+    """The ``(index, digits)`` of each index of ``chunk``, in range, whose
+    digits zero the rows of the phi, psi and chi ``stages``, tested in turn,
+    row by row: the first nonzero row rejects the index.  Each index is
+    expanded once, with the constant 1 appended, for all three stages."""
     hits = []
     for i in chunk:
-        if not 0 <= i < total:
-            raise IndexError(f"candidate index {i} out of range")
-        digits = space._digits(i)
-        if all(stage.vanishes_at(digits) for stage in stages):
-            hits.append((i, digits))
+        d = space._digits(i) + [1]
+        if all(stage.vanishes_at(d) for stage in stages):
+            hits.append((i, d[:-1]))
     return hits
 
 
@@ -793,6 +783,14 @@ def _scan(space, stages, tasks, worker, jobs) -> List[Tuple]:
     return sorted(out, key=lambda hit: hit[0])
 
 
+def _check_range(space: CandidateSpace, indices: Sequence[int]) -> None:
+    """Raise :class:`IndexError` at the first of ``indices`` out of range."""
+    total = space.total_candidates
+    for i in indices:
+        if not 0 <= i < total:
+            raise IndexError(f"candidate index {i} out of range")
+
+
 def enumerate_cocycles(
     space: CandidateSpace,
     indices: Optional[Iterable[int]] = None,
@@ -803,19 +801,23 @@ def enumerate_cocycles(
     :func:`is_valid_cocycle` accepts.
 
     The stages are :attr:`CandidateSpace.cocycle_stages`, solved in turn on
-    an exhaustive run (``indices`` None; over the budget it raises
-    :class:`BudgetExceededError` before anything compiles) and tested row by
-    row on a sample, as the module docstring describes; a fibre costs one
-    elimination and no generator call, and only the hits are decoded.  The
-    stages are read before a pool starts, so that no worker compiles them.
-    The census adds the route identity, which makes these exactly the
-    candidates whose twisted product is associative.
+    an exhaustive run (``indices`` None) and tested row by row on a sample,
+    as the module docstring describes; a budget or range check fails before
+    anything compiles.  A fibre costs one elimination and no generator call,
+    and only the hits are decoded.  The stages, and the grouping that a
+    solve reads, are derived before a pool starts, so that no worker
+    compiles them.  The census adds the route identity, which makes these
+    exactly the candidates whose twisted product is associative.
     """
     if indices is None:
         space.exhaustive_indices()
         stages = space.cocycle_stages
+        for stage in stages:
+            stage.by_param  # derived here, so that no worker does
         hits = _scan(space, stages, stages[0].solutions(()), _fibre_chunk, jobs)
     else:
+        indices = tuple(indices)
+        _check_range(space, indices)
         hits = _scan(space, space.cocycle_stages, indices, _sample_chunk, jobs)
     return [(i, space._decode(d)) for i, d in hits]
 
@@ -957,11 +959,11 @@ def census(
     """Run the whole pipeline with every cross-check armed.
 
     ``indices`` restricts the run to a sample of distinct candidates, read
-    once; a repeated index raises :class:`ValueError`.  A sample is not
-    closed under equivalence, so its report has no orbits.  The cocycle
-    route is solved once: its stages are solved on an exhaustive run and a
-    sample is tested on them row by row, after the budget check and the
-    route identity.
+    once; a repeated index raises :class:`ValueError`, one out of range
+    :class:`IndexError`.  A sample is not closed under equivalence, so its
+    report has no orbits.  The cocycle route is solved once: its stages are
+    solved on an exhaustive run and a sample is tested on them row by row,
+    after the budget check and the route identity.
 
     A failed check raises :class:`CrossCheckError`, so a returned report has
     passed all of these:
@@ -987,6 +989,7 @@ def census(
         indices = tuple(indices)
         if len(set(indices)) != len(indices):
             raise ValueError("census indices must be distinct")
+        _check_range(space, indices)
     space.check_route_identity()
     cocycles = enumerate_cocycles(space, indices, jobs)
     if cocycles:

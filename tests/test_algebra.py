@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import associative_samples, line_algebra, rand_vector, trunc_poly2
 from nabext import Algebra, direct_sum_space
-from nabext.algebra import associativity_witness, basis_associator
-from nabext.fields import GF2, GF3, FieldError, QQ
+from nabext.algebra import associativity_witness, basis_associators
+from nabext.classify import _symbolic_digits
+from nabext.fields import GF2, GF3, FieldError, PrimeField, QQ
 from nabext.linalg import is_zero_vector, vec_add, vec_scale
 
 
@@ -169,22 +170,37 @@ def test_associativity_witness_matches_the_vector_route(alg):
     assert alg.is_associative() == (expected is None)
 
 
-@settings(deadline=None, max_examples=200)
-@given(_algebras(), st.data())
-def test_table_associator_kernel(alg, data):
-    # the flat-table kernel against the dense associator of basis vectors
+_GF5 = PrimeField(5)
+
+
+@st.composite
+def _symbolic_algebras(draw):
+    """Mostly sparse structure-constant tables of dims 1-3 over F5 whose
+    entries are polynomials of degree at most 1 in three variables, the
+    symbolic scalars of the census, so that every associator has degree at
+    most 2."""
+    x0, x1, x2 = _symbolic_digits(3, 5)
+    entries = (0, 0, 0, 0, 1, 3, x0, 4 * x1, x0 + 2, x1 + 3 * x2)
+    dim = draw(st.integers(1, 3))
+    table = draw(st.lists(st.sampled_from(entries), min_size=dim ** 3, max_size=dim ** 3))
+    return Algebra(_GF5, dim, tuple(f"e{i}" for i in range(dim)), tuple(table))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_algebras(), _symbolic_algebras()))
+def test_table_associator_kernel(alg):
+    # the flat-table kernel, over F2, F3, Q and polynomials over F5,
+    # against the dense associator of basis vectors at every triple, in
+    # product order; the witness is the first triple where that is nonzero
     f, dim, table = alg.field, alg.dim, alg.table
-    triples = list(itertools.product(range(dim), repeat=3))
-    for idxs in triples:
-        expected = alg.associator(*(alg.basis_vector(i) for i in idxs))
-        assert basis_associator(f, dim, table, *idxs) == expected
-    # the ordered walk is the method's witness, and a triple with a nonzero
-    # associator means there is one
+    expected = [
+        (idxs, alg.associator(*(alg.basis_vector(i) for i in idxs)))
+        for idxs in itertools.product(range(dim), repeat=3)
+    ]
+    assert list(basis_associators(f, dim, table)) == expected
     witness = associativity_witness(f, dim, table)
     assert witness == alg.associativity_witness()
-    last = data.draw(st.sampled_from(triples))
-    rejects = not is_zero_vector(basis_associator(f, dim, table, *last))
-    assert rejects <= (witness is not None)
+    assert witness == next((idxs for idxs, value in expected if not is_zero_vector(value)), None)
 
 
 def test_zero_multiplication_is_associative():

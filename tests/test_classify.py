@@ -309,7 +309,7 @@ def _signed_rows(space):
         associators |= {tuple(sorted(classify._terms(v).items())) for v in disc if v != 0}
     rows = set()
     for stage in space.cocycle_stages:
-        for row in stage._row_terms:
+        for row in stage.rows:
             poly = {}
             for k, l, c in row:
                 m = tuple(v for v in (k, l) if v >= 0)
@@ -342,6 +342,66 @@ def test_the_route_identity_holds_on_every_small_pair():
     assert checked == 135
     rows, associators = _signed_rows(CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")))
     assert len(rows) == len(associators) == 3 and len(rows - associators) == 1
+
+
+@pytest.mark.parametrize(
+    "triple,message",
+    [
+        (
+            (0, 1, 2),
+            "route identity: the associator at basis triple (0, 1, 2), component 0,"
+            " is no row of the cocycle route, up to sign",
+        ),
+        (
+            (1, 1, 1),
+            "route identity: residual eq5_chi_cocycle at (0, 0, 0), component 0, of the cocycle"
+            " route's chi stage is no associator of the twisted product, up to sign",
+        ),
+    ],
+    ids=["associator", "row"],
+)
+def test_the_route_identity_holds_up_to_sign_not_up_to_a_scalar(monkeypatch, triple, message):
+    # F5, A the zero line, B = k[t]/t^2: one symbolic associator doubled is
+    # a scalar multiple of a row but neither the row nor its negative, so
+    # the route identity names the first row or associator left unmatched.
+    # The (0, 1, 2) associator equals the (0, 2, 1) one, so its row is still
+    # matched; the (1, 1, 1) associator is the only one of its row
+    space = CandidateSpace(line_algebra(_GF5, "zero", "a"), trunc_poly2(_GF5))
+    space.check_route_identity()
+    original = space._symbolic_associators[triple][0]
+
+    def doubled(space, associators):
+        return {t: (2 * v[0],) + v[1:] if t == triple else v for t, v in associators.items()}
+
+    _edit_cached(monkeypatch, "_symbolic_associators", doubled)
+    edited = CandidateSpace(space.A, space.B)
+    assert 3 * edited._symbolic_associators[triple][0] == original != edited._symbolic_associators[triple][0]
+    with pytest.raises(CrossCheckError, match=f"^{re.escape(message)}$"):
+        edited.check_route_identity()
+
+
+@st.composite
+def _nonzero_polys(draw):
+    """A nonzero canonical polynomial of degree at most 2 in three
+    variables over F5 or F7, and p."""
+    p = draw(st.sampled_from([5, 7]))
+    monomials = [(), (0,), (1,), (2,), (0, 0), (0, 1), (1, 2), (2, 2)]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(1, p - 1), min_size=1))
+    return classify._canonical(terms, p), p
+
+
+@settings(deadline=None, max_examples=200)
+@given(_nonzero_polys())
+def test_a_route_identity_key_is_a_polynomial_up_to_sign(case):
+    # P and -P share a key, which is the terms of one of them; 2P, neither
+    # P nor -P over F5 and F7, has another
+    P, p = case
+
+    def key(value):
+        return classify._signed_key(classify._terms(value % p).items(), p)
+
+    assert key(P) == key(-P) != key(2 * P)
+    assert key(P) in {frozenset(classify._terms(v % p).items()) for v in (P, -P)}
 
 
 def _patched(monkeypatch, edit):
@@ -482,14 +542,15 @@ def test_oracle_evaluates_numeric_associators_only_to_check_its_hits(monkeypatch
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
     space.check_route_identity()
     numeric = []
-    real = algebra.basis_associator
+    real = algebra.basis_associators
 
-    def counted(field, dim, table, *triple):
-        numeric.append(triple)
-        return real(field, dim, table, *triple)
+    def counted(field, dim, table):
+        for triple, value in real(field, dim, table):
+            numeric.append(triple)
+            yield triple, value
 
-    monkeypatch.setattr(classify, "basis_associator", counted)
-    monkeypatch.setattr(algebra, "basis_associator", counted)
+    monkeypatch.setattr(classify, "basis_associators", counted)
+    monkeypatch.setattr(algebra, "basis_associators", counted)
     hits = enumerate_extensions(space, enumerate_cocycles(space))
     dim = space.A.dim + space.B.dim
     assert hits and 0 < len(numeric) <= dim ** 3 * len(hits)
@@ -525,7 +586,8 @@ def _scattered(space, digits):
 
 def _associators(space, table, triples):
     zero = space.extension_layout[0]
-    return tuple(v for t in triples for v in algebra.basis_associator(zero.field, zero.dim, table, *t))
+    associators = dict(algebra.basis_associators(zero.field, zero.dim, table))
+    return tuple(v for t in triples for v in associators[t])
 
 
 def _stage_values(space, stage, digits):
@@ -619,8 +681,9 @@ def test_stage_systems_are_the_probes_of_their_generators(case):
 @given(_spaces_and_digits(), st.randoms(use_true_random=False))
 def test_both_specialisations_of_a_read_agree(case, rng):
     # the dense rows [M | -r0] of a stage at its earlier digits send the
-    # unknowns x to r0 + M x; the row test at the full digit vector is false
-    # where that image is nonzero, and true at a solution of the stage
+    # unknowns x to r0 + M x; the row test at the full digit vector, the
+    # constant 1 appended, is false where that image is nonzero, and true
+    # at a solution of the stage
     space, digits = case
     field = space.A.field
     for (lo, hi), stage in zip(_bounds(space), space.cocycle_stages):
@@ -631,9 +694,9 @@ def test_both_specialisations_of_a_read_agree(case, rng):
             return tuple(field.sub(v, row[-1]) for v, row in zip(linear, rows, strict=True))
 
         x = tuple(field.random(rng) for _ in range(hi - lo))
-        assert stage.vanishes_at(digits[:lo] + x + digits[hi:]) == (not any(image(x)))
+        assert stage.vanishes_at(digits[:lo] + x + digits[hi:] + (1,)) == (not any(image(x)))
         for y in itertools.islice(stage.solutions(digits[:lo]), 1):
-            assert not any(image(y)) and stage.vanishes_at(digits[:lo] + y + digits[hi:])
+            assert not any(image(y)) and stage.vanishes_at(digits[:lo] + y + digits[hi:] + (1,))
 
 
 def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):
@@ -743,7 +806,7 @@ def test_pool_census_reads_the_stage_systems_of_the_parent(two_cpus, monkeypatch
 
     def scan_without_equations(sp, stages, tasks, worker, jobs):
         with monkeypatch.context() as m:
-            for name in ("twist_residuals", "curvature_residuals", "basis_associator", "build_extension"):
+            for name in ("twist_residuals", "curvature_residuals", "basis_associators", "build_extension"):
                 m.setattr(classify, name, _refuse)
             return scan(sp, stages, tasks, worker, jobs)
 
@@ -846,6 +909,21 @@ def test_staged_scan_rejects_out_of_range_indices():
             for route in (enumerate_cocycles, lambda sp, idx: census(sp, indices=idx)):
                 with pytest.raises(IndexError, match=f"^candidate index {bad} out of range$"):
                     route(space, indices)
+
+
+def test_an_out_of_range_index_raises_before_anything_compiles(monkeypatch):
+    # the range check of a sample comes before the route identity on a
+    # census, and before the stages are read on an enumeration, so neither
+    # compiles the space; an iterator of indices is read once
+    monkeypatch.setattr(CandidateSpace, "check_route_identity", _refuse)
+    monkeypatch.setattr(classify, "twist_residuals", _refuse)
+    space = _space()
+    for bad in (-1, space.total_candidates):
+        for indices in ([0, bad], [bad]):
+            for route in (enumerate_cocycles, lambda sp, idx: census(sp, indices=idx)):
+                with pytest.raises(IndexError, match=f"^candidate index {bad} out of range$"):
+                    route(space, iter(indices))
+    assert "cocycle_stages" not in space.__dict__ and "_symbolic_associators" not in space.__dict__
 
 
 def test_census_mismatch_reports_the_unstaged_verdict(monkeypatch):
@@ -1114,6 +1192,40 @@ def test_census_compiles_the_gauge_action_once_per_space(monkeypatch, two_cpus):
     _once_in_the_parent(monkeypatch, two_cpus, "gauge_closed_form", gauge_closed_form)
 
 
+def test_census_derives_the_solve_grouping_once_per_stage_in_the_parent(monkeypatch, two_cpus):
+    # the by-parameter grouping that a solve reads is derived from the rows
+    # only when a run solves: once per stage, in the parent, whatever
+    # --jobs; a sample, pooled or not, never derives it
+    parent, calls = os.getpid(), []
+    real = vars(classify._Affine)["by_param"].func
+
+    def counted(stage):
+        if os.getpid() != parent:
+            raise AssertionError("a worker derived the grouping")
+        calls.append(stage)
+        return real(stage)
+
+    grouping = functools.cached_property(counted)
+    grouping.__set_name__(classify._Affine, "by_param")
+    monkeypatch.setattr(classify._Affine, "by_param", grouping)
+    A, B = zero_algebra(GF3, 2), line_algebra(GF3, "idem", "b")
+    for jobs, pools in ((1, 0), (2, 1)):
+        calls.clear()
+        space = CandidateSpace(A, B)
+        cocycles = census(space, jobs=jobs).cocycle_indices
+        assert len(cocycles) == 284 and two_cpus.started == pools
+        assert len(calls) == 3 and all(a is b for a, b in zip(calls, space.cocycle_stages))
+    calls.clear()
+    # a fifth of the cocycles and 40 other candidates: at least 64 tasks
+    indices = sorted(set(cocycles[::5]) | set(space.sample_indices(40, seed=1)))
+    for jobs, pools in ((1, 1), (2, 2)):
+        space = CandidateSpace(A, B)
+        report = census(space, jobs=jobs, indices=indices)
+        assert report.cocycle_indices == tuple(i for i in indices if i in cocycles)
+        assert calls == [] and two_cpus.started == pools
+        assert not any("by_param" in vars(stage) for stage in space.cocycle_stages)
+
+
 def test_census_runs_the_section_round_trip_once_per_space(monkeypatch, two_cpus):
     # the section identity reads cocycle_from_section off the
     # once-per-space symbolic pass, in the parent, whatever --jobs
@@ -1324,10 +1436,11 @@ def _edit_cached(monkeypatch, name, edit):
 
 def _plant_in_chi_stage(space, stages):
     """The cocycle stages with 1 planted in the constant of the first
-    chi-stage row."""
+    chi-stage row, which has none."""
     phi_stage, psi_stage, chi_stage = stages
-    constant = ((), ((chi_stage.hi - chi_stage.lo, 1),))
-    return phi_stage, psi_stage, replace(chi_stage, terms=chi_stage.terms + (constant,))
+    first, *others = chi_stage.rows
+    assert all(k >= 0 or l >= 0 for k, l, _ in first)
+    return phi_stage, psi_stage, replace(chi_stage, rows=(first + ((-1, -1, 1),), *others))
 
 
 def _trips_before_the_scan(monkeypatch, capsys, message, space, indices, argv):
@@ -1353,13 +1466,13 @@ def test_a_constant_row_in_the_cocycle_stages_trips_a_sampled_census(monkeypatch
     _trips_before_the_scan(monkeypatch, capsys, _EQ1_UNMATCHED, _space(), None, ["--field", "F2"])
 
 
-def _planted_associator(field, dim, table, *triple):
-    """:func:`basis_associator` with 1 added to component 0 at the AAA
+def _planted_associators(field, dim, table):
+    """:func:`basis_associators` with 1 added to component 0 at the AAA
     triple ``(0, 0, 0)``."""
-    value = algebra.basis_associator(field, dim, table, *triple)
-    if triple == (0, 0, 0):
-        value = (field.add(value[0], 1),) + tuple(value[1:])
-    return value
+    for triple, value in algebra.basis_associators(field, dim, table):
+        if triple == (0, 0, 0):
+            value = (field.add(value[0], 1),) + tuple(value[1:])
+        yield triple, value
 
 
 def test_a_constant_in_an_associator_trips_a_sampled_census(monkeypatch, capsys):
@@ -1367,7 +1480,7 @@ def test_a_constant_in_an_associator_trips_a_sampled_census(monkeypatch, capsys)
     # identity names the associator that is no cocycle row, before the
     # scan, on a sample with cocycles and on an exhaustive run, and
     # nabext census exits 3
-    monkeypatch.setattr(classify, "basis_associator", _planted_associator)
+    monkeypatch.setattr(classify, "basis_associators", _planted_associators)
     message = "route identity: the associator at basis triple (0, 0, 0), component 0, is no row of the cocycle route, up to sign"
     space, indices = _sample_with_cocycles()
     argv = ["--field", "F2", "--a2", "zero", "--b2", "idem", "--sample", "8", "--seed", "0"]
@@ -1383,7 +1496,7 @@ def test_a_stage_that_accepts_every_candidate_trips_the_numeric_hit_test():
     space = _space()
     phi_stage, psi_stage, chi_stage = space.cocycle_stages
     assert not phi_stage.touched and not psi_stage.touched
-    object.__setattr__(space, "cocycle_stages", (phi_stage, psi_stage, replace(chi_stage, touched=(), terms=())))
+    object.__setattr__(space, "cocycle_stages", (phi_stage, psi_stage, replace(chi_stage, touched=(), rows=())))
     every = space.exhaustive_indices()
     hits = enumerate_cocycles(space, every)
     assert len(hits) == len(every)
@@ -1419,8 +1532,7 @@ def _numeric_sides(space, digits, beta, name):
     if name == "section":
         pres = block_presentation(E, space.A, space.B)
         return sum(classify._key(cocycle_from_section(pres, canonical_section(pres))), ()), tuple(digits)
-    triples = list(itertools.product(range(E.dim), repeat=3))
-    associators = [algebra.basis_associator(E.field, E.dim, E.table, *t) for t in triples]
+    associators = [v for _, v in algebra.basis_associators(E.field, E.dim, E.table)]
     residual = nonabelian.associator_residual(x, base, split).coeffs
     return residual, tuple(v[k] for k in range(E.dim) for v in associators)
 
