@@ -49,6 +49,12 @@ from .fields import Field, Scalar
 from .linalg import Vector
 
 
+def _entry_error(field: Field, idx, value: Scalar, why: str) -> ValueError:
+    """A refused entry named by its indices and the field's text of its
+    coefficient, which reads the same over Q and F_p."""
+    return ValueError(f"entry ({', '.join(map(str, idx))}, {field.format(value)}) {why}")
+
+
 @dataclass(frozen=True)
 class MultilinearMap:
     """An n-ary multilinear map stored as a dense coefficient tensor.
@@ -135,17 +141,18 @@ class MultilinearMap:
         buf = [field.zero] * (target_dim * in_size)
         for entry in entries:
             *idx, coeff = entry
+            value = field.coerce(coeff)
             k, rest = idx[0], idx[1:]
             if len(rest) != len(dims):
-                raise ValueError(f"entry {entry!r} has wrong arity")
+                raise _entry_error(field, idx, value, "has wrong arity")
             if not 0 <= k < target_dim or any(
                 not 0 <= i < d for i, d in zip(rest, dims)
             ):
-                raise ValueError(f"entry {entry!r} out of range")
+                raise _entry_error(field, idx, value, "out of range")
             off = 0
             for d, i in zip(dims, rest):
                 off = off * d + i
-            buf[k * in_size + off] = field.coerce(coeff)
+            buf[k * in_size + off] = value
         return cls(field, dims, target_dim, tuple(buf))
 
     @classmethod

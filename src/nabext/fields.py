@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Every scalar is either a ``fractions.Fraction`` (over Q) or an ``int`` in
-``[0, p)`` (over F_p).  All operations are exact; nothing in this package
-ever touches a float.
+Over Q a scalar is an ``int`` when it is integral and a ``fractions.Fraction``
+otherwise; over F_p it is an ``int`` in ``[0, p)``.  All operations are
+exact; nothing in this package ever touches a float.
 """
 
 from __future__ import annotations
@@ -32,65 +32,84 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _canonical(x: Fraction) -> Scalar:
+    """``x`` as an ``int`` when its denominator is 1, else as it is."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Rationals:
-    """The field Q with scalars stored as ``Fraction``."""
+    """The field Q.  A scalar is an ``int`` when its denominator is 1 and a
+    ``Fraction`` otherwise, so the zero entries that fill the dense tensors
+    are tested and multiplied in C; ``Fraction(k) == k`` and the two hash
+    alike, so equality and dict keys do not see the difference."""
 
     characteristic: ClassVar[int] = 0
-    # a Fraction is immutable, so every access can share one object
-    zero: ClassVar[Fraction] = Fraction(0)
-    one: ClassVar[Fraction] = Fraction(1)
+    zero: ClassVar[int] = 0
+    one: ClassVar[int] = 1
 
-    def coerce(self, value) -> Fraction:
+    def coerce(self, value) -> Scalar:
+        if type(value) is int:
+            return value
         if isinstance(value, str):
             # parse refuses exponent notation, which Fraction can stall on
             return self.parse(value)
+        if isinstance(value, float):
+            raise FieldError(f"not a rational scalar: {value!r} (a float is not exact)")
         try:
-            return Fraction(value)
+            return _canonical(Fraction(value))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational scalar: {value!r}") from exc
 
-    def add(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
+    def add(self, x: Scalar, y: Scalar) -> Scalar:
+        r = x + y
+        return r if type(r) is int else _canonical(r)
 
-    def sub(self, x: Fraction, y: Fraction) -> Fraction:
-        return x - y
+    def sub(self, x: Scalar, y: Scalar) -> Scalar:
+        r = x - y
+        return r if type(r) is int else _canonical(r)
 
-    def mul(self, x: Fraction, y: Fraction) -> Fraction:
-        return x * y
+    def mul(self, x: Scalar, y: Scalar) -> Scalar:
+        r = x * y
+        return r if type(r) is int else _canonical(r)
 
-    def neg(self, x: Fraction) -> Fraction:
+    def neg(self, x: Scalar) -> Scalar:
         return -x
 
-    def inv(self, x: Fraction) -> Fraction:
+    def inv(self, x: Scalar) -> Scalar:
         if x == 0:
             raise FieldError("division by zero in Q")
-        return Fraction(1) / x
+        return _canonical(1 / Fraction(x))
 
-    def div(self, x: Fraction, y: Fraction) -> Fraction:
+    def div(self, x: Scalar, y: Scalar) -> Scalar:
         return self.mul(x, self.inv(y))
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return int(n)
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> Scalar:
         """Parse ``"3/2"``, ``"-1"`` and friends into an exact rational; not
         exponent notation, which ``Fraction("1e10000000")`` takes seconds on."""
         text = str(text)
         if "e" in text or "E" in text:
             raise FieldError(f"not a rational scalar: {text!r} (exponent notation is not accepted)")
+        # int reads the same integer strings as Fraction, in C
         try:
-            return Fraction(text)
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational scalar: {text!r}") from exc
 
-    def format(self, x: Fraction) -> str:
-        return str(Fraction(x))
+    def format(self, x: Scalar) -> str:
+        return str(x)
 
-    def random(self, rng) -> Fraction:
+    def random(self, rng) -> Scalar:
         # Small numerators and denominators keep exact tensors cheap while
         # still exercising non-integer arithmetic.
-        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        return _canonical(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))))
 
     def __str__(self) -> str:
         return "Q"

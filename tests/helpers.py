@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
-from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle, build_extension
+from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle, build_extension, cli
 from nabext.exact_sequences import ExtensionPresentation, block_presentation
 from nabext.fields import Field
 from nabext.linalg import basis_vector, solve
@@ -157,3 +159,14 @@ def associator_map(m: Algebra) -> MultilinearMap:
         m.dim,
         lambda idxs: m.associator(*(m.basis_vector(i) for i in idxs)),
     )
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}

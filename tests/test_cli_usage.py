@@ -3,14 +3,12 @@ byte, and a check that a call builds no parser: the tree is built once, at
 import."""
 
 import argparse
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from nabext import cli
+from helpers import run_cli
 
 GOLDEN_USAGE = Path(__file__).parent / "golden" / "cli_usage.json"
 # argparse wraps help and usage to the terminal width it reads from COLUMNS
@@ -42,17 +40,6 @@ def usage_argvs():
     argvs.append(["gauge", *REQUIRED["gauge"], "--method", "taylor"])
     argvs.append(["census", "--jobs", "two"])
     return argvs
-
-
-def run_cli(argv):
-    """Exit code, stdout and stderr of one in-process call."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 GOLDEN = json.loads(GOLDEN_USAGE.read_text())

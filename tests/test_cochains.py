@@ -56,6 +56,20 @@ def test_map_shape_and_entry_round_trip():
     )
 
 
+@pytest.mark.parametrize(
+    "field,coeff,text",
+    [(QQ, 1, "1"), (QQ, Fraction(2), "2"), (QQ, Fraction(-1, 2), "-1/2"), (QQ, "3/1", "3"), (GF3, 5, "2"), (GF3, -1, "2")],
+)
+def test_a_refused_entry_is_named_by_indices_and_field_text(field, coeff, text):
+    # the field's own text of the coefficient, the same over Q and F_p
+    with pytest.raises(ValueError) as caught:
+        MultilinearMap.from_entries(field, (2, 3), 2, [(0, 1, 1, 1), (0, 1, 3, coeff)])
+    assert str(caught.value) == f"entry (0, 1, 3, {text}) out of range"
+    with pytest.raises(ValueError) as caught:
+        MultilinearMap.from_entries(field, (2, 3), 2, [(1, 0, coeff)])
+    assert str(caught.value) == f"entry (1, 0, {text}) has wrong arity"
+
+
 @pytest.mark.parametrize("field", [GF3, QQ], ids=str)
 @pytest.mark.parametrize(
     "source_dims,target",

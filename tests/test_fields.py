@@ -54,6 +54,70 @@ def test_rational_coerce_refuses_exponent_notation():
         QQ.coerce("three halves")
 
 
+def test_rational_coerce_refuses_a_float():
+    # a float is a binary approximation: Fraction(0.1) is not 1/10
+    with pytest.raises(FieldError, match="not a rational scalar: 0.1"):
+        QQ.coerce(0.1)
+    with pytest.raises(FieldError, match="not a rational scalar: 2.0"):
+        QQ.coerce(2.0)
+    with pytest.raises(FieldError):
+        Algebra.from_products(QQ, ["x"], {(0, 0): {0: 0.1}})
+    with pytest.raises(FieldError):
+        GF3.coerce(0.5)
+
+
+def _canonical(value) -> bool:
+    """An ``int`` exactly when the value is integral, else a ``Fraction``."""
+    if type(value) is int:
+        return True
+    return type(value) is Fraction and value.denominator != 1
+
+
+# st.fractions() draws unbounded numerators and denominators; the integers
+# past 10**20 reach beyond any machine word
+_RATIONALS = st.one_of(
+    st.fractions(),
+    st.integers(),
+    st.integers(min_value=10 ** 20),
+    st.integers(max_value=-(10 ** 20)),
+    st.integers(min_value=10 ** 20).map(lambda n: Fraction(n, 3)),
+)
+
+
+@given(_RATIONALS, _RATIONALS)
+def test_rational_results_are_canonical_and_exact(a, b):
+    # each operation against plain Fraction arithmetic, on the canonical
+    # values and on the same values as Fractions (denominator 1 included)
+    fa, fb = Fraction(a), Fraction(b)
+    x, y = QQ.coerce(a), QQ.coerce(b)
+    for value, oracle in ((x, fa), (y, fb), (QQ.coerce(fa), fa), (QQ.parse(str(fa)), fa), (QQ.parse(str(a)), fa)):
+        assert _canonical(value) and value == oracle
+    assert QQ.format(x) == str(fa)
+    for u, v in ((x, y), (fa, fb)):
+        results = [(QQ.add(u, v), fa + fb), (QQ.sub(u, v), fa - fb), (QQ.mul(u, v), fa * fb)]
+        if fb != 0:
+            results += [(QQ.inv(v), 1 / fb), (QQ.div(u, v), fa / fb)]
+        for got, oracle in results:
+            assert _canonical(got) and got == oracle
+    assert _canonical(QQ.neg(x)) and QQ.neg(x) == -fa
+    if type(a) is int:
+        assert type(QQ.from_int(a)) is int and QQ.from_int(a) == a
+
+
+@given(st.integers(0, 2 ** 32))
+def test_rational_random_is_canonical(seed):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        value = QQ.random(rng)
+        assert _canonical(value)
+        assert value == Fraction(oracle.randint(-6, 6), oracle.choice((1, 1, 2, 3)))
+
+
+def test_rational_zero_and_one_are_ints():
+    assert type(QQ.zero) is int and QQ.zero == 0
+    assert type(QQ.one) is int and QQ.one == 1
+
+
 def test_rational_division_by_zero():
     with pytest.raises(FieldError):
         QQ.inv(Fraction(0))

@@ -368,7 +368,7 @@ def _floats(tree: ast.Module):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_floats(path):
-    # the arithmetic is exact: Fraction over Q, int over F_p
+    # the arithmetic is exact: int or Fraction over Q, int over F_p
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"{what} (line {line})" for what, line in _floats(tree)]
     assert not found, f"{path.name} uses floats: {', '.join(found)}"

@@ -1,15 +1,18 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    associative_samples,
     associator_map,
     line_algebra,
     line_cocycle,
     rand_cocycle,
+    rand_gauge,
     trunc_poly2,
     zero_algebra,
 )
@@ -17,9 +20,11 @@ from nabext import (
     Algebra,
     CandidateSpace,
     CocycleViolation,
+    GaugeParam,
     MultilinearMap,
     NabCocycle,
     ViolationKind,
+    apply_equivalence,
     associator_residual,
     build_extension,
     check_cocycle,
@@ -28,6 +33,8 @@ from nabext import (
     curvature_residuals,
     derivation_condition_defect,
     direct_sum_space,
+    gauge_closed_form,
+    gauge_series,
     hochschild_delta,
     in_L,
     is_mc,
@@ -394,3 +401,49 @@ def test_defect_groups_split_by_what_they_read():
         assert {v.which for v in twist} <= twist_kinds
         assert not {v.which for v in curvature} & twist_kinds
         assert sorted(twist + curvature, key=lambda v: v.which.value) == check_cocycle(c)
+
+
+def _as_fractions(c: NabCocycle, beta: GaugeParam):
+    """``c`` and ``beta`` with every coefficient a ``Fraction``, integral
+    ones included: the representation of Q before ints stood for them."""
+
+    def alg(a):
+        return Algebra(a.field, a.dim, a.basis, tuple(Fraction(v) for v in a.table))
+
+    def part(m):
+        return MultilinearMap(m.field, m.source_dims, m.target_dim, tuple(Fraction(v) for v in m.coeffs))
+
+    wrapped = NabCocycle(alg(c.A), alg(c.B), part(c.phi), part(c.psi), part(c.chi))
+    return wrapped, GaugeParam(tuple(tuple(Fraction(v) for v in row) for row in beta.matrix))
+
+
+def _q_kernel_outputs(c: NabCocycle, beta: GaugeParam):
+    x, base, split = mc_context(c)
+    image = apply_equivalence(c, beta)
+    return {
+        "check_cocycle": tuple(v for violation in check_cocycle(c) for v in violation.discrepancy),
+        "cocycle_to_mc": cocycle_to_mc(c).coeffs,
+        "build_extension": build_extension(c)[0].table,
+        "apply_equivalence": image.phi.coeffs + image.psi.coeffs + image.chi.coeffs,
+        "gauge_closed_form": gauge_closed_form(x, beta, base, split).coeffs,
+        "gauge_series": gauge_series(x, beta, base, split).coeffs,
+    }
+
+
+def test_q_kernels_keep_integral_scalars_as_ints():
+    # random triples and gauge images of zero: every output coefficient is
+    # an int or a proper Fraction, and Fraction-wrapped inputs give equal
+    # outputs
+    rng = random.Random(29)
+    samples = associative_samples(QQ)
+    fractions = 0
+    for _ in range(8):
+        a, b = rng.choice(samples), rng.choice(samples)
+        beta = rand_gauge(rng, a, b)
+        for c in (rand_cocycle(rng, a, b), apply_equivalence(NabCocycle.zero(a, b), rand_gauge(rng, a, b))):
+            outputs = _q_kernel_outputs(c, beta)
+            for name, coeffs in outputs.items():
+                assert not [v for v in coeffs if type(v) is not int and v.denominator == 1], name
+                fractions += sum(type(v) is Fraction for v in coeffs)
+            assert _q_kernel_outputs(*_as_fractions(c, beta)) == outputs
+    assert fractions > 0
