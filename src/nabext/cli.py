@@ -5,12 +5,18 @@ and handler.  The parser tree is built once, at import, and every call parses
 with it: parsing never changes a parser, and usage and error text read
 ``COLUMNS`` when they are printed, so a call leaves nothing behind.
 
+Each handler maps its parsed arguments to ``(document, verdict)``: a JSON
+value, or the text of ``census --format text``, and the exit code.  ``main``
+writes the document once, to ``--output`` or stdout, and is the one place
+where an exception becomes an exit code: a ``ValueError``, which every
+refusal of the package is, exits 2, and a ``CrossCheckError`` exits 3.
+
 Exit codes: 0 success / check passed, 1 check failed (witness JSON on
 stdout), 2 input or usage error (message on stderr), 3 internal consistency
 failure (must never happen; message on stderr): a cross-check failed, such
-as mc-check's cocycle equations and Maurer-Cartan test disagreeing on one
-input, or the census's cocycle rows differing from the twisted product's
-associators.
+as the census's cocycle rows differing from the twisted product's
+associators, or mc-check's cocycle equations and Maurer-Cartan test
+disagreeing on one input, a verdict that still writes its document.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import sys
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra
-from .classify import DEFAULT_BUDGET, BudgetExceededError, CandidateSpace, census
+from .classify import DEFAULT_BUDGET, CandidateSpace, census
 from .cochains import circ, gerstenhaber_bracket, hochschild_delta
 from .exact_sequences import (
     BrokenExtensionError,
@@ -30,7 +36,7 @@ from .exact_sequences import (
     section_cocycle,
     verify_extension,
 )
-from .fields import Field, FieldError, PrimeField, Rationals
+from .fields import Field, PrimeField, Rationals
 from .io_json import (
     FormatError,
     algebra_from_json,
@@ -72,7 +78,7 @@ def _read(path: str):
     try:
         with open(path) as handle:
             return loads(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -93,7 +99,7 @@ def _parse_field(text: str) -> Field:
     if text.startswith("F"):
         try:
             return PrimeField(int(text[1:]))
-        except (ValueError, FieldError) as exc:
+        except ValueError as exc:
             raise FormatError(f"bad field flag {text!r}: {exc}") from exc
     raise FormatError(f"field flag must be Q or F<p>, got {text!r}")
 
@@ -114,57 +120,40 @@ def _violations_json(violations, field: Field):
 # verbs
 # ---------------------------------------------------------------------------
 
-def _cmd_check_assoc(args) -> int:
+def _cmd_check_assoc(args) -> Tuple[object, int]:
     alg = algebra_from_json(_read(args.algebra))
     witness = alg.associativity_witness()
     if witness is None:
-        _emit(dumps_canonical({"associative": True}), args.output)
-        return 0
+        return {"associative": True}, 0
     assoc = alg.associator(*(alg.basis_vector(i) for i in witness))
-    _emit(
-        dumps_canonical(
-            {
-                "associative": False,
-                "witness": list(witness),
-                "associator": [alg.field.format(v) for v in assoc],
-            }
-        ),
-        args.output,
+    return (
+        {
+            "associative": False,
+            "witness": list(witness),
+            "associator": [alg.field.format(v) for v in assoc],
+        },
+        1,
     )
-    return 1
 
 
-def _cmd_hochschild_delta(args) -> int:
+def _cmd_hochschild_delta(args) -> Tuple[object, int]:
     alg = algebra_from_json(_read(args.algebra))
     m, split = map_from_json(_read(args.map), alg.field)
     require_dense_size("the differential", m.target_dim, alg.dim, m.arity + 1)
-    try:
-        result = hochschild_delta(m, alg)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    _emit(dumps_canonical(map_to_json(result, split)), args.output)
-    return 0
+    return map_to_json(hochschild_delta(m, alg), split), 0
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args) -> Tuple[object, int]:
     field = _parse_field(args.field)
     f, split = map_from_json(_read(args.left), field)
     g, _ = map_from_json(_read(args.right), field)
     require_dense_size("the bracket", f.target_dim, f.target_dim, f.arity + g.arity - 1)
-    try:
-        result = gerstenhaber_bracket(f, g)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    _emit(dumps_canonical(map_to_json(result, split)), args.output)
-    return 0
+    return map_to_json(gerstenhaber_bracket(f, g), split), 0
 
 
-def _cmd_mc_check(args) -> int:
+def _cmd_mc_check(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
-    try:
-        violations = check_cocycle(c)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    violations = check_cocycle(c)
     x, base, _ = mc_context(c)
     # the associator residual x o x - delta x and the dgLa residual
     # x o x + delta x share their two tensors
@@ -178,87 +167,76 @@ def _cmd_mc_check(args) -> int:
         "derivation_condition": derivation_condition_defect(c) is None,
         "violations": _violations_json(violations, c.A.field),
     }
-    _emit(dumps_canonical(payload), args.output)
     if valid != mc_valid:
         print("internal inconsistency: cocycle and Maurer-Cartan verdicts disagree", file=sys.stderr)
-        return 3
-    return 0 if valid else 1
+        return payload, 3
+    return payload, 0 if valid else 1
 
 
-def _cmd_build_extension(args) -> int:
+def _cmd_build_extension(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
     ext, split = build_extension(c)
     doc = algebra_to_json(ext)
     doc["split"] = {"a_dim": split.a_dim, "b_dim": split.b_dim}
-    _emit(dumps_canonical(doc), args.output)
-    return 0
+    return doc, 0
 
 
-def _cmd_extract_cocycle(args) -> int:
+def _cmd_extract_cocycle(args) -> Tuple[object, int]:
     ext = extension_from_json(_read(args.extension))
     try:
         ext = resolved(ext)
     except BrokenExtensionError as exc:
-        _emit(dumps_canonical({"ok": False, "failures": [str(exc)]}), args.output)
-        return 1
-    diag = verify_extension(ext)
-    if not diag.ok:
-        _emit(dumps_canonical({"ok": False, "failures": diag.failures}), args.output)
-        return 1
+        return {"ok": False, "failures": [str(exc)]}, 1
+    failures = verify_extension(ext).failures
+    # verify_extension leaves E's associativity to the caller: the census
+    # runs it on the symbolic twisted product, associative only at cocycles
+    witness = ext.E.associativity_witness()
+    if witness is not None:
+        failures.append("E is not associative at ({},{},{})".format(*witness))
+    if failures:
+        return {"ok": False, "failures": failures}, 1
     if args.section:
         section = section_from_json(
             _read(args.section), ext.E.field, ext.E.dim, ext.b_dim
         )
     else:
         section = canonical_section(ext)
-    try:
-        c = section_cocycle(ext, section)  # the extension was verified above
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    _emit(dumps_canonical(cocycle_to_json(c)), args.output)
-    return 0
+    # the extension was verified above
+    return cocycle_to_json(section_cocycle(ext, section)), 0
 
 
-def _cmd_gauge(args) -> int:
+def _cmd_gauge(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
     beta = gauge_from_json(_read(args.witness), c.A.field, c.A.dim, c.B.dim)
     if args.method == "series":
         if c.A.field.characteristic == 2:
             raise FormatError("--method series needs 1/2, which characteristic 2 lacks; pass --method closed")
         x, base, split = mc_context(c)
-        try:
-            y = gauge_series(x, beta, base, split)
-        except FieldError as exc:
-            raise FormatError(str(exc)) from exc
-        result = cocycle_from_mc(y, c.A, c.B)
+        result = cocycle_from_mc(gauge_series(x, beta, base, split), c.A, c.B)
     else:
         result = apply_equivalence(c, beta)
-    _emit(dumps_canonical(cocycle_to_json(result)), args.output)
-    return 0
+    return cocycle_to_json(result), 0
 
 
-def _cmd_equiv_check(args) -> int:
+def _cmd_equiv_check(args) -> Tuple[object, int]:
     if args.kind == "cocycle":
         c1 = cocycle_from_json(_read(args.first))
         c2 = cocycle_from_json(_read(args.second))
         beta = gauge_from_json(_read(args.witness), c1.A.field, c1.A.dim, c1.B.dim)
         image = apply_equivalence(c1, beta)
         ok = image == c2
-        _emit(dumps_canonical({"equivalent": ok}), args.output)
-        return 0 if ok else 1
+        return {"equivalent": ok}, 0 if ok else 1
     try:
         ext1 = resolved(extension_from_json(_read(args.first)))
         ext2 = resolved(extension_from_json(_read(args.second)))
     except BrokenExtensionError as exc:
-        _emit(dumps_canonical({"equivalent": False, "failures": [str(exc)]}), args.output)
-        return 1
+        return {"equivalent": False, "failures": [str(exc)]}, 1
     doc = _read(args.witness)
     if not isinstance(doc, dict) or "theta" not in doc:
         raise FormatError("extension witness file must carry a 'theta' matrix")
     theta = matrix_from_entries(doc["theta"], ext1.E.field, ext2.E.dim, ext1.E.dim, "theta")
     ok, failures = check_extension_equivalence(ext1, ext2, theta)
-    _emit(dumps_canonical({"equivalent": ok, "failures": failures}), args.output)
-    return 0 if ok else 1
+    return {"equivalent": ok, "failures": failures}, 0 if ok else 1
 
 
 def _line_algebra(field: Field, name: str, square: str) -> Algebra:
@@ -283,13 +261,10 @@ def _census_space(args) -> CandidateSpace:
             raise FormatError("census runs over prime fields; pass --field F<p>")
         a = _line_algebra(field, "a", args.a2)
         b = _line_algebra(field, "b", args.b2)
-    try:
-        return CandidateSpace(a, b, budget=args.budget)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return CandidateSpace(a, b, budget=args.budget)
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> Tuple[object, int]:
     if args.jobs < 1:
         raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     # a negative size is refused by sample_indices, which names the range
@@ -300,34 +275,20 @@ def _cmd_census(args) -> int:
     space = _census_space(args)
     indices = None
     if args.sample is not None:
-        try:
-            indices = space.sample_indices(args.sample, args.seed or 0)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        indices = space.sample_indices(args.sample, args.seed or 0)
     report = census(space, jobs=args.jobs, indices=indices)
     if args.format == "text":
-        _emit(report_to_text(report), args.output)
-    else:
-        _emit(dumps_canonical(report_to_json(report, space.A.field)), args.output)
-    return 0
+        return report_to_text(report), 0
+    return report_to_json(report, space.A.field), 0
 
 
-def _cmd_abelianize(args) -> int:
+def _cmd_abelianize(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
     if not c.A.has_zero_product():
         raise FormatError("abelianize requires a kernel algebra with zero product")
-    try:
-        violations = check_cocycle(c)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    violations = check_cocycle(c)
     if violations:
-        _emit(
-            dumps_canonical(
-                {"ok": False, "violations": _violations_json(violations, c.A.field)}
-            ),
-            args.output,
-        )
-        return 1
+        return {"ok": False, "violations": _violations_json(violations, c.A.field)}, 1
     structure = abelian_specialize(c)
     payload = {
         "ok": True,
@@ -337,8 +298,7 @@ def _cmd_abelianize(args) -> int:
         "cocycle": entries_to_json(structure.cocycle),
         "delta_chi_zero": True,
     }
-    _emit(dumps_canonical(payload), args.output)
-    return 0
+    return payload, 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +312,7 @@ def _arg(*flags, **options):
 class _Verb(NamedTuple):
     name: str
     help: str
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[argparse.Namespace], Tuple[object, int]]
     arguments: Tuple[Tuple[Tuple[str, ...], dict], ...]
 
 
@@ -437,13 +397,15 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.handler(args)
-    except (FormatError, BudgetExceededError, FieldError) as exc:
+        document, verdict = args.handler(args)
+        _emit(document if isinstance(document, str) else dumps_canonical(document), args.output)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    return verdict
 
 
 if __name__ == "__main__":

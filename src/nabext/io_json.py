@@ -49,8 +49,9 @@ def dumps_canonical(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # also a plain ValueError: an integer past the int-string digit limit
+    except (ValueError, RecursionError) as exc:
+        # also a plain ValueError: an integer past the int-string digit
+        # limit; a RecursionError: arrays or objects nested too deep
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 

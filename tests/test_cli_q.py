@@ -4,7 +4,8 @@ Every verb that reads Q input runs on fixed inputs: algebras and cochains
 with non-integral coefficients, gauge images of the zero cocycle, random
 triples, and the three malformed kinds of cocycle file.  ``q_files`` builds
 the inputs from fixed seeds; the golden file holds each call's argv, exit
-code, stdout and stderr.
+code, stdout and stderr.  With ``--output`` each call, and the F2 census as
+JSON and as text, writes its stdout to the file instead.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 from helpers import (
     canonical_presentation,
     left_unit2,
+    line_algebra,
     rand_cochain,
     rand_cocycle,
     rand_gauge,
@@ -25,7 +27,19 @@ from helpers import (
     upper_triangular2,
     zero_algebra,
 )
-from nabext import QQ, Algebra, GaugeParam, NabCocycle, apply_equivalence, build_extension, cli, theta_from_gauge
+from nabext import (
+    GF2,
+    QQ,
+    Algebra,
+    CandidateSpace,
+    GaugeParam,
+    NabCocycle,
+    apply_equivalence,
+    build_extension,
+    census,
+    cli,
+    theta_from_gauge,
+)
 from nabext.io_json import (
     algebra_to_json,
     cocycle_to_json,
@@ -33,6 +47,7 @@ from nabext.io_json import (
     extension_to_json,
     gauge_to_json,
     map_to_json,
+    report_to_text,
 )
 
 GOLDEN_Q = Path(__file__).parent / "golden" / "cli_q.json"
@@ -142,3 +157,45 @@ def test_golden_q_covers_every_q_verb():
 def test_cli_q_matches_golden(golden, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
     assert run_cli(golden["argv"]) == golden
+
+
+def _census_f2():
+    """``census --field F2`` as JSON and as text, with their stdout."""
+    space = CandidateSpace(line_algebra(GF2, "zero", "a"), line_algebra(GF2, "idem", "b"))
+    report = census(space)
+    json_stdout = (Path(__file__).parent / "golden" / "census" / "F2-zero1-idem1.json").read_text()
+    return [
+        {"argv": ["census", "--field", "F2"], "exit": 0, "stdout": json_stdout, "stderr": ""},
+        {"argv": ["census", "--field", "F2", "--format", "text"], "exit": 0, "stdout": report_to_text(report), "stderr": ""},
+    ]
+
+
+@pytest.mark.parametrize("golden", GOLDEN + _census_f2(), ids=lambda g: " ".join(g["argv"]))
+def test_output_file_holds_what_stdout_would(golden, inputs, monkeypatch, tmp_path):
+    # every verb, verdicts and refusals alike: the document goes to the
+    # file instead of stdout, and the exit code and stderr do not change
+    monkeypatch.chdir(inputs)
+    output = tmp_path / "out"
+    result = run_cli(golden["argv"] + ["--output", str(output)])
+    assert (result["exit"], result["stdout"], result["stderr"]) == (golden["exit"], "", golden["stderr"])
+    if golden["stdout"]:
+        assert output.read_text() == golden["stdout"]
+    else:
+        assert not output.exists()
+
+
+def test_extract_cocycle_names_the_triple_check_assoc_reports(inputs, monkeypatch, tmp_path):
+    # the twisted product of a triple that is no cocycle is no extension
+    monkeypatch.chdir(inputs)
+    e_doc = json.loads((inputs / "ext-random22.json").read_text())["E"]
+    e_path = tmp_path / "E.json"
+    e_path.write_text(dumps_canonical(e_doc))
+    assoc = run_cli(["check-assoc", str(e_path)])
+    assert assoc["exit"] == 1
+    witness = json.loads(assoc["stdout"])["witness"]
+    extracted = run_cli(["extract-cocycle", "ext-random22.json"])
+    assert extracted["exit"] == 1
+    assert json.loads(extracted["stdout"]) == {
+        "ok": False,
+        "failures": ["E is not associative at ({},{},{})".format(*witness)],
+    }

@@ -5,7 +5,8 @@ re-export, every public module-level function that is
 not re-exported and every public method is read by the package or has a
 stated reason to stay,
 package modules are imported at module level and only by their public
-names, and no float enters the exact arithmetic.
+names, no float enters the exact arithmetic, and the command line writes
+its documents in ``main`` only.
 
 Stdlib only: each ``src/nabext/*.py`` is parsed with ``ast``.  The package
 ``__init__.py`` is exempt from the import check, since its imports are the
@@ -377,3 +378,32 @@ def test_no_floats(path):
 def test_float_scan_sees_literals_and_calls():
     tree = ast.parse("x = 0.5\ny = float(1)\nz = 2j\nw = 3\n")
     assert [what for what, _ in _floats(tree)] == ["0.5", "float(...)", "2j"]
+
+
+def _callers(tree: ast.Module, callee: str):
+    """Names of the module-level functions whose bodies call ``callee``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = (n for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name))
+            if any(call.func.id == callee for call in calls):
+                yield node.name
+
+
+def test_the_cli_writes_its_documents_in_main_only():
+    # handlers return (document, verdict); main writes the document once
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_callers(tree, "_emit")) == ["main"]
+
+
+def test_caller_scan_sees_calls_in_nested_bodies():
+    tree = ast.parse(
+        "def a():\n"
+        "    if x:\n"
+        "        _emit(1)\n"
+        "def b():\n"
+        "    m._emit(1)\n"
+        "def c():\n"
+        "    return [_emit(y) for y in z]\n"
+    )
+    assert list(_callers(tree, "_emit")) == ["a", "c"]

@@ -266,6 +266,23 @@ def test_cli_mc_check_evaluates_each_tensor_once(hand_files, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_cli_mc_check_exits_3_when_its_verdicts_disagree(tmp_path, monkeypatch, capsys):
+    # cocycle equations that pass a random triple, which the Maurer-Cartan
+    # test rejects: the payload is still written, and one line names the
+    # disagreement
+    import nabext.cli as cli
+
+    c = rand_cocycle(random.Random(30), trunc_poly2(QQ), zero_algebra(QQ, 2, "b"))
+    path = _write(tmp_path, "c.json", cocycle_to_json(c))
+    monkeypatch.setattr(cli, "check_cocycle", lambda c: [])
+    assert main(["mc-check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal inconsistency: cocycle and Maurer-Cartan verdicts disagree\n"
+    doc = json.loads(captured.out)
+    assert doc["cocycle_valid"] is True and doc["mc_valid"] is False
+    assert doc["violations"] == []
+
+
 def test_cli_q_verbs_tabulate_no_kernel_closures(tmp_path, monkeypatch, capsys):
     # the cochain kernels, the gauge transforms and the block reads walk or
     # copy coefficients instead of tabulating a closure on every basis tuple
@@ -660,10 +677,21 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     top = _write(tmp_path, "arity19.json", {**id2_doc, "arity": 19, "entries": []})
     arity11 = _write(tmp_path, "arity11.json", {**id2_doc, "arity": 11, "entries": []})
     argvs += [["hochschild-delta", top, alg2], ["bracket", arity11, arity11, "--field", "Q"]]
+    # 5,000 nested arrays, past the decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    argvs += [["check-assoc", str(deep)], ["census", "--A", str(deep), "--B", str(deep)]]
     for argv in argvs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+    # a file that is not UTF-8 (a UTF-16 byte order mark) is named as unreadable
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    assert main(["mc-check", str(utf16)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {utf16}: ") and captured.err.count("\n") == 1
 
 
 def test_cli_refuses_a_huge_integer_and_exponent_notation(tmp_path, capsys):
