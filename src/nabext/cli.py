@@ -73,10 +73,11 @@ from .nonabelian import (
 # Files are opened by name rather than through pathlib: a Path interns each
 # component of its name, so a process that reads many files keeps inserting
 # into the interpreter's table of interned strings, which then grows and is
-# rehashed, and peak memory climbs with the number of calls.
+# rehashed, and peak memory climbs with the number of calls.  JSON is UTF-8
+# (RFC 8259), whatever the locale's encoding.
 def _read(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return loads(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc

@@ -137,22 +137,21 @@ class MultilinearMap:
     ) -> "MultilinearMap":
         """Entries are ``(k, i_1, ..., i_n, coeff)``; absent entries are zero."""
         dims = tuple(source_dims)
-        in_size = math.prod(dims)
-        buf = [field.zero] * (target_dim * in_size)
+        buf = [field.zero] * (target_dim * math.prod(dims))
         for entry in entries:
             *idx, coeff = entry
             value = field.coerce(coeff)
-            k, rest = idx[0], idx[1:]
-            if len(rest) != len(dims):
+            if len(idx) != len(dims) + 1:
                 raise _entry_error(field, idx, value, "has wrong arity")
-            if not 0 <= k < target_dim or any(
-                not 0 <= i < d for i, d in zip(rest, dims)
-            ):
+            # the target index is the outermost digit of the flat position
+            off = idx[0]
+            if not 0 <= off < target_dim:
                 raise _entry_error(field, idx, value, "out of range")
-            off = 0
-            for d, i in zip(dims, rest):
+            for d, i in zip(dims, idx[1:]):
+                if not 0 <= i < d:
+                    raise _entry_error(field, idx, value, "out of range")
                 off = off * d + i
-            buf[k * in_size + off] = value
+            buf[off] = value
         return cls(field, dims, target_dim, tuple(buf))
 
     @classmethod
@@ -209,15 +208,16 @@ class MultilinearMap:
         return tuple(out)
 
     def entries(self) -> Iterable[Tuple]:
-        """Nonzero entries as ``(k, i_1, ..., i_n, coeff)`` in index order."""
-        in_size = self.input_size
-        for k in range(self.target_dim):
-            for flat, idxs in enumerate(
-                itertools.product(*(range(d) for d in self.source_dims))
-            ):
-                c = self.coeffs[k * in_size + flat]
-                if c != 0:
-                    yield (k, *idxs, c)
+        """Nonzero entries as ``(k, i_1, ..., i_n, coeff)`` in index order:
+        the order of the flat coefficients, whose digits are the indices."""
+        last_first = self.source_dims[::-1]
+        for pos, c in enumerate(self.coeffs):
+            if c != 0:
+                idxs = []
+                for d in last_first:
+                    pos, i = divmod(pos, d)
+                    idxs.append(i)
+                yield (pos, *idxs[::-1], c)
 
     # -- linear structure ---------------------------------------------------
 

@@ -51,6 +51,9 @@ class Rationals:
     def coerce(self, value) -> Scalar:
         if type(value) is int:
             return value
+        if type(value) is Fraction:
+            # a parsed coefficient comes back as it is, not rebuilt
+            return _canonical(value)
         if isinstance(value, str):
             # parse refuses exponent notation, which Fraction can stall on
             return self.parse(value)
@@ -93,11 +96,13 @@ class Rationals:
         text = str(text)
         if "e" in text or "E" in text:
             raise FieldError(f"not a rational scalar: {text!r} (exponent notation is not accepted)")
-        # int reads the same integer strings as Fraction, in C
-        try:
-            return int(text)
-        except ValueError:
-            pass
+        # int reads the same integer strings as Fraction, in C, and none
+        # with a "/", so a ratio is parsed once, by Fraction
+        if "/" not in text:
+            try:
+                return int(text)
+            except ValueError:
+                pass
         try:
             return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:

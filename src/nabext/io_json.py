@@ -4,6 +4,11 @@ Coefficients travel as decimal strings ("3/2" is allowed over Q, bare
 integers over prime fields) so exactness survives serialization; unlisted
 entries are zero.  Emission is canonical: keys sorted, entries in index
 order, fixed indentation, so equal objects produce equal bytes.
+
+:func:`dumps_canonical` is one recursive writer that appends to a list,
+escaping strings with json's C ``encode_basestring_ascii``; its oracle, in
+the tests, is ``json.dumps(obj, sort_keys=True, indent=2)``, whose
+``indent`` sends every document through json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -42,8 +47,54 @@ def require_dense_size(what: str, target_dim: int, source_dim: int, arity: int) 
         )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, except
+    that a dict key that is not a ``str`` raises ``TypeError``."""
+    out: List[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: List[str], newline: str) -> None:
+    """Append the text of ``obj`` to ``out``; ``newline`` is the line break
+    and indentation of the line ``obj`` starts on."""
+    if type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"a document key must be a str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        # bools, None, floats, and the TypeError of anything else
+        out.append(json.dumps(obj))
 
 
 def loads(text: str):
@@ -58,7 +109,7 @@ def loads(text: str):
 def _is_int(value) -> bool:
     """A JSON integer: ``true`` and ``false`` are not numbers, and ``2.5``
     and ``2.0`` are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def _expect(obj, key: str, kind, what: str):
@@ -189,8 +240,9 @@ def _entries_from_json(
                 f"{what} entry {row!r} must be [k, {arity} indices, coeff]"
             )
         *idx, coeff = row
-        if not all(_is_int(v) for v in idx):
-            raise FormatError(f"{what} entry {row!r} has non-integer indices")
+        for v in idx:
+            if not _is_int(v):
+                raise FormatError(f"{what} entry {row!r} has non-integer indices")
         value = _parse_scalar(field, coeff, what)
         slot = tuple(idx)
         if slot in seen:
@@ -270,7 +322,7 @@ def matrix_from_entries(rows, field: Field, n_rows: int, n_cols: int, what: str)
     buf = [[field.zero] * n_cols for _ in range(n_rows)]
     seen = set()
     for row in rows:
-        if not isinstance(row, list) or len(row) != 3 or not all(_is_int(v) for v in row[:2]):
+        if not isinstance(row, list) or len(row) != 3 or not (_is_int(row[0]) and _is_int(row[1])):
             raise FormatError(f"{what} entry {row!r} must be [row, col, coeff]")
         i, j, coeff = row
         if not (0 <= i < n_rows and 0 <= j < n_cols):

@@ -56,6 +56,32 @@ def test_map_shape_and_entry_round_trip():
     )
 
 
+def _entries_by_product(m: MultilinearMap):
+    """The nonzero entries by a walk over every basis tuple of every target
+    index: the order ``entries`` promises."""
+    out = []
+    for k in range(m.target_dim):
+        for flat, idxs in enumerate(itertools.product(*(range(d) for d in m.source_dims))):
+            c = m.coeffs[k * m.input_size + flat]
+            if c != 0:
+                out.append((k, *idxs, c))
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.data(),
+    st.sampled_from([GF2, GF3, QQ]),
+    st.lists(st.integers(1, 3), max_size=3),
+    st.integers(1, 3),
+)
+def test_entries_walk_the_nonzero_coefficients_in_index_order(data, field, source_dims, target):
+    size = target * math.prod(source_dims)
+    coeffs = data.draw(st.lists(_SCALARS[field], min_size=size, max_size=size))
+    m = MultilinearMap(field, tuple(source_dims), target, tuple(coeffs))
+    assert list(m.entries()) == _entries_by_product(m)
+
+
 @pytest.mark.parametrize(
     "field,coeff,text",
     [(QQ, 1, "1"), (QQ, Fraction(2), "2"), (QQ, Fraction(-1, 2), "-1/2"), (QQ, "3/1", "3"), (GF3, 5, "2"), (GF3, -1, "2")],

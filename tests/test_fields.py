@@ -54,6 +54,21 @@ def test_rational_coerce_refuses_exponent_notation():
         QQ.coerce("three halves")
 
 
+def test_rational_coerce_of_a_canonical_fraction_builds_none(monkeypatch):
+    # the readers coerce each parsed coefficient a second time
+    values = [Fraction(3, 2), Fraction(-5, 7), Fraction(10 ** 30 + 1, 3)]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert all(QQ.coerce(x) is x for x in values)
+    assert built == []
+
+
 def test_rational_coerce_refuses_a_float():
     # a float is a binary approximation: Fraction(0.1) is not 1/10
     with pytest.raises(FieldError, match="not a rational scalar: 0.1"):

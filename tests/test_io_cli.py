@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     canonical_presentation,
@@ -188,6 +190,142 @@ def test_loads_rejects_bad_json():
     # plain ValueError, not a JSONDecodeError
     with pytest.raises(FormatError, match="^not valid JSON: .*digits"):
         loads("[" + "1" * 5000 + "]")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _json_oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _golden_documents():
+    """Every parsed file under ``tests/golden``, then every JSON stdout
+    that ``tests/golden/cli_q.json`` records."""
+    docs = [json.loads(path.read_text()) for path in sorted(GOLDEN.rglob("*.json"))]
+    outputs = [call["stdout"] for call in json.loads((GOLDEN / "cli_q.json").read_text())]
+    return docs + [json.loads(out) for out in outputs if out.startswith(("{", "["))]
+
+
+# strings with the characters an escape must get right
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\U0001f600')))
+_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=2 ** 64),
+    st.integers(max_value=-(2 ** 64)),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_DOCUMENTS)
+def test_dumps_canonical_is_json_dumps(doc):
+    assert dumps_canonical(doc) == _json_oracle(doc)
+
+
+def test_dumps_canonical_writes_the_golden_documents_without_the_python_encoder(monkeypatch):
+    # json's pure-Python encoder, which an indent selects, builds its
+    # generators in _make_iterencode
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    docs = _golden_documents()
+    assert len(docs) > 23
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    written = [dumps_canonical(doc) for doc in docs]
+    monkeypatch.undo()
+    assert written == [_json_oracle(doc) for doc in docs]
+
+
+def test_dumps_canonical_refuses_a_key_that_is_not_a_string():
+    # json.dumps would write the key 1 as "1"
+    for doc in ({1: "x"}, {"a": [{2: 0, 1: 0}]}):
+        with pytest.raises(TypeError, match="^a document key must be a str, not int$"):
+            dumps_canonical(doc)
+    # keys of two types do not sort
+    with pytest.raises(TypeError):
+        dumps_canonical({"b": 0, 2: 0})
+
+
+# documents with several faults each, and the refusal each reader gave
+# before it parsed each coefficient once: the shape, index and scalar of
+# each entry are checked in one pass and its range in the next
+_LINE = {"field": "Q", "dim": 2, "basis": ["u", "t"], "products": [[0, 0, [0, "1"]], [0, 1, [1, "1"]], [1, 0, [1, "1"]]]}
+_COCYCLE = {"A": _LINE, "B": {**_LINE, "dim": 1, "basis": ["b"], "products": []}, "phi": [], "psi": [], "chi": []}
+_MAP = {"arity": 1, "source_dim": 2, "target_dim": 2}
+_PRECEDENCE = [
+    # an out-of-range entry before a bad scalar
+    (cocycle_from_json, {**_COCYCLE, "phi": [[5, 0, 0, "1"], [0, 0, 0, "x"]]}, "phi: not a rational scalar: 'x'"),
+    (cocycle_from_json, {**_COCYCLE, "psi": [[0, 0, 9, "1"], [0, 0, 0, "1/0"]]}, "psi: not a rational scalar: '1/0'"),
+    (map_from_json, {**_MAP, "entries": [[0, 5, "1"], [0, 0, "x"]]}, "map: not a rational scalar: 'x'"),
+    (gauge_from_json, {"beta": [[5, 0, "1"], [0, 0, "x"]]}, "beta entry (5,0) out of range 2x1"),
+    (gauge_from_json, {"beta": [[0, 0, "x"], [5, 0, "1"]]}, "beta: not a rational scalar: 'x'"),
+    # a duplicate slot after an out-of-range entry
+    (cocycle_from_json, {**_COCYCLE, "chi": [[0, 0, 7, "1"], [0, 0, 0, "1"], [0, 0, 0, "2"]]}, "chi entry [0, 0, 0] is given twice"),
+    (cocycle_from_json, {**_COCYCLE, "chi": [[0, 0, 0, "1"], [0, 0, 0, "2"], [0, 0, 0, "x"]]}, "chi entry [0, 0, 0] is given twice"),
+    (map_from_json, {**_MAP, "entries": [[2, 0, "1"], [0, 1, "1"], [0, 1, "2"]]}, "map entry [0, 1] is given twice"),
+    (gauge_from_json, {"beta": [[0, 0, "1"], [0, 0, "1"], [0, 7, "1"]]}, "beta entry (0,0) is given twice"),
+    # an algebra product out of range before a bad coefficient
+    (algebra_from_json, {**_LINE, "products": [[5, 0, [0, "1"]], [0, 0, [0, "x"]]]}, "product row (5,0) out of range for dim 2"),
+    (algebra_from_json, {**_LINE, "products": [[0, 0, [7, "1"], [0, "x"]]]}, "output index 7 out of range for dim 2"),
+    (algebra_from_json, {**_LINE, "products": [[0, 0, [0, "x"], [7, "1"]]]}, "product (0,0): not a rational scalar: 'x'"),
+    (algebra_from_json, {**_LINE, "products": [[0, 0, [0, "1/0"]], [0, 9, [0, "1"]]]}, "product (0,0): not a rational scalar: '1/0'"),
+    # an arity mismatch
+    (cocycle_from_json, {**_COCYCLE, "phi": [[0, 0, 0, "x"], [0, 0, "1"]]}, "phi: not a rational scalar: 'x'"),
+    (cocycle_from_json, {**_COCYCLE, "phi": [[0, 0, "1"], [0, 0, 0, "x"]]}, "phi entry [0, 0, '1'] must be [k, 2 indices, coeff]"),
+    (map_from_json, {**_MAP, "arity": 2, "entries": [[0, 0, "1"], [0, 0, 0, "1"]]}, "map entry [0, 0, '1'] must be [k, 2 indices, coeff]"),
+    # a bad index before an out-of-range one, and a range fault in an
+    # earlier tensor than a bad scalar
+    (cocycle_from_json, {**_COCYCLE, "phi": [[0, 0, True, "1"], [9, 0, 0, "x"]]}, "phi entry [0, 0, True, '1'] has non-integer indices"),
+    (cocycle_from_json, {**_COCYCLE, "phi": [[9, 0, 0, "1"]], "chi": [[0, 0, 0, "x"]]}, "phi: entry (9, 0, 0, 1) out of range"),
+]
+
+
+@pytest.mark.parametrize("reader,doc,message", _PRECEDENCE)
+def test_the_first_refusal_of_a_document_with_several_faults(reader, doc, message):
+    args = {map_from_json: (QQ,), gauge_from_json: (QQ, 2, 1)}.get(reader, ())
+    with pytest.raises(FormatError) as caught:
+        reader(doc, *args)
+    assert str(caught.value) == message
+
+
+_INTEGER_TEXT = st.integers(-9, 9).map(str)
+_TEXTS = {
+    QQ: st.one_of(_INTEGER_TEXT, st.tuples(st.integers(-9, 9), st.integers(1, 4)).map(lambda nd: f"{nd[0]}/{nd[1]}")),
+    GF2: _INTEGER_TEXT,
+    GF3: _INTEGER_TEXT,
+}
+
+
+@st.composite
+def _entry_lists(draw):
+    field = draw(st.sampled_from([QQ, GF2, GF3]))
+    arity, source_dim, target_dim = draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    slots = list(itertools.product(range(target_dim), *[range(source_dim)] * arity))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    rows = [[*slot, draw(_TEXTS[field])] for slot in chosen]
+    return field, {"arity": arity, "source_dim": source_dim, "target_dim": target_dim, "entries": rows}
+
+
+@settings(deadline=None, max_examples=200)
+@given(_entry_lists())
+def test_the_reader_builds_the_map_of_the_parsed_coefficients(case):
+    field, doc = case
+    entries = [(*row[:-1], field.parse(row[-1])) for row in doc["entries"]]
+    oracle = MultilinearMap.from_entries(field, (doc["source_dim"],) * doc["arity"], doc["target_dim"], entries)
+    assert map_from_json(doc, field) == (oracle, None)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +830,28 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {utf16}: ") and captured.err.count("\n") == 1
+
+
+def test_cli_reads_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, open() would decode with ASCII
+    alpha = tmp_path / "alpha.json"
+    alpha.write_bytes(
+        json.dumps({"field": "Q", "dim": 1, "basis": ["\u03b1"], "products": []}, ensure_ascii=False).encode("utf-8")
+    )
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    src = str(Path(nabext.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "nabext.cli", "check-assoc", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for path in (alpha, utf16)
+    ]
+    assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (0, '{\n  "associative": true\n}\n', "")
+    assert runs[1].returncode == 2 and runs[1].stdout == ""
+    assert runs[1].stderr.startswith(f"error: cannot read {utf16}: ") and runs[1].stderr.count("\n") == 1
 
 
 def test_cli_refuses_a_huge_integer_and_exponent_notation(tmp_path, capsys):
