@@ -9,21 +9,20 @@ so runs are deterministic and trivially splittable across workers.  The
 (phi, psi) coefficients are the low digits and chi the high ones.
 
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
-of degree at most 2 in numbered variables.  The stages are read by
-:func:`_read_affine`, each row once, as its terms: rows ``r0 + M x`` affine
-in the unknowns, ``r0`` and ``M`` polynomials in the parameters (an
-:class:`_Affine`).  A term of degree 2 in the unknowns, or one in a later
-variable, raises :class:`CrossCheckError`, so affinity is checked, not
-assumed.  No equation is written out here.
+of degree at most 2 in numbered variables.  No equation is written out here.
 
 The census solves once, and a route identity stands in for a second solve.
-The cocycle route reads the residual generators of
-:mod:`~nabext.nonabelian` into three stages, phi, then psi with phi fixed,
-then chi with phi and psi fixed: the phi stage is the psi-free
-``phi_leibniz`` rows of EQ4, the psi stage the other rows of EQ3 and EQ4,
-the chi stage EQ1, EQ2 and EQ5.  A stage's unknowns are its digits, its
-parameters the earlier ones, and its rows with them written in are what one
-elimination solves.  An exhaustive run solves the stages in turn
+The cocycle route reads each component of the residual generators of
+:mod:`~nabext.nonabelian` once, as a row of terms, and solves three stages:
+phi, then psi with phi fixed, then chi with phi and psi fixed.  A stage's
+unknowns are its digits and its parameters the earlier ones; its rows are
+``r0 + M x``, affine in the unknowns, ``r0`` and ``M`` polynomials in the
+parameters (an :class:`_Affine`).  One rule stages every row, whatever
+equation made it: it goes to the earliest stage that reads no later digit
+and has no term of degree 2 in the stage's unknowns, so a row is tested as
+soon as its variables are fixed.  A row of degree 2 in chi fits no stage
+and raises :class:`CrossCheckError`, so affinity is checked, not assumed.
+An exhaustive run solves the stages in turn, one elimination each
 (:func:`_fibre_chunk`); a sample of indices is tested on them row by row,
 each index's digits written into the phi, psi and chi rows in turn and
 stopped at the first nonzero row (:func:`_sample_chunk`).
@@ -166,8 +165,8 @@ class _Poly:
     :func:`cocycle_to_mc`, :func:`associator_residual`,
     :func:`gauge_closed_form`, :func:`apply_equivalence` and
     :func:`cocycle_from_section` (its :func:`verify_extension` and
-    :func:`section_cocycle`) run over it as written.  :func:`_read_affine`
-    reads the stages they return, and
+    :func:`section_cocycle`) run over it as written.
+    :attr:`CandidateSpace.cocycle_stages` reads the rows they return, and
     :meth:`CandidateSpace.check_identities` compares the identities.  A
     product above degree 2 raises :class:`CrossCheckError`: every read and
     identity relies on its formula being at most quadratic.
@@ -268,9 +267,9 @@ class _Poly:
 class _Affine:
     """Rows ``r0 + M x`` over F_p, affine in the unknowns ``x``, the
     variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in the
-    parameters, the variables below ``lo``.  ``touched`` lists, in order,
-    the rows that some term reaches; the others are zero whatever the
-    parameters, so they are dropped once, at read time.  ``rows`` holds
+    parameters, the variables below ``lo``.  ``touched`` numbers, in
+    order, the stage's rows in the route's whole residual sequence; a row
+    with no term is in no stage.  ``rows`` holds
     each touched row as its terms ``(k, l, c)``, ``c`` times the variables
     ``k <= l``, where ``-1`` pads the monomial on the left and stands for
     the constant 1; an unknown, if any, is ``l``.  :meth:`vanishes_at` and
@@ -299,7 +298,11 @@ class _Affine:
                 else:
                     # free of unknowns: -c in the column of -r0
                     grouped.setdefault((k, l), []).append((start + width - 1, -c))
-        return tuple((m, tuple(e)) for m, e in grouped.items())
+        # built from a list, not a generator: a generator's tuple is made at
+        # a guessed length and resized, so each one freed grows the
+        # interpreter's free list of its real length (up to 2,000), and peak
+        # memory climbs with the spaces a process solves
+        return tuple([(m, tuple(e)) for m, e in grouped.items()])
 
     def at(self, params: Sequence[int]) -> List[Vector]:
         """The touched rows of ``[M | -r0]`` with ``params`` written in, or
@@ -358,43 +361,6 @@ def _row_label(kind: ViolationKind, witness: Tuple[int, ...], detail: str, k: in
     """The name of component ``k`` of a stage residual ``(kind, witness,
     disc, detail)``."""
     return f"residual {kind.value}{' ' + detail if detail else ''} at {witness}, component {k},"
-
-
-def _read_affine(
-    field: PrimeField, read: str, residuals: Iterable[Residual], lo: int, hi: int, names: List[str]
-) -> _Affine:
-    """The :class:`_Affine` of symbolic residuals ``(kind, witness, disc,
-    detail)``, a row per component of each ``disc``, in order, with the
-    variables below ``lo`` as parameters and ``lo`` to ``hi - 1`` as
-    unknowns, each row written once, as its ``(k, l, c)`` terms.  Raises
-    :class:`CrossCheckError`, naming the read, the row
-    (:func:`_row_label`, formatted only then) and the monomial (each
-    variable by its entry of ``names``), if a term has degree 2 in the
-    unknowns or reads a variable from ``hi`` on, a later stage's digit: the
-    rows must be affine in the unknowns and decided before the later
-    variables are.  A row with no term is zero for every parameter value,
-    so only the rows with some term are kept, as :attr:`_Affine.touched`."""
-    rows: List[Tuple[Tuple[int, int, int], ...]] = []
-    touched: List[int] = []
-    row = -1
-    for kind, witness, disc, detail in residuals:
-        for k, value in enumerate(disc):
-            row += 1
-            terms = []
-            for mono, c in _terms(value).items():
-                # a monomial is sorted, so its one unknown, if any, is last
-                term = (-1, -1, *mono, c)[-3:]
-                if term[1] >= hi or term[0] >= lo:
-                    why = "in a later stage's digit" if term[1] >= hi else "of degree 2 in the unknowns"
-                    raise CrossCheckError(
-                        f"{read}: {_row_label(kind, witness, detail, k)} has the term"
-                        f" {'*'.join(names[v] for v in mono)} {why}"
-                    )
-                terms.append(term)
-            if terms:
-                touched.append(row)
-                rows.append(tuple(terms))
-    return _Affine(field, lo, hi, tuple(touched), tuple(rows))
 
 
 def _signed_key(terms: Iterable[Tuple[Monomial, int]], p: int) -> FrozenSet[Tuple[Monomial, int]]:
@@ -471,31 +437,64 @@ class CandidateSpace:
         parts = zip(_STAGES, self.entry_counts)
         return [f"{part}[{k}]" for part, n in parts for k in range(n)]
 
-    def _stage_residuals(self) -> Tuple[Iterable[Residual], ...]:
-        """The residuals of the phi, psi and chi stages of the cocycle route,
-        from one pass of :func:`twist_residuals` and one of
-        :func:`curvature_residuals` with every digit a variable: phi the
-        ``phi_leibniz`` rows, psi the other :func:`twist_residuals` rows, chi
-        :func:`curvature_residuals`."""
+    def _residuals(self) -> Iterator[Residual]:
+        """Every residual of the cocycle route, :func:`twist_residuals` and
+        then :func:`curvature_residuals`, with every digit a variable."""
         c = self._decode(_symbolic_digits(self.total_entries, self.p))
-        twist = list(twist_residuals(self.A, self.B, c.phi, c.psi))
-        leibniz = [r for r in twist if r[3] == "phi_leibniz"]
-        others = [r for r in twist if r[3] != "phi_leibniz"]
-        return leibniz, others, curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi)
+        return itertools.chain(
+            twist_residuals(self.A, self.B, c.phi, c.psi),
+            curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi),
+        )
 
     @cached_property
     def cocycle_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
-        """The phi, psi and chi stages of the cocycle route, one
-        :func:`_read_affine` each of :meth:`_stage_residuals`, a row per
-        component: a stage's own digits are its unknowns, the earlier ones
-        its parameters, and a later stage's digits are refused."""
+        """The phi, psi and chi stages of the cocycle route, one read of
+        :meth:`_residuals`, a row per component, each row written once as
+        its terms.  Stage ``(lo, hi)`` has the digits ``lo`` to ``hi - 1``
+        as its unknowns and the earlier ones as its parameters.  Each row
+        goes to the earliest stage where it reads no digit from ``hi`` on
+        and no term has degree 2 in the unknowns: the stage of its highest
+        digit, or, if a term is a product of two of that stage's digits,
+        the next one, where it reads parameters only.  A row with no term is
+        zero for every candidate and is dropped.  A row with a term of
+        degree 2 in chi fits no stage and raises :class:`CrossCheckError`,
+        naming the row (:func:`_row_label`) and the monomial."""
         n_phi, n_psi, _ = self.entry_counts
-        bounds = ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, self.total_entries))
-        names = self._digit_names()
-        return tuple(
-            _read_affine(self.A.field, f"cocycle route, {part} stage", stage, lo, hi, names)
-            for part, (lo, hi), stage in zip(_STAGES, bounds, self._stage_residuals())
-        )
+        los = (0, n_phi, n_phi + n_psi, self.total_entries)
+        # the stage of each digit, and of the padding -1, the constant
+        stage_of = [s for s in range(3) for _ in range(los[s], los[s + 1])] + [0]
+        touched, rows = ([], [], []), ([], [], [])
+        row = -1
+        for kind, witness, disc, detail in self._residuals():
+            for k, value in enumerate(disc):
+                row += 1
+                if isinstance(value, _Poly):
+                    items = value.terms.items()
+                elif value:
+                    items = (((), value),)
+                else:
+                    continue
+                terms = []
+                top = -1
+                for mono, c in items:
+                    # a monomial is sorted and padded on the left, so l is
+                    # its highest variable, and k is one only in a product
+                    term = (-1, -1, *mono, c)[-3:]
+                    if term[1] > top:
+                        top = term[1]
+                    terms.append(term)
+                s = stage_of[top]
+                if max(terms)[0] >= los[s]:
+                    s += 1
+                    if s == 3:
+                        mono = next(term[:2] for term in terms if term[0] >= los[2])
+                        raise CrossCheckError(
+                            f"cocycle route, chi stage: {_row_label(kind, witness, detail, k)} has the term"
+                            f" {'*'.join(self._digit_names()[v] for v in mono)} of degree 2 in the unknowns"
+                        )
+                touched[s].append(row)
+                rows[s].append(tuple(terms))
+        return tuple(_Affine(self.A.field, los[s], los[s + 1], tuple(touched[s]), tuple(rows[s])) for s in range(3))
 
     @cached_property
     def _symbolic_extension(self) -> Algebra:
@@ -539,7 +538,7 @@ class CandidateSpace:
                 key = _signed_key((((k, l) if k >= 0 else (l,) if l >= 0 else (), c) for k, l, c in terms), p)
                 if key not in associators:
                     raise CrossCheckError(
-                        f"route identity: {self._stage_row_label(part, row)} of the cocycle route's"
+                        f"route identity: {self._stage_row_label(row)} of the cocycle route's"
                         f" {_STAGES[part]} stage is no associator of the twisted product, up to sign"
                     )
                 rows.add(key)
@@ -550,12 +549,11 @@ class CandidateSpace:
                     " is no row of the cocycle route, up to sign"
                 )
 
-    def _stage_row_label(self, part: int, row: int) -> str:
-        """The :func:`_row_label` of row ``row`` of stage ``part``, counted
-        over every component of its residuals, zeros included: the
-        generators are evaluated again, so a label costs nothing until a
-        check fails."""
-        for kind, witness, disc, detail in self._stage_residuals()[part]:
+    def _stage_row_label(self, row: int) -> str:
+        """The :func:`_row_label` of row ``row`` of :meth:`_residuals`,
+        counted over every component, zeros included: the generators are
+        evaluated again, so a label costs nothing until a check fails."""
+        for kind, witness, disc, detail in self._residuals():
             if row < len(disc):
                 return _row_label(kind, witness, detail, row)
             row -= len(disc)

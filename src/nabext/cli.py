@@ -59,6 +59,7 @@ from .io_json import (
 )
 from .nonabelian import (
     CrossCheckError,
+    NabCocycle,
     abelian_specialize,
     apply_equivalence,
     build_extension,
@@ -152,8 +153,16 @@ def _cmd_bracket(args) -> Tuple[object, int]:
     return map_to_json(gerstenhaber_bracket(f, g), split), 0
 
 
+def _require_sum_size(what: str, c: NabCocycle, arity: int) -> None:
+    """Refuse, before any work, a result that is a map of ``arity`` slots
+    on A + B past :data:`~nabext.io_json.MAX_DENSE_SIZE`."""
+    d = c.A.dim + c.B.dim
+    require_dense_size(what, d, d, arity)
+
+
 def _cmd_mc_check(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
+    _require_sum_size("the square x o x", c, 3)
     violations = check_cocycle(c)
     x, base, _ = mc_context(c)
     # the associator residual x o x - delta x and the dgLa residual
@@ -176,6 +185,7 @@ def _cmd_mc_check(args) -> Tuple[object, int]:
 
 def _cmd_build_extension(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
+    _require_sum_size("the extension", c, 2)
     ext, split = build_extension(c)
     doc = algebra_to_json(ext)
     doc["split"] = {"a_dim": split.a_dim, "b_dim": split.b_dim}
@@ -212,6 +222,7 @@ def _cmd_gauge(args) -> Tuple[object, int]:
     if args.method == "series":
         if c.A.field.characteristic == 2:
             raise FormatError("--method series needs 1/2, which characteristic 2 lacks; pass --method closed")
+        _require_sum_size("the Maurer-Cartan element", c, 2)
         x, base, split = mc_context(c)
         result = cocycle_from_mc(gauge_series(x, beta, base, split), c.A, c.B)
     else:
@@ -285,6 +296,7 @@ def _cmd_census(args) -> Tuple[object, int]:
 
 def _cmd_abelianize(args) -> Tuple[object, int]:
     c = cocycle_from_json(_read(args.cocycle))
+    _require_sum_size("the square x o x", c, 3)
     if not c.A.has_zero_product():
         raise FormatError("abelianize requires a kernel algebra with zero product")
     violations = check_cocycle(c)

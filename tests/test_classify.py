@@ -416,9 +416,11 @@ def _patched(monkeypatch, edit):
     monkeypatch.setattr(classify, "build_extension", built)
 
 
+# on a^2 = 0, b^2 = b this EQ1 row is phi0^2 - phi0, quadratic in phi alone,
+# so the psi stage takes it
 _EQ1_UNMATCHED = (
     "route identity: residual eq1_left_twist at (0, 0, 0), component 0, of the cocycle route's"
-    " chi stage is no associator of the twisted product, up to sign"
+    " psi stage is no associator of the twisted product, up to sign"
 )
 
 
@@ -590,14 +592,14 @@ def _associators(space, table, triples):
     return tuple(v for t in triples for v in associators[t])
 
 
-def _stage_values(space, stage, digits):
-    """What the probes of a stage read: the generator's residuals at the
+def _residual_values(space, digits):
+    """What the probes of the stages read: every residual of the cocycle
+    route, :func:`twist_residuals` then :func:`curvature_residuals`, at the
     digits ``digits``."""
     phi, psi, chi = _twists(space, digits)
-    if stage == 2:
-        return _stack(nonabelian.curvature_residuals(space.A, space.B, phi, psi, chi))
-    twist = nonabelian.twist_residuals(space.A, space.B, phi, psi)
-    return _stack(r for r in twist if (r[3] == "phi_leibniz") == (stage == 0))
+    return _stack(nonabelian.twist_residuals(space.A, space.B, phi, psi)) + _stack(
+        nonabelian.curvature_residuals(space.A, space.B, phi, psi, chi)
+    )
 
 
 _GF5 = PrimeField(5)
@@ -647,34 +649,29 @@ def test_symbolic_equations_evaluate_to_the_numeric_ones(case):
     )
 
 
-def _on_touched(system, values):
-    """The entries of ``values`` at the rows that ``system`` keeps, after
-    checking that every row it drops is zero there."""
-    assert all(v == 0 for q, v in enumerate(values) if q not in system.touched)
-    return tuple(values[q] for q in system.touched)
-
-
 @settings(deadline=None, max_examples=60)
 @given(_spaces_and_digits())
 def test_stage_systems_are_the_probes_of_their_generators(case):
-    # each stage at random earlier digits: r0 is the generator with the
-    # unknowns and later digits at zero, and column j is the generator at
-    # the j-th unit vector minus r0, on the touched rows; the generator is
-    # zero on every other row, and a system that touches none keeps one
-    # zero row
+    # each stage at random earlier and later digits: r0 is the residuals
+    # with the unknowns at zero, and column j is the residuals at the j-th
+    # unit vector minus r0, on the stage's rows, so a stage row reads no
+    # later digit; a row that no stage holds is zero, and a system that
+    # holds none keeps one zero row
     space, digits = case
     field = space.A.field
-    for stage, ((lo, hi), system) in enumerate(zip(_bounds(space), space.cocycle_stages)):
-        fixed, later = digits[:lo], (0,) * (space.total_entries - hi)
+    held = {q for system in space.cocycle_stages for q in system.touched}
+    for (lo, hi), system in zip(_bounds(space), space.cocycle_stages):
+        fixed, later = digits[:lo], digits[hi:]
         rows = system.at(fixed)
         if not system.touched:
             assert rows == [(0,) * (hi - lo + 1)]
             rows = []
-        r0 = _stage_values(space, stage, fixed + (0,) * (hi - lo) + later)
-        assert vec_neg(field, tuple(row[-1] for row in rows)) == _on_touched(system, r0)
+        r0 = _residual_values(space, fixed + (0,) * (hi - lo) + later)
+        assert all(v == 0 for q, v in enumerate(r0) if q not in held)
+        assert vec_neg(field, tuple(row[-1] for row in rows)) == tuple(r0[q] for q in system.touched)
         for j, unit in enumerate(identity_matrix(field, hi - lo)):
-            column = vec_sub(field, _stage_values(space, stage, fixed + unit + later), r0)
-            assert tuple(row[j] for row in rows) == _on_touched(system, column)
+            column = vec_sub(field, _residual_values(space, fixed + unit + later), r0)
+            assert tuple(row[j] for row in rows) == tuple(column[q] for q in system.touched)
 
 
 @settings(deadline=None, max_examples=30)
@@ -724,25 +721,6 @@ def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, caps
     assert "chi stage" in err and "chi[0]*chi[0]" in err and "Traceback" not in err
 
 
-def test_a_stage_that_reads_a_later_digit_is_refused(monkeypatch):
-    # the last curvature residual, the EQ5 row chi (phi + psi), moved into
-    # the psi stage
-    real = CandidateSpace._stage_residuals
-
-    def moved(space):
-        leibniz, others, curvature = real(space)
-        curvature = list(curvature)
-        return leibniz, others + curvature[-1:], curvature[:-1]
-
-    monkeypatch.setattr(CandidateSpace, "_stage_residuals", moved)
-    message = (
-        r"cocycle route, psi stage: residual eq5_chi_cocycle at \(0, 0, 0\),"
-        r" component 0, has the term phi\[0\]\*chi\[0\] in a later stage's digit"
-    )
-    with pytest.raises(CrossCheckError, match=message):
-        census(_space())
-
-
 def _squared_in(real, stage, detail):
     """The residual generator ``real`` with the square of the first digit of
     ``stage`` (0 for phi, 1 for psi, 2 for chi) added to the last component
@@ -759,31 +737,19 @@ def _squared_in(real, stage, detail):
     return planted
 
 
-@pytest.mark.parametrize("route,stage", [("cocycle", "phi"), ("cocycle", "psi"), ("cocycle", "chi")])
+@pytest.mark.parametrize("route,stage", [("cocycle", "chi")])
 def test_a_refused_term_names_its_row(monkeypatch, route, stage):
-    # the row label of a refusal, byte for byte: a phi, psi or chi square
-    # planted in a twist residual with a detail, one without, and a
-    # curvature residual, on F2 zero(2)/idem line, whose residuals have two
-    # components
+    # the row label of a refusal, byte for byte: a chi square planted in a
+    # curvature residual on F2 zero(2)/idem line, whose residuals have two
+    # components.  A phi or psi square only moves its row one stage later;
+    # in chi no stage is left
     space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
-    if stage == "chi":
-        monkeypatch.setattr(classify, "curvature_residuals", _squared_in(nonabelian.curvature_residuals, 2, ""))
-        message = (
-            "cocycle route, chi stage: residual eq1_left_twist at (0, 0, 0),"
-            " component 1, has the term chi[0]*chi[0] of degree 2 in the unknowns"
-        )
-    elif stage == "phi":
-        monkeypatch.setattr(classify, "twist_residuals", _squared_in(nonabelian.twist_residuals, 0, "phi_leibniz"))
-        message = (
-            "cocycle route, phi stage: residual eq4_derivation phi_leibniz at (0, 0, 0),"
-            " component 1, has the term phi[0]*phi[0] of degree 2 in the unknowns"
-        )
-    else:
-        monkeypatch.setattr(classify, "twist_residuals", _squared_in(nonabelian.twist_residuals, 1, ""))
-        message = (
-            "cocycle route, psi stage: residual eq3_commute at (0, 0, 0),"
-            " component 1, has the term psi[0]*psi[0] of degree 2 in the unknowns"
-        )
+    planted = _squared_in(nonabelian.curvature_residuals, classify._STAGES.index(stage), "")
+    monkeypatch.setattr(classify, "curvature_residuals", planted)
+    message = (
+        f"{route} route, {stage} stage: residual eq1_left_twist at (0, 0, 0),"
+        f" component 1, has the term {stage}[0]*{stage}[0] of degree 2 in the unknowns"
+    )
     with pytest.raises(CrossCheckError) as refused:
         census(space)
     assert str(refused.value) == message
@@ -1308,6 +1274,36 @@ def test_census_reports_of_the_benchmark_spaces_match_golden(name):
     assert text == (GOLDEN / "census" / f"{name}.json").read_text()
 
 
+def _monomial(k, l):
+    """The monomial of a stage term's padded variables ``k <= l``."""
+    return tuple(v for v in (k, l) if v >= 0)
+
+
+# the golden census spaces: the benchmark's, and F2 zero(2)/idem line
+_STAGED_SPACES = {**_GOLDEN_CENSUS_SPACES, "F2-zero2-idem1": (zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGED_SPACES))
+def test_each_row_is_solved_at_the_earliest_stage_that_can_take_it(name):
+    # every stage row reads no digit from its stage's hi on, is affine in
+    # the stage's unknowns, and fits no earlier stage: it reads a digit
+    # past that stage's hi or has a term of degree 2 in its unknowns.
+    # Together the stages hold each nonzero residual row once, as its terms
+    space = CandidateSpace(*_STAGED_SPACES[name])
+    bounds = _bounds(space)
+    symbolic = _residual_values(space, classify._symbolic_digits(space.total_entries, space.p))
+    held = {}
+    for s, ((lo, hi), stage) in enumerate(zip(bounds, space.cocycle_stages)):
+        assert (stage.lo, stage.hi) == (lo, hi)
+        for q, terms in zip(stage.touched, stage.rows, strict=True):
+            assert all(l < hi and k < lo for k, l, _ in terms)
+            for earlier_lo, earlier_hi in bounds[:s]:
+                assert any(l >= earlier_hi or k >= earlier_lo for k, l, _ in terms)
+            assert q not in held
+            held[q] = {_monomial(k, l): c for k, l, c in terms}
+    assert held == {q: classify._terms(v) for q, v in enumerate(symbolic) if v}
+
+
 _REPORT_KEYS = {"p", "a_dim", "b_dim", "num_candidates", "num_cocycles", "cocycle_indices", "num_classes", "orbits"}
 
 
@@ -1455,15 +1451,19 @@ def _trips_before_the_scan(monkeypatch, capsys, message, space, indices, argv):
 
 
 def test_a_constant_row_in_the_cocycle_stages_trips_a_sampled_census(monkeypatch, capsys):
-    # 1 planted as the constant of the first chi-stage row: the rows are no
-    # longer the associators, so the route identity names the row, before
-    # the scan, on a sample with cocycles, on an exhaustive run, and in
-    # nabext census, which exits 3
+    # 1 planted as the constant of the first chi-stage row, on both spaces
+    # the EQ2 row at (0, 0, 0): the rows are no longer the associators, so
+    # the route identity names the row, before the scan, on a sample with
+    # cocycles, on an exhaustive run, and in nabext census, which exits 3
     _edit_cached(monkeypatch, "cocycle_stages", _plant_in_chi_stage)
+    message = (
+        "route identity: residual eq2_right_twist at (0, 0, 0), component 0, of the cocycle route's"
+        " chi stage is no associator of the twisted product, up to sign"
+    )
     space, indices = _sample_with_cocycles()
     argv = ["--field", "F2", "--sample", "4", "--seed", "1"]
-    _trips_before_the_scan(monkeypatch, capsys, _EQ1_UNMATCHED, space, indices, argv)
-    _trips_before_the_scan(monkeypatch, capsys, _EQ1_UNMATCHED, _space(), None, ["--field", "F2"])
+    _trips_before_the_scan(monkeypatch, capsys, message, space, indices, argv)
+    _trips_before_the_scan(monkeypatch, capsys, message, _space(), None, ["--field", "F2"])
 
 
 def _planted_associators(field, dim, table):
@@ -1489,14 +1489,15 @@ def test_a_constant_in_an_associator_trips_a_sampled_census(monkeypatch, capsys)
 
 
 def test_a_stage_that_accepts_every_candidate_trips_the_numeric_hit_test():
-    # a^2 = 0, b^2 = b: only the chi stage has rows, so with none it accepts
-    # every sampled candidate, and the numeric test of the hits names the
-    # first candidate whose twisted product is not associative, the triple,
-    # and the verdict of the unstaged equations, which reject it
+    # a^2 = 0, b^2 = b: only the psi and chi stages have rows, so with none
+    # they accept every sampled candidate, and the numeric test of the hits
+    # names the first candidate whose twisted product is not associative,
+    # the triple, and the verdict of the unstaged equations, which reject it
     space = _space()
-    phi_stage, psi_stage, chi_stage = space.cocycle_stages
-    assert not phi_stage.touched and not psi_stage.touched
-    object.__setattr__(space, "cocycle_stages", (phi_stage, psi_stage, replace(chi_stage, touched=(), rows=())))
+    phi_stage, *later = space.cocycle_stages
+    assert not phi_stage.touched and all(stage.touched for stage in later)
+    emptied = tuple(replace(stage, touched=(), rows=()) for stage in later)
+    object.__setattr__(space, "cocycle_stages", (phi_stage, *emptied))
     every = space.exhaustive_indices()
     hits = enumerate_cocycles(space, every)
     assert len(hits) == len(every)
@@ -2043,3 +2044,23 @@ def test_census_work_counts_are_exact(monkeypatch):
         assert census(CandidateSpace(A, B), indices=mixed).cocycle_indices == report.cocycle_indices
         assert calls == {**identities, "apply_equivalence": 1, "build_extension": 4, **equations}
         assert scans == [classify._sample_chunk]
+
+
+def test_census_solves_each_stage_an_exact_number_of_times(monkeypatch):
+    # the eliminations of three exhaustive F2 censuses, per stage: one phi
+    # solve, one psi solve per phi point and one chi solve per (phi, psi)
+    # pair that the psi stage admits.  A row that reads only phi is met in
+    # the psi stage, so fewer pairs reach the chi stage
+    calls = []
+    real = classify._Affine.solutions
+    monkeypatch.setattr(classify._Affine, "solutions", lambda stage, params: calls.append(stage.lo) or real(stage, params))
+    cases = (
+        (zero_algebra(GF2, 2), trunc_poly2(GF2), [1, 256, 656]),
+        (zero_algebra(GF2, 2), zero_algebra(GF2, 2, "b"), [1, 256, 400]),
+        (trunc_poly2(GF2), zero_algebra(GF2, 2, "b"), [1, 16, 16]),
+    )
+    for A, B, counts in cases:
+        calls.clear()
+        space = CandidateSpace(A, B)
+        census(space)
+        assert [calls.count(stage.lo) for stage in space.cocycle_stages] == counts

@@ -883,6 +883,39 @@ def test_cli_unwritable_output_exits_2(hand_files, capsys):
             assert captured.err.count("\n") == 1
 
 
+def _refuse_work(*args):
+    raise AssertionError("a refused verb did some work")
+
+
+def test_the_cocycle_verbs_refuse_a_result_past_the_dense_bound(tmp_path, monkeypatch, capsys):
+    # mc-check and abelianize form x o x, d^4 coefficients for d = dim A +
+    # dim B, and build-extension and gauge --method series a map of d^3.
+    # Zero-product ends and no twist: past the bound each exits 2 with one
+    # line and nothing on stdout, before any work; at it, mc-check and
+    # abelianize run
+    def cocycle(a, b):
+        c = NabCocycle.zero(zero_algebra(QQ, a), zero_algebra(QQ, b, "b"))
+        return _write(tmp_path, f"zero{a}_{b}.json", cocycle_to_json(c))
+
+    beta = _write(tmp_path, "beta.json", {"beta": []})
+    for name in ("check_cocycle", "build_extension", "mc_context"):
+        monkeypatch.setattr(nabext.cli, name, _refuse_work)
+    square = "the square x o x would hold 33 x 33^3 coefficients, more than 1048576"
+    wide = "would hold 102 x 102^2 coefficients, more than 1048576"
+    for argv, message in (
+        (["mc-check", cocycle(17, 16)], square),
+        (["abelianize", cocycle(17, 16)], square),
+        (["build-extension", cocycle(51, 51)], f"the extension {wide}"),
+        (["gauge", cocycle(51, 51), beta, "--method", "series"], f"the Maurer-Cartan element {wide}"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    monkeypatch.undo()
+    for verb in ("mc-check", "abelianize"):
+        assert main([verb, cocycle(16, 16)]) == 0
+        assert json.loads(capsys.readouterr().out)[{"mc-check": "mc_valid", "abelianize": "ok"}[verb]]
+
+
 def test_a_repeated_slot_is_refused():
     line = {"field": "Q", "dim": 2, "basis": ["x", "y"]}
     # two rows for one (i, j) with different outputs stay legal
