@@ -22,10 +22,12 @@ equation made it: it goes to the earliest stage that reads no later digit
 and has no term of degree 2 in the stage's unknowns, so a row is tested as
 soon as its variables are fixed.  A row of degree 2 in chi fits no stage
 and raises :class:`CrossCheckError`, so affinity is checked, not assumed.
-An exhaustive run solves the stages in turn, one elimination each
-(:func:`_fibre_chunk`); a sample of indices is tested on them row by row,
-each index's digits written into the phi, psi and chi rows in turn and
-stopped at the first nonzero row (:func:`_sample_chunk`).
+An exhaustive run solves the stages in turn (:func:`_fibre_chunk`): each
+stage's rows that read its parameters only are tested first, and only
+where they all vanish does it cost one elimination.  A sample of indices
+is tested on them row by row, each index's digits written into the phi,
+psi and chi rows in turn and stopped at the first nonzero row
+(:func:`_sample_chunk`).
 
 The route identity, :meth:`CandidateSpace.check_route_identity`, checks once
 per space that those rows, read as polynomials in the digits, are the
@@ -38,7 +40,10 @@ twisted product is associative, at every candidate, not only at those a run
 visits.  Each hit is then tested on every basis triple, numerically
 (:func:`enumerate_extensions`).
 
-The orbits come from the triple action :func:`apply_equivalence`.
+The orbits come from the triple action :func:`apply_equivalence`, run once
+per space over the digits and the gauge parameter's entries and read as one
+affine move of the digits per parameter (:attr:`CandidateSpace.gauge_moves`),
+which :func:`orbit_partition` applies to each representative's digits.
 :meth:`CandidateSpace.check_identities` compares, once per space, both
 sides of four identities between a triple, its Maurer-Cartan element, its
 extension and its gauge moves as polynomials in the digits and the gauge
@@ -273,8 +278,9 @@ class _Affine:
     each touched row as its terms ``(k, l, c)``, ``c`` times the variables
     ``k <= l``, where ``-1`` pads the monomial on the left and stands for
     the constant 1; an unknown, if any, is ``l``.  :meth:`vanishes_at` and
-    the route identity read them so; :meth:`at` and :meth:`solutions` read
-    :attr:`by_param`, derived from them once a run solves."""
+    the route identity read them so; :meth:`solutions` reads
+    :attr:`parameter_rows`, and :meth:`at` :attr:`by_param`, both derived
+    from them once a run solves."""
 
     field: PrimeField
     lo: int
@@ -304,6 +310,13 @@ class _Affine:
         # memory climbs with the spaces a process solves
         return tuple([(m, tuple(e)) for m, e in grouped.items()])
 
+    @cached_property
+    def parameter_rows(self) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+        """The rows that read no unknown, in order: each is zero or not
+        once the parameters are fixed, whatever the unknowns."""
+        lo = self.lo
+        return tuple([row for row in self.rows if all(l < lo for _, l, _ in row)])
+
     def at(self, params: Sequence[int]) -> List[Vector]:
         """The touched rows of ``[M | -r0]`` with ``params`` written in, or
         one zero row, so that the width holds, when no row is touched: a
@@ -323,23 +336,19 @@ class _Affine:
     def vanishes_at(self, d: Sequence[int]) -> bool:
         """Whether every row is zero with both the parameters and the
         unknowns read off ``d``, a full digit vector with the constant 1
-        appended: the touched rows are evaluated in order, and the first
-        nonzero one ends the test."""
-        p = self.field.p
-        for row in self.rows:
-            s = 0
-            for k, l, c in row:
-                s += c * d[k] * d[l]
-            if s % p:
-                return False
-        return True
+        appended (:func:`_rows_vanish`)."""
+        return _rows_vanish(self.rows, d, self.field.p)
 
     def solutions(self, params: Sequence[int]) -> Iterator[Vector]:
         """Every value of the unknowns that zeroes the rows with ``params``
         written in: one solution plus every combination of the nullspace,
-        both from one :func:`solution_space`.  An empty fibre costs that one
+        both from one :func:`solution_space`.  The :attr:`parameter_rows`
+        are tested at ``params`` first, and the first nonzero one ends the
+        fibre before any elimination; an empty fibre past them costs one
         elimination."""
         field = self.field
+        if not _rows_vanish(self.parameter_rows, (*params, 1), field.p):
+            return
         # a repeated row constrains nothing more, so elimination sees each
         # distinct row once
         rows = list(dict.fromkeys(self.at(params)))
@@ -355,6 +364,19 @@ class _Affine:
                 if c != 0:
                     x = vec_add(field, x, vec_scale(field, c, v))
             yield x
+
+
+def _rows_vanish(rows: Iterable[Tuple[Tuple[int, int, int], ...]], d: Sequence[int], p: int) -> bool:
+    """Whether each row of ``(k, l, c)`` terms is zero mod ``p`` with its
+    variables read off ``d``, whose last entry is the constant 1: the rows
+    are evaluated in order, and the first nonzero one ends the test."""
+    for row in rows:
+        s = 0
+        for k, l, c in row:
+            s += c * d[k] * d[l]
+        if s % p:
+            return False
+    return True
 
 
 def _row_label(kind: ViolationKind, witness: Tuple[int, ...], detail: str, k: int) -> str:
@@ -558,15 +580,92 @@ class CandidateSpace:
                 return _row_label(kind, witness, detail, row)
             row -= len(disc)
 
+    # cached: the identities and the symbolic image read it
+    @cached_property
+    def _symbolic_point(self) -> Tuple[List[_Poly], NabCocycle, GaugeParam]:
+        """The variables, the symbolic candidate and the symbolic gauge
+        parameter: the digits are the variables ``0`` to ``n - 1``, and
+        beta's entries, row by row, the ``a * b`` after them."""
+        n, a, b = self.total_entries, self.A.dim, self.B.dim
+        variables = _symbolic_digits(n + a * b, self.p)
+        beta = GaugeParam(tuple(tuple(variables[n + i * b : n + (i + 1) * b]) for i in range(a)))
+        return variables, self._decode(variables[:n]), beta
+
+    # cached: the gauge identity and the gauge moves read it
+    @cached_property
+    def _symbolic_image(self) -> NabCocycle:
+        """:func:`apply_equivalence` of the symbolic candidate under the
+        symbolic gauge parameter (:attr:`_symbolic_point`)."""
+        _, c, beta = self._symbolic_point
+        return apply_equivalence(c, beta)
+
+    @cached_property
+    def gauge_moves(self) -> Tuple[Tuple[GaugeParam, Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]], ...]:
+        """The gauge action compiled: each beta of :meth:`gauge_params`, in
+        order, with the slots of a candidate's digit vector that it moves,
+        each as ``(slot, constant, ((digit, coefficient), ...))``, the
+        image's digit in that slot being the constant plus the sum of the
+        coefficients times the digits, mod p (:func:`_moved`).  A slot that
+        beta leaves as it is is not listed.
+
+        Each slot of :attr:`_symbolic_image` is read once as its ``(k, l,
+        c)`` terms, in the stage read's padded form, its variables the
+        digits and then beta's entries; a term is split into its digit, if
+        any, and its beta monomial.  Then each beta is written into the beta
+        monomials, as :meth:`_Affine.at` writes parameters in.  Once beta is
+        fixed the action is affine in the digits, so a term that multiplies
+        two digits raises :class:`CrossCheckError`, naming the slot and the
+        term."""
+        # the budget, before anything compiles
+        betas = self.gauge_params()
+        n, p = self.total_entries, self.p
+        image = self._symbolic_image
+        # per slot: beta's monomial, padded, -> its (digit or -1, coefficient)
+        slots = []
+        for q, value in enumerate(_digit_vector(image)):
+            grouped: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+            for mono, c in _terms(value).items():
+                k, l = (-1, -1, *mono)[-2:]
+                if l < n:
+                    if k >= 0:
+                        names = self._digit_names()
+                        raise CrossCheckError(
+                            f"gauge action: {names[q]} of apply_equivalence's image has the term"
+                            f" {names[k]}*{names[l]} of degree 2 in the digits"
+                        )
+                    # the digit l, or at -1 the constant
+                    grouped.setdefault((-1, -1), []).append((l, c))
+                elif k < n:
+                    # beta's entry l, times the digit k or, at -1, alone
+                    grouped.setdefault((-1, l - n), []).append((k, c))
+                else:
+                    # a product of two of beta's entries
+                    grouped.setdefault((k - n, l - n), []).append((-1, c))
+            slots.append(tuple(grouped.items()))
+        moves = []
+        for beta in betas:
+            w = (*(v for row in beta.matrix for v in row), 1)
+            moved = []
+            for q, grouped in enumerate(slots):
+                # the digit or, at -1, the constant -> its coefficient
+                affine: Dict[int, int] = {}
+                for (bk, bl), entries in grouped:
+                    scale = w[bk] * w[bl]
+                    if scale:
+                        for k, c in entries:
+                            affine[k] = affine.get(k, 0) + scale * c
+                affine = {k: r for k, c in affine.items() if (r := c % p)}
+                if affine != {q: 1}:
+                    moved.append((q, affine.pop(-1, 0), tuple(affine.items())))
+            moves.append((beta, tuple(moved)))
+        return tuple(moves)
+
     def _identity_sides(self) -> Iterator[Tuple[str, Sequence, Sequence, Callable[[int], str]]]:
         """The identities of :meth:`check_identities` in turn, each as its
         failure message, its two sides slot by slot and the name of slot
-        ``q``: the digits are the variables ``0`` to ``n - 1``, and beta's
-        entries, row by row, the ``a * b`` after them."""
-        n, a, b = self.total_entries, self.A.dim, self.B.dim
-        variables = _symbolic_digits(n + a * b, self.p)
-        c = self._decode(variables[:n])
-        beta = GaugeParam(tuple(tuple(variables[n + i * b : n + (i + 1) * b]) for i in range(a)))
+        ``q``, over the variables of :attr:`_symbolic_point`."""
+        n = self.total_entries
+        variables, c, beta = self._symbolic_point
         base, split = direct_sum_space(self.A, self.B)
         x = cocycle_to_mc(c)
         triples = list(self._symbolic_associators.items())
@@ -584,14 +683,14 @@ class CandidateSpace:
             raise CrossCheckError(f"section identity: the symbolic extension fails: {exc}") from None
         yield (
             "section identity: the canonical section's triple differs from the candidate",
-            sum(_key(recovered), ()),
+            _digit_vector(recovered),
             variables[:n],
             self._digit_names().__getitem__,
         )
         yield (
             "gauge identity: gauge_closed_form differs from apply_equivalence",
             gauge_closed_form(x, beta, base, split).coeffs,
-            cocycle_to_mc(apply_equivalence(c, beta)).coeffs,
+            cocycle_to_mc(self._symbolic_image).coeffs,
             "slot {} of the element".format,
         )
         zero, slots = self.extension_layout
@@ -617,7 +716,9 @@ class CandidateSpace:
            the twist through the block projections, not through
            :func:`twist_slots`, so it checks that layout too);
         3. ``gauge_closed_form(x, beta)`` is
-           ``cocycle_to_mc(apply_equivalence(c, beta))``;
+           ``cocycle_to_mc(apply_equivalence(c, beta))``, the image read
+           off :attr:`_symbolic_image`, which :attr:`gauge_moves` compiles
+           for the orbit stage;
         4. the twisted product's table is :attr:`extension_layout`'s zero
            table with digit ``k`` written at slot ``k`` of the layout, the
            table that :func:`enumerate_extensions` builds for each hit.
@@ -811,7 +912,8 @@ def enumerate_cocycles(
         space.exhaustive_indices()
         stages = space.cocycle_stages
         for stage in stages:
-            stage.by_param  # derived here, so that no worker does
+            # derived here, so that no worker does
+            stage.by_param, stage.parameter_rows
         hits = _scan(space, stages, stages[0].solutions(()), _fibre_chunk, jobs)
     else:
         indices = tuple(indices)
@@ -880,8 +982,23 @@ class ClassificationReport:
     orbits: Optional[List[Orbit]]
 
 
-def _key(c: NabCocycle):
-    return (c.phi.coeffs, c.psi.coeffs, c.chi.coeffs)
+def _digit_vector(c: NabCocycle) -> Tuple:
+    """The coefficients of phi, psi and chi in turn: the index digits of a
+    candidate, least significant first."""
+    return c.phi.coeffs + c.psi.coeffs + c.chi.coeffs
+
+
+def _moved(d: Tuple[int, ...], moved, p: int) -> Tuple[int, ...]:
+    """The digit vector ``d`` of a candidate moved by one beta's slots
+    ``moved`` of :attr:`CandidateSpace.gauge_moves`: the digits of its
+    :func:`apply_equivalence` image."""
+    image = list(d)
+    for q, constant, row in moved:
+        s = constant
+        for k, c in row:
+            s += c * d[k]
+        image[q] = s % p
+    return tuple(image)
 
 
 def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocycle]]) -> List[Orbit]:
@@ -893,28 +1010,35 @@ def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocy
     cocycles are walked in index order; each one not yet placed is the
     representative of a new orbit, and each member's witness is ``(beta,)``
     for the first ``beta`` in :meth:`CandidateSpace.gauge_params` order that
-    reaches it.
+    reaches it.  Each cocycle is keyed by its digit vector, and each image
+    is computed from the representative's digits by the compiled action,
+    :attr:`CandidateSpace.gauge_moves`, mod p: one symbolic
+    :func:`apply_equivalence` per space, not one numeric call per orbit and
+    parameter.
 
     Raises :class:`CrossCheckError` when an image leaves the list or lands in
     an earlier orbit, or when |orbit| * |stabilizer| is not p^(a*b).  That
     the closed-form gauge action on the Maurer-Cartan elements gives the
     same orbits is checked by :func:`census`, once per space, as the gauge
-    identity of :meth:`CandidateSpace.check_identities`.
+    identity of :meth:`CandidateSpace.check_identities`, on the symbolic
+    image that the moves are read from.
     """
-    betas = space.gauge_params()
+    moves = space.gauge_moves
     group_order = space.p ** (space.A.dim * space.B.dim)
     cocycles = sorted(cocycles, key=lambda item: item[0])
-    pos_by_key = {_key(c): pos for pos, (_, c) in enumerate(cocycles)}
+    keys = [_digit_vector(c) for _, c in cocycles]
+    pos_by_key = {key: pos for pos, key in enumerate(keys)}
+    p = space.p
 
     # position -> the witnesses of its orbit, keyed by member position
     orbit_of: Dict[int, Dict[int, Tuple[GaugeParam, ...]]] = {}
     found: List[Dict[int, Tuple[GaugeParam, ...]]] = []
-    for pos, (i, c) in enumerate(cocycles):
+    for pos, (i, _) in enumerate(cocycles):
         if pos not in orbit_of:
             witnesses: Dict[int, Tuple[GaugeParam, ...]] = {pos: ()}
             stabilizer = 0
-            for beta in betas:
-                to = pos_by_key.get(_key(apply_equivalence(c, beta)))
+            for beta, moved in moves:
+                to = pos_by_key.get(_moved(keys[pos], moved, p))
                 if to is None:
                     raise CrossCheckError(
                         f"equivalence carried cocycle {i} out of the enumerated set; "

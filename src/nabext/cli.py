@@ -234,6 +234,9 @@ def _cmd_equiv_check(args) -> Tuple[object, int]:
     if args.kind == "cocycle":
         c1 = cocycle_from_json(_read(args.first))
         c2 = cocycle_from_json(_read(args.second))
+        for end, ours, theirs in (("kernel algebra A", c1.A, c2.A), ("quotient algebra B", c1.B, c2.B)):
+            if theirs != ours:
+                raise FormatError(f"the two cocycles live on different spaces: their {end} differs")
         beta = gauge_from_json(_read(args.witness), c1.A.field, c1.A.dim, c1.B.dim)
         image = apply_equivalence(c1, beta)
         ok = image == c2

@@ -7,7 +7,7 @@ import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle, build_extension, cli
+from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle, Orbit, apply_equivalence, build_extension, cli
 from nabext.exact_sequences import ExtensionPresentation, block_presentation
 from nabext.fields import Field
 from nabext.linalg import basis_vector, solve
@@ -159,6 +159,26 @@ def associator_map(m: Algebra) -> MultilinearMap:
         m.dim,
         lambda idxs: m.associator(*(m.basis_vector(i) for i in idxs)),
     )
+
+
+def sweep_orbits(space, cocycles) -> list[Orbit]:
+    """The gauge orbits of an equivalence-closed ``(index, cocycle)`` list
+    as :func:`~nabext.classify.orbit_partition` reports them, by the numeric
+    sweep: one :func:`apply_equivalence` per orbit and gauge parameter, each
+    member's witness the first parameter of ``space.gauge_params()`` that
+    reaches it.  An image outside the list raises :class:`KeyError`."""
+    key = lambda c: (c.phi.coeffs, c.psi.coeffs, c.chi.coeffs)
+    index_of = {key(c): i for i, c in cocycles}
+    placed, orbits = set(), []
+    for i, c in sorted(cocycles, key=lambda item: item[0]):
+        if i not in placed:
+            witnesses = {i: ()}
+            for beta in space.gauge_params():
+                witnesses.setdefault(index_of[key(apply_equivalence(c, beta))], (beta,))
+            members = sorted(witnesses)
+            placed.update(members)
+            orbits.append(Orbit(members[0], tuple(members), tuple((m, witnesses[m]) for m in members)))
+    return orbits
 
 
 def run_cli(argv):

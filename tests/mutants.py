@@ -88,6 +88,42 @@ MUTANTS = (
         "                if False:\n",
         (_TESTS + "test_each_row_is_solved_at_the_earliest_stage_that_can_take_it",),
     ),
+    Mutant(
+        "parameter-row-guard-reads-one-row",
+        _CLASSIFY,
+        "        if not _rows_vanish(self.parameter_rows, (*params, 1), field.p):\n",
+        "        if not _rows_vanish(self.parameter_rows[:1], (*params, 1), field.p):\n",
+        (_TESTS + "test_census_solves_each_stage_an_exact_number_of_times",),
+    ),
+    Mutant(
+        # passes the three checks of orbit_partition: every orbit is a
+        # point fixed by the whole group
+        "every-beta-compiled-as-the-identity",
+        _CLASSIFY,
+        "            moves.append((beta, tuple(moved)))\n",
+        "            moves.append((beta, ()))\n",
+        (
+            _TESTS + "test_the_orbit_stage_is_the_numeric_sweep",
+            _TESTS + "test_each_compiled_move_is_apply_equivalence_at_every_candidate",
+        ),
+    ),
+    Mutant(
+        "beta-only-constant-dropped",
+        _CLASSIFY,
+        "                    moved.append((q, affine.pop(-1, 0), tuple(affine.items())))\n",
+        "                    moved.append((q, affine.pop(-1, 0) * 0, tuple(affine.items())))\n",
+        (
+            _TESTS + "test_the_orbit_stage_is_the_numeric_sweep",
+            _TESTS + "test_each_compiled_move_is_apply_equivalence_at_every_candidate",
+        ),
+    ),
+    Mutant(
+        "orbit-stabilizer-check-removed",
+        _CLASSIFY,
+        "            if len(witnesses) * stabilizer != group_order:\n",
+        "            if False:\n",
+        (_TESTS + "test_orbit_partition_rejects_a_miscounted_orbit",),
+    ),
 )
 
 

@@ -18,6 +18,7 @@ from helpers import (
     line_algebra,
     rand_invertible,
     read_through,
+    sweep_orbits,
     trunc_poly2,
     trunc_poly3,
     upper_triangular2,
@@ -1051,41 +1052,59 @@ def test_orbit_stabilizer(A, B):
         assert len(orbit.members) * stabilizer == space.p ** (A.dim * B.dim)
 
 
-def _broken_action(monkeypatch, broken):
-    import nabext.classify as classify
-
-    monkeypatch.setattr(classify, "apply_equivalence", broken)
+def _broken_moves(monkeypatch, edit):
+    """Break the compiled gauge action of every space created after the
+    call: the orbit stage reads ``edit(moves)`` of the real
+    :attr:`CandidateSpace.gauge_moves`."""
+    _edit_cached(monkeypatch, "gauge_moves", lambda space, moves: edit(moves))
 
 
 def test_orbit_partition_rejects_a_miscounted_orbit(monkeypatch):
-    # beta = 2 sent where beta = 1 goes: orbits of size 3 shrink to 2 while
+    # beta = 2 compiled as beta = 1: orbits of size 3 shrink to 2 while
     # the stabilizer stays trivial, so 2 * 1 != 3
-    space = CandidateSpace(line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b"))
-    cocycles = enumerate_cocycles(space)
-    betas = space.gauge_params()
-    _broken_action(
-        monkeypatch,
-        lambda c, beta: apply_equivalence(c, betas[1] if beta == betas[2] else beta),
-    )
+    A, B = line_algebra(GF3, "zero", "a"), line_algebra(GF3, "idem", "b")
+    cocycles = enumerate_cocycles(CandidateSpace(A, B))
+    _broken_moves(monkeypatch, lambda moves: (moves[0], moves[1], (moves[2][0], moves[1][1])))
     with pytest.raises(CrossCheckError, match="stabilizing"):
-        orbit_partition(space, cocycles)
+        orbit_partition(CandidateSpace(A, B), cocycles)
 
 
 def test_orbit_partition_rejects_overlapping_orbits(monkeypatch):
-    # the second representative's nonzero images are sent into the first orbit
+    # beta = 1 compiled to also write 0 into phi: the second representative,
+    # the one with phi = 1, is sent into the first orbit
     space = _space()
     cocycles = enumerate_cocycles(space)
-    by_index = dict(cocycles)
-    second = by_index[orbit_partition(space, cocycles)[1].representative]
-    zero = space.gauge_params()[0]
-    _broken_action(
-        monkeypatch,
-        lambda c, beta: cocycles[0][1]
-        if c == second and beta != zero
-        else apply_equivalence(c, beta),
-    )
+    second = orbit_partition(space, cocycles)[1].representative
+    assert dict(cocycles)[second].phi.coeffs == (1,)
+    # beta = 0 moves no slot, and beta = 1 leaves phi, slot 0, as it is
+    (_, fixed), (_, moved) = space.gauge_moves
+    assert not fixed and 0 not in [q for q, _, _ in moved]
+    _broken_moves(monkeypatch, lambda moves: (moves[0], (moves[1][0], moves[1][1] + ((0, 0, ()),))))
     with pytest.raises(CrossCheckError, match="earlier orbit"):
-        orbit_partition(space, cocycles)
+        orbit_partition(_space(), cocycles)
+
+
+def test_orbit_partition_rejects_a_list_that_is_not_closed():
+    # without the cocycle 4, the image of the zero cocycle under beta = 1
+    # leaves the list
+    cocycles = [(i, c) for i, c in enumerate_cocycles(_space()) if i != 4]
+    with pytest.raises(CrossCheckError, match="^equivalence carried cocycle 0 out of the enumerated set"):
+        orbit_partition(_space(), cocycles)
+
+
+def test_a_product_of_two_digits_in_the_gauge_image_is_refused(monkeypatch):
+    # phi[0] * psi[0] added to chi[0] of the symbolic image: with beta fixed
+    # the action is no longer affine in the digits, so the read of the
+    # compiled action refuses it, naming the slot and the term
+    def planted(space, image):
+        x = classify._symbolic_digits(2, space.p)
+        chi = image.chi.coeffs
+        return replace(image, chi=replace(image.chi, coeffs=(x[0] * x[1] + chi[0], *chi[1:])))
+
+    _edit_cached(monkeypatch, "_symbolic_image", planted)
+    message = "gauge action: chi[0] of apply_equivalence's image has the term phi[0]*psi[0] of degree 2 in the digits"
+    with pytest.raises(CrossCheckError, match=f"^{re.escape(message)}$"):
+        orbit_partition(_space(), enumerate_cocycles(_space()))
 
 
 def test_a_zero_symbolic_scalar_is_false():
@@ -1272,6 +1291,37 @@ def test_census_reports_of_the_benchmark_spaces_match_golden(name):
     space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
     text = dumps_canonical(report_to_json(census(space), space.A.field))
     assert text == (GOLDEN / "census" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CENSUS_SPACES))
+def test_the_orbit_stage_is_the_numeric_sweep(name):
+    # the orbits of the compiled action, witnesses included, are those of
+    # one numeric apply_equivalence per orbit and parameter, on every golden
+    # space: the first eleven are the benchmark's exhaustive census spaces,
+    # and F2-zero2-unit2 is its sampled one
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    cocycles = [(i, space.candidate(i)) for i in _golden_cocycles(name)]
+    assert orbit_partition(space, cocycles) == sweep_orbits(space, cocycles)
+
+
+_SMALL_F2_SPACES = sorted(
+    name
+    for name, (A, B) in _GOLDEN_CENSUS_SPACES.items()
+    if A.field == GF2 and CandidateSpace(A, B).total_candidates <= 1024
+)
+
+
+@pytest.mark.parametrize("name", _SMALL_F2_SPACES)
+def test_each_compiled_move_is_apply_equivalence_at_every_candidate(name):
+    # every beta's compiled move, on every candidate, cocycle or not, gives
+    # the digits of the numeric apply_equivalence image
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    assert [beta for beta, _ in space.gauge_moves] == space.gauge_params()
+    for i in range(space.total_candidates):
+        c = space.candidate(i)
+        digits = classify._digit_vector(c)
+        for beta, moved in space.gauge_moves:
+            assert classify._moved(digits, moved, space.p) == classify._digit_vector(apply_equivalence(c, beta))
 
 
 def _monomial(k, l):
@@ -1532,7 +1582,7 @@ def _numeric_sides(space, digits, beta, name):
     E = build_extension(c)[0]
     if name == "section":
         pres = block_presentation(E, space.A, space.B)
-        return sum(classify._key(cocycle_from_section(pres, canonical_section(pres))), ()), tuple(digits)
+        return classify._digit_vector(cocycle_from_section(pres, canonical_section(pres))), tuple(digits)
     associators = [v for _, v in algebra.basis_associators(E.field, E.dim, E.table)]
     residual = nonabelian.associator_residual(x, base, split).coeffs
     return residual, tuple(v[k] for k in range(E.dim) for v in associators)
@@ -1632,7 +1682,7 @@ def test_a_corrupted_section_read_trips_the_census(monkeypatch, corruption, digi
     section_cocycle = exact_sequences.section_cocycle
 
     def corrupted(ext, s):
-        coeffs = list(sum(classify._key(section_cocycle(ext, s)), ()))
+        coeffs = list(classify._digit_vector(section_cocycle(ext, s)))
         if corruption == "constant":
             coeffs[0] += 1
         else:
@@ -1988,9 +2038,9 @@ def _counted(monkeypatch, names):
 def test_census_work_counts_are_exact(monkeypatch):
     # the identities are checked off one symbolic pass per space, once a
     # hit is found: one associator_residual, gauge_closed_form and
-    # cocycle_from_section, one apply_equivalence besides the orbit
-    # stage's |Hom(B, A)| per orbit, and two cocycle_to_mc, each of which
-    # builds an extension.  A census with a hit, exhaustive or sampled,
+    # cocycle_from_section, one apply_equivalence, whose symbolic image the
+    # orbit stage's compiled action reads too, and two cocycle_to_mc, each
+    # of which builds an extension.  A census with a hit, exhaustive or sampled,
     # builds exactly four extensions, whatever the number of cocycles: those
     # two, the zero candidate's for the layout and the symbolic one for the
     # route identity and the identities.  Every census scans once, reads the
@@ -2022,7 +2072,7 @@ def test_census_work_counts_are_exact(monkeypatch):
         report = census(space)
         assert calls == {
             **identities,
-            "apply_equivalence": 1 + len(report.orbits) * space.p ** (A.dim * B.dim),
+            "apply_equivalence": 1,
             "build_extension": 4,
             **equations,
         }
@@ -2047,20 +2097,38 @@ def test_census_work_counts_are_exact(monkeypatch):
 
 
 def test_census_solves_each_stage_an_exact_number_of_times(monkeypatch):
-    # the eliminations of three exhaustive F2 censuses, per stage: one phi
+    # the fibres of three exhaustive F2 censuses, per stage: one phi
     # solve, one psi solve per phi point and one chi solve per (phi, psi)
     # pair that the psi stage admits.  A row that reads only phi is met in
-    # the psi stage, so fewer pairs reach the chi stage
-    calls = []
-    real = classify._Affine.solutions
-    monkeypatch.setattr(classify._Affine, "solutions", lambda stage, params: calls.append(stage.lo) or real(stage, params))
+    # the psi stage, so fewer pairs reach the chi stage.  A stage's rows
+    # that read parameters only are tested before its elimination, so only
+    # the fibres where they all vanish reach solution_space
+    calls, current, eliminations = [], [None], []
+    real, real_solve = classify._Affine.solutions, classify.solution_space
+
+    def solutions(stage, params):
+        calls.append(stage.lo)
+
+        def run():
+            # set when the fibre is walked, which is when it eliminates
+            current[0] = stage.lo
+            yield from real(stage, params)
+
+        return run()
+
+    monkeypatch.setattr(classify._Affine, "solutions", solutions)
+    monkeypatch.setattr(classify, "solution_space", lambda *args: eliminations.append(current[0]) or real_solve(*args))
     cases = (
-        (zero_algebra(GF2, 2), trunc_poly2(GF2), [1, 256, 656]),
-        (zero_algebra(GF2, 2), zero_algebra(GF2, 2, "b"), [1, 256, 400]),
-        (trunc_poly2(GF2), zero_algebra(GF2, 2, "b"), [1, 16, 16]),
+        (zero_algebra(GF2, 2), trunc_poly2(GF2), [0, 16, 16], [1, 256, 656], [1, 11, 55]),
+        (zero_algebra(GF2, 2), zero_algebra(GF2, 2, "b"), [0, 16, 16], [1, 256, 400], [1, 10, 46]),
+        (trunc_poly2(GF2), zero_algebra(GF2, 2, "b"), [0, 4, 4], [1, 16, 16], [1, 16, 16]),
     )
-    for A, B, counts in cases:
+    for A, B, parameter_rows, fibres, solves in cases:
         calls.clear()
+        eliminations.clear()
         space = CandidateSpace(A, B)
         census(space)
-        assert [calls.count(stage.lo) for stage in space.cocycle_stages] == counts
+        stages = space.cocycle_stages
+        assert [len(stage.parameter_rows) for stage in stages] == parameter_rows
+        assert [calls.count(stage.lo) for stage in stages] == fibres
+        assert [eliminations.count(stage.lo) for stage in stages] == solves

@@ -504,6 +504,30 @@ def test_cli_gauge_and_equiv_check(hand_files, tmp_path, capsys):
     )
 
 
+def test_cli_equiv_check_refuses_cocycles_on_different_spaces(tmp_path, capsys):
+    # a Q cocycle on zero(2)/k[t]/t^2, its entries in 0..2, against the
+    # zero cocycle on the zero line/k[t]/t^2, against itself on
+    # zero(2)/zero(2), and against itself with both fields F3: no verdict,
+    # but exit 2 and one error line that names the first end that differs
+    c = rand_cocycle(random.Random(7), zero_algebra(GF3, 2), trunc_poly2(GF3))
+    doc = cocycle_to_json(c)
+    over_q = {**doc, "A": {**doc["A"], "field": "Q"}, "B": {**doc["B"], "field": "Q"}}
+    first = _write(tmp_path, "first.json", over_q)
+    beta = _write(tmp_path, "beta.json", gauge_to_json(rand_gauge(random.Random(8), c.A, c.B), GF3))
+    others = {
+        "A": {**over_q, "A": algebra_to_json(line_algebra(QQ, "zero", "a")), "phi": [], "psi": [], "chi": []},
+        "B": {**over_q, "B": algebra_to_json(zero_algebra(QQ, 2, "b"))},
+        "F3": doc,
+    }
+    for name, other in others.items():
+        second = _write(tmp_path, f"{name}.json", other)
+        assert main(["equiv-check", first, second, "--witness", beta]) == 2, name
+        end = "quotient algebra B" if name == "B" else "kernel algebra A"
+        assert capsys.readouterr() == ("", f"error: the two cocycles live on different spaces: their {end} differs\n")
+    assert main(["equiv-check", first, first, "--witness", beta]) == 1
+    assert json.loads(capsys.readouterr().out) == {"equivalent": False}
+
+
 def test_cli_equiv_check_reports_a_broken_extension(tmp_path, capsys):
     # E = k[t]/t^2 with iota = u + t and A omitted: the image of iota is not
     # closed under the product, so the kernel algebra cannot be derived
