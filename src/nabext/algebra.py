@@ -186,14 +186,15 @@ def basis_associators(
     ``(t, c_ij^t)`` of each basis product are listed once, so each triple
     walks only those."""
     rows = [[(t, c) for t, c in enumerate(table[q : q + dim]) if c != 0] for q in range(0, dim ** 3, dim)]
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
     for i, j, k in itertools.product(range(dim), repeat=3):
-        out = [field.zero] * dim
+        out = [zero] * dim
         for m, c in rows[i * dim + j]:
             for t, v in rows[m * dim + k]:
-                out[t] = field.add(out[t], field.mul(c, v))
+                out[t] = add(out[t], mul(c, v))
         for m, c in rows[j * dim + k]:
             for t, v in rows[i * dim + m]:
-                out[t] = field.sub(out[t], field.mul(c, v))
+                out[t] = sub(out[t], mul(c, v))
         yield (i, j, k), tuple(out)
 
 

@@ -19,12 +19,15 @@ coboundaries and the derivation check of :mod:`nabext.nonabelian` call it
 too.
 
 The tensors are stored dense, but the kernels walk only their nonzero
-coefficients: :func:`circ_i`, the differential and the linear structure of
+coefficients: the insertions, the differential and the linear structure of
 :class:`MultilinearMap` do no arithmetic on a zero coefficient, and
 :meth:`MultilinearMap.from_terms` sums the kernels' products into one flat
-buffer.  The twist-shaped elements of the Maurer-Cartan side are mostly
-zero (no AA block, only A-valued targets), so a sweep over every basis tuple
-would spend most of its work on zeros.
+buffer.  :func:`circ` and :func:`gerstenhaber_bracket` hand it the terms of
+every insertion at once, each insertion's sign already on the plugged
+coefficients, so neither builds a map per insertion.  The twist-shaped
+elements of the Maurer-Cartan side are mostly zero (no AA block, only
+A-valued targets), so a sweep over every basis tuple would spend most of
+its work on zeros.
 :meth:`MultilinearMap.apply` stays the dense route, a full multilinear
 evaluation, and the tests use it as the oracle of every kernel.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from .algebra import Algebra
 from .fields import Field, Scalar
@@ -368,12 +371,16 @@ def _delta(f: MultilinearMap, ring: Algebra, left, right) -> MultilinearMap:
     return MultilinearMap.from_terms(field, (r,) * (n + 1), m_dim, terms())
 
 
-def circ_i(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
-    """Plug ``g`` into slot ``i`` of ``f`` (1-based).
+def _insertion_terms(
+    f: MultilinearMap, g: MultilinearMap, i: int, odd: int
+) -> Iterator[Tuple[int, Scalar, Scalar]]:
+    """The :meth:`MultilinearMap.from_terms` terms of ``(-1)^odd f o_i g``,
+    checked before any term is made.
 
     ``(f o_i g)(head, inner, tail) = sum_t g(inner)_t f(head, e_t, tail)``:
     every nonzero coefficient of ``f`` at slot value ``t`` meets every
-    nonzero value of ``g`` with target ``t``.
+    nonzero value of ``g`` with target ``t``.  The sign is applied once, to
+    ``g``'s plugged coefficients.
     """
     if f.field != g.field:
         raise ValueError("field mismatch")
@@ -381,18 +388,18 @@ def circ_i(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
         raise ValueError(f"slot {i} out of range for arity {f.arity}")
     if g.target_dim != f.source_dims[i - 1]:
         raise ValueError("target of inner map does not match the slot space")
-    out_dims = f.source_dims[: i - 1] + g.source_dims + f.source_dims[i:]
     f_in, g_in = f.input_size, g.input_size
     slot = f.source_dims[i - 1]
     tail_size = math.prod(f.source_dims[i:])
     out_in = f_in // slot * g_in
     # plugs[t]: the offset of g's input inside the output input, and the
-    # value, for every nonzero coefficient of g with target t
+    # signed value, for every nonzero coefficient of g with target t
+    neg = f.field.neg
     plugs = [[] for _ in range(g.target_dim)]
     for pos, v in enumerate(g.coeffs):
         if v:
             t, inner = divmod(pos, g_in)
-            plugs[t].append((inner * tail_size, v))
+            plugs[t].append((inner * tail_size, neg(v) if odd % 2 else v))
 
     def terms():
         for pos, c in enumerate(f.coeffs):
@@ -405,47 +412,56 @@ def circ_i(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
             for off, v in plugs[t]:
                 yield at + off, v, c
 
-    return MultilinearMap.from_terms(f.field, out_dims, f.target_dim, terms())
+    return terms()
 
 
-def _sign(field: Field, exponent: int) -> Scalar:
-    return field.one if exponent % 2 == 0 else field.from_int(-1)
+def circ_i(f: MultilinearMap, g: MultilinearMap, i: int) -> MultilinearMap:
+    """Plug ``g`` into slot ``i`` of ``f`` (1-based): one insertion, the
+    terms that :func:`circ` sums over every slot."""
+    terms = _insertion_terms(f, g, i, 0)
+    out_dims = f.source_dims[: i - 1] + g.source_dims + f.source_dims[i:]
+    return MultilinearMap.from_terms(f.field, out_dims, f.target_dim, terms)
+
+
+def _insertion_sum_terms(
+    f: MultilinearMap, g: MultilinearMap, odd: int
+) -> Iterator[Tuple[int, Scalar, Scalar]]:
+    """The terms of ``(-1)^odd f o g``: those of every insertion
+    ``f o_i g``, each with its sign ``(-1)^{odd + deg(g)(i+1)}``, and every
+    insertion checked before any term is made."""
+    dim = g.target_dim
+    if not f.is_uniform(dim) or not g.is_uniform(dim):
+        raise ValueError("insertion sum needs cochains on a single space")
+    if f.arity == g.arity == 0:
+        raise ValueError("insertion sum of two arity-0 maps is undefined")
+    n = g.degree
+    slots = [_insertion_terms(f, g, i, odd + n * (i + 1)) for i in range(1, f.arity + 1)]
+    return itertools.chain.from_iterable(slots)
 
 
 def circ(f: MultilinearMap, g: MultilinearMap) -> MultilinearMap:
-    """Signed sum of all insertions: ``sum_i (-1)^{deg(g)(i+1)} f o_i g``.
+    """Signed sum of all insertions: ``sum_i (-1)^{deg(g)(i+1)} f o_i g``,
+    one :meth:`MultilinearMap.from_terms` over the terms of every insertion.
 
     Both maps must be cochains on one space (uniform slots of the dimension
     that ``g`` targets); for arity-0 ``f`` the empty sum is the zero map.
     """
-    dim = g.target_dim
-    if not f.is_uniform(dim) or not g.is_uniform(dim):
-        raise ValueError("insertion sum needs cochains on a single space")
-    if f.arity == 0:
-        out_arity = g.arity - 1
-        if out_arity < 0:
-            raise ValueError("insertion sum of two arity-0 maps is undefined")
-        return MultilinearMap.zero(f.field, (dim,) * out_arity, f.target_dim)
-    n = g.degree
-    total = None
-    for i in range(1, f.arity + 1):
-        term = circ_i(f, g, i)
-        if _sign(f.field, n * (i + 1)) != f.field.one:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    terms = _insertion_sum_terms(f, g, 0)
+    out_dims = (g.target_dim,) * (f.arity + g.arity - 1)
+    return MultilinearMap.from_terms(f.field, out_dims, f.target_dim, terms)
 
 
 def gerstenhaber_bracket(f: MultilinearMap, g: MultilinearMap) -> MultilinearMap:
-    """``[f, g] = f o g - (-1)^{deg(f) deg(g)} g o f``."""
+    """``[f, g] = f o g - (-1)^{deg(f) deg(g)} g o f``, one
+    :meth:`MultilinearMap.from_terms` over the terms of every insertion of
+    both sides: the sign of ``g o f`` rides on the signs of its insertions."""
     dim = g.target_dim
     if f.target_dim != dim:
         raise ValueError("bracket needs cochains valued in one space")
-    left = circ(f, g)
-    right = circ(g, f)
-    if _sign(f.field, f.degree * g.degree) != f.field.one:
-        return left + right
-    return left - right
+    terms = itertools.chain(
+        _insertion_sum_terms(f, g, 0), _insertion_sum_terms(g, f, 1 + f.degree * g.degree)
+    )
+    return MultilinearMap.from_terms(f.field, (dim,) * (f.arity + g.arity - 1), dim, terms)
 
 
 def delta_as_bracket(f: MultilinearMap, m: MultilinearMap) -> MultilinearMap:
@@ -459,6 +475,5 @@ def delta_as_bracket(f: MultilinearMap, m: MultilinearMap) -> MultilinearMap:
     if m.arity != 2:
         raise ValueError("expected an arity-2 multiplication map")
     result = gerstenhaber_bracket(m, f)
-    if _sign(f.field, f.arity - 1) != f.field.one:
-        result = -result
-    return result
+    # the sign (-1)^{arity(f)-1} is -1 exactly when the arity is even
+    return -result if f.arity % 2 == 0 else result

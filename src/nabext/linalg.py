@@ -35,7 +35,9 @@ def vec_scale(field: Field, c: Scalar, x: Vector) -> Vector:
     return tuple(field.mul(c, a) for a in x)
 
 def is_zero_vector(x: Sequence[Scalar]) -> bool:
-    return all(a == 0 for a in x)
+    """Whether every entry is zero, by its truth value: ``not any(x)``, the
+    test of :meth:`~nabext.cochains.MultilinearMap.is_zero`, run in C."""
+    return not any(x)
 
 
 def identity_matrix(field: Field, n: int) -> Matrix:

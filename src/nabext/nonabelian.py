@@ -157,8 +157,10 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 # nonzero ones, and the census solver runs each generator once per space on
 # symbolic digits to read off its affine systems, so every equation is
 # written out once.  Both generators read the columns of the maps and the
-# product rows once per call, and evaluate every term as
-# :func:`_from_columns`, a map applied to a vector through its columns.
+# product rows once per call.  Each discrepancy is a signed sum of terms
+# ``vec[t] * cols[t]``, a map applied to a vector through its columns, and
+# :func:`_signed_columns` accumulates all of them into one output vector,
+# with no vector of a single side built on the way.
 
 
 #: One equation at one basis triple and its discrepancy, zero or not:
@@ -169,16 +171,28 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 Residual = Tuple[ViolationKind, Tuple[int, ...], Vector, str]
 
 
+def _signed_columns(field: Field, width: int, added, subtracted=()) -> Vector:
+    """``sum vec[t] * cols[t]`` over the ``(vec, cols)`` of ``added``, minus
+    the same over ``subtracted``, as one vector of length ``width``: every
+    nonzero product is reduced into the output once, by one field sum or
+    difference, and a zero coefficient on either side costs no arithmetic."""
+    mul = field.mul
+    out = [field.zero] * width
+    for op, parts in ((field.add, added), (field.sub, subtracted)):
+        for vec, cols in parts:
+            for v, col in zip(vec, cols):
+                if v:
+                    for k, c in enumerate(col):
+                        if c:
+                            out[k] = op(out[k], mul(v, c))
+    return tuple(out)
+
+
 def _from_columns(field: Field, vec: Vector, cols) -> Vector:
     """``sum_t vec[t] * cols[t]``: the linear map whose value on the t-th
-    basis vector is ``cols[t]``, applied to ``vec``."""
-    out = [field.zero] * len(cols[0])
-    for v, col in zip(vec, cols):
-        if v != 0:
-            for k, c in enumerate(col):
-                if c != 0:
-                    out[k] = field.add(out[k], field.mul(v, c))
-    return tuple(out)
+    basis vector is ``cols[t]``, applied to ``vec``; the one-part
+    :func:`_signed_columns`."""
+    return _signed_columns(field, len(cols[0]), ((vec, cols),))
 
 
 def _columns(read, n1: int, n2: int):
@@ -210,21 +224,21 @@ def twist_residuals(
     # left[i][t] = right[t][i] = a_i a_t
     left, right = _columns(A.product_row, A.dim, A.dim)
 
-    for j1, j2, i in itertools.product(range(B.dim), range(B.dim), range(A.dim)):
-        lhs = _from_columns(f, psi_a[i][j2], phi_b[j1])
-        rhs = _from_columns(f, phi_b[j1][i], psi_b[j2])
-        yield (ViolationKind.EQ3_COMMUTE, (j1, j2, i), vec_sub(f, lhs, rhs), "")
+    a = A.dim
+    for j1, j2, i in itertools.product(range(B.dim), range(B.dim), range(a)):
+        disc = _signed_columns(f, a, ((psi_a[i][j2], phi_b[j1]),), ((phi_b[j1][i], psi_b[j2]),))
+        yield (ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc, "")
 
-    for i1, i2, j in itertools.product(range(A.dim), range(A.dim), range(B.dim)):
+    for i1, i2, j in itertools.product(range(a), range(a), range(B.dim)):
         row = left[i1][i2]
-        # (detail, left side, right side) of each identity
+        # each identity as (detail, left side, right side), a side one term
         checks = (
-            ("psi_leibniz", _from_columns(f, row, psi_b[j]), _from_columns(f, psi_a[i2][j], left[i1])),
-            ("phi_leibniz", _from_columns(f, row, phi_b[j]), _from_columns(f, phi_b[j][i1], right[i2])),
-            ("cross_compat", _from_columns(f, psi_a[i1][j], right[i2]), _from_columns(f, phi_b[j][i2], left[i1])),
+            ("psi_leibniz", (row, psi_b[j]), (psi_a[i2][j], left[i1])),
+            ("phi_leibniz", (row, phi_b[j]), (phi_b[j][i1], right[i2])),
+            ("cross_compat", (psi_a[i1][j], right[i2]), (phi_b[j][i2], left[i1])),
         )
         for detail, lhs, rhs in checks:
-            yield (ViolationKind.EQ4_DERIVATION, (i1, i2, j), vec_sub(f, lhs, rhs), detail)
+            yield (ViolationKind.EQ4_DERIVATION, (i1, i2, j), _signed_columns(f, a, (lhs,), (rhs,)), detail)
 
 
 def curvature_residuals(
@@ -250,32 +264,28 @@ def curvature_residuals(
     chi_1, chi_2 = _columns(lambda j1, j2: chi.column((j1, j2)), B.dim, B.dim)
     left, right = _columns(A.product_row, A.dim, A.dim)
     b_rows, _ = _columns(B.product_row, B.dim, B.dim)
-    bba = list(itertools.product(range(B.dim), range(B.dim), range(A.dim)))
+    a = A.dim
+    bba = list(itertools.product(range(B.dim), range(B.dim), range(a)))
 
     for j1, j2, i in bba:
-        lhs = _from_columns(f, phi_b[j2][i], phi_b[j1])
-        rhs = vec_add(
-            f,
-            _from_columns(f, b_rows[j1][j2], phi_a[i]),
-            _from_columns(f, chi_1[j1][j2], right[i]),
+        # phi_{b1}(phi_{b2}(a)) - phi_{b1 b2}(a) - chi(b1, b2) a
+        disc = _signed_columns(
+            f, a, ((phi_b[j2][i], phi_b[j1]),), ((b_rows[j1][j2], phi_a[i]), (chi_1[j1][j2], right[i]))
         )
-        yield (ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), vec_sub(f, lhs, rhs), "")
+        yield (ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), disc, "")
 
     for j1, j2, i in bba:
-        lhs = _from_columns(f, psi_a[i][j2], psi_b[j1])
-        rhs = vec_add(
-            f,
-            _from_columns(f, b_rows[j2][j1], psi_a[i]),
-            _from_columns(f, chi_1[j2][j1], left[i]),
+        # psi_{b1}(psi_{b2}(a)) - psi_{b2 b1}(a) - a chi(b2, b1)
+        disc = _signed_columns(
+            f, a, ((psi_a[i][j2], psi_b[j1]),), ((b_rows[j2][j1], psi_a[i]), (chi_1[j2][j1], left[i]))
         )
-        yield (ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), vec_sub(f, lhs, rhs), "")
+        yield (ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), disc, "")
 
     for j1, j2, j3 in itertools.product(range(B.dim), repeat=3):
-        acc = vec_neg(f, _from_columns(f, chi_1[j2][j3], phi_b[j1]))
-        acc = vec_add(f, acc, _from_columns(f, b_rows[j1][j2], chi_2[j3]))
-        acc = vec_sub(f, acc, _from_columns(f, b_rows[j2][j3], chi_1[j1]))
-        acc = vec_add(f, acc, _from_columns(f, chi_1[j1][j2], psi_b[j3]))
-        yield (ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), acc, "")
+        # chi(b1 b2, b3) + psi(chi(b1, b2), b3) - phi(b1, chi(b2, b3)) - chi(b1, b2 b3)
+        added = ((b_rows[j1][j2], chi_2[j3]), (chi_1[j1][j2], psi_b[j3]))
+        subtracted = ((chi_1[j2][j3], phi_b[j1]), (b_rows[j2][j3], chi_1[j1]))
+        yield (ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), _signed_columns(f, a, added, subtracted), "")
 
 
 def _residuals(c: NabCocycle) -> Iterator[Residual]:

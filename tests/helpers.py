@@ -7,10 +7,21 @@ import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from nabext import Algebra, GaugeParam, MultilinearMap, NabCocycle, Orbit, apply_equivalence, build_extension, cli
+from nabext import (
+    Algebra,
+    GaugeParam,
+    MultilinearMap,
+    NabCocycle,
+    Orbit,
+    ViolationKind,
+    apply_equivalence,
+    build_extension,
+    circ_i,
+    cli,
+)
 from nabext.exact_sequences import ExtensionPresentation, block_presentation
 from nabext.fields import Field
-from nabext.linalg import basis_vector, solve
+from nabext.linalg import basis_vector, solve, vec_add, vec_sub
 
 
 def line_algebra(field: Field, square: str, name: str = "e") -> Algebra:
@@ -159,6 +170,86 @@ def associator_map(m: Algebra) -> MultilinearMap:
         m.dim,
         lambda idxs: m.associator(*(m.basis_vector(i) for i in idxs)),
     )
+
+
+def circ_by_slots(f: MultilinearMap, g: MultilinearMap) -> MultilinearMap:
+    """``f o g`` as the signed sum of the :func:`circ_i` maps, one dense map
+    per insertion, negated and summed as maps: the oracle of the one-pass
+    :func:`~nabext.cochains.circ`.  For arity-0 ``f`` the empty sum is the
+    zero map."""
+    dims = (g.target_dim,) * (f.arity + g.arity - 1)
+    total = MultilinearMap.zero(f.field, dims, f.target_dim)
+    for i in range(1, f.arity + 1):
+        term = circ_i(f, g, i)
+        total = total - term if g.degree * (i + 1) % 2 else total + term
+    return total
+
+
+def bracket_by_circ(f: MultilinearMap, g: MultilinearMap) -> MultilinearMap:
+    """``[f, g] = f o g - (-1)^{deg f deg g} g o f`` from the two
+    :func:`circ_by_slots` maps: the oracle of the one-pass
+    :func:`~nabext.cochains.gerstenhaber_bracket`."""
+    left, right = circ_by_slots(f, g), circ_by_slots(g, f)
+    return left + right if f.degree * g.degree % 2 else left - right
+
+
+def residuals_by_sides(A: Algebra, B: Algebra, phi, psi, chi) -> list:
+    """Every residual of :func:`~nabext.twist_residuals` and then
+    :func:`~nabext.curvature_residuals`, in their order, each discrepancy
+    the left side minus the right side of its equation, every side a sum of
+    maps applied to vectors by a dense loop and joined by ``vec_add`` and
+    ``vec_sub``: the oracle of the one-pass residual kernel."""
+    f, ra, rb = A.field, range(A.dim), range(B.dim)
+
+    def apply(vec, cols):
+        # sum_t vec[t] cols[t]
+        out = [f.zero] * A.dim
+        for v, col in zip(vec, cols):
+            for k, c in enumerate(col):
+                if v != 0 and c != 0:
+                    out[k] = f.add(out[k], f.mul(v, c))
+        return tuple(out)
+
+    def side(*terms):
+        total = apply(*terms[0])
+        for term in terms[1:]:
+            total = vec_add(f, total, apply(*term))
+        return total
+
+    ph = lambda j, i: phi.column((j, i))
+    ps = lambda i, j: psi.column((i, j))
+    ch = lambda j1, j2: chi.column((j1, j2))
+    a, b = A.product_row, B.product_row
+    # the maps in one slot as columns: phi(b_j, a_t), psi(a_t, b_j) over t,
+    # and a_i times each a_t on either side
+    phi_at = lambda j: [ph(j, t) for t in ra]
+    psi_at = lambda j: [ps(t, j) for t in ra]
+    times_left = lambda i: [a(i, t) for t in ra]
+    times_right = lambda i: [a(t, i) for t in ra]
+    out = []
+    for j1, j2, i in itertools.product(rb, rb, ra):
+        disc = vec_sub(f, side((ps(i, j2), phi_at(j1))), side((ph(j1, i), psi_at(j2))))
+        out.append((ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc, ""))
+    for i1, i2, j in itertools.product(ra, ra, rb):
+        for detail, lhs, rhs in (
+            ("psi_leibniz", (a(i1, i2), psi_at(j)), (ps(i2, j), times_left(i1))),
+            ("phi_leibniz", (a(i1, i2), phi_at(j)), (ph(j, i1), times_right(i2))),
+            ("cross_compat", (ps(i1, j), times_right(i2)), (ph(j, i2), times_left(i1))),
+        ):
+            out.append((ViolationKind.EQ4_DERIVATION, (i1, i2, j), vec_sub(f, side(lhs), side(rhs)), detail))
+    for j1, j2, i in itertools.product(rb, rb, ra):
+        lhs = side((ph(j2, i), phi_at(j1)))
+        rhs = side((b(j1, j2), [ph(l, i) for l in rb]), (ch(j1, j2), times_right(i)))
+        out.append((ViolationKind.EQ1_LEFT_TWIST, (j1, j2, i), vec_sub(f, lhs, rhs), ""))
+    for j1, j2, i in itertools.product(rb, rb, ra):
+        lhs = side((ps(i, j2), psi_at(j1)))
+        rhs = side((b(j2, j1), [ps(i, l) for l in rb]), (ch(j2, j1), times_left(i)))
+        out.append((ViolationKind.EQ2_RIGHT_TWIST, (j1, j2, i), vec_sub(f, lhs, rhs), ""))
+    for j1, j2, j3 in itertools.product(rb, repeat=3):
+        lhs = side((b(j1, j2), [ch(l, j3) for l in rb]), (ch(j1, j2), psi_at(j3)))
+        rhs = side((ch(j2, j3), phi_at(j1)), (b(j2, j3), [ch(j1, l) for l in rb]))
+        out.append((ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), vec_sub(f, lhs, rhs), ""))
+    return out
 
 
 def sweep_orbits(space, cocycles) -> list[Orbit]:

@@ -1,6 +1,8 @@
-"""Mutants of the census's checks, each with the tests expected to kill it.
+"""Mutants of the package's checks and kernels, each with the tests expected
+to kill it.
 
-A mutant is one exact edit of one file: a check weakened or a rule broken.
+A mutant is one exact edit of one file: a check weakened, a rule broken or
+a sign flipped.
 Run from anywhere, with the test requirements installed::
 
     python tests/mutants.py            # every mutant
@@ -41,6 +43,10 @@ class Mutant(NamedTuple):
 
 _CLASSIFY = "src/nabext/classify.py"
 _TESTS = "tests/test_classify.py::"
+_NONABELIAN = "src/nabext/nonabelian.py"
+_COCHAINS = "src/nabext/cochains.py"
+_CHECK_GOLDEN = "tests/test_nonabelian.py::test_check_cocycle_matches_golden"
+_CIRC_SIGNS = "tests/test_cochains.py::test_circ_signs_two_arity_two_maps"
 
 MUTANTS = (
     Mutant(
@@ -123,6 +129,54 @@ MUTANTS = (
         "            if len(witnesses) * stabilizer != group_order:\n",
         "            if False:\n",
         (_TESTS + "test_orbit_partition_rejects_a_miscounted_orbit",),
+    ),
+    Mutant(
+        # the same residual over F2, where every sign is +1
+        "eq5-term-on-the-wrong-side",
+        _NONABELIAN,
+        "        added = ((b_rows[j1][j2], chi_2[j3]), (chi_1[j1][j2], psi_b[j3]))\n"
+        "        subtracted = ((chi_1[j2][j3], phi_b[j1]), (b_rows[j2][j3], chi_1[j1]))\n",
+        "        added = ((b_rows[j1][j2], chi_2[j3]), (chi_1[j1][j2], psi_b[j3]), (b_rows[j2][j3], chi_1[j1]))\n"
+        "        subtracted = ((chi_1[j2][j3], phi_b[j1]),)\n",
+        (_CHECK_GOLDEN, "tests/test_nonabelian.py::test_residuals_are_their_two_sided_form"),
+    ),
+    Mutant(
+        "residual-kernel-adds-the-subtracted-side",
+        _NONABELIAN,
+        "    for op, parts in ((field.add, added), (field.sub, subtracted)):\n",
+        "    for op, parts in ((field.add, added), (field.add, subtracted)):\n",
+        (_CHECK_GOLDEN,),
+    ),
+    Mutant(
+        "zero-test-reads-all",
+        "src/nabext/linalg.py",
+        "    return not any(x)\n",
+        "    return not all(x)\n",
+        (_CHECK_GOLDEN,),
+    ),
+    Mutant(
+        "second-insertion-of-circ-unsigned",
+        _COCHAINS,
+        "    slots = [_insertion_terms(f, g, i, odd + n * (i + 1)) for i in range(1, f.arity + 1)]\n",
+        "    slots = [_insertion_terms(f, g, i, odd + n * (i + 1) * (i != 2)) for i in range(1, f.arity + 1)]\n",
+        (_CIRC_SIGNS, "tests/test_cli_q.py::test_cli_q_matches_golden"),
+    ),
+    Mutant(
+        "insertion-sign-never-applied",
+        _COCHAINS,
+        "            plugs[t].append((inner * tail_size, neg(v) if odd % 2 else v))\n",
+        "            plugs[t].append((inner * tail_size, v))\n",
+        (_CIRC_SIGNS,),
+    ),
+    Mutant(
+        "bracket-sign-test-inverted",
+        _COCHAINS,
+        "_insertion_sum_terms(g, f, 1 + f.degree * g.degree)",
+        "_insertion_sum_terms(g, f, f.degree * g.degree)",
+        (
+            "tests/test_cli_q.py::test_cli_q_matches_golden",
+            "tests/test_cochains.py::test_circ_and_bracket_are_their_sums_of_insertion_maps",
+        ),
     ),
 )
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     associative_samples,
+    bracket_by_circ,
+    circ_by_slots,
     line_algebra,
     rand_cochain,
     rand_map,
@@ -25,6 +27,7 @@ from nabext import (
     hochschild_delta_module,
     multiplication_map,
 )
+from nabext.classify import _symbolic_digits
 from nabext.fields import GF2, GF3, QQ
 from nabext.linalg import basis_vector, vec_add, vec_scale
 
@@ -287,6 +290,41 @@ def test_circ_signs_two_arity_two_maps():
     f = rand_map(rng, QQ, (2, 2), 2)
     g = rand_map(rng, QQ, (2, 2), 2)
     assert circ(f, g) == circ_i(f, g, 1) - circ_i(f, g, 2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.data(),
+    st.sampled_from([GF2, GF3, QQ]),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_circ_and_bracket_are_their_sums_of_insertion_maps(data, field, dim, af, ag, symbolic):
+    # the one-pass insertion sums against one dense circ_i map per
+    # insertion, negated and summed as maps; two constants have no sum.
+    # Over F_p some coefficients are the census's variables, distinct
+    # across f and g, so every product stays of degree at most 2
+    f = data.draw(_maps(field, dim, af))
+    g = data.draw(_maps(field, dim, ag))
+    if symbolic and field is not QQ:
+        variables = iter(_symbolic_digits(len(f.coeffs) + len(g.coeffs), field.p))
+
+        def some_symbolic(m):
+            n = len(m.coeffs)
+            picks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            coeffs = tuple(next(variables) if pick else v for v, pick in zip(m.coeffs, picks))
+            return MultilinearMap(field, m.source_dims, dim, coeffs)
+
+        f, g = some_symbolic(f), some_symbolic(g)
+    if af == ag == 0:
+        for op in (circ, gerstenhaber_bracket):
+            with pytest.raises(ValueError, match="two arity-0 maps"):
+                op(f, g)
+        return
+    assert circ(f, g) == circ_by_slots(f, g)
+    assert gerstenhaber_bracket(f, g) == bracket_by_circ(f, g)
 
 
 def test_self_composition_of_associative_product_vanishes():

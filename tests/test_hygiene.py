@@ -121,6 +121,7 @@ UNREAD_EXPORTS = {
     "GF2": "the field constants are the way callers name a field",
     "GF3": "the field constants are the way callers name a field",
     "delta_as_bracket": "delta = (-1)^(n-1) [m, .]: the independent side of the sign gate (criterion 2)",
+    "circ_i": "the paper's ∘_i; tests hold circ to the signed sum of circ_i",
     "is_mc": "the Maurer-Cartan test the benchmark traces as a span",
     "enumerate_sections": "the section side of 'moving the section is the gauge action' (criterion 7)",
     "section_difference": "the section side of 'moving the section is the gauge action' (criterion 7)",

@@ -1,19 +1,28 @@
+import collections
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nabext.classify as classify
+import nabext.nonabelian as nonabelian
 from helpers import (
     associative_samples,
     associator_map,
+    left_unit2,
     line_algebra,
     line_cocycle,
     rand_cocycle,
     rand_gauge,
+    residuals_by_sides,
     trunc_poly2,
+    trunc_poly3,
+    upper_triangular2,
     zero_algebra,
 )
 from nabext import (
@@ -26,8 +35,10 @@ from nabext import (
     ViolationKind,
     apply_equivalence,
     associator_residual,
+    beta_element,
     build_extension,
     check_cocycle,
+    circ,
     cocycle_from_mc,
     cocycle_to_mc,
     curvature_residuals,
@@ -35,6 +46,7 @@ from nabext import (
     direct_sum_space,
     gauge_closed_form,
     gauge_series,
+    gerstenhaber_bracket,
     hochschild_delta,
     in_L,
     is_mc,
@@ -427,6 +439,8 @@ def _q_kernel_outputs(c: NabCocycle, beta: GaugeParam):
         "apply_equivalence": image.phi.coeffs + image.psi.coeffs + image.chi.coeffs,
         "gauge_closed_form": gauge_closed_form(x, beta, base, split).coeffs,
         "gauge_series": gauge_series(x, beta, base, split).coeffs,
+        "circ": circ(x, x).coeffs,
+        "gerstenhaber_bracket": gerstenhaber_bracket(beta_element(beta, split, base.field), x).coeffs,
     }
 
 
@@ -447,3 +461,77 @@ def test_q_kernels_keep_integral_scalars_as_ints():
                 fractions += sum(type(v) is Fraction for v in coeffs)
             assert _q_kernel_outputs(*_as_fractions(c, beta)) == outputs
     assert fractions > 0
+
+
+def _residuals_of(c: NabCocycle):
+    return list(twist_residuals(c.A, c.B, c.phi, c.psi)) + list(curvature_residuals(c.A, c.B, c.phi, c.psi, c.chi))
+
+
+_SCALARS = {
+    GF2: st.integers(0, 1),
+    GF3: st.integers(0, 2),
+    QQ: st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=3)),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([GF2, GF3, QQ]), st.booleans())
+def test_residuals_are_their_two_sided_form(data, field, symbolic):
+    # every residual of both groups, in order, against left side minus
+    # right side; over F_p some coefficients are the census's variables
+    algebras = associative_samples(field) + [left_unit2(field), upper_triangular2(field)]
+    a = data.draw(st.sampled_from([alg for alg in algebras if alg.dim <= 2]))
+    b = data.draw(st.sampled_from(algebras))
+    shapes = ((b.dim, a.dim), (a.dim, b.dim), (b.dim, b.dim))
+    total = sum(math.prod(dims) * a.dim for dims in shapes)
+    coeffs = data.draw(st.lists(_SCALARS[field], min_size=total, max_size=total))
+    if symbolic and field is not QQ:
+        variables = classify._symbolic_digits(total, field.p)
+        chosen = data.draw(st.lists(st.booleans(), min_size=total, max_size=total))
+        coeffs = [x if pick else v for v, x, pick in zip(coeffs, variables, chosen)]
+    parts, at = [], 0
+    for dims in shapes:
+        size = math.prod(dims) * a.dim
+        parts.append(MultilinearMap(field, dims, a.dim, tuple(coeffs[at : at + size])))
+        at += size
+    c = NabCocycle(a, b, *parts)
+    assert _residuals_of(c) == residuals_by_sides(a, b, c.phi, c.psi, c.chi)
+
+
+def test_residual_and_insertion_work_guard(monkeypatch):
+    # deterministic work counts instead of a timing: each residual is one
+    # pass of the signed-sum kernel, with no one-sided vector joined by
+    # vec_add, vec_sub or vec_neg, and circ and the bracket each sum every
+    # insertion in one from_terms, adding, subtracting and negating no map
+    rng = random.Random(34)
+    q = rand_cocycle(rng, trunc_poly2(QQ), trunc_poly3(QQ))
+    space = CandidateSpace(zero_algebra(GF2, 2), trunc_poly2(GF2))
+    symbolic = space._decode(classify._symbolic_digits(space.total_entries, space.p))
+    elements = []
+    for c in (q, symbolic):
+        x, base, split = mc_context(c)
+        elements.append((x, beta_element(rand_gauge(rng, c.A, c.B), split, base.field)))
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("vec_add", "vec_sub", "vec_neg"):
+        monkeypatch.setattr(nonabelian, name, counted(name, getattr(nonabelian, name)))
+    for c in (q, symbolic):
+        assert _residuals_of(c) == residuals_by_sides(c.A, c.B, c.phi, c.psi, c.chi)
+    assert calls == {}
+
+    from_terms = MultilinearMap.from_terms
+    monkeypatch.setattr(MultilinearMap, "from_terms", classmethod(lambda cls, *args: counted("from_terms", from_terms)(*args)))
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(MultilinearMap, name, counted(name, getattr(MultilinearMap, name)))
+    for x, beta in elements:
+        for op, args in ((circ, (x, x)), (gerstenhaber_bracket, (beta, x))):
+            calls.clear()
+            op(*args)
+            assert calls == {"from_terms": 1}, op.__name__
