@@ -52,8 +52,8 @@ from .nonabelian import (
     build_extension,
     check_cocycle,
     cocycle_from_mc,
+    cocycle_residuals,
     cocycle_to_mc,
-    curvature_residuals,
     derivation_condition_defect,
     gauge_closed_form,
     gauge_series,
@@ -62,7 +62,6 @@ from .nonabelian import (
     mc_context,
     mc_residual,
     module_coboundary,
-    twist_residuals,
 )
 from .splitspace import MembershipError, embed_block_map, in_L, project_block_map
 

@@ -12,8 +12,8 @@ Each formula is evaluated once per space over :class:`_Poly`, a polynomial
 of degree at most 2 in numbered variables.  No equation is written out here.
 
 The census solves once, and a route identity stands in for a second solve.
-The cocycle route reads each component of the residual generators of
-:mod:`~nabext.nonabelian` once, as a row of terms, and solves three stages:
+The cocycle route reads each component of :func:`cocycle_residuals` once,
+as a row of terms, and solves three stages:
 phi, then psi with phi fixed, then chi with phi and psi fixed.  A stage's
 unknowns are its digits and its parameters the earlier ones; its rows are
 ``r0 + M x``, affine in the unknowns, ``r0`` and ``M`` polynomials in the
@@ -81,17 +81,15 @@ from .nonabelian import (
     CrossCheckError,
     GaugeParam,
     NabCocycle,
-    Residual,
     ViolationKind,
     all_gauge_params,
     apply_equivalence,
     associator_residual,
     build_extension,
+    cocycle_residuals,
     cocycle_to_mc,
-    curvature_residuals,
     gauge_closed_form,
     is_valid_cocycle,
-    twist_residuals,
     twist_slots,
 )
 
@@ -165,16 +163,16 @@ class _Poly:
 
     It has what :class:`PrimeField` asks of a scalar in ``add``, ``sub``,
     ``mul`` and ``neg`` (``+``, ``-``, ``*``, unary ``-`` and ``% p``) and
-    the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so the
-    residual generators, :func:`basis_associators`, :func:`build_extension`,
-    :func:`cocycle_to_mc`, :func:`associator_residual`,
-    :func:`gauge_closed_form`, :func:`apply_equivalence` and
-    :func:`cocycle_from_section` (its :func:`verify_extension` and
-    :func:`section_cocycle`) run over it as written.
-    :attr:`CandidateSpace.cocycle_stages` reads the rows they return, and
-    :meth:`CandidateSpace.check_identities` compares the identities.  A
-    product above degree 2 raises :class:`CrossCheckError`: every read and
-    identity relies on its formula being at most quadratic.
+    the zero tests of the kernels (``== 0``, ``!= 0``, truth value), so
+    :func:`cocycle_residuals`, :func:`basis_associators`,
+    :func:`build_extension`, :func:`cocycle_to_mc`,
+    :func:`associator_residual`, :func:`gauge_closed_form`,
+    :func:`apply_equivalence` and :func:`cocycle_from_section` (its
+    :func:`verify_extension` and :func:`section_cocycle`) run over it as
+    written.  :attr:`CandidateSpace.cocycle_stages` reads the rows of the
+    first, and :meth:`CandidateSpace.check_identities` compares the
+    identities.  A product above degree 2 raises :class:`CrossCheckError`:
+    every read and identity relies on its formula being at most quadratic.
 
     Arithmetic keeps a canonical form: coefficients in 1..p-1, no zero
     term, and a result with no variable left is a plain ``int``.  So ``% p``
@@ -459,20 +457,12 @@ class CandidateSpace:
         parts = zip(_STAGES, self.entry_counts)
         return [f"{part}[{k}]" for part, n in parts for k in range(n)]
 
-    def _residuals(self) -> Iterator[Residual]:
-        """Every residual of the cocycle route, :func:`twist_residuals` and
-        then :func:`curvature_residuals`, with every digit a variable."""
-        c = self._decode(_symbolic_digits(self.total_entries, self.p))
-        return itertools.chain(
-            twist_residuals(self.A, self.B, c.phi, c.psi),
-            curvature_residuals(self.A, self.B, c.phi, c.psi, c.chi),
-        )
-
     @cached_property
     def cocycle_stages(self) -> Tuple[_Affine, _Affine, _Affine]:
         """The phi, psi and chi stages of the cocycle route, one read of
-        :meth:`_residuals`, a row per component, each row written once as
-        its terms.  Stage ``(lo, hi)`` has the digits ``lo`` to ``hi - 1``
+        :func:`cocycle_residuals` on the symbolic candidate of
+        :attr:`_symbolic_point`, a row per component, each row written once
+        as its terms.  Stage ``(lo, hi)`` has the digits ``lo`` to ``hi - 1``
         as its unknowns and the earlier ones as its parameters.  Each row
         goes to the earliest stage where it reads no digit from ``hi`` on
         and no term has degree 2 in the unknowns: the stage of its highest
@@ -487,7 +477,7 @@ class CandidateSpace:
         stage_of = [s for s in range(3) for _ in range(los[s], los[s + 1])] + [0]
         touched, rows = ([], [], []), ([], [], [])
         row = -1
-        for kind, witness, disc, detail in self._residuals():
+        for kind, witness, disc, detail in cocycle_residuals(self._symbolic_point[1]):
             for k, value in enumerate(disc):
                 row += 1
                 if isinstance(value, _Poly):
@@ -520,9 +510,10 @@ class CandidateSpace:
 
     @cached_property
     def _symbolic_extension(self) -> Algebra:
-        """The twisted product of the symbolic candidate, every digit a
-        :class:`_Poly` variable in its slot."""
-        return build_extension(self._decode(_symbolic_digits(self.total_entries, self.p)))[0]
+        """The twisted product of the symbolic candidate of
+        :attr:`_symbolic_point`, every digit a :class:`_Poly` variable in
+        its slot."""
+        return build_extension(self._symbolic_point[1])[0]
 
     # cached: the route identity and the Maurer-Cartan identity read it
     @cached_property
@@ -572,15 +563,17 @@ class CandidateSpace:
                 )
 
     def _stage_row_label(self, row: int) -> str:
-        """The :func:`_row_label` of row ``row`` of :meth:`_residuals`,
-        counted over every component, zeros included: the generators are
-        evaluated again, so a label costs nothing until a check fails."""
-        for kind, witness, disc, detail in self._residuals():
+        """The :func:`_row_label` of row ``row`` of :func:`cocycle_residuals`
+        on the symbolic candidate, counted over every component, zeros
+        included: the residuals are evaluated again, so a label costs
+        nothing until a check fails."""
+        for kind, witness, disc, detail in cocycle_residuals(self._symbolic_point[1]):
             if row < len(disc):
                 return _row_label(kind, witness, detail, row)
             row -= len(disc)
 
-    # cached: the identities and the symbolic image read it
+    # cached: the stage read, its row labels, the symbolic extension, the
+    # identities and the symbolic image read it
     @cached_property
     def _symbolic_point(self) -> Tuple[List[_Poly], NabCocycle, GaugeParam]:
         """The variables, the symbolic candidate and the symbolic gauge
@@ -938,7 +931,7 @@ def enumerate_extensions(
     table = list(zero.table)
     out = []
     for index, c in cocycles:
-        for slot, digit in zip(slots, c.phi.coeffs + c.psi.coeffs + c.chi.coeffs):
+        for slot, digit in zip(slots, _digit_vector(c)):
             table[slot] = digit
         witness = associativity_witness(zero.field, zero.dim, table)
         if witness is not None:
@@ -1030,11 +1023,11 @@ def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocy
     pos_by_key = {key: pos for pos, key in enumerate(keys)}
     p = space.p
 
-    # position -> the witnesses of its orbit, keyed by member position
-    orbit_of: Dict[int, Dict[int, Tuple[GaugeParam, ...]]] = {}
+    # the positions already in an orbit
+    placed = set()
     found: List[Dict[int, Tuple[GaugeParam, ...]]] = []
     for pos, (i, _) in enumerate(cocycles):
-        if pos not in orbit_of:
+        if pos not in placed:
             witnesses: Dict[int, Tuple[GaugeParam, ...]] = {pos: ()}
             stabilizer = 0
             for beta, moved in moves:
@@ -1044,7 +1037,7 @@ def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocy
                         f"equivalence carried cocycle {i} out of the enumerated set; "
                         "the list was not exhaustive or validity is not preserved"
                     )
-                if to in orbit_of:
+                if to in placed:
                     raise CrossCheckError(f"an image of cocycle {i} lies in an earlier orbit")
                 if to == pos:
                     stabilizer += 1
@@ -1054,8 +1047,7 @@ def orbit_partition(space: CandidateSpace, cocycles: Sequence[Tuple[int, NabCocy
                     f"orbit of cocycle {i} has {len(witnesses)} members and "
                     f"{stabilizer} stabilizing parameters, not {group_order} in all"
                 )
-            for to in witnesses:
-                orbit_of[to] = witnesses
+            placed.update(witnesses)
             found.append(witnesses)
 
     orbits = []

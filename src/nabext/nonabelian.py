@@ -149,18 +149,15 @@ def all_gauge_params(field: Field, a_dim: int, b_dim: int) -> Iterator[GaugePara
 # The five equations are the associator components of the twisted product:
 # the census checks it once per space, as the route identity of
 # ``classify.CandidateSpace.check_route_identity``, which compares the rows
-# it solves with the symbolic associators, up to sign.  EQ3 and EQ4 (the
-# triples with one B factor, and B.A.B) never read the curvature; EQ1, EQ2
-# and EQ5 are affine in it.  Each group is one lazy
-# generator of residuals, every equation's discrepancy in a fixed order,
-# zeros included: :func:`check_cocycle` and :func:`is_valid_cocycle` keep the
-# nonzero ones, and the census solver runs each generator once per space on
+# it solves with the symbolic associators, up to sign.  One lazy generator,
+# :func:`cocycle_residuals`, yields every equation's discrepancy in a fixed
+# order, zeros included: :func:`check_cocycle` and :func:`is_valid_cocycle`
+# keep the nonzero ones, and the census solver runs it once per space on
 # symbolic digits to read off its affine systems, so every equation is
-# written out once.  Both generators read the columns of the maps and the
-# product rows once per call.  Each discrepancy is a signed sum of terms
-# ``vec[t] * cols[t]``, a map applied to a vector through its columns, and
-# :func:`_signed_columns` accumulates all of them into one output vector,
-# with no vector of a single side built on the way.
+# written out once.  Each discrepancy is a signed sum of terms ``vec[t] * cols[t]``, a
+# map applied to a vector through its columns, and :func:`_signed_columns`
+# accumulates all of them into one output vector, with no vector of a
+# single side built on the way.
 
 
 #: One equation at one basis triple and its discrepancy, zero or not:
@@ -202,30 +199,35 @@ def _columns(read, n1: int, n2: int):
     return rows, list(zip(*rows))
 
 
-def twist_residuals(
-    A: Algebra, B: Algebra, phi: MultilinearMap, psi: MultilinearMap
-) -> Iterator[Residual]:
-    """Every curvature-free equation, lazily: EQ3 (the twists commute) on
-    every ``(j1, j2, i)``, then EQ4 on every ``(i1, i2, j)``.
+def cocycle_residuals(c: NabCocycle) -> Iterator[Residual]:
+    """Every equation's residual, lazily: EQ3 (the twists commute) on every
+    ``(j1, j2, i)``, EQ4 on every ``(i1, i2, j)``, then EQ1 and EQ2 (the
+    twists are actions up to chi) on every ``(j1, j2, i)`` and EQ5 (chi is
+    a cocycle) on every ``(j1, j2, j3)``.
 
     The derivation condition is checked through the three Leibniz-type
     identities (the form associativity consumes), tagged ``psi_leibniz``,
     ``phi_leibniz`` and ``cross_compat``; the weaker "difference is a
     derivation" reading is available separately via
-    :func:`derivation_condition_defect`.  ``phi_leibniz``,
-    ``phi(b, a1 a2) = phi(b, a1) a2``, is the one that never reads ``psi``.
-    Reads the columns of ``phi`` and ``psi`` and the product rows of ``A``
-    once, and applies no map to a basis vector.
-    """
-    f = A.field
-    # phi_b[j][i] = phi_a[i][j] = phi(b_j, a_i), psi_a[i][j] = psi_b[j][i] = psi(a_i, b_j)
-    phi_b, phi_a = _columns(lambda j, i: phi.column((j, i)), B.dim, A.dim)
-    psi_a, psi_b = _columns(lambda i, j: psi.column((i, j)), A.dim, B.dim)
-    # left[i][t] = right[t][i] = a_i a_t
-    left, right = _columns(A.product_row, A.dim, A.dim)
+    :func:`derivation_condition_defect`.  The right-twist equation composes
+    in the order forced by associativity of the twisted product:
+    ``psi_{b1}(psi_{b2}(a)) = psi_{b2 b1}(a) + a chi(b2, b1)``.
 
-    a = A.dim
-    for j1, j2, i in itertools.product(range(B.dim), range(B.dim), range(a)):
+    Reads the columns of ``phi`` and ``psi`` and the product rows of ``A``
+    once, and those of ``chi`` and ``B`` once the last EQ4 residual is
+    taken, as EQ3 and EQ4 never read them; applies no map to a basis
+    vector.
+    """
+    A, B = c.A, c.B
+    f, a = A.field, A.dim
+    # phi_b[j][i] = phi_a[i][j] = phi(b_j, a_i), psi_a[i][j] = psi_b[j][i] = psi(a_i, b_j)
+    phi_b, phi_a = _columns(lambda j, i: c.phi.column((j, i)), B.dim, a)
+    psi_a, psi_b = _columns(lambda i, j: c.psi.column((i, j)), a, B.dim)
+    # left[i][t] = right[t][i] = a_i a_t
+    left, right = _columns(A.product_row, a, a)
+    bba = list(itertools.product(range(B.dim), range(B.dim), range(a)))
+
+    for j1, j2, i in bba:
         disc = _signed_columns(f, a, ((psi_a[i][j2], phi_b[j1]),), ((phi_b[j1][i], psi_b[j2]),))
         yield (ViolationKind.EQ3_COMMUTE, (j1, j2, i), disc, "")
 
@@ -240,32 +242,9 @@ def twist_residuals(
         for detail, lhs, rhs in checks:
             yield (ViolationKind.EQ4_DERIVATION, (i1, i2, j), _signed_columns(f, a, (lhs,), (rhs,)), detail)
 
-
-def curvature_residuals(
-    A: Algebra,
-    B: Algebra,
-    phi: MultilinearMap,
-    psi: MultilinearMap,
-    chi: MultilinearMap,
-) -> Iterator[Residual]:
-    """Every equation that reads the curvature, lazily: EQ1 and EQ2 (the
-    twists are actions up to chi) on every ``(j1, j2, i)``, then EQ5 (chi is
-    a cocycle) on every ``(j1, j2, j3)``.
-
-    The right-twist equation composes in the order forced by associativity
-    of the twisted product: ``psi_{b1}(psi_{b2}(a)) = psi_{b2 b1}(a)
-    + a chi(b2, b1)``.  Reads the columns of the three maps and the product
-    rows of ``A`` and ``B`` once, and applies no map to a basis vector.
-    """
-    f = A.field
-    phi_b, phi_a = _columns(lambda j, i: phi.column((j, i)), B.dim, A.dim)
-    psi_a, psi_b = _columns(lambda i, j: psi.column((i, j)), A.dim, B.dim)
     # chi_1[j1][j2] = chi(b_j1, b_j2) = chi_2[j2][j1]
-    chi_1, chi_2 = _columns(lambda j1, j2: chi.column((j1, j2)), B.dim, B.dim)
-    left, right = _columns(A.product_row, A.dim, A.dim)
+    chi_1, chi_2 = _columns(lambda j1, j2: c.chi.column((j1, j2)), B.dim, B.dim)
     b_rows, _ = _columns(B.product_row, B.dim, B.dim)
-    a = A.dim
-    bba = list(itertools.product(range(B.dim), range(B.dim), range(a)))
 
     for j1, j2, i in bba:
         # phi_{b1}(phi_{b2}(a)) - phi_{b1 b2}(a) - chi(b1, b2) a
@@ -288,40 +267,30 @@ def curvature_residuals(
         yield (ViolationKind.EQ5_CHI_COCYCLE, (j1, j2, j3), _signed_columns(f, a, added, subtracted), "")
 
 
-def _residuals(c: NabCocycle) -> Iterator[Residual]:
-    """Every equation's residual, lazily: :func:`twist_residuals`, then
-    :func:`curvature_residuals`, whose body runs only once the first group
-    is exhausted."""
-    return itertools.chain(
-        twist_residuals(c.A, c.B, c.phi, c.psi),
-        curvature_residuals(c.A, c.B, c.phi, c.psi, c.chi),
-    )
-
-
 _KIND_ORDER = {kind: pos for pos, kind in enumerate(ViolationKind)}
 
 
 def check_cocycle(c: NabCocycle) -> List[CocycleViolation]:
     """All violations of the five cocycle equations; empty means valid.
 
-    The nonzero residuals of both groups in full, stably sorted by
-    :class:`ViolationKind` order: equation by equation, each in basis-triple
-    order.
+    The nonzero residuals of :func:`cocycle_residuals` in full, stably
+    sorted by :class:`ViolationKind` order: equation by equation, each in
+    basis-triple order.
     """
     if not c.A.is_associative():
         raise ValueError("kernel algebra is not associative")
     if not c.B.is_associative():
         raise ValueError("quotient algebra is not associative")
-    found = [CocycleViolation(*r) for r in _residuals(c) if not is_zero_vector(r[2])]
+    found = [CocycleViolation(*r) for r in cocycle_residuals(c) if not is_zero_vector(r[2])]
     return sorted(found, key=lambda v: _KIND_ORDER[v.which])
 
 
 def is_valid_cocycle(c: NabCocycle) -> bool:
     """Whether the five cocycle equations hold, stopping at the first
-    nonzero residual: the curvature group is evaluated only when the
-    curvature-free group holds (ambient associativity is the caller's job).
-    Equal to ``check_cocycle(c) == []``."""
-    return all(is_zero_vector(r[2]) for r in _residuals(c))
+    nonzero residual of :func:`cocycle_residuals`: chi and the product of B
+    are read only when EQ3 and EQ4 hold (ambient associativity is the
+    caller's job).  Equal to ``check_cocycle(c) == []``."""
+    return all(is_zero_vector(r[2]) for r in cocycle_residuals(c))
 
 
 def derivation_condition_defect(c: NabCocycle) -> Optional[CocycleViolation]:

@@ -194,11 +194,11 @@ def bracket_by_circ(f: MultilinearMap, g: MultilinearMap) -> MultilinearMap:
 
 
 def residuals_by_sides(A: Algebra, B: Algebra, phi, psi, chi) -> list:
-    """Every residual of :func:`~nabext.twist_residuals` and then
-    :func:`~nabext.curvature_residuals`, in their order, each discrepancy
-    the left side minus the right side of its equation, every side a sum of
-    maps applied to vectors by a dense loop and joined by ``vec_add`` and
-    ``vec_sub``: the oracle of the one-pass residual kernel."""
+    """Every residual of :func:`~nabext.cocycle_residuals`, in its order,
+    each discrepancy the left side minus the right side of its equation,
+    every side a sum of maps applied to vectors by a dense loop and joined
+    by ``vec_add`` and ``vec_sub``: the oracle of the one-pass residual
+    kernel."""
     f, ra, rb = A.field, range(A.dim), range(B.dim)
 
     def apply(vec, cols):

@@ -46,6 +46,7 @@ _TESTS = "tests/test_classify.py::"
 _NONABELIAN = "src/nabext/nonabelian.py"
 _COCHAINS = "src/nabext/cochains.py"
 _CHECK_GOLDEN = "tests/test_nonabelian.py::test_check_cocycle_matches_golden"
+_SHORT_CIRCUIT = "tests/test_nonabelian.py::test_is_valid_cocycle_stops_at_the_first_nonzero_residual"
 _CIRC_SIGNS = "tests/test_cochains.py::test_circ_signs_two_arity_two_maps"
 
 MUTANTS = (
@@ -146,6 +147,22 @@ MUTANTS = (
         "    for op, parts in ((field.add, added), (field.sub, subtracted)):\n",
         "    for op, parts in ((field.add, added), (field.add, subtracted)):\n",
         (_CHECK_GOLDEN,),
+    ),
+    Mutant(
+        "validity-test-draws-every-residual",
+        _NONABELIAN,
+        "    return all(is_zero_vector(r[2]) for r in cocycle_residuals(c))\n",
+        "    return all([is_zero_vector(r[2]) for r in cocycle_residuals(c)])\n",
+        (_SHORT_CIRCUIT,),
+    ),
+    Mutant(
+        "curvature-read-before-the-first-residual",
+        _NONABELIAN,
+        "    left, right = _columns(A.product_row, a, a)\n",
+        "    left, right = _columns(A.product_row, a, a)\n"
+        "    chi_1, chi_2 = _columns(lambda j1, j2: c.chi.column((j1, j2)), B.dim, B.dim)\n"
+        "    b_rows, _ = _columns(B.product_row, B.dim, B.dim)\n",
+        (_SHORT_CIRCUIT,),
     ),
     Mutant(
         "zero-test-reads-all",

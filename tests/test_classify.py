@@ -142,7 +142,7 @@ def test_budget_enforcement():
 
 
 def test_an_over_budget_cocycle_route_raises_before_compiling(monkeypatch):
-    monkeypatch.setattr(classify, "twist_residuals", _refuse)
+    monkeypatch.setattr(classify, "cocycle_residuals", _refuse)
     space = _space(budget=4)
     with pytest.raises(BudgetExceededError):
         enumerate_cocycles(space)
@@ -506,17 +506,16 @@ def test_census_work_guard(monkeypatch):
     monkeypatch.setattr(MultilinearMap, "apply", apply)
     report = census(space)
     assert report.num_cocycles == 4 and len(built) == 2
-    equations = {"twist_residuals", "curvature_residuals"}
-    assert not equations & set(applied_from)
+    assert "cocycle_residuals" not in applied_from
 
 
 def test_solver_evaluates_fewer_twist_residuals_than_pairs(monkeypatch):
-    # deterministic work count: an exhaustive run reads each equation
+    # deterministic work count: an exhaustive run reads the residual
     # generator exactly once, symbolically, and every stage system off that
     # one pass; a pair sweep would visit each of the (phi, psi) pairs
     space = CandidateSpace(trunc_poly2(GF2), line_algebra(GF2, "idem", "b"))
     assert space.p ** (space.entry_counts[0] + space.entry_counts[1]) == 256
-    calls = {"twist_residuals": 0, "curvature_residuals": 0}
+    calls = {"cocycle_residuals": 0}
 
     def counted(name):
         real = getattr(nonabelian, name)
@@ -527,13 +526,13 @@ def test_solver_evaluates_fewer_twist_residuals_than_pairs(monkeypatch):
 
         return generator
 
-    # the solver calls the generators directly, the defect filters through
-    # their own module
+    # the solver calls the generator directly, the defect filters through
+    # its own module
     for name in calls:
         monkeypatch.setattr(classify, name, counted(name))
         monkeypatch.setattr(nonabelian, name, counted(name))
     hits = enumerate_cocycles(space)
-    assert calls == {"twist_residuals": 1, "curvature_residuals": 1}
+    assert calls == {"cocycle_residuals": 1}
     assert [i for i, _ in hits] == [i for i, _ in _associative_hits(space, space.exhaustive_indices())]
     assert len({c.phi.coeffs for _, c in hits}) > 1
 
@@ -573,11 +572,6 @@ def _bounds(space):
     return ((0, n_phi), (n_phi, n_phi + n_psi), (n_phi + n_psi, space.total_entries))
 
 
-def _twists(space, digits):
-    """phi, psi and chi with the index digits ``digits``, numbers or not."""
-    return tuple(space._map(part, digits[lo:hi]) for part, (lo, hi) in enumerate(_bounds(space)))
-
-
 def _scattered(space, digits):
     """The extension layout's table with ``digits`` in their slots."""
     zero, slots = space.extension_layout
@@ -595,12 +589,8 @@ def _associators(space, table, triples):
 
 def _residual_values(space, digits):
     """What the probes of the stages read: every residual of the cocycle
-    route, :func:`twist_residuals` then :func:`curvature_residuals`, at the
-    digits ``digits``."""
-    phi, psi, chi = _twists(space, digits)
-    return _stack(nonabelian.twist_residuals(space.A, space.B, phi, psi)) + _stack(
-        nonabelian.curvature_residuals(space.A, space.B, phi, psi, chi)
-    )
+    route, :func:`cocycle_residuals`, at the digits ``digits``."""
+    return _stack(nonabelian.cocycle_residuals(space._decode(digits)))
 
 
 _GF5 = PrimeField(5)
@@ -631,19 +621,12 @@ def _spaces_and_digits(draw):
 @settings(deadline=None, max_examples=60)
 @given(_spaces_and_digits())
 def test_symbolic_equations_evaluate_to_the_numeric_ones(case):
-    # the generators and the associator kernel over symbolic digits,
-    # evaluated at random digits, give what they give on the numbers
+    # the residual generator and the associator kernel over symbolic
+    # digits, evaluated at random digits, give what they give on the numbers
     space, digits = case
-    A, B = space.A, space.B
     symbolic = classify._symbolic_digits(space.total_entries, space.p)
     evaluated = lambda values: tuple(_evaluated(v, digits, space.p) for v in values)
-    (phi, psi, chi), (phi_x, psi_x, chi_x) = _twists(space, symbolic), _twists(space, digits)
-    assert evaluated(_stack(nonabelian.twist_residuals(A, B, phi, psi))) == _stack(
-        nonabelian.twist_residuals(A, B, phi_x, psi_x)
-    )
-    assert evaluated(_stack(nonabelian.curvature_residuals(A, B, phi, psi, chi))) == _stack(
-        nonabelian.curvature_residuals(A, B, phi_x, psi_x, chi_x)
-    )
+    assert evaluated(_residual_values(space, symbolic)) == _residual_values(space, digits)
     triples = list(itertools.product(range(space.A.dim + space.B.dim), repeat=3))
     assert evaluated(_associators(space, _scattered(space, symbolic), triples)) == _associators(
         space, _scattered(space, digits), triples
@@ -698,19 +681,19 @@ def test_both_specialisations_of_a_read_agree(case, rng):
 
 
 def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, capsys):
-    # a curvature generator with an added chi * chi term is no longer
+    # a residual generator with an added chi * chi term is no longer
     # affine in chi: the chi stage refuses it, naming the residual and the
     # monomial, and the CLI exits 3
-    real = nonabelian.curvature_residuals
+    real = nonabelian.cocycle_residuals
 
-    def squared(A, B, phi, psi, chi):
-        f = A.field
-        for kind, witness, disc, detail in real(A, B, phi, psi, chi):
+    def squared(c):
+        f = c.A.field
+        for kind, witness, disc, detail in real(c):
             if kind is ViolationKind.EQ5_CHI_COCYCLE and witness == (0, 0, 0):
-                disc = (f.add(disc[0], f.mul(chi.coeffs[0], chi.coeffs[0])),) + disc[1:]
+                disc = (f.add(disc[0], f.mul(c.chi.coeffs[0], c.chi.coeffs[0])),) + disc[1:]
             yield kind, witness, disc, detail
 
-    monkeypatch.setattr(classify, "curvature_residuals", squared)
+    monkeypatch.setattr(classify, "cocycle_residuals", squared)
     message = (
         r"cocycle route, chi stage: residual eq5_chi_cocycle at \(0, 0, 0\), component 0,"
         r" has the term chi\[0\]\*chi\[0\] of degree 2"
@@ -722,31 +705,33 @@ def test_a_stage_term_of_degree_two_in_its_unknowns_is_refused(monkeypatch, caps
     assert "chi stage" in err and "chi[0]*chi[0]" in err and "Traceback" not in err
 
 
-def _squared_in(real, stage, detail):
+def _squared_in(real, stage, kind):
     """The residual generator ``real`` with the square of the first digit of
     ``stage`` (0 for phi, 1 for psi, 2 for chi) added to the last component
-    of its first residual whose detail is ``detail``."""
+    of its first residual of kind ``kind``."""
 
-    def planted(A, B, *twists):
-        x = twists[stage].coeffs[0]
+    def planted(c):
+        f, x = c.A.field, (c.phi, c.psi, c.chi)[stage].coeffs[0]
         done = False
-        for kind, witness, disc, found in real(A, B, *twists):
-            if found == detail and not done:
-                disc, done = disc[:-1] + (A.field.add(disc[-1], A.field.mul(x, x)),), True
-            yield kind, witness, disc, found
+        for found, witness, disc, detail in real(c):
+            if found is kind and not done:
+                disc, done = disc[:-1] + (f.add(disc[-1], f.mul(x, x)),), True
+            yield found, witness, disc, detail
 
     return planted
 
 
 @pytest.mark.parametrize("route,stage", [("cocycle", "chi")])
 def test_a_refused_term_names_its_row(monkeypatch, route, stage):
-    # the row label of a refusal, byte for byte: a chi square planted in a
-    # curvature residual on F2 zero(2)/idem line, whose residuals have two
+    # the row label of a refusal, byte for byte: a chi square planted in the
+    # first EQ1 residual on F2 zero(2)/idem line, whose residuals have two
     # components.  A phi or psi square only moves its row one stage later;
     # in chi no stage is left
     space = CandidateSpace(zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b"))
-    planted = _squared_in(nonabelian.curvature_residuals, classify._STAGES.index(stage), "")
-    monkeypatch.setattr(classify, "curvature_residuals", planted)
+    planted = _squared_in(
+        nonabelian.cocycle_residuals, classify._STAGES.index(stage), ViolationKind.EQ1_LEFT_TWIST
+    )
+    monkeypatch.setattr(classify, "cocycle_residuals", planted)
     message = (
         f"{route} route, {stage} stage: residual eq1_left_twist at (0, 0, 0),"
         f" component 1, has the term {stage}[0]*{stage}[0] of degree 2 in the unknowns"
@@ -773,7 +758,7 @@ def test_pool_census_reads_the_stage_systems_of_the_parent(two_cpus, monkeypatch
 
     def scan_without_equations(sp, stages, tasks, worker, jobs):
         with monkeypatch.context() as m:
-            for name in ("twist_residuals", "curvature_residuals", "basis_associators", "build_extension"):
+            for name in ("cocycle_residuals", "basis_associators", "build_extension"):
                 m.setattr(classify, name, _refuse)
             return scan(sp, stages, tasks, worker, jobs)
 
@@ -883,7 +868,7 @@ def test_an_out_of_range_index_raises_before_anything_compiles(monkeypatch):
     # census, and before the stages are read on an enumeration, so neither
     # compiles the space; an iterator of indices is read once
     monkeypatch.setattr(CandidateSpace, "check_route_identity", _refuse)
-    monkeypatch.setattr(classify, "twist_residuals", _refuse)
+    monkeypatch.setattr(classify, "cocycle_residuals", _refuse)
     space = _space()
     for bad in (-1, space.total_candidates):
         for indices in ([0, bad], [bad]):
@@ -1460,7 +1445,7 @@ def test_a_pooled_sample_is_the_serial_one(two_cpus, monkeypatch):
 
     def scan_without_equations(sp, stages, tasks, worker, jobs):
         with monkeypatch.context() as m:
-            for name in ("twist_residuals", "curvature_residuals", "is_valid_cocycle", "build_extension"):
+            for name in ("cocycle_residuals", "is_valid_cocycle", "build_extension"):
                 m.setattr(classify, name, _refuse)
             return scan(sp, stages, tasks, worker, jobs)
 
@@ -1859,14 +1844,11 @@ def test_a_product_of_degree_three_is_refused():
 @pytest.mark.parametrize("name", ["F2-unit2-idem1", "F2-zero2-unit2", "F3-zero1-idem1"])
 def test_every_symbolic_stage_value_is_canonical(name):
     # a zero coefficient left in a stage value would make its row touched:
-    # every component of the residual generators and of the symbolic
+    # every component of the residual generator and of the symbolic
     # associators is a reduced int or a canonical _Poly
     space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
     c = space._decode(classify._symbolic_digits(space.total_entries, space.p))
-    residuals = [
-        *nonabelian.twist_residuals(space.A, space.B, c.phi, c.psi),
-        *nonabelian.curvature_residuals(space.A, space.B, c.phi, c.psi, c.chi),
-    ]
+    residuals = list(nonabelian.cocycle_residuals(c))
     values = [v for _, _, disc, _ in residuals for v in disc]
     values += [v for disc in space._symbolic_associators.values() for v in disc]
     assert len(values) >= len(residuals) + (space.A.dim + space.B.dim) ** 4
@@ -2044,7 +2026,7 @@ def test_census_work_counts_are_exact(monkeypatch):
     # builds exactly four extensions, whatever the number of cocycles: those
     # two, the zero candidate's for the layout and the symbolic one for the
     # route identity and the identities.  Every census scans once, reads the
-    # equations off one symbolic pass of each residual generator and never
+    # equations off one symbolic pass of the residual generator and never
     # calls is_valid_cocycle while the hits pass the numeric test.  A sample
     # without a cocycle checks only the route identity and builds one
     # extension, the symbolic one
@@ -2058,12 +2040,11 @@ def test_census_work_counts_are_exact(monkeypatch):
         "apply_equivalence",
         "cocycle_to_mc",
         "build_extension",
-        "twist_residuals",
-        "curvature_residuals",
+        "cocycle_residuals",
         "is_valid_cocycle",
     )
     calls = _counted(monkeypatch, names)
-    equations = {"twist_residuals": 1, "curvature_residuals": 1, "is_valid_cocycle": 0}
+    equations = {"cocycle_residuals": 1, "is_valid_cocycle": 0}
     identities = {"associator_residual": 1, "gauge_closed_form": 1, "cocycle_from_section": 1, "cocycle_to_mc": 2}
     for A, B in _work_count_spaces():
         calls.update(dict.fromkeys(calls, 0))

@@ -40,8 +40,8 @@ from nabext import (
     check_cocycle,
     circ,
     cocycle_from_mc,
+    cocycle_residuals,
     cocycle_to_mc,
-    curvature_residuals,
     derivation_condition_defect,
     direct_sum_space,
     gauge_closed_form,
@@ -54,7 +54,6 @@ from nabext import (
     mc_context,
     mc_residual,
     project_block_map,
-    twist_residuals,
 )
 from nabext.fields import GF2, GF3, QQ
 
@@ -402,17 +401,45 @@ def _nonzero(residuals):
 
 
 def test_defect_groups_split_by_what_they_read():
-    # the nonzero residuals of the curvature-free group are EQ3/EQ4 only,
-    # those of the curvature group EQ1/EQ2/EQ5 only, and together they are
+    # one stream: every EQ3/EQ4 residual, which reads no chi, comes before
+    # every EQ1/EQ2/EQ5 one, and the nonzero residuals, sorted by kind, are
     # check_cocycle's list
     twist_kinds = {ViolationKind.EQ3_COMMUTE, ViolationKind.EQ4_DERIVATION}
     for *_, index, space in itertools.islice(_golden_cases(), 0, None, 5):
         c = space.candidate(index)
-        twist = _nonzero(twist_residuals(c.A, c.B, c.phi, c.psi))
-        curvature = _nonzero(curvature_residuals(c.A, c.B, c.phi, c.psi, c.chi))
-        assert {v.which for v in twist} <= twist_kinds
-        assert not {v.which for v in curvature} & twist_kinds
-        assert sorted(twist + curvature, key=lambda v: v.which.value) == check_cocycle(c)
+        residuals = list(cocycle_residuals(c))
+        reads_chi = [r[0] not in twist_kinds for r in residuals]
+        assert reads_chi == sorted(reads_chi) and 0 < sum(reads_chi) < len(reads_chi)
+        assert sorted(_nonzero(residuals), key=lambda v: v.which.value) == check_cocycle(c)
+
+
+def test_is_valid_cocycle_stops_at_the_first_nonzero_residual(monkeypatch):
+    # deterministic work count: phi(b, .) projects onto a_0 and psi(., b)
+    # sends a_0 to a_1, so the twists do not commute at a_0 and the first
+    # EQ3 residual is nonzero.  is_valid_cocycle draws that one residual
+    # and reads no column of chi and no product row of B
+    A, B = zero_algebra(GF2, 2), line_algebra(GF2, "idem", "b")
+    phi = MultilinearMap(GF2, (1, 2), 2, (1, 0, 0, 0))
+    psi = MultilinearMap(GF2, (2, 1), 2, (0, 0, 1, 0))
+    c = NabCocycle(A, B, phi, psi, MultilinearMap.zero(GF2, (1, 1), 2))
+    kind, witness, disc, _ = next(cocycle_residuals(c))
+    assert (kind, witness) == (ViolationKind.EQ3_COMMUTE, (0, 0, 0)) and any(disc)
+    drawn, read = [], []
+    real = nonabelian.cocycle_residuals
+
+    def counted(c):
+        for r in real(c):
+            drawn.append(r[0])
+            yield r
+
+    column, product_row = MultilinearMap.column, Algebra.product_row
+    monkeypatch.setattr(nonabelian, "cocycle_residuals", counted)
+    monkeypatch.setattr(MultilinearMap, "column", lambda m, idxs: read.append(m) or column(m, idxs))
+    monkeypatch.setattr(Algebra, "product_row", lambda alg, i, j: read.append(alg) or product_row(alg, i, j))
+    assert not is_valid_cocycle(c)
+    assert drawn == [ViolationKind.EQ3_COMMUTE]
+    assert any(m is phi for m in read) and any(m is psi for m in read) and any(m is A for m in read)
+    assert not [m for m in read if m is c.chi or m is B]
 
 
 def _as_fractions(c: NabCocycle, beta: GaugeParam):
@@ -463,10 +490,6 @@ def test_q_kernels_keep_integral_scalars_as_ints():
     assert fractions > 0
 
 
-def _residuals_of(c: NabCocycle):
-    return list(twist_residuals(c.A, c.B, c.phi, c.psi)) + list(curvature_residuals(c.A, c.B, c.phi, c.psi, c.chi))
-
-
 _SCALARS = {
     GF2: st.integers(0, 1),
     GF3: st.integers(0, 2),
@@ -477,8 +500,8 @@ _SCALARS = {
 @settings(deadline=None, max_examples=60)
 @given(st.data(), st.sampled_from([GF2, GF3, QQ]), st.booleans())
 def test_residuals_are_their_two_sided_form(data, field, symbolic):
-    # every residual of both groups, in order, against left side minus
-    # right side; over F_p some coefficients are the census's variables
+    # every residual, in order, against left side minus right side; over
+    # F_p some coefficients are the census's variables
     algebras = associative_samples(field) + [left_unit2(field), upper_triangular2(field)]
     a = data.draw(st.sampled_from([alg for alg in algebras if alg.dim <= 2]))
     b = data.draw(st.sampled_from(algebras))
@@ -495,7 +518,7 @@ def test_residuals_are_their_two_sided_form(data, field, symbolic):
         parts.append(MultilinearMap(field, dims, a.dim, tuple(coeffs[at : at + size])))
         at += size
     c = NabCocycle(a, b, *parts)
-    assert _residuals_of(c) == residuals_by_sides(a, b, c.phi, c.psi, c.chi)
+    assert list(cocycle_residuals(c)) == residuals_by_sides(a, b, c.phi, c.psi, c.chi)
 
 
 def test_residual_and_insertion_work_guard(monkeypatch):
@@ -523,7 +546,7 @@ def test_residual_and_insertion_work_guard(monkeypatch):
     for name in ("vec_add", "vec_sub", "vec_neg"):
         monkeypatch.setattr(nonabelian, name, counted(name, getattr(nonabelian, name)))
     for c in (q, symbolic):
-        assert _residuals_of(c) == residuals_by_sides(c.A, c.B, c.phi, c.psi, c.chi)
+        assert list(cocycle_residuals(c)) == residuals_by_sides(c.A, c.B, c.phi, c.psi, c.chi)
     assert calls == {}
 
     from_terms = MultilinearMap.from_terms
