@@ -1,57 +1,50 @@
 """Classification over prime fields: find every valid twist triple, split
 the cocycles into the orbits of the gauge group Hom(B, A), and cross-check
-every step against the extension picture.  The orbits are read straight off
-the group action, so every member carries a one-step witness from its
-representative.
+every step against the extension picture.  Every orbit member carries a
+one-step witness from its representative.
 
 Candidates are indexed by writing all twist coefficients as base-p digits,
-so runs are deterministic and trivially splittable across workers.  The
-(phi, psi) coefficients are the low digits and chi the high ones.
+(phi, psi) the low ones and chi the high ones, so runs are deterministic
+and trivially splittable across workers.
 
 Each formula is evaluated once per space over :class:`_Poly`, a polynomial
-of degree at most 2 in numbered variables.  No equation is written out here.
+of degree at most 2 in numbered variables: the digits, then the entries of
+a gauge parameter beta.  No equation is written out here.  Two of these
+passes are read as affine families, rows ``r0 + M x`` in some unknowns
+``x``, with ``r0`` and ``M`` polynomials in other variables, the
+parameters.  One grouping, :func:`_by_monomial`, files the terms of both
+under their parameter monomials and refuses a term of degree 2 in the
+unknowns:
 
-The census solves once, and a route identity stands in for a second solve.
-The cocycle route reads each component of :func:`cocycle_residuals` once,
-as a row of terms, and solves three stages:
-phi, then psi with phi fixed, then chi with phi and psi fixed.  A stage's
-unknowns are its digits and its parameters the earlier ones; its rows are
-``r0 + M x``, affine in the unknowns, ``r0`` and ``M`` polynomials in the
-parameters (an :class:`_Affine`).  One rule stages every row, whatever
-equation made it: it goes to the earliest stage that reads no later digit
-and has no term of degree 2 in the stage's unknowns, so a row is tested as
-soon as its variables are fixed.  A row of degree 2 in chi fits no stage
-and raises :class:`CrossCheckError`, so affinity is checked, not assumed.
-An exhaustive run solves the stages in turn (:func:`_fibre_chunk`): each
-stage's rows that read its parameters only are tested first, and only
-where they all vanish does it cost one elimination.  A sample of indices
-is tested on them row by row, each index's digits written into the phi,
-psi and chi rows in turn and stopped at the first nonzero row
-(:func:`_sample_chunk`).
+- The stages of the cocycle route, :attr:`CandidateSpace.cocycle_stages`,
+  are the rows of :func:`cocycle_residuals`, solved for phi, then psi with
+  phi fixed, then chi with both fixed.  A stage's unknowns are its digits
+  and its parameters the earlier ones (an :class:`_Affine`).  A row goes
+  to the earliest stage that reads no later digit and has no term of
+  degree 2 in its unknowns, so it is tested as soon as its variables are
+  fixed; a row of degree 2 in chi fits no stage and raises
+  :class:`CrossCheckError`.  An exhaustive run (:func:`_fibre_chunk`) tests
+  a stage's rows that read its parameters only, and where they all vanish
+  eliminates the dense rows of :meth:`_Affine.at`.  A sample is tested row
+  by row, stopped at the first nonzero row (:func:`_sample_chunk`).
+- The gauge action, :attr:`CandidateSpace.gauge_moves`, is the slots of
+  :func:`apply_equivalence` of the symbolic candidate under the symbolic
+  beta.  Its unknowns are the digits and its parameters beta's entries;
+  each beta, written in as a sparse sum per slot, is one affine move of
+  the digits, which :func:`orbit_partition` applies to each representative.
 
 The route identity, :meth:`CandidateSpace.check_route_identity`, checks once
-per space that those rows, read as polynomials in the digits, are the
+per space that the stage rows, as polynomials in the digits, are the
 associators of the twisted product that :func:`build_extension` writes, up
-to sign: one key per polynomial, its terms signed so that the coefficient
-of its least monomial is at most p/2.  That is the paper's starting point:
-the cocycle equations are associativity of the twisted product.  Equal rows
-have equal zero sets, so the stages accept exactly the candidates whose
-twisted product is associative, at every candidate, not only at those a run
-visits.  Each hit is then tested on every basis triple, numerically
-(:func:`enumerate_extensions`).
-
-The orbits come from the triple action :func:`apply_equivalence`, run once
-per space over the digits and the gauge parameter's entries and read as one
-affine move of the digits per parameter (:attr:`CandidateSpace.gauge_moves`),
-which :func:`orbit_partition` applies to each representative's digits.
+to sign (:func:`_signed_key`): the paper's starting point, that the cocycle
+equations are associativity of the twisted product.  Equal rows have equal
+zero sets, so the stages accept exactly the candidates whose twisted
+product is associative, at every candidate.  Each hit is then tested on
+every basis triple, numerically (:func:`enumerate_extensions`).
 :meth:`CandidateSpace.check_identities` compares, once per space, both
 sides of four identities between a triple, its Maurer-Cartan element, its
-extension and its gauge moves as polynomials in the digits and the gauge
-parameter's entries: the Maurer-Cartan residual is the associator of the
-twisted product, the canonical section gives the triple back, the
-closed-form gauge action on the element is :func:`apply_equivalence`, and
-the twisted product's table is the layout's.  An identity of polynomials
-holds at every candidate and every beta, so at every hit.
+extension and its gauge image as polynomials in the digits and beta's
+entries, so they hold at every hit and every beta.
 """
 
 from __future__ import annotations
@@ -81,7 +74,6 @@ from .nonabelian import (
     CrossCheckError,
     GaugeParam,
     NabCocycle,
-    ViolationKind,
     all_gauge_params,
     apply_equivalence,
     associator_residual,
@@ -266,19 +258,68 @@ class _Poly:
     __hash__ = None
 
 
+def _padded(values: Iterable) -> List[List[Tuple[int, int, int]]]:
+    """The terms of each of ``values``, a :class:`_Poly` or a scalar, as
+    ``(k, l, c)``, ``c`` times the variables ``k <= l``, the monomial padded
+    on the left with ``-1``, which stands for the constant 1: the form of
+    every read.  A zero has no term."""
+    out = []
+    for value in values:
+        if isinstance(value, _Poly):
+            out.append([(-1, -1, *m, c)[-3:] for m, c in value.terms.items()])
+        else:
+            out.append([(-1, -1, value)] if value else [])
+    return out
+
+
+#: Each parameter monomial, padded, with the ``(position, coefficient)``
+#: pairs that it adds to ``[M | -r0]``.
+Grouping = Tuple[Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]], ...]
+
+
+def _by_monomial(rows: Iterable, lo: int, hi: int, refuse: Callable[[int, int, int], str]) -> Grouping:
+    """The :func:`_padded` terms of ``rows``, rows ``r0 + M x`` affine in
+    the unknowns ``x``, the variables ``lo`` to ``hi - 1``, grouped by their
+    monomial in the other variables, the parameters, which keep their
+    numbers.  The rows of ``[M | -r0]`` are laid end to end: a term files
+    its one unknown's coefficient in that unknown's column, or, with no
+    unknown, its negation in the column of ``-r0``.  A term of degree 2 in
+    the unknowns raises :class:`CrossCheckError` with the text
+    ``refuse(row, k, l)``."""
+    width = hi - lo + 1
+    grouped: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for r, row in enumerate(rows):
+        # the unknown v has its column at start + v, and -r0 at start + hi
+        start = r * width - lo
+        for k, l, c in row:
+            if lo <= l < hi:
+                if k >= lo:
+                    raise CrossCheckError(refuse(r, k, l))
+                # the unknown l, times the parameter k or, at -1, alone
+                grouped.setdefault((-1, k), []).append((start + l, c))
+            elif lo <= k < hi:
+                # the unknown k, times the parameter l
+                grouped.setdefault((-1, l), []).append((start + k, c))
+            else:
+                grouped.setdefault((k, l), []).append((start + hi, -c))
+    # built from a list, not a generator: a generator's tuple is made at a
+    # guessed length and resized, so each one freed grows the interpreter's
+    # free list of its real length (up to 2,000), and peak memory climbs
+    # with the spaces a process solves
+    return tuple([(m, tuple(e)) for m, e in grouped.items()])
+
+
 @dataclass(frozen=True)
 class _Affine:
     """Rows ``r0 + M x`` over F_p, affine in the unknowns ``x``, the
     variables ``lo`` to ``hi - 1``, with ``r0`` and ``M`` polynomials in the
     parameters, the variables below ``lo``.  ``touched`` numbers, in
     order, the stage's rows in the route's whole residual sequence; a row
-    with no term is in no stage.  ``rows`` holds
-    each touched row as its terms ``(k, l, c)``, ``c`` times the variables
-    ``k <= l``, where ``-1`` pads the monomial on the left and stands for
-    the constant 1; an unknown, if any, is ``l``.  :meth:`vanishes_at` and
-    the route identity read them so; :meth:`solutions` reads
-    :attr:`parameter_rows`, and :meth:`at` :attr:`by_param`, both derived
-    from them once a run solves."""
+    with no term is in no stage.  ``rows`` holds each touched row as its
+    :func:`_padded` terms; an unknown, if any, is ``l``.
+    :meth:`vanishes_at` and the route identity read them so;
+    :meth:`solutions` reads :attr:`parameter_rows`, and :meth:`at`
+    :attr:`by_param`, both derived from them once a run solves."""
 
     field: PrimeField
     lo: int
@@ -288,25 +329,14 @@ class _Affine:
 
     # cached: derived in the parent before a pool starts, pickled with it
     @cached_property
-    def by_param(self) -> Tuple[Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]], ...]:
-        """Each parameter monomial, as its padded variables ``(k, l)``, with
-        the ``(position, coefficient)`` pairs it adds to ``[M | -r0]``."""
-        lo, width = self.lo, self.hi - self.lo + 1
-        grouped: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for r, row in enumerate(self.rows):
-            start = r * width
-            for k, l, c in row:
-                if l >= lo:
-                    # c times the unknown l, in its column, with the parameter k
-                    grouped.setdefault((-1, k), []).append((start + l - lo, c))
-                else:
-                    # free of unknowns: -c in the column of -r0
-                    grouped.setdefault((k, l), []).append((start + width - 1, -c))
-        # built from a list, not a generator: a generator's tuple is made at
-        # a guessed length and resized, so each one freed grows the
-        # interpreter's free list of its real length (up to 2,000), and peak
-        # memory climbs with the spaces a process solves
-        return tuple([(m, tuple(e)) for m, e in grouped.items()])
+    def by_param(self) -> Grouping:
+        """The rows grouped by :func:`_by_monomial`.  A term of degree 2 in
+        the unknowns is refused, naming its row; the stages of
+        :attr:`CandidateSpace.cocycle_stages` hold none."""
+        lo, hi = self.lo, self.hi
+        return _by_monomial(self.rows, lo, hi, lambda r, k, l: (
+            f"affine rows: row {self.touched[r]} has the term x{k}*x{l} of degree 2 in x{lo} to x{hi - 1}"
+        ))
 
     @cached_property
     def parameter_rows(self) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
@@ -375,12 +405,6 @@ def _rows_vanish(rows: Iterable[Tuple[Tuple[int, int, int], ...]], d: Sequence[i
         if s % p:
             return False
     return True
-
-
-def _row_label(kind: ViolationKind, witness: Tuple[int, ...], detail: str, k: int) -> str:
-    """The name of component ``k`` of a stage residual ``(kind, witness,
-    disc, detail)``."""
-    return f"residual {kind.value}{' ' + detail if detail else ''} at {witness}, component {k},"
 
 
 def _signed_key(terms: Iterable[Tuple[Monomial, int]], p: int) -> FrozenSet[Tuple[Monomial, int]]:
@@ -470,42 +494,29 @@ class CandidateSpace:
         the next one, where it reads parameters only.  A row with no term is
         zero for every candidate and is dropped.  A row with a term of
         degree 2 in chi fits no stage and raises :class:`CrossCheckError`,
-        naming the row (:func:`_row_label`) and the monomial."""
+        naming the row (:meth:`_stage_row_label`) and the monomial."""
         n_phi, n_psi, _ = self.entry_counts
         los = (0, n_phi, n_phi + n_psi, self.total_entries)
         # the stage of each digit, and of the padding -1, the constant
         stage_of = [s for s in range(3) for _ in range(los[s], los[s + 1])] + [0]
         touched, rows = ([], [], []), ([], [], [])
-        row = -1
-        for kind, witness, disc, detail in cocycle_residuals(self._symbolic_point[1]):
-            for k, value in enumerate(disc):
-                row += 1
-                if isinstance(value, _Poly):
-                    items = value.terms.items()
-                elif value:
-                    items = (((), value),)
-                else:
-                    continue
-                terms = []
-                top = -1
-                for mono, c in items:
-                    # a monomial is sorted and padded on the left, so l is
-                    # its highest variable, and k is one only in a product
-                    term = (-1, -1, *mono, c)[-3:]
-                    if term[1] > top:
-                        top = term[1]
-                    terms.append(term)
-                s = stage_of[top]
-                if max(terms)[0] >= los[s]:
-                    s += 1
-                    if s == 3:
-                        mono = next(term[:2] for term in terms if term[0] >= los[2])
-                        raise CrossCheckError(
-                            f"cocycle route, chi stage: {_row_label(kind, witness, detail, k)} has the term"
-                            f" {'*'.join(self._digit_names()[v] for v in mono)} of degree 2 in the unknowns"
-                        )
-                touched[s].append(row)
-                rows[s].append(tuple(terms))
+        values = [v for _, _, disc, _ in cocycle_residuals(self._symbolic_point[1]) for v in disc]
+        for row, terms in enumerate(_padded(values)):
+            if not terms:
+                continue
+            # a monomial is sorted and padded on the left, so l is its
+            # highest variable, and k is one only in a product
+            s = stage_of[max([l for _, l, _ in terms])]
+            if max(terms)[0] >= los[s]:
+                s += 1
+                if s == 3:
+                    mono = next(term[:2] for term in terms if term[0] >= los[2])
+                    raise CrossCheckError(
+                        f"cocycle route, chi stage: {self._stage_row_label(row)} has the term"
+                        f" {'*'.join(self._digit_names()[v] for v in mono)} of degree 2 in the unknowns"
+                    )
+            touched[s].append(row)
+            rows[s].append(tuple(terms))
         return tuple(_Affine(self.A.field, los[s], los[s + 1], tuple(touched[s]), tuple(rows[s])) for s in range(3))
 
     @cached_property
@@ -563,13 +574,14 @@ class CandidateSpace:
                 )
 
     def _stage_row_label(self, row: int) -> str:
-        """The :func:`_row_label` of row ``row`` of :func:`cocycle_residuals`
-        on the symbolic candidate, counted over every component, zeros
-        included: the residuals are evaluated again, so a label costs
-        nothing until a check fails."""
+        """The name of row ``row`` of :func:`cocycle_residuals` on the
+        symbolic candidate, counted over every component, zeros included:
+        its residual's kind, detail and witness, and its component.  The
+        residuals are evaluated again, so a label costs nothing until a
+        check fails."""
         for kind, witness, disc, detail in cocycle_residuals(self._symbolic_point[1]):
             if row < len(disc):
-                return _row_label(kind, witness, detail, row)
+                return f"residual {kind.value}{' ' + detail if detail else ''} at {witness}, component {row},"
             row -= len(disc)
 
     # cached: the stage read, its row labels, the symbolic extension, the
@@ -601,46 +613,30 @@ class CandidateSpace:
         coefficients times the digits, mod p (:func:`_moved`).  A slot that
         beta leaves as it is is not listed.
 
-        Each slot of :attr:`_symbolic_image` is read once as its ``(k, l,
-        c)`` terms, in the stage read's padded form, its variables the
-        digits and then beta's entries; a term is split into its digit, if
-        any, and its beta monomial.  Then each beta is written into the beta
-        monomials, as :meth:`_Affine.at` writes parameters in.  Once beta is
-        fixed the action is affine in the digits, so a term that multiplies
+        Each slot of :attr:`_symbolic_image` is a row grouped by
+        :func:`_by_monomial`, the digits its unknowns and beta's entries,
+        the variables from ``n`` on, its parameters; a term that multiplies
         two digits raises :class:`CrossCheckError`, naming the slot and the
-        term."""
+        term.  A slot that is its own digit is moved by no beta and is not
+        grouped.  Each beta is written into each other slot's monomials as a
+        sparse sum, where :meth:`_Affine.at` writes a stage's rows dense."""
         # the budget, before anything compiles
         betas = self.gauge_params()
         n, p = self.total_entries, self.p
-        image = self._symbolic_image
-        # per slot: beta's monomial, padded, -> its (digit or -1, coefficient)
         slots = []
-        for q, value in enumerate(_digit_vector(image)):
-            grouped: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-            for mono, c in _terms(value).items():
-                k, l = (-1, -1, *mono)[-2:]
-                if l < n:
-                    if k >= 0:
-                        names = self._digit_names()
-                        raise CrossCheckError(
-                            f"gauge action: {names[q]} of apply_equivalence's image has the term"
-                            f" {names[k]}*{names[l]} of degree 2 in the digits"
-                        )
-                    # the digit l, or at -1 the constant
-                    grouped.setdefault((-1, -1), []).append((l, c))
-                elif k < n:
-                    # beta's entry l, times the digit k or, at -1, alone
-                    grouped.setdefault((-1, l - n), []).append((k, c))
-                else:
-                    # a product of two of beta's entries
-                    grouped.setdefault((k - n, l - n), []).append((-1, c))
-            slots.append(tuple(grouped.items()))
+        for q, terms in enumerate(_padded(_digit_vector(self._symbolic_image))):
+            if terms != [(-1, q, 1)]:
+                slots.append((q, _by_monomial((terms,), 0, n, lambda _, k, l: (
+                    f"gauge action: {self._digit_names()[q]} of apply_equivalence's image has the term"
+                    f" {self._digit_names()[k]}*{self._digit_names()[l]} of degree 2 in the digits"
+                ))))
         moves = []
         for beta in betas:
-            w = (*(v for row in beta.matrix for v in row), 1)
+            # each parameter by its number: beta's entries from n on
+            w = (*(0,) * n, *(v for row in beta.matrix for v in row), 1)
             moved = []
-            for q, grouped in enumerate(slots):
-                # the digit or, at -1, the constant -> its coefficient
+            for q, grouped in slots:
+                # the column of a digit, or n, that of -r0 -> its coefficient
                 affine: Dict[int, int] = {}
                 for (bk, bl), entries in grouped:
                     scale = w[bk] * w[bl]
@@ -649,7 +645,7 @@ class CandidateSpace:
                             affine[k] = affine.get(k, 0) + scale * c
                 affine = {k: r for k, c in affine.items() if (r := c % p)}
                 if affine != {q: 1}:
-                    moved.append((q, affine.pop(-1, 0), tuple(affine.items())))
+                    moved.append((q, -affine.pop(n, 0) % p, tuple(affine.items())))
             moves.append((beta, tuple(moved)))
         return tuple(moves)
 
@@ -769,7 +765,7 @@ class CandidateSpace:
         if self.total_candidates > self.budget:
             raise BudgetExceededError(
                 f"{self.total_candidates} candidates exceed the budget of {self.budget};"
-                " use sampling"
+                " raise --budget or use sampling (--sample)"
             )
         return range(self.total_candidates)
 
@@ -801,7 +797,10 @@ class CandidateSpace:
         """Every linear map from the quotient into the kernel."""
         a, b = self.A.dim, self.B.dim
         if self.p ** (a * b) > self.budget:
-            raise BudgetExceededError("gauge parameter space exceeds the budget")
+            raise BudgetExceededError(
+                f"the p^(ab) = {self.p}^{a * b} = {self.p ** (a * b)} gauge parameters exceed"
+                f" the budget of {self.budget}; raise --budget"
+            )
         return list(all_gauge_params(self.A.field, a, b))
 
 

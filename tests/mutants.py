@@ -12,7 +12,9 @@ Each mutant is applied to its own copy of the tree in a temporary
 directory.  The copy runs the mutant's killing tests, then, if they all
 pass, the full suite, each run stopping at its first failure.  A mutant is
 reported "killed" with the first failing test, or "survived": a surviving
-mutant points to a missing test.  The command exits 1 if any survives.
+mutant points to a missing test.  A last line counts the mutants killed and
+survived and the seconds the run took.  The command exits 1 if any
+survives.
 With about 10-60 s a mutant it runs outside tier-1; tier-1 checks only that
 each old text occurs exactly once in its file, so a change to the anchored
 code updates its mutant in the same commit.
@@ -27,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -74,15 +77,15 @@ MUTANTS = (
     Mutant(
         "stage-from-the-first-variable",
         _CLASSIFY,
-        "                s = stage_of[top]\n",
-        "                s = stage_of[terms[0][1]]\n",
+        "            s = stage_of[max([l for _, l, _ in terms])]\n",
+        "            s = stage_of[terms[0][1]]\n",
         (_TESTS + "test_each_row_is_solved_at_the_earliest_stage_that_can_take_it",),
     ),
     Mutant(
         "every-row-waits-for-the-chi-stage",
         _CLASSIFY,
-        "                s = stage_of[top]\n",
-        "                s = 2\n",
+        "            s = stage_of[max([l for _, l, _ in terms])]\n",
+        "            s = 2\n",
         (
             _TESTS + "test_each_row_is_solved_at_the_earliest_stage_that_can_take_it",
             _TESTS + "test_census_solves_each_stage_an_exact_number_of_times",
@@ -91,8 +94,8 @@ MUTANTS = (
     Mutant(
         "degree-two-in-the-unknowns-allowed",
         _CLASSIFY,
-        "                if max(terms)[0] >= los[s]:\n",
-        "                if False:\n",
+        "            if max(terms)[0] >= los[s]:\n",
+        "            if False:\n",
         (_TESTS + "test_each_row_is_solved_at_the_earliest_stage_that_can_take_it",),
     ),
     Mutant(
@@ -117,12 +120,66 @@ MUTANTS = (
     Mutant(
         "beta-only-constant-dropped",
         _CLASSIFY,
-        "                    moved.append((q, affine.pop(-1, 0), tuple(affine.items())))\n",
-        "                    moved.append((q, affine.pop(-1, 0) * 0, tuple(affine.items())))\n",
+        "                    moved.append((q, -affine.pop(n, 0) % p, tuple(affine.items())))\n",
+        "                    moved.append((q, -affine.pop(n, 0) * 0, tuple(affine.items())))\n",
         (
             _TESTS + "test_the_orbit_stage_is_the_numeric_sweep",
             _TESTS + "test_each_compiled_move_is_apply_equivalence_at_every_candidate",
         ),
+    ),
+    Mutant(
+        "r0-column-keeps-the-sign",
+        _CLASSIFY,
+        "                grouped.setdefault((k, l), []).append((start + hi, -c))\n",
+        "                grouped.setdefault((k, l), []).append((start + hi, c))\n",
+        (_TESTS + "test_stage_systems_are_the_probes_of_their_generators",),
+    ),
+    Mutant(
+        "workers-derive-the-solve-grouping",
+        _CLASSIFY,
+        "            stage.by_param, stage.parameter_rows\n",
+        "            stage.parameter_rows\n",
+        (_TESTS + "test_census_derives_the_solve_grouping_once_per_stage_in_the_parent",),
+    ),
+    Mutant(
+        "layout-identity-reads-the-layout-twice",
+        _CLASSIFY,
+        "            self._symbolic_extension.table,\n",
+        "            laid_out,\n",
+        (_TESTS + "test_a_swapped_layout_fails_the_layout_identity",),
+    ),
+    Mutant(
+        "census-accepts-repeated-indices",
+        _CLASSIFY,
+        "        if len(set(indices)) != len(indices):\n",
+        "        if False:\n",
+        (_TESTS + "test_census_refuses_a_repeated_index",),
+    ),
+    Mutant(
+        "a-sample-reports-empty-orbits",
+        _CLASSIFY,
+        "        orbits=orbit_partition(space, cocycles) if indices is None else None,\n",
+        "        orbits=orbit_partition(space, cocycles) if indices is None else [],\n",
+        (_TESTS + "test_sampled_census_has_no_orbit_stage",),
+    ),
+    Mutant(
+        # an iterator of indices is used up by the duplicate check
+        "census-indices-not-copied",
+        _CLASSIFY,
+        "        indices = tuple(indices)\n        if len(set(indices)) != len(indices):\n",
+        "        if len(set(indices)) != len(indices):\n",
+        (_TESTS + "test_an_out_of_range_index_raises_before_anything_compiles",),
+    ),
+    Mutant(
+        # a key up to a scalar: 2P and P share one
+        "monic-route-key",
+        _CLASSIFY,
+        "    if 2 * min(terms)[1] > p:\n"
+        "        return frozenset((m, p - c) for m, c in terms)\n"
+        "    return frozenset(terms)\n",
+        "    inverse = pow(min(terms)[1], -1, p)\n"
+        "    return frozenset((m, c * inverse % p) for m, c in terms)\n",
+        (_TESTS + "test_the_route_identity_holds_up_to_sign_not_up_to_a_scalar",),
     ),
     Mutant(
         "orbit-stabilizer-check-removed",
@@ -163,6 +220,20 @@ MUTANTS = (
         "    chi_1, chi_2 = _columns(lambda j1, j2: c.chi.column((j1, j2)), B.dim, B.dim)\n"
         "    b_rows, _ = _columns(B.product_row, B.dim, B.dim)\n",
         (_SHORT_CIRCUIT,),
+    ),
+    Mutant(
+        "associator-adds-the-subtracted-term",
+        "src/nabext/algebra.py",
+        "                out[t] = sub(out[t], mul(c, v))\n",
+        "                out[t] = add(out[t], mul(c, v))\n",
+        ("tests/test_algebra.py::test_is_associative_matches_random_triples",),
+    ),
+    Mutant(
+        "rational-product-keeps-integral-fractions",
+        "src/nabext/fields.py",
+        "        r = x * y\n        return r if type(r) is int else _canonical(r)\n",
+        "        r = x * y\n        return r\n",
+        ("tests/test_fields.py::test_rational_results_are_canonical_and_exact",),
     ),
     Mutant(
         "zero-test-reads-all",
@@ -244,13 +315,16 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    survived = 0
+    start = time.perf_counter()
+    killed = survived = 0
     for mutant in MUTANTS:
         if names and mutant.name not in names:
             continue
         verdict = run(mutant)
         survived += verdict == "survived"
+        killed += verdict != "survived"
         print(f"{mutant.name}: {verdict}", flush=True)
+    print(f"{killed} killed, {survived} survived, in {time.perf_counter() - start:.0f} s")
     return 1 if survived else 0
 
 

@@ -130,10 +130,13 @@ def test_extension_enumeration_members():
 
 
 def test_budget_enforcement():
+    # each refusal names the way out
     space = _space(budget=4)
-    with pytest.raises(BudgetExceededError):
+    message = "8 candidates exceed the budget of 4; raise --budget or use sampling (--sample)"
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
         space.exhaustive_indices()
-    with pytest.raises(BudgetExceededError):
+    message = "the p^(ab) = 2^1 = 2 gauge parameters exceed the budget of 1; raise --budget"
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
         _space(budget=1).gauge_params()
     # a sample counts against the budget too
     assert len(space.sample_indices(4, seed=0)) == 4
@@ -741,6 +744,15 @@ def test_a_refused_term_names_its_row(monkeypatch, route, stage):
     assert str(refused.value) == message
 
 
+def test_the_grouping_of_a_stage_refuses_a_term_of_degree_two_in_its_unknowns():
+    # the stage read keeps such a term out of every stage; rows made with
+    # one are refused when a solve first groups them, naming the row
+    stage = classify._Affine(GF3, 1, 3, (4, 7), (((-1, 0, 2), (-1, 1, 1)), ((0, 1, 1), (1, 2, 2))))
+    with pytest.raises(CrossCheckError) as refused:
+        stage.by_param
+    assert str(refused.value) == "affine rows: row 7 has the term x1*x2 of degree 2 in x1 to x2"
+
+
 def _refuse(*args):
     raise AssertionError("a worker evaluated the equations again")
 
@@ -1296,17 +1308,31 @@ _SMALL_F2_SPACES = sorted(
 )
 
 
-@pytest.mark.parametrize("name", _SMALL_F2_SPACES)
-def test_each_compiled_move_is_apply_equivalence_at_every_candidate(name):
-    # every beta's compiled move, on every candidate, cocycle or not, gives
-    # the digits of the numeric apply_equivalence image
-    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+def _moves_are_apply_equivalence(space, indices):
+    """Every beta's compiled move, on each candidate of ``indices``, cocycle
+    or not, gives the digits of the numeric apply_equivalence image."""
     assert [beta for beta, _ in space.gauge_moves] == space.gauge_params()
-    for i in range(space.total_candidates):
+    for i in indices:
         c = space.candidate(i)
         digits = classify._digit_vector(c)
         for beta, moved in space.gauge_moves:
             assert classify._moved(digits, moved, space.p) == classify._digit_vector(apply_equivalence(c, beta))
+
+
+@pytest.mark.parametrize("name", _SMALL_F2_SPACES)
+def test_each_compiled_move_is_apply_equivalence_at_every_candidate(name):
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES[name])
+    _moves_are_apply_equivalence(space, range(space.total_candidates))
+
+
+def test_each_compiled_move_is_apply_equivalence_on_a_sample_of_an_f3_space():
+    # over F2, -c is c, so only an odd p shows a flipped sign in a constant
+    # of beta alone or in a digit times an entry of beta, an unknown
+    # numbered below its parameter.  A = k[t]/t^2 has nonzero products, so
+    # the image has both
+    space = CandidateSpace(*_GOLDEN_CENSUS_SPACES["F3-unit2-idem1"])
+    assert space.total_candidates == 3 ** 10 and len(space.gauge_params()) == 9
+    _moves_are_apply_equivalence(space, space.sample_indices(300, seed=1))
 
 
 def _monomial(k, l):
